@@ -6,25 +6,39 @@ For a cut with block dimensions d1 x d2, every pair of rotation generators
 
     C_mn = max(0, l1 - l2 - l3 - l4)
 
-where l1 >= l2 >= ... are the square roots of the eigenvalues of
-rho @ (S rho* S). At most four of those eigenvalues can be nonzero because
-each generator has rank 2; the rest of the spectrum is asserted small. The
-total over all pairs is sqrt(sum of C_mn^2).
+where l1 >= l2 >= l3 >= l4 are the square roots of the eigenvalues of
+rho @ (S rho* S). The total over all pairs is sqrt(sum of C_mn^2).
 
-Numerically the l's are obtained as the singular values of
-sqrt(rho) @ S @ sqrt(rho)*: that matrix A satisfies A A^dag =
-sqrt(rho) (S rho* S) sqrt(rho), which shares its spectrum with
-rho (S rho* S), so the singular values are exactly the l's. Reading them
-from an SVD avoids taking square roots of near-zero eigenvalues, which
-would otherwise inject noise of order sqrt(machine epsilon).
+Every C_mn is the Wootters concurrence of a 4x4 principal block of rho
+(Badziag et al. 2002; Mintert, Kus and Buchleitner 2004). The generator
+L_m = E_ab is i*sigma_y on span{a, b} and zero elsewhere, so S is
+-sigma_y (x) sigma_y on the four basis states I = {a, b} x {c, d} and zero
+off them: S = V Y V^T with V the real d x 4 column selector of I and
+Y = -sigma_y (x) sigma_y. The l's are the singular values of
+A = sqrt(rho) S sqrt(rho)*, because A A^dag = sqrt(rho) (S rho* S)
+sqrt(rho) shares its spectrum with rho (S rho* S). Write B = sqrt(rho) V,
+the columns I of sqrt(rho); since sqrt(rho)* = sqrt(rho)^T, A = B Y B^T.
+The polar decomposition B = W P has P = sqrt(B^dag B) = sqrt(rho_II), with
+rho_II = V^T rho V the principal block, and W an isometry on the range of
+P. Then A = W (P Y P*) W^T, and W, W^T act isometrically on the ranges
+involved, so A has the singular values of sqrt(rho_II) Y sqrt(rho_II)*:
+exactly four of them, and every eigenvalue beyond the top four is 0.
+
+The kernel therefore gathers the (P, 4, 4) principal blocks of a cut with
+one fancy index (the cut's qubit reordering folded into the index sets),
+takes one batched PSD square root, and reads every pair's l's from one
+batched SVD. Reading the l's as singular values avoids taking square
+roots of near-zero eigenvalues, which would inject noise of order
+sqrt(machine epsilon). `wootters` is the single-block case (cut 1|2).
 """
 
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionMismatchError, SpectralLeakError
-from .linalg import SIGMA_Y, kron, permute_qubits, psd_sqrt
+from .linalg import SIGMA_Y, kron, permutation_indices, psd_sqrt
 
 LEAK_TOL = 1e-8  # max allowed eigenvalue of rho @ rho_tilde beyond the top four
 
@@ -105,18 +119,6 @@ def so_generators(d):
     return tuple(gens)
 
 
-@lru_cache(maxsize=None)
-def _pair_inversions(d1, d2):
-    """(m, n, L_m kron L_n) for every generator pair, 1-based lexicographic."""
-    ops = []
-    for m, lm in enumerate(so_generators(d1), start=1):
-        for n, ln in enumerate(so_generators(d2), start=1):
-            s = kron(lm, ln)
-            s.setflags(write=False)
-            ops.append((m, n, s))
-    return tuple(ops)
-
-
 class PairTerm:
     """One generator pair's contribution: indices (1-based), the four l's, C_mn."""
 
@@ -143,64 +145,99 @@ class ConcurrenceBreakdown:
         return f"ConcurrenceBreakdown(total={self.total:.6g}, pairs={len(self.pairs)})"
 
 
-def _inversion_lambdas(root, root_conj, s):
-    """Singular values of sqrt(rho) S sqrt(rho)*, descending."""
-    return np.linalg.svd(root @ s @ root_conj, compute_uv=False)
-
-
+# sigma_y (x) sigma_y; the sign of the block inversion changes no singular value
 _SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
 _SPIN_FLIP.setflags(write=False)
 
 
+@lru_cache(maxsize=None)
+def _pair_blocks(block1, block2):
+    """Every generator pair's principal block of a cut: the (m, n) labels,
+    1-based and lexicographic like so_generators, and (P, 4, 1) row and
+    (P, 1, 4) column index arrays into the unpermuted state.
+
+    Pair (E_ab, E_cd) selects the basis states {a, b} x {c, d} of the order
+    with block1's qubits first; `src` maps them back to the state's own
+    order, so the reordering costs no matrix copy.
+    """
+    src = permutation_indices(len(block1) + len(block2), block1 + block2)
+    d1, d2 = 1 << len(block1), 1 << len(block2)
+    labels, index_sets = [], []
+    for m, (a, b) in enumerate(combinations(range(d1), 2), start=1):
+        for n, (c, d) in enumerate(combinations(range(d2), 2), start=1):
+            labels.append((m, n))
+            index_sets.append(src[[a * d2 + c, a * d2 + d, b * d2 + c, b * d2 + d]])
+    idx = np.array(index_sets)
+    idx.setflags(write=False)
+    return tuple(labels), idx[:, :, None], idx[:, None, :]
+
+
+def _pair_lambdas(mat, rows, cols):
+    """Singular values (P, 4), descending, of sqrt(rho_II) Y sqrt(rho_II)*
+    for the principal blocks rho_II = mat[rows, cols]."""
+    root = psd_sqrt(mat[rows, cols])
+    return np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+
+
+def _pair_values(lam):
+    """C_mn = max(0, l1 - l2 - l3 - l4) for every row of l's."""
+    return np.maximum(0.0, lam[:, 0] - lam[:, 1:].sum(axis=1))
+
+
+def _check_leak(cut, leak_tol):
+    """The leak guard: every eigenvalue of rho @ rho_tilde beyond a pair's
+    top four is exactly 0 (module docstring), so only a negative leak_tol
+    on a cut with more than four basis states trips it."""
+    if cut.d1 * cut.d2 > 4 and 0.0 > leak_tol:
+        raise SpectralLeakError(
+            f"pair (m=1, n=1) of cut {cut.label}: eigenvalue 0.000e+00 "
+            f"beyond the top four exceeds {leak_tol:.1e}")
+
+
 def wootters(rho):
-    """Two-qubit mixed-state concurrence from the spin-flip spectrum."""
+    """Two-qubit mixed-state concurrence: the single principal block of cut 1|2."""
     if rho.n_qubits != 2:
         raise DimensionMismatchError(f"Wootters concurrence needs 2 qubits, got {rho.n_qubits}")
-    root = psd_sqrt(rho.mat)
-    lam = _inversion_lambdas(root, root.conj(), _SPIN_FLIP)
-    return min(1.0, max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3])))
+    _, rows, cols = _pair_blocks((1,), (2,))
+    return min(1.0, float(_pair_values(_pair_lambdas(rho.mat, rows, cols))[0]))
 
 
 def bipartite_concurrence(rho, cut, leak_tol=LEAK_TOL):
-    """Generalized concurrence of rho across a bipartition.
-
-    Qubits are reordered so block1 precedes block2, then every generator
-    pair contributes a C_mn from its top four l's. A SpectralLeakError means
-    some discarded eigenvalue of rho @ rho_tilde exceeded leak_tol.
+    """Generalized concurrence of rho across a bipartition, one PairTerm per
+    generator pair. A SpectralLeakError means some discarded eigenvalue of
+    rho @ rho_tilde exceeded leak_tol.
     """
     if cut.n_qubits != rho.n_qubits:
         raise DimensionMismatchError(
             f"cut {cut.label} covers {cut.n_qubits} qubits but state has {rho.n_qubits}")
-    mat = permute_qubits(rho.mat, cut.block1 + cut.block2)
-    root = psd_sqrt(mat)
-    root_conj = root.conj()
-    pairs = []
-    for m, n, s in _pair_inversions(cut.d1, cut.d2):
-        lam = _inversion_lambdas(root, root_conj, s)
-        if lam.shape[0] > 4:
-            leak = float(lam[4] ** 2)
-            if leak > leak_tol:
-                raise SpectralLeakError(
-                    f"pair (m={m}, n={n}) of cut {cut.label}: eigenvalue {leak:.3e} "
-                    f"beyond the top four exceeds {leak_tol:.1e}")
-        top = lam[:4]
-        value = max(0.0, float(top[0] - top[1:].sum()))
-        pairs.append(PairTerm(m, n, tuple(float(x) for x in top), value))
-    return ConcurrenceBreakdown(pairs)
+    _check_leak(cut, leak_tol)
+    labels, rows, cols = _pair_blocks(cut.block1, cut.block2)
+    lam = _pair_lambdas(rho.mat, rows, cols)
+    return ConcurrenceBreakdown(
+        PairTerm(m, n, tuple(top), value)
+        for (m, n), top, value in zip(labels, lam.tolist(), _pair_values(lam).tolist()))
 
 
 def cut_concurrence(rho, cut, leak_tol=LEAK_TOL):
-    """Concurrence across a cut; Wootters for two qubits, else the generator sum."""
-    if rho.n_qubits == 2:
-        return wootters(rho)
+    """Concurrence across a cut: the total over its generator pairs."""
     return bipartite_concurrence(rho, cut, leak_tol=leak_tol).total
 
 
+_TAU3_CUTS = (Bipartition((1, 2), (3,)), Bipartition((1, 3), (2,)), Bipartition((2, 3), (1,)))
+
+
+@lru_cache(maxsize=None)
+def _tau3_blocks():
+    """Row and column index arrays of the three 2|1 cuts, stacked."""
+    tables = [_pair_blocks(cut.block1, cut.block2) for cut in _TAU3_CUTS]
+    return np.concatenate([t[1] for t in tables]), np.concatenate([t[2] for t in tables])
+
+
 def tau3(rho, leak_tol=LEAK_TOL):
-    """Root-mean-square of the three 2|1 bipartite concurrences of a 3-qubit state."""
+    """Root-mean-square of the three 2|1 bipartite concurrences of a 3-qubit
+    state, from one kernel call over the 18 pairs of the three cuts."""
     if rho.n_qubits != 3:
         raise DimensionMismatchError(f"tau3 needs 3 qubits, got {rho.n_qubits}")
-    total = 0.0
-    for cut in (Bipartition((1, 2), (3,)), Bipartition((1, 3), (2,)), Bipartition((2, 3), (1,))):
-        total += bipartite_concurrence(rho, cut, leak_tol=leak_tol).total ** 2
-    return float(np.sqrt(total / 3.0))
+    _check_leak(_TAU3_CUTS[0], leak_tol)
+    values = _pair_values(_pair_lambdas(rho.mat, *_tau3_blocks()))
+    return float(np.sqrt(np.sum(values * values) / 3.0))

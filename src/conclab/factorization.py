@@ -159,14 +159,25 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         raise DimensionMismatchError(f"identity is on {n} qubits but state has {psi.n_qubits}")
     if len(channels) != n:
         raise DimensionMismatchError(f"need {n} channels, got {len(channels)}")
-    if anchor not in (ANCHOR_LAST, ANCHOR_OWN):
-        raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {anchor!r}")
-
-    cut = identity.cut
     rho0 = psi.to_density()
     final = apply(ChannelAssignment.many_sided(channels), rho0)
+    return _evaluate(
+        identity, rho0, final, cut_concurrence(rho0, identity.cut, leak_tol=leak_tol),
+        channels, anchor=anchor, normalization_exponent=normalization_exponent,
+        aggregation=aggregation, seed=seed, leak_tol=leak_tol, rank_tol=rank_tol,
+        relabeling=relabeling)
+
+
+def _evaluate(identity, rho0, final, initial_c, channels, *, anchor,
+              normalization_exponent, aggregation, seed, leak_tol, rank_tol, relabeling):
+    """evaluate_identity on a scenario whose initial density matrix `rho0`,
+    many-sided final state `final` and initial cut concurrence `initial_c`
+    are already known; a campaign computes them once and reuses them."""
+    if anchor not in (ANCHOR_LAST, ANCHOR_OWN):
+        raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {anchor!r}")
+    n = identity.n_qubits
+    cut = identity.cut
     lhs = cut_concurrence(final, cut, leak_tol=leak_tol)
-    initial_c = cut_concurrence(rho0, cut, leak_tol=leak_tol)
 
     factors = []
     for q in range(1, n + 1):
@@ -207,6 +218,15 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     )
 
 
+def _suggested_identity(rank, n_qubits):
+    """The identity the rank conditions suggest for a final rank (None above 4)."""
+    if rank <= 2:
+        return identity_for(PRODUCT, n_qubits)
+    if rank <= 4 and n_qubits >= 3:
+        return identity_for(SUM, n_qubits)
+    return None
+
+
 def classify_scenario(psi, channels, rank_tol=RANK_TOL):
     """Final rank and the identity the rank conditions suggest (None above 4)."""
     channels = tuple(channels)
@@ -214,12 +234,7 @@ def classify_scenario(psi, channels, rank_tol=RANK_TOL):
         raise DimensionMismatchError(f"need {psi.n_qubits} channels, got {len(channels)}")
     final = apply(ChannelAssignment.many_sided(channels), psi.to_density())
     rank = numerical_rank(final, rank_tol)
-    n = psi.n_qubits
-    if rank <= 2:
-        return rank, identity_for(PRODUCT, n)
-    if rank <= 4 and n >= 3:
-        return rank, identity_for(SUM, n)
-    return rank, None
+    return rank, _suggested_identity(rank, psi.n_qubits)
 
 
 def relabel_scenario(psi, channels, perm):
@@ -349,31 +364,47 @@ MAX_FAILURE_EXAMPLES = 10
 def run_campaign(config):
     """Draw channels per sample (sample seed = base seed + index), classify the
     final rank, evaluate the configured or rank-suggested identity, and bucket
-    the outcomes by rank. Deterministic for a fixed config."""
-    psi0 = parse_state(config.state)
-    if len(config.channels) != psi0.n_qubits:
+    the outcomes by rank. Deterministic for a fixed config.
+
+    The initial state, its density matrix and its concurrence on each cut
+    are built once per campaign, and each sample's many-sided final state
+    serves both the classification and the evaluation.
+    """
+    psi = parse_state(config.state)
+    n = psi.n_qubits
+    if len(config.channels) != n:
         raise DimensionMismatchError(
-            f"state {config.state!r} has {psi0.n_qubits} qubits but "
+            f"state {config.state!r} has {n} qubits but "
             f"{len(config.channels)} channel families were given")
     forced = None
     if config.identity != "auto":
-        forced = identity_for(config.identity, psi0.n_qubits, config.cut)
+        forced = identity_for(config.identity, n, config.cut)
+        if forced.n_qubits != n:
+            raise DimensionMismatchError(
+                f"identity is on {forced.n_qubits} qubits but state has {n}")
+    if config.relabel is not None:
+        psi = psi.permuted(config.relabel)
+    rho0 = psi.to_density()
+    initial_c = {}  # cut -> C(psi) on that cut
 
     rows = []
     for i in range(config.samples):
         seed = config.seed + i
         rng = np.random.default_rng(seed)
-        channels = tuple(sample_channel(fam, rng) for fam in config.channels)
-        psi, chans = psi0, channels
+        chans = tuple(sample_channel(fam, rng) for fam in config.channels)
         if config.relabel is not None:
-            psi, chans = relabel_scenario(psi0, channels, config.relabel)
-        rank, suggested = classify_scenario(psi, chans, config.rank_tol)
-        identity = forced if forced is not None else suggested
+            chans = tuple(chans[q - 1] for q in config.relabel)
+        final = apply(ChannelAssignment.many_sided(chans), rho0)
+        rank = numerical_rank(final, config.rank_tol)
+        identity = forced if forced is not None else _suggested_identity(rank, n)
         if identity is None:
             rows.append(SampleRow(seed, rank, None, None, None, None))
             continue
-        report = evaluate_identity(
-            identity, psi, chans,
+        if identity.cut not in initial_c:
+            initial_c[identity.cut] = cut_concurrence(rho0, identity.cut,
+                                                      leak_tol=config.leak_tol)
+        report = _evaluate(
+            identity, rho0, final, initial_c[identity.cut], chans,
             anchor=config.anchor,
             normalization_exponent=config.normalization_exponent,
             aggregation=config.aggregation,

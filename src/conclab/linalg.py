@@ -46,10 +46,15 @@ def kron(a, b):
     return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
+def _dagger(m):
+    """Conjugate transpose of a matrix or of every matrix in a (..., d, d) stack."""
+    return np.swapaxes(m.conj(), -1, -2)
+
+
 def hermiticity_error(m):
-    """Max entrywise deviation |M - M^dag|."""
+    """Max entrywise deviation |M - M^dag|, over a whole stack if given one."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    return float(np.max(np.abs(m - _dagger(m)))) if m.size else 0.0
 
 
 def require_hermitian(m, tol=HERM_TOL, what="matrix"):
@@ -67,17 +72,19 @@ def hermitian_eig(m, tol=HERM_TOL):
 
 
 def psd_sqrt(m, tol=HERM_TOL):
-    """Hermitian PSD square root r with r @ r == m.
+    """Hermitian PSD square root r with r @ r == m, of one matrix or of every
+    matrix in a (..., d, d) stack.
 
     Eigenvalues in [-PSD_CLAMP, 0) are treated as roundoff and clamped to 0;
-    anything below -PSD_CLAMP raises NotPSDError.
+    anything below -PSD_CLAMP, in any matrix of a stack, raises NotPSDError.
     """
     m = np.asarray(m, dtype=complex)
     require_hermitian(m, tol)
     w, v = np.linalg.eigh(m)
-    if w[0] < -PSD_CLAMP:
-        raise NotPSDError(f"matrix has eigenvalue {w[0]:.3e} < -{PSD_CLAMP:.1e}")
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lowest = float(w[..., 0].min()) if w.size else 0.0
+    if lowest < -PSD_CLAMP:
+        raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} < -{PSD_CLAMP:.1e}")
+    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
 
 
 def n_qubits_of(dim):

@@ -2,8 +2,10 @@
 
 Everything here is deliberately implemented by a different route than the
 package: characteristic polynomials by symbolic Laplace expansion, partial
-traces by explicit index loops, and pure-state cut concurrences from reduced
-purity. None of it calls into conclab.
+traces and qubit reorderings by explicit index loops, pure-state cut
+concurrences from reduced purity, and the generalized concurrence by its
+dense definition over Kronecker-built inversions. None of it calls into
+conclab.
 """
 
 import numpy as np
@@ -136,6 +138,100 @@ def wootters_charpoly(rho):
 def bell_mixture_concurrence(x):
     """Concurrence of x|phi+><phi+| + (1-x)|psi+><psi+| is |2x - 1|."""
     return abs(2.0 * float(x) - 1.0)
+
+
+# --- dense generalized concurrence --------------------------------------------
+
+
+def _bits(i, n):
+    """Bits of basis index i, qubit 1 first (big-endian)."""
+    return [(i >> (n - 1 - q)) & 1 for q in range(n)]
+
+
+def _index(bits):
+    out = 0
+    for b in bits:
+        out = (out << 1) | b
+    return out
+
+
+def reorder_qubits(mat, order):
+    """The matrix in the basis whose k-th tensor factor is qubit order[k]
+    (1-based), by explicit index loops."""
+    mat = np.asarray(mat, dtype=complex)
+    n = len(order)
+    dim = 1 << n
+    # new index i has bit k equal to the old bit of qubit order[k]
+    src = []
+    for i in range(dim):
+        old = [0] * n
+        for k, bit in enumerate(_bits(i, n)):
+            old[order[k] - 1] = bit
+        src.append(_index(old))
+    out = np.empty_like(mat)
+    for i in range(dim):
+        for j in range(dim):
+            out[i, j] = mat[src[i], src[j]]
+    return out
+
+
+def _dense_sqrt(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+
+
+def _pairs(d):
+    """(a, b) with a < b, lexicographic."""
+    return [(a, b) for a in range(d) for b in range(a + 1, d)]
+
+
+def rotation_generators(d):
+    """E_ab = |a><b| - |b><a| for a < b, lexicographic."""
+    gens = []
+    for a, b in _pairs(d):
+        g = np.zeros((d, d))
+        g[a, b] = 1.0
+        g[b, a] = -1.0
+        gens.append(g)
+    return gens
+
+
+def dense_cut_concurrence(mat, block1, block2):
+    """Generalized concurrence across block1|block2 from its definition.
+
+    Returns (terms, total): one (m, n, singular values, C_mn) per generator
+    pair, 1-based and lexicographic, with the l's read as the singular
+    values of sqrt(rho) (L_m kron L_n) sqrt(rho)* in full dimension.
+    """
+    block1, block2 = tuple(block1), tuple(block2)
+    root = _dense_sqrt(reorder_qubits(mat, block1 + block2))
+    root_conj = root.conj()
+    terms = []
+    for m, lm in enumerate(rotation_generators(1 << len(block1)), start=1):
+        for n, ln in enumerate(rotation_generators(1 << len(block2)), start=1):
+            lam = np.linalg.svd(root @ np.kron(lm, ln) @ root_conj, compute_uv=False)
+            terms.append((m, n, lam, max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))))
+    return terms, float(np.sqrt(sum(t[3] ** 2 for t in terms)))
+
+
+def principal_block_indices(block1, block2):
+    """(m, n, four basis indices of the unreordered state) per generator pair:
+    the states {a, b} x {c, d} on which L_m kron L_n acts, for E_ab on block1
+    and E_cd on block2."""
+    block1, block2 = tuple(block1), tuple(block2)
+    n = len(block1) + len(block2)
+
+    def original(x, y):
+        bits = [0] * n
+        for q, bit in zip(block1 + block2, _bits(x, len(block1)) + _bits(y, len(block2))):
+            bits[q - 1] = bit
+        return _index(bits)
+
+    out = []
+    for m, (a, b) in enumerate(_pairs(1 << len(block1)), start=1):
+        for k, (c, d) in enumerate(_pairs(1 << len(block2)), start=1):
+            out.append((m, k, [original(a, c), original(a, d), original(b, c), original(b, d)]))
+    return out
 
 
 # --- random object generators -------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab.channels import ChannelAssignment, apply, flip_channel
+from conclab.channels import FAMILIES, ChannelAssignment, apply, flip_channel, sample_channel
 from conclab.concurrence import (
     Bipartition,
     bipartite_concurrence,
@@ -15,10 +15,12 @@ from conclab.concurrence import (
 )
 from conclab.errors import DimensionMismatchError, SpectralLeakError
 from conclab.linalg import DensityMatrix, kron
-from conclab.states import bell, ghz, random_pure, w
+from conclab.states import bell, ghz, parse_state, random_pure, w
 
 from oracles import (
     bell_mixture_concurrence,
+    dense_cut_concurrence,
+    principal_block_indices,
     pure_cut_concurrence,
     random_density,
     random_unitary,
@@ -145,6 +147,25 @@ class TestBipartite:
         with pytest.raises(SpectralLeakError):
             bipartite_concurrence(rho, parse_cut("12|3"), leak_tol=-1.0)
 
+    def test_leak_tol_zero_does_not_raise(self):
+        rho = ghz(3).to_density()
+        for label in ("12|3", "1|23", "13|2"):
+            bipartite_concurrence(rho, parse_cut(label), leak_tol=0.0)
+        tau3(rho, leak_tol=0.0)
+
+    def test_leak_tol_just_below_zero_raises(self):
+        with pytest.raises(SpectralLeakError):
+            bipartite_concurrence(ghz(3).to_density(), parse_cut("12|3"), leak_tol=-1e-300)
+        with pytest.raises(SpectralLeakError):
+            tau3(ghz(3).to_density(), leak_tol=-1e-300)
+
+    def test_two_qubit_state_never_leaks(self):
+        # one pair with exactly four l's: nothing lies beyond the top four
+        rho = bell_mixture(0.8)
+        for cut in (Bipartition((1,), (2,)), Bipartition((2,), (1,))):
+            total = bipartite_concurrence(rho, cut, leak_tol=-1.0).total
+            assert abs(total - 0.6) <= 1e-12
+
     def test_cut_state_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             bipartite_concurrence(ghz(3).to_density(), parse_cut("12|34"))
@@ -165,11 +186,83 @@ class TestTau3:
         with pytest.raises(DimensionMismatchError):
             tau3(bell(SQ2).to_density())
 
+    def test_rms_of_the_three_cut_totals(self):
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            rho = DensityMatrix(random_density(3, 3, rng))
+            totals = [bipartite_concurrence(rho, parse_cut(label)).total
+                      for label in ("12|3", "13|2", "23|1")]
+            assert abs(tau3(rho) - np.sqrt(sum(t * t for t in totals) / 3)) <= 1e-14
+
     def test_symmetric_scenario_matches_single_cut(self):
         ch = flip_channel("BPF", 0.2)
         rho = apply(ChannelAssignment.many_sided([ch] * 3), ghz(3).to_density())
         single = bipartite_concurrence(rho, parse_cut("12|3")).total
         assert abs(tau3(rho) - single) <= 1e-10
+
+
+NAMED_STATES = {2: ("bell",), 3: ("ghz3", "w3"), 4: ("ghz4", "w4")}
+
+
+def evolved_case(rng):
+    """A random or catalogued 2-4 qubit state through one sampled channel of a
+    random family per qubit, and a random cut with random block orders."""
+    n = int(rng.integers(2, 5))
+    if rng.random() < 0.5:
+        psi = random_pure(n, rng)
+    else:
+        psi = parse_state(str(rng.choice(NAMED_STATES[n])))
+    channels = [sample_channel(str(f), rng) for f in rng.choice(FAMILIES, size=n)]
+    rho = apply(ChannelAssignment.many_sided(channels), psi.to_density())
+    order = tuple(int(q) + 1 for q in rng.permutation(n))
+    split = int(rng.integers(1, n))
+    return rho, order[:split], order[split:]
+
+
+class TestDenseOracle:
+    """The principal-block kernel against the dense definition: full-dimension
+    square root, Kronecker-built inversions, reordering by index loops."""
+
+    def test_matches_dense_definition(self):
+        rng = np.random.default_rng(2002)
+        worst = 0.0
+        for _ in range(500):
+            rho, block1, block2 = evolved_case(rng)
+            got = bipartite_concurrence(rho, Bipartition(block1, block2))
+            terms, total = dense_cut_concurrence(rho.mat, block1, block2)
+            assert [(p.m, p.n) for p in got.pairs] == [(m, n) for m, n, _, _ in terms]
+            for pair, (_, _, lam, value) in zip(got.pairs, terms):
+                assert abs(pair.value - value) <= 1e-8
+                # the dense spectrum beyond the top four is numerically empty
+                assert np.max(lam[4:], initial=0.0) ** 2 <= 1e-8
+            worst = max(worst, abs(got.total - total))
+        assert worst <= 1e-8
+
+    def test_sixty_digit_reference(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(2004)
+        flip = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        cases = 0
+        while cases < 20:
+            rho, block1, block2 = evolved_case(rng)
+            if len(block1) + len(block2) == 4 and cases % 8:
+                continue  # a few four-qubit cuts keep the reference fast
+            cases += 1
+            got = bipartite_concurrence(rho, Bipartition(block1, block2))
+            reference = []
+            with mp.workdps(60):
+                for (m, n, idx), pair in zip(principal_block_indices(block1, block2), got.pairs):
+                    assert (pair.m, pair.n) == (m, n)
+                    block = mp.matrix([[complex(rho.mat[i, j]) for j in idx] for i in idx])
+                    eigs = mp.eig(block * flip * block.conjugate() * flip,
+                                  left=False, right=False)
+                    lam = sorted((mp.sqrt(max(mp.mpf(0), mp.re(e))) for e in eigs), reverse=True)
+                    value = max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+                    assert max(abs(float(a - b)) for a, b in zip(lam, pair.lambdas)) <= 1e-12
+                    assert abs(float(value - pair.value)) <= 1e-12
+                    reference.append(value)
+                total = mp.sqrt(sum(v * v for v in reference))
+            assert abs(float(total - got.total)) <= 1e-12
 
 
 class TestBipartitionParsing:

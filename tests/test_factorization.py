@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -276,6 +277,48 @@ class TestCampaign:
         with pytest.raises(ValueError):
             CampaignConfig.from_json({"state": "bell", "channels": ["BF", "BF"],
                                       "samples": 1, "mode": "fast"})
+
+    @pytest.mark.parametrize("config", [
+        CampaignConfig(state="ghz3", channels=("PF", "PF", "BF"), samples=12, seed=21),
+        CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=6, seed=22,
+                       identity="sum", cut="12|34"),
+        CampaignConfig(state="w3", channels=("PF", "PF", "BF"), samples=8, seed=23,
+                       identity="sum", relabel=(3, 1, 2), aggregation="rms"),
+    ], ids=["auto", "sum-12|34", "relabel"])
+    def test_rows_equal_evaluate_identity_bitwise(self, config):
+        report = run_campaign(config)
+        assert any(r.residual is not None for r in report.rows)
+        psi0 = parse_state(config.state)
+        for row in report.rows:
+            chans = sampled(config.channels, row.seed)
+            psi = psi0
+            if config.relabel is not None:
+                psi, chans = relabel_scenario(psi0, chans, config.relabel)
+            rank, suggested = classify_scenario(psi, chans)
+            assert row.rank == rank
+            identity = suggested if config.identity == "auto" \
+                else identity_for(config.identity, psi.n_qubits, config.cut)
+            if identity is None:
+                assert row.residual is None
+                continue
+            rep = evaluate_identity(identity, psi, chans, aggregation=config.aggregation,
+                                    relabeling=config.relabel)
+            assert (row.lhs, row.rhs, row.residual) == (rep.lhs, rep.rhs, rep.residual)
+
+    @pytest.mark.parametrize("config", [
+        CampaignConfig(state="ghz3", channels=("PF", "BF", "BPF"), samples=5, seed=31),
+        CampaignConfig(state="w4", channels=("PF", "PF", "PF", "PF"), samples=3, seed=32,
+                       identity="sum", relabel=(4, 3, 2, 1)),
+    ])
+    def test_rows_do_not_depend_on_sample_count(self, config):
+        doubled = run_campaign(dataclasses.replace(config, samples=2 * config.samples))
+        assert run_campaign(config).rows == doubled.rows[:config.samples]
+
+    def test_cut_on_wrong_qubit_count(self):
+        config = CampaignConfig(state="ghz4", channels=("PF",) * 4, samples=1,
+                                identity="sum", cut="12|3")
+        with pytest.raises(DimensionMismatchError):
+            run_campaign(config)
 
     def test_csv_shape(self):
         config = CampaignConfig(state="bell", channels=("PF", "PF"), samples=4, seed=2)

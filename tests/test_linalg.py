@@ -11,6 +11,7 @@ from conclab.errors import (
 )
 from conclab.linalg import (
     IDENTITY_2,
+    PSD_CLAMP,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -123,6 +124,32 @@ class TestPsdSqrt:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             psd_sqrt(np.array([[1, 1], [0, 1]], dtype=complex))
+
+    def test_stack_matches_per_matrix_loop(self):
+        rng = np.random.default_rng(11)
+        for shape in ((5,), (2, 3)):
+            stack = np.array([random_psd(4, rng) for _ in range(int(np.prod(shape)))])
+            stack = stack.reshape(shape + (4, 4))
+            roots = psd_sqrt(stack)
+            assert roots.shape == stack.shape
+            for k in np.ndindex(shape):
+                assert np.max(np.abs(roots[k] - psd_sqrt(stack[k]))) <= 1e-14
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_clamp_edge(self, stacked):
+        def matrix(eig):
+            m = np.diag([1.0, eig]).astype(complex)
+            return np.array([np.eye(2, dtype=complex), m]) if stacked else m
+
+        r = psd_sqrt(matrix(-PSD_CLAMP * (1 - 1e-3)))
+        assert np.allclose(r[-1] if stacked else r, np.diag([1.0, 0.0]), atol=1e-12)
+        with pytest.raises(NotPSDError):
+            psd_sqrt(matrix(-PSD_CLAMP * (1 + 1e-3)))
+
+    def test_stack_rejects_one_non_hermitian_matrix(self):
+        stack = np.array([np.eye(2), [[1, 1], [0, 1]]], dtype=complex)
+        with pytest.raises(NotHermitianError):
+            psd_sqrt(stack)
 
 
 class TestPermuteQubits:
