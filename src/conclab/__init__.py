@@ -55,7 +55,6 @@ from .factorization import (
 )
 from .linalg import (
     DensityMatrix,
-    hermitian_eig,
     kron,
     numerical_rank,
     permutation_indices,

@@ -9,15 +9,28 @@ families fix which Pauli mixes with the identity:
     BF  : identity and sigma_x   (a3 = a4 = 0)
     PF  : identity and sigma_z   (a2 = a3 = 0)
     BPF : identity and sigma_y   (a2 = a4 = 0)
+
+Local channels act on each qubit independently, so the n-qubit map is the
+tensor product of the single-qubit ones and is applied one qubit at a time.
+Each channel carries its superoperator
+
+    S[a, b, c, d] = sum_k K_k[a, c] * conj(K_k[b, d])     (sum_k K_k (x) K_k*)
+
+so that rho'[a, b] = sum_{c, d} S[a, b, c, d] rho[c, d] on the qubit's row
+and column indices. `apply` views rho as a (2,)*2n tensor (row axes 0..n-1,
+column axes n..2n-1) and contracts S into the row and column axis of every
+assigned qubit in turn; unassigned qubits are left untouched. This costs
+one tensordot per assigned qubit instead of a sum over the k^n products of
+Kraus choices (Wood, Biamonte and Cory, "Tensor networks and graphical
+calculus for open quantum systems", 2015).
 """
 
-import itertools
 import json
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, kron
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix
 
 COMPLETENESS_TOL = 1e-10
 PARAM_NORM_TOL = 1e-12
@@ -72,9 +85,10 @@ class PauliParams:
 
 
 class KrausChannel:
-    """Finite set of same-dimension Kraus operators satisfying completeness."""
+    """Finite set of same-dimension Kraus operators satisfying completeness,
+    with its (d, d, d, d) superoperator sum_k K_k (x) K_k* (see module docstring)."""
 
-    __slots__ = ("kraus_ops", "label", "params")
+    __slots__ = ("kraus_ops", "label", "params", "superop")
 
     def __init__(self, kraus_ops, label="Custom", params=None):
         ops = tuple(np.array(k, dtype=complex) for k in kraus_ops)
@@ -92,6 +106,9 @@ class KrausChannel:
         self.kraus_ops = ops
         self.label = str(label)
         self.params = params
+        stack = np.array(ops)
+        self.superop = np.einsum("kac,kbd->abcd", stack, stack.conj())
+        self.superop.setflags(write=False)
 
     @property
     def dim(self):
@@ -178,25 +195,21 @@ class ChannelAssignment:
         channels = tuple(channels)
         return cls(len(channels), {q: ch for q, ch in enumerate(channels, start=1)})
 
-    def kraus_lists(self):
-        ident = (IDENTITY_2,)
-        return [self.per_qubit[q].kraus_ops if q in self.per_qubit else ident
-                for q in range(1, self.n_qubits + 1)]
-
 
 def apply(assignment, rho):
-    """Operator-sum application of local channels: sum over the Cartesian
-    product of per-qubit Kraus choices of (kron of choices) rho (.)^dag."""
-    if rho.n_qubits != assignment.n_qubits:
+    """Apply the local channels of an assignment to a density matrix, one
+    qubit at a time, in qubit order (see module docstring)."""
+    n = assignment.n_qubits
+    if rho.n_qubits != n:
         raise DimensionMismatchError(
-            f"state has {rho.n_qubits} qubits but assignment covers {assignment.n_qubits}")
-    out = np.zeros_like(rho.mat)
-    for combo in itertools.product(*assignment.kraus_lists()):
-        full = combo[0]
-        for op in combo[1:]:
-            full = kron(full, op)
-        out += full @ rho.mat @ full.conj().T
-    return DensityMatrix(out)
+            f"state has {rho.n_qubits} qubits but assignment covers {n}")
+    t = rho.mat.reshape((2,) * (2 * n))
+    for q in sorted(assignment.per_qubit):
+        axes = (q - 1, n + q - 1)
+        # contracted result has the qubit's new (row, column) axes in front
+        t = np.moveaxis(np.tensordot(assignment.per_qubit[q].superop, t, axes=((2, 3), axes)),
+                        (0, 1), axes)
+    return DensityMatrix(t.reshape(rho.mat.shape))
 
 
 def single_sided(channel, target_qubit, psi):

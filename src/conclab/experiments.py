@@ -44,11 +44,11 @@ class SweepSpec:
         return cls(p_grid=_grid(points), scenario=scenario)
 
 
-def _tau3_bpf3(p, leak_tol=LEAK_TOL):
-    """tau3 of the three-qubit GHZ state after identical BPF(p) on every qubit."""
-    psi = parse_state("ghz3")
+def _tau3_bpf3(p, rho0, leak_tol=LEAK_TOL):
+    """tau3 of the three-qubit initial state `rho0` (the GHZ state) after
+    identical BPF(p) on every qubit."""
     channel = flip_channel("BPF", p)
-    rho = apply(ChannelAssignment.many_sided([channel] * 3), psi.to_density())
+    rho = apply(ChannelAssignment.many_sided([channel] * 3), rho0)
     return tau3(rho, leak_tol=leak_tol)
 
 
@@ -86,9 +86,10 @@ def figure1_scan(spec=None, leak_tol=LEAK_TOL):
     VANISH_TOL and refined by bisection to BISECT_TOL.
     """
     spec = spec or SweepSpec()
+    rho0 = parse_state("ghz3").to_density()
     rows = []
     for p in spec.p_grid:
-        direct = _tau3_bpf3(p, leak_tol=leak_tol)
+        direct = _tau3_bpf3(p, rho0, leak_tol=leak_tol)
         rows.append((float(p), float(direct), float((1 - 2 * p) ** 3), float((1 - 2 * p) ** 2)))
 
     crossing = math.nan
@@ -97,7 +98,7 @@ def figure1_scan(spec=None, leak_tol=LEAK_TOL):
             lo, hi = rows[k - 1][0], rows[k][0]
             while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                if _tau3_bpf3(mid, leak_tol=leak_tol) > VANISH_TOL:
+                if _tau3_bpf3(mid, rho0, leak_tol=leak_tol) > VANISH_TOL:
                     lo = mid
                 else:
                     hi = mid

@@ -272,6 +272,8 @@ class CampaignConfig:
             raise ValueError(f"identity must be 'auto', 'product', or 'sum', got {self.identity!r}")
         if self.aggregation not in ("sum", "rms"):
             raise ValueError(f"aggregation must be 'sum' or 'rms', got {self.aggregation!r}")
+        if self.anchor not in (ANCHOR_LAST, ANCHOR_OWN):
+            raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {self.anchor!r}")
         for fam in self.channels:
             _canonical_family(fam)
         if self.relabel is not None:

@@ -63,14 +63,6 @@ def require_hermitian(m, tol=HERM_TOL, what="matrix"):
         raise NotHermitianError(f"{what} is not Hermitian: residual {err:.3e} > {tol:.1e}")
 
 
-def hermitian_eig(m, tol=HERM_TOL):
-    """Eigenvalues (descending) and matching eigenvector columns of a Hermitian matrix."""
-    m = np.asarray(m, dtype=complex)
-    require_hermitian(m, tol)
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def psd_sqrt(m, tol=HERM_TOL):
     """Hermitian PSD square root r with r @ r == m, of one matrix or of every
     matrix in a (..., d, d) stack.

@@ -3,9 +3,10 @@
 Everything here is deliberately implemented by a different route than the
 package: characteristic polynomials by symbolic Laplace expansion, partial
 traces and qubit reorderings by explicit index loops, pure-state cut
-concurrences from reduced purity, and the generalized concurrence by its
-dense definition over Kronecker-built inversions. None of it calls into
-conclab.
+concurrences from reduced purity, the generalized concurrence by its
+dense definition over Kronecker-built inversions, and local channels by
+the operator sum over every product of per-qubit Kraus choices. None of
+it calls into conclab.
 """
 
 import numpy as np
@@ -234,12 +235,31 @@ def principal_block_indices(block1, block2):
     return out
 
 
+# --- local channels by the full operator sum -----------------------------------
+
+
+def kraus_sum_apply(kraus_lists, mat):
+    """sum over the Cartesian product of per-qubit Kraus choices of
+    K rho K^dag, K the Kronecker product of the choices in qubit order.
+
+    kraus_lists holds one sequence of 2x2 Kraus operators per qubit; None
+    stands for the identity channel.
+    """
+    from itertools import product
+
+    mat = np.asarray(mat, dtype=complex)
+    choices = [[np.eye(2)] if ops is None else [np.asarray(k, dtype=complex) for k in ops]
+               for ops in kraus_lists]
+    out = np.zeros_like(mat)
+    for combo in product(*choices):
+        full = combo[0]
+        for op in combo[1:]:
+            full = np.kron(full, op)
+        out += full @ mat @ full.conj().T
+    return out
+
+
 # --- random object generators -------------------------------------------------
-
-
-def random_hermitian(d, rng):
-    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    return (g + g.conj().T) / 2.0
 
 
 def random_psd(d, rng):

@@ -22,6 +22,8 @@ from conclab.errors import DimensionMismatchError, NotNormalizedError
 from conclab.linalg import SIGMA_Y, DensityMatrix
 from conclab.states import bell, ghz, random_pure
 
+from oracles import kraus_sum_apply, random_density
+
 SQ2 = 1 / np.sqrt(2)
 
 
@@ -111,6 +113,39 @@ class TestApply:
         assert abs(out.mat.trace().real - 1.0) <= 1e-10
         assert np.max(np.abs(out.mat - out.mat.conj().T)) <= 1e-10
         assert out.eigenvalues[0] >= -1e-9
+
+
+def amplitude_damping(gamma):
+    """Non-unital channel: decay |1> -> |0> with probability gamma."""
+    return KrausChannel([[[1, 0], [0, np.sqrt(1 - gamma)]],
+                         [[0, np.sqrt(gamma)], [0, 0]]], label="AD")
+
+
+class TestApplyMatchesKrausSum:
+    """The per-qubit contraction against the operator sum over every product
+    of Kraus choices, on random mixed states."""
+
+    KINDS = ("BF", "PF", "BPF", "GeneralPauli", "AD")
+
+    @pytest.mark.parametrize("n, qubits", [
+        (1, (1,)),
+        (2, (1, 2)), (2, (2,)),
+        (3, (1, 2, 3)), (3, (2,)), (3, (1, 3)),
+        (4, (1, 2, 3, 4)), (4, (2,)), (4, (3,)), (4, (1, 3, 4)), (4, ()),
+    ])
+    def test_matches_oracle(self, n, qubits):
+        rng = np.random.default_rng([n, *qubits])
+        for trial in range(2 * len(self.KINDS)):
+            rho = DensityMatrix(random_density(n, int(rng.integers(1, (1 << n) + 1)), rng))
+            channels = {}
+            for q in qubits:
+                kind = self.KINDS[(trial + q) % len(self.KINDS)]
+                channels[q] = amplitude_damping(rng.random()) if kind == "AD" \
+                    else sample_channel(kind, rng)
+            out = apply(ChannelAssignment(n, channels), rho)
+            lists = [channels[q].kraus_ops if q in channels else None
+                     for q in range(1, n + 1)]
+            assert np.max(np.abs(out.mat - kraus_sum_apply(lists, rho.mat))) <= 1e-14
 
 
 class TestSingleSided:

@@ -120,6 +120,18 @@ def test_campaign_from_config_file(tmp_path, capsys):
     assert summary["2"]["passed"] == 20
 
 
+def test_campaign_config_bad_anchor_exits_one(tmp_path, capsys):
+    config = {"state": "ghz4", "channels": ["general"] * 4, "samples": 5, "anchor": "bogus"}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "campaign", "--config", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "anchor" in err
+    assert len(err.strip().split("\n")) == 1
+    assert "Traceback" not in err
+
+
 def test_campaign_flag_overrides(tmp_path, capsys):
     config = {"state": "bell", "channels": ["BF", "BF"], "samples": 5, "seed": 4}
     path = tmp_path / "campaign.json"

@@ -278,6 +278,15 @@ class TestCampaign:
             CampaignConfig.from_json({"state": "bell", "channels": ["BF", "BF"],
                                       "samples": 1, "mode": "fast"})
 
+    def test_config_rejects_unknown_anchor(self):
+        # rank-16 rows never reach the evaluation, so only the config can catch it
+        with pytest.raises(ValueError, match="anchor"):
+            CampaignConfig(state="ghz4", channels=("general",) * 4, samples=3,
+                           anchor="bogus")
+        for anchor in ("last", "own"):
+            assert CampaignConfig(state="bell", channels=("BF", "BF"), samples=1,
+                                  anchor=anchor).anchor == anchor
+
     @pytest.mark.parametrize("config", [
         CampaignConfig(state="ghz3", channels=("PF", "PF", "BF"), samples=12, seed=21),
         CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=6, seed=22,

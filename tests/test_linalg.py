@@ -16,14 +16,13 @@ from conclab.linalg import (
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
-    hermitian_eig,
     kron,
     numerical_rank,
     permute_qubits,
     psd_sqrt,
 )
 
-from oracles import char_poly_roots_desc, random_hermitian, random_psd
+from oracles import random_psd
 
 
 def bell_density():
@@ -54,40 +53,6 @@ class TestKron:
         a = np.arange(9.0).reshape(3, 3)
         b = np.arange(4.0).reshape(2, 2)
         assert kron(a, b).shape == (6, 6)
-
-
-class TestHermitianEig:
-    def test_identity(self):
-        w, _ = hermitian_eig(np.eye(4, dtype=complex))
-        assert np.allclose(w, np.ones(4), atol=0)
-
-    def test_sigma_y_spectrum(self):
-        w, _ = hermitian_eig(SIGMA_Y)
-        assert np.allclose(w, [1.0, -1.0], atol=1e-15)
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0, 1], [0, 0]], dtype=complex)
-        with pytest.raises(NotHermitianError):
-            hermitian_eig(m)
-
-    @pytest.mark.parametrize("d", [3, 4])
-    def test_matches_characteristic_polynomial(self, d):
-        rng = np.random.default_rng(100 + d)
-        for _ in range(20):
-            m = random_hermitian(d, rng)
-            w, _ = hermitian_eig(m)
-            assert np.allclose(w, char_poly_roots_desc(m), atol=1e-8)
-
-    def test_reconstruction_many_sizes(self):
-        rng = np.random.default_rng(42)
-        for k in range(1000):
-            d = int(rng.integers(2, 17))
-            m = random_hermitian(d, rng)
-            w, v = hermitian_eig(m)
-            scale = 1.0 + np.max(np.abs(m))
-            assert list(w) == sorted(w, reverse=True)
-            assert np.max(np.abs(m - (v * w) @ v.conj().T)) <= 1e-9 * scale
-            assert np.max(np.abs(v.conj().T @ v - np.eye(d))) <= 1e-9
 
 
 class TestPsdSqrt:
