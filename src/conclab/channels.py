@@ -12,17 +12,26 @@ families fix which Pauli mixes with the identity:
 
 Local channels act on each qubit independently, so the n-qubit map is the
 tensor product of the single-qubit ones and is applied one qubit at a time.
-Each channel carries its superoperator
+Each channel carries its superoperator, the (4, 4) matrix
 
-    S[a, b, c, d] = sum_k K_k[a, c] * conj(K_k[b, d])     (sum_k K_k (x) K_k*)
+    S[(a, b), (c, d)] = sum_k K_k[a, c] * conj(K_k[b, d])     (sum_k K_k (x) K_k*)
 
-so that rho'[a, b] = sum_{c, d} S[a, b, c, d] rho[c, d] on the qubit's row
-and column indices. `apply` views rho as a (2,)*2n tensor (row axes 0..n-1,
-column axes n..2n-1) and contracts S into the row and column axis of every
-assigned qubit in turn; unassigned qubits are left untouched. This costs
-one tensordot per assigned qubit instead of a sum over the k^n products of
-Kraus choices (Wood, Biamonte and Cory, "Tensor networks and graphical
-calculus for open quantum systems", 2015).
+so that rho'[a, b] = sum_{c, d} S[(a, b), (c, d)] rho[c, d] on the qubit's
+row and column indices. For Pauli channels S = sum_k a_k^2 T_k with
+T_k = sigma_k (x) sigma_k*, which is real with entries 0 and +-1, so a
+whole (S, n, 4) array of parameters becomes superoperators in one matmul
+(`pauli_superops`). Every entry of S sums exactly two of the a_k^2 with
+signs, so no summation order can change it: a Pauli channel's superop
+equals its `pauli_superops` bit for bit.
+
+`evolve` views a (B, d, d) stack of density matrices as (B,) + (2,)*2n
+tensors (row axes first, then column axes) and contracts an (S, 4, 4)
+superoperator stack into the row and column axis of every assigned qubit
+in turn, one stacked matmul per qubit; unassigned qubits are left
+untouched. This costs one contraction per assigned qubit instead of a sum
+over the k^n products of Kraus choices (Wood, Biamonte and Cory, "Tensor
+networks and graphical calculus for open quantum systems", 2015). `apply`
+is its one-matrix case.
 """
 
 import json
@@ -30,7 +39,7 @@ import json
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, kron, n_qubits_of
 
 COMPLETENESS_TOL = 1e-10
 PARAM_NORM_TOL = 1e-12
@@ -39,6 +48,14 @@ PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 # index into (I, sx, sy, sz) of the family's flip coordinate
 FLIP_AXIS = {"BF": 1, "BPF": 2, "PF": 3}
+
+# coordinates a family draws on: the identity and its flip axis, or all four
+_FREE_COORDS = {"GeneralPauli": [0, 1, 2, 3], **{fam: [0, ax] for fam, ax in FLIP_AXIS.items()}}
+
+# T_k = sigma_k (x) sigma_k*, the superoperator of the Kraus operator sigma_k,
+# flattened to (4, 16); it is real
+_PAULI_TRANSFER = np.array([kron(s, s.conj()).real.reshape(-1) for s in PAULIS])
+_PAULI_TRANSFER.setflags(write=False)
 
 FAMILIES = ("BF", "PF", "BPF", "GeneralPauli")
 
@@ -86,7 +103,7 @@ class PauliParams:
 
 class KrausChannel:
     """Finite set of same-dimension Kraus operators satisfying completeness,
-    with its (d, d, d, d) superoperator sum_k K_k (x) K_k* (see module docstring)."""
+    with its (d^2, d^2) superoperator sum_k K_k (x) K_k* (see module docstring)."""
 
     __slots__ = ("kraus_ops", "label", "params", "superop")
 
@@ -99,15 +116,15 @@ class KrausChannel:
             if k.ndim != 2 or k.shape != (dim, dim):
                 raise DimensionMismatchError("Kraus operators must be square and of equal dimension")
             k.setflags(write=False)
-        total = sum(k.conj().T @ k for k in ops)
+        stack = np.array(ops)
+        total = np.einsum("kba,kbc->ac", stack.conj(), stack)
         err = float(np.max(np.abs(total - np.eye(dim))))
         if err > COMPLETENESS_TOL:
             raise NotNormalizedError(f"sum K_i^dag K_i deviates from identity by {err:.3e} > {COMPLETENESS_TOL:.1e}")
         self.kraus_ops = ops
         self.label = str(label)
         self.params = params
-        stack = np.array(ops)
-        self.superop = np.einsum("kac,kbd->abcd", stack, stack.conj())
+        self.superop = np.einsum("kac,kbd->abcd", stack, stack.conj()).reshape(dim * dim, -1)
         self.superop.setflags(write=False)
 
     @property
@@ -130,36 +147,58 @@ def identity_channel():
     return pauli_channel(PauliParams((1.0, 0.0, 0.0, 0.0)))
 
 
-def flip_channel(family, p):
-    """Family channel with flip probability p: a = (sqrt(1-p), sqrt(p)) on the
-    identity and the family's flip coordinate."""
+def pauli_superops(a):
+    """Superoperators (..., 4, 4), complex, of the Pauli channels with
+    parameters (..., 4): sum_k a_k^2 T_k."""
+    a = np.asarray(a, dtype=float)
+    return (np.square(a) @ _PAULI_TRANSFER).reshape(a.shape[:-1] + (4, 4)).astype(complex)
+
+
+def flip_params(family, p):
+    """Parameters (..., 4) of the family's channels at flip probabilities p
+    (a number or an array): sqrt(1-p) on the identity and sqrt(p) on the
+    family's flip coordinate."""
     family = _canonical_family(family)
     if family == "GeneralPauli":
         raise ValueError("a flip probability needs a BF, PF, or BPF family")
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
+    p = np.asarray(p, dtype=float)
+    if not np.all((0.0 <= p) & (p <= 1.0)):
         raise ValueError(f"flip probability must be in [0, 1], got {p}")
-    a = [0.0] * 4
-    a[0] = np.sqrt(1.0 - p)
-    a[FLIP_AXIS[family]] = np.sqrt(p)
-    return pauli_channel(PauliParams(a, family=family))
+    a = np.zeros(p.shape + (4,))
+    a[..., 0] = np.sqrt(1.0 - p)
+    a[..., FLIP_AXIS[family]] = np.sqrt(p)
+    return a
+
+
+def flip_channel(family, p):
+    """Family channel with flip probability p: a = (sqrt(1-p), sqrt(p)) on the
+    identity and the family's flip coordinate."""
+    return pauli_channel(PauliParams(flip_params(family, p), family=family))
+
+
+def draw_params(families, rngs):
+    """Pauli parameters (S, n, 4), uniform on the unit sphere of each
+    family's free coordinates (2 for BF/PF/BPF, 4 for GeneralPauli) via
+    normalized Gaussians. Row i takes all its draws from rngs[i], one
+    family after the other in order; deterministic for given generator
+    states. `families` are canonical names."""
+    coords = [_FREE_COORDS[fam] for fam in families]
+    width = sum(len(c) for c in coords)
+    g = np.array([rng.standard_normal(width) for rng in rngs]).reshape(len(rngs), width)
+    a = np.zeros((len(rngs), len(coords), 4))
+    start = 0
+    for j, c in enumerate(coords):
+        x = g[:, start:start + len(c)]
+        start += len(c)
+        # the Euclidean norm as a dot product, like np.linalg.norm
+        a[:, j, c] = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
+    return a
 
 
 def sample_channel(family, rng):
-    """Draw channel parameters uniformly on the unit sphere of the family's
-    free coordinates (2 for BF/PF/BPF, 4 for GeneralPauli) via normalized
-    Gaussians; deterministic for a given generator state."""
+    """One channel drawn by `draw_params`."""
     family = _canonical_family(family)
-    if family == "GeneralPauli":
-        g = rng.standard_normal(4)
-        a = g / np.linalg.norm(g)
-        return pauli_channel(PauliParams(tuple(a), family=family))
-    g = rng.standard_normal(2)
-    g = g / np.linalg.norm(g)
-    a = [0.0] * 4
-    a[0] = g[0]
-    a[FLIP_AXIS[family]] = g[1]
-    return pauli_channel(PauliParams(a, family=family))
+    return pauli_channel(PauliParams(draw_params((family,), (rng,))[0, 0], family=family))
 
 
 class ChannelAssignment:
@@ -196,20 +235,32 @@ class ChannelAssignment:
         return cls(len(channels), {q: ch for q, ch in enumerate(channels, start=1)})
 
 
+def evolve(mats, superops):
+    """Send a (B, d, d) stack of density matrices through local channels,
+    given as {qubit: (S, 4, 4) superoperator stack}, one stacked matmul per
+    qubit in qubit order (see module docstring). B and S broadcast, so one
+    initial state can go through S channel draws. Returns the unvalidated
+    (max(B, S), d, d) stack."""
+    d = mats.shape[-1]
+    n = n_qubits_of(d)
+    t = mats.reshape((-1,) + (2,) * (2 * n))
+    for q in sorted(superops):
+        axes = (q, n + q)
+        front = np.moveaxis(t, axes, (1, 2))
+        out = superops[q] @ front.reshape(front.shape[0], 4, -1)
+        t = np.moveaxis(out.reshape(out.shape[:1] + front.shape[1:]), (1, 2), axes)
+    return t.reshape(-1, d, d)
+
+
 def apply(assignment, rho):
     """Apply the local channels of an assignment to a density matrix, one
-    qubit at a time, in qubit order (see module docstring)."""
+    qubit at a time, in qubit order: the one-matrix case of `evolve`."""
     n = assignment.n_qubits
     if rho.n_qubits != n:
         raise DimensionMismatchError(
             f"state has {rho.n_qubits} qubits but assignment covers {n}")
-    t = rho.mat.reshape((2,) * (2 * n))
-    for q in sorted(assignment.per_qubit):
-        axes = (q - 1, n + q - 1)
-        # contracted result has the qubit's new (row, column) axes in front
-        t = np.moveaxis(np.tensordot(assignment.per_qubit[q].superop, t, axes=((2, 3), axes)),
-                        (0, 1), axes)
-    return DensityMatrix(t.reshape(rho.mat.shape))
+    superops = {q: ch.superop[None] for q, ch in assignment.per_qubit.items()}
+    return DensityMatrix(evolve(rho.mat[None], superops)[0])
 
 
 def single_sided(channel, target_qubit, psi):

@@ -11,7 +11,7 @@ import os
 import sys
 
 from .channels import ChannelAssignment, apply, parse_channel_list
-from .concurrence import LEAK_TOL, bipartite_concurrence, parse_cut, tau3
+from .concurrence import LEAK_TOL, bipartite_concurrence, cut_concurrence, parse_cut, tau3
 from .errors import SpectralLeakError
 from .experiments import SweepSpec, figure1_scan, rank_table, rank_table_csv
 from .factorization import (
@@ -107,10 +107,10 @@ def _cmd_concurrence(args):
         _write(f"tau3,{value!r}\n", args.out)
         return 0
     cut = parse_cut(args.cut) if args.cut else default_cut(rho.n_qubits)
-    breakdown = bipartite_concurrence(rho, cut, leak_tol=args.leak_tol)
     if not args.breakdown:
-        _write(f"total,{breakdown.total!r}\n", args.out)
+        _write(f"total,{cut_concurrence(rho, cut, leak_tol=args.leak_tol)!r}\n", args.out)
         return 0
+    breakdown = bipartite_concurrence(rho, cut, leak_tol=args.leak_tol)
     header = {"cut": cut.label, "total": breakdown.total}
     lines = ["# " + json.dumps(header, sort_keys=True),
              "m,n,lambda1,lambda2,lambda3,lambda4,c_mn"]
@@ -152,7 +152,10 @@ def _cmd_campaign(args):
     merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            merged.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"campaign config must be a JSON object, got {type(loaded).__name__}")
+        merged.update(loaded)
     if args.state is not None:
         merged["state"] = args.state
     if args.channels is not None:

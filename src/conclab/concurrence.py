@@ -24,12 +24,16 @@ P. Then A = W (P Y P*) W^T, and W, W^T act isometrically on the ranges
 involved, so A has the singular values of sqrt(rho_II) Y sqrt(rho_II)*:
 exactly four of them, and every eigenvalue beyond the top four is 0.
 
-The kernel therefore gathers the (P, 4, 4) principal blocks of a cut with
-one fancy index (the cut's qubit reordering folded into the index sets),
-takes one batched PSD square root, and reads every pair's l's from one
-batched SVD. Reading the l's as singular values avoids taking square
-roots of near-zero eigenvalues, which would inject noise of order
-sqrt(machine epsilon). `wootters` is the single-block case (cut 1|2).
+The kernel therefore takes a (B, d, d) stack of states, gathers the
+(B, P, 4, 4) principal blocks of a cut with one fancy index (the cut's
+qubit reordering folded into the index sets), takes one batched PSD square
+root, and reads every pair's l's from one batched SVD. Y is a signed
+permutation, so sqrt(rho_II) Y is a signed reversal of the columns of the
+root, not a matmul. Reading the l's as singular values avoids taking
+square roots of near-zero eigenvalues, which would inject noise of order
+sqrt(machine epsilon). `cut_totals` and `tau3_stack` serve whole stacks;
+`cut_concurrence`, `bipartite_concurrence` and `tau3` are their
+one-state cases, and `wootters` is the single-block case (cut 1|2).
 """
 
 from functools import lru_cache
@@ -38,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError, SpectralLeakError
-from .linalg import SIGMA_Y, kron, permutation_indices, psd_sqrt
+from .linalg import n_qubits_of, permutation_indices, psd_sqrt
 
 LEAK_TOL = 1e-8  # max allowed eigenvalue of rho @ rho_tilde beyond the top four
 
@@ -145,16 +149,17 @@ class ConcurrenceBreakdown:
         return f"ConcurrenceBreakdown(total={self.total:.6g}, pairs={len(self.pairs)})"
 
 
-# sigma_y (x) sigma_y; the sign of the block inversion changes no singular value
-_SPIN_FLIP = kron(SIGMA_Y, SIGMA_Y)
-_SPIN_FLIP.setflags(write=False)
+# M @ (sigma_y (x) sigma_y) == M[..., ::-1] * _FLIP_SIGNS; the overall sign of
+# the block inversion changes no singular value
+_FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
+_FLIP_SIGNS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
 def _pair_blocks(block1, block2):
     """Every generator pair's principal block of a cut: the (m, n) labels,
-    1-based and lexicographic like so_generators, and (P, 4, 1) row and
-    (P, 1, 4) column index arrays into the unpermuted state.
+    1-based and lexicographic like so_generators, and the (P, 4, 4) indices
+    of the blocks' entries in the flattened d x d unpermuted state.
 
     Pair (E_ab, E_cd) selects the basis states {a, b} x {c, d} of the order
     with block1's qubits first; `src` maps them back to the state's own
@@ -168,20 +173,32 @@ def _pair_blocks(block1, block2):
             labels.append((m, n))
             index_sets.append(src[[a * d2 + c, a * d2 + d, b * d2 + c, b * d2 + d]])
     idx = np.array(index_sets)
-    idx.setflags(write=False)
-    return tuple(labels), idx[:, :, None], idx[:, None, :]
+    flat = idx[:, :, None] * (d1 * d2) + idx[:, None, :]
+    flat.setflags(write=False)
+    return tuple(labels), flat
 
 
-def _pair_lambdas(mat, rows, cols):
-    """Singular values (P, 4), descending, of sqrt(rho_II) Y sqrt(rho_II)*
-    for the principal blocks rho_II = mat[rows, cols]."""
-    root = psd_sqrt(mat[rows, cols])
-    return np.linalg.svd(root @ _SPIN_FLIP @ root.conj(), compute_uv=False)
+def _pair_spectra(mats, flat):
+    """The l's (B, P, 4), descending, and C_mn = max(0, l1 - l2 - l3 - l4)
+    (B, P) of the principal blocks rho_II of a (B, d, d) stack, gathered by
+    their flat indices (P, 4, 4): the singular values of
+    sqrt(rho_II) Y sqrt(rho_II)*.
+
+    Every array here is C-ordered with the stack axis first, so every
+    reduction runs over one state's own row and a state's values do not
+    depend on the stack it shares.
+    """
+    root = psd_sqrt(np.take(mats.reshape(len(mats), -1), flat, axis=1))
+    flipped = root[..., ::-1] * _FLIP_SIGNS
+    lam = np.linalg.svd(flipped @ np.conj(root, out=root), compute_uv=False)
+    return lam, np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
 
 
-def _pair_values(lam):
-    """C_mn = max(0, l1 - l2 - l3 - l4) for every row of l's."""
-    return np.maximum(0.0, lam[:, 0] - lam[:, 1:].sum(axis=1))
+def _check_qubits(cut, mats):
+    n = n_qubits_of(mats.shape[-1])
+    if cut.n_qubits != n:
+        raise DimensionMismatchError(
+            f"cut {cut.label} covers {cut.n_qubits} qubits but state has {n}")
 
 
 def _check_leak(cut, leak_tol):
@@ -198,8 +215,19 @@ def wootters(rho):
     """Two-qubit mixed-state concurrence: the single principal block of cut 1|2."""
     if rho.n_qubits != 2:
         raise DimensionMismatchError(f"Wootters concurrence needs 2 qubits, got {rho.n_qubits}")
-    _, rows, cols = _pair_blocks((1,), (2,))
-    return min(1.0, float(_pair_values(_pair_lambdas(rho.mat, rows, cols))[0]))
+    _, flat = _pair_blocks((1,), (2,))
+    return min(1.0, float(_pair_spectra(rho.mat[None], flat)[1][0, 0]))
+
+
+def cut_totals(mats, cut, leak_tol=LEAK_TOL):
+    """Concurrence across a cut of every state of a (B, d, d) stack: the
+    (B,) totals sqrt(sum of C_mn^2) over the cut's generator pairs, summed
+    in pair order. A SpectralLeakError means some discarded eigenvalue of
+    rho @ rho_tilde exceeded leak_tol."""
+    _check_qubits(cut, mats)
+    _check_leak(cut, leak_tol)
+    values = _pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1]
+    return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
 
 
 def bipartite_concurrence(rho, cut, leak_tol=LEAK_TOL):
@@ -207,20 +235,18 @@ def bipartite_concurrence(rho, cut, leak_tol=LEAK_TOL):
     generator pair. A SpectralLeakError means some discarded eigenvalue of
     rho @ rho_tilde exceeded leak_tol.
     """
-    if cut.n_qubits != rho.n_qubits:
-        raise DimensionMismatchError(
-            f"cut {cut.label} covers {cut.n_qubits} qubits but state has {rho.n_qubits}")
+    _check_qubits(cut, rho.mat)
     _check_leak(cut, leak_tol)
-    labels, rows, cols = _pair_blocks(cut.block1, cut.block2)
-    lam = _pair_lambdas(rho.mat, rows, cols)
+    labels, flat = _pair_blocks(cut.block1, cut.block2)
+    lam, values = _pair_spectra(rho.mat[None], flat)
     return ConcurrenceBreakdown(
         PairTerm(m, n, tuple(top), value)
-        for (m, n), top, value in zip(labels, lam.tolist(), _pair_values(lam).tolist()))
+        for (m, n), top, value in zip(labels, lam[0].tolist(), values[0].tolist()))
 
 
 def cut_concurrence(rho, cut, leak_tol=LEAK_TOL):
     """Concurrence across a cut: the total over its generator pairs."""
-    return bipartite_concurrence(rho, cut, leak_tol=leak_tol).total
+    return float(cut_totals(rho.mat[None], cut, leak_tol=leak_tol)[0])
 
 
 _TAU3_CUTS = (Bipartition((1, 2), (3,)), Bipartition((1, 3), (2,)), Bipartition((2, 3), (1,)))
@@ -228,16 +254,25 @@ _TAU3_CUTS = (Bipartition((1, 2), (3,)), Bipartition((1, 3), (2,)), Bipartition(
 
 @lru_cache(maxsize=None)
 def _tau3_blocks():
-    """Row and column index arrays of the three 2|1 cuts, stacked."""
-    tables = [_pair_blocks(cut.block1, cut.block2) for cut in _TAU3_CUTS]
-    return np.concatenate([t[1] for t in tables]), np.concatenate([t[2] for t in tables])
+    """Flat indices of the 18 principal blocks of the three 2|1 cuts."""
+    flat = np.concatenate([_pair_blocks(cut.block1, cut.block2)[1] for cut in _TAU3_CUTS])
+    flat.setflags(write=False)
+    return flat
+
+
+def tau3_stack(mats, leak_tol=LEAK_TOL):
+    """Root-mean-square of the three 2|1 bipartite concurrences of every
+    3-qubit state of a (B, 8, 8) stack, from one kernel call over the 18
+    pairs of the three cuts."""
+    _check_qubits(_TAU3_CUTS[0], mats)
+    _check_leak(_TAU3_CUTS[0], leak_tol)
+    values = _pair_spectra(mats, _tau3_blocks())[1]
+    return np.sqrt(np.sum(values * values, axis=-1) / 3.0)
 
 
 def tau3(rho, leak_tol=LEAK_TOL):
     """Root-mean-square of the three 2|1 bipartite concurrences of a 3-qubit
-    state, from one kernel call over the 18 pairs of the three cuts."""
+    state: the one-state case of `tau3_stack`."""
     if rho.n_qubits != 3:
         raise DimensionMismatchError(f"tau3 needs 3 qubits, got {rho.n_qubits}")
-    _check_leak(_TAU3_CUTS[0], leak_tol)
-    values = _pair_values(_pair_lambdas(rho.mat, *_tau3_blocks()))
-    return float(np.sqrt(np.sum(values * values) / 3.0))
+    return float(tau3_stack(rho.mat[None], leak_tol=leak_tol)[0])

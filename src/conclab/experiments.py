@@ -5,9 +5,11 @@ import json
 import math
 from dataclasses import dataclass
 
-from .channels import ChannelAssignment, apply, flip_channel
-from .concurrence import LEAK_TOL, tau3
-from .linalg import numerical_rank
+import numpy as np
+
+from .channels import ChannelAssignment, apply, evolve, flip_channel, flip_params, pauli_superops
+from .concurrence import LEAK_TOL, tau3_stack
+from .linalg import density_spectra, numerical_rank
 from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
@@ -44,12 +46,14 @@ class SweepSpec:
         return cls(p_grid=_grid(points), scenario=scenario)
 
 
-def _tau3_bpf3(p, rho0, leak_tol=LEAK_TOL):
-    """tau3 of the three-qubit initial state `rho0` (the GHZ state) after
-    identical BPF(p) on every qubit."""
-    channel = flip_channel("BPF", p)
-    rho = apply(ChannelAssignment.many_sided([channel] * 3), rho0)
-    return tau3(rho, leak_tol=leak_tol)
+def _tau3_bpf3(ps, rho0, leak_tol=LEAK_TOL):
+    """tau3 (len(ps),) of the three-qubit initial density matrix `rho0`
+    (8, 8), the GHZ state, after identical BPF(p) on every qubit, for every
+    p of `ps`: one stacked evolution, validation and kernel call."""
+    superops = pauli_superops(flip_params("BPF", ps))
+    mats = evolve(rho0[None], dict.fromkeys((1, 2, 3), superops))
+    density_spectra(mats)
+    return tau3_stack(mats, leak_tol=leak_tol)
 
 
 @dataclass(frozen=True)
@@ -86,11 +90,10 @@ def figure1_scan(spec=None, leak_tol=LEAK_TOL):
     VANISH_TOL and refined by bisection to BISECT_TOL.
     """
     spec = spec or SweepSpec()
-    rho0 = parse_state("ghz3").to_density()
-    rows = []
-    for p in spec.p_grid:
-        direct = _tau3_bpf3(p, rho0, leak_tol=leak_tol)
-        rows.append((float(p), float(direct), float((1 - 2 * p) ** 3), float((1 - 2 * p) ** 2)))
+    rho0 = parse_state("ghz3").to_density().mat
+    direct = _tau3_bpf3(np.array(spec.p_grid), rho0, leak_tol=leak_tol).tolist()
+    rows = [(p, tau, float((1 - 2 * p) ** 3), float((1 - 2 * p) ** 2))
+            for p, tau in zip(spec.p_grid, direct)]
 
     crossing = math.nan
     for k in range(1, len(rows)):
@@ -98,7 +101,7 @@ def figure1_scan(spec=None, leak_tol=LEAK_TOL):
             lo, hi = rows[k - 1][0], rows[k][0]
             while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                if _tau3_bpf3(mid, rho0, leak_tol=leak_tol) > VANISH_TOL:
+                if _tau3_bpf3([mid], rho0, leak_tol=leak_tol)[0] > VANISH_TOL:
                     lo = mid
                 else:
                     hi = mid

@@ -20,17 +20,31 @@ plain sum ("sum", the form the identities are stated in) or as the
 quadrature mean sqrt(sum of squares / n_terms) ("rms"), which is the form
 the same-family scenarios actually satisfy; both are exposed so campaigns
 can discriminate the conventions empirically.
+
+Scenarios are evaluated as stacks that share one initial state: one
+many-sided `evolve` and one eigvalsh give every final state and its rank,
+one single-sided `evolve` per anchor qubit gives the factor states, and one
+kernel call gives lhs, every factor and C(psi). A campaign runs its samples
+this way, grouped by the identity they evaluate, and `evaluate_identity`
+and `classify_scenario` are the one-sample case.
 """
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import ChannelAssignment, apply, sample_channel, _canonical_family
-from .concurrence import LEAK_TOL, Bipartition, cut_concurrence, parse_cut
+from .channels import (
+    ChannelAssignment,
+    _canonical_family,
+    draw_params,
+    evolve,
+    pauli_superops,
+)
+from .concurrence import LEAK_TOL, Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
-from .linalg import RANK_TOL, numerical_rank
+from .linalg import RANK_TOL, density_spectra, spectral_ranks
 from .states import parse_state
 
 PRODUCT = "product"
@@ -137,11 +151,85 @@ class IdentityReport:
 
 
 def _aggregate(products, aggregation):
+    """Term products, one (S,) array per term, aggregated row by row in term order."""
     if aggregation == "sum":
-        return float(sum(products))
+        return sum(products)
     if aggregation == "rms":
-        return float(np.sqrt(sum(p * p for p in products) / len(products)))
+        return np.sqrt(sum(p * p for p in products) / len(products))
     raise ValueError(f"aggregation must be 'sum' or 'rms', got {aggregation!r}")
+
+
+def _final_states(rho0, superops, rank_tol):
+    """Validated many-sided final states (S, d, d) of the initial density
+    matrix rho0 (d, d) under S draws of per-qubit superoperators
+    (S, n, 4, 4), and their ranks (S,)."""
+    finals = evolve(rho0[None], {q: superops[:, q - 1] for q in range(1, superops.shape[1] + 1)})
+    return finals, spectral_ranks(density_spectra(finals), rank_tol)
+
+
+@dataclass(frozen=True)
+class _Evaluation:
+    """One identity on a stack of S scenarios: (S,) arrays lhs, rhs and
+    residual, (S, n) factor values and ranks, each factor's anchor qubit."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residual: np.ndarray
+    factors: np.ndarray
+    factor_ranks: np.ndarray
+    anchors: tuple
+    initial_concurrence: float
+    exponent: int
+
+
+def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponent,
+              aggregation, leak_tol, rank_tol):
+    """Evaluate an identity on S scenarios that share the initial density
+    matrix rho0 (d, d), given their many-sided final states finals
+    (S, d, d) and per-qubit superoperators superops (S, n, 4, 4)."""
+    if anchor not in (ANCHOR_LAST, ANCHOR_OWN):
+        raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {anchor!r}")
+    samples, n = superops.shape[:2]
+    d = rho0.shape[-1]
+    anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
+
+    # one kernel stack: the final states, the (sample, qubit) factor states, rho0
+    mats = np.empty((samples * (n + 1) + 1, d, d), dtype=complex)
+    mats[:samples] = finals
+    single = mats[samples:-1].reshape(samples, n, d, d)
+    mats[-1] = rho0
+    factor_ranks = np.empty((samples, n), dtype=int)
+    for anchor_q in sorted(set(anchors)):
+        cols = [q for q in range(n) if anchors[q] == anchor_q]
+        # channel of qubit q on the anchor qubit alone, for every sample at once
+        states = evolve(rho0[None], {anchor_q: superops[:, cols].reshape(-1, 4, 4)})
+        factor_ranks[:, cols] = spectral_ranks(density_spectra(states), rank_tol).reshape(
+            samples, len(cols))
+        single[:, cols] = states.reshape(samples, len(cols), d, d)
+    totals = cut_totals(mats, identity.cut, leak_tol=leak_tol)
+    lhs = totals[:samples]
+    factors = totals[samples:-1].reshape(samples, n)
+    initial_c = float(totals[-1])
+
+    products = [np.prod(factors[:, [q - 1 for q in term]], axis=1)
+                for term in identity.rhs_terms]
+    rhs = _aggregate(products, aggregation)
+    exponent = identity.normalization_exponent if normalization_exponent is None \
+        else int(normalization_exponent)
+    try:
+        scale = initial_c ** exponent
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"initial concurrence {initial_c!r} cannot take the normalization "
+                         f"exponent {exponent}") from None
+    return _Evaluation(lhs=lhs, rhs=rhs, residual=np.abs(lhs * scale - rhs), factors=factors,
+                       factor_ranks=factor_ranks, anchors=anchors,
+                       initial_concurrence=initial_c, exponent=exponent)
+
+
+def _superops(channels):
+    """(1, n, 4, 4) superoperators of one channel per qubit, in qubit order."""
+    ChannelAssignment.many_sided(channels)  # single-qubit channels only
+    return np.array([[ch.superop for ch in channels]])
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
@@ -159,61 +247,31 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         raise DimensionMismatchError(f"identity is on {n} qubits but state has {psi.n_qubits}")
     if len(channels) != n:
         raise DimensionMismatchError(f"need {n} channels, got {len(channels)}")
-    rho0 = psi.to_density()
-    final = apply(ChannelAssignment.many_sided(channels), rho0)
-    return _evaluate(
-        identity, rho0, final, cut_concurrence(rho0, identity.cut, leak_tol=leak_tol),
-        channels, anchor=anchor, normalization_exponent=normalization_exponent,
-        aggregation=aggregation, seed=seed, leak_tol=leak_tol, rank_tol=rank_tol,
-        relabeling=relabeling)
-
-
-def _evaluate(identity, rho0, final, initial_c, channels, *, anchor,
-              normalization_exponent, aggregation, seed, leak_tol, rank_tol, relabeling):
-    """evaluate_identity on a scenario whose initial density matrix `rho0`,
-    many-sided final state `final` and initial cut concurrence `initial_c`
-    are already known; a campaign computes them once and reuses them."""
-    if anchor not in (ANCHOR_LAST, ANCHOR_OWN):
-        raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {anchor!r}")
-    n = identity.n_qubits
-    cut = identity.cut
-    lhs = cut_concurrence(final, cut, leak_tol=leak_tol)
-
-    factors = []
-    for q in range(1, n + 1):
-        anchor_q = n if anchor == ANCHOR_LAST else q
-        # same as single_sided(channels[q-1], anchor_q, psi), reusing rho0
-        state_q = apply(ChannelAssignment(n, {anchor_q: channels[q - 1]}), rho0)
-        factors.append(FactorReport(
-            qubit=q,
-            anchor=anchor_q,
-            value=cut_concurrence(state_q, cut, leak_tol=leak_tol),
-            rank=numerical_rank(state_q, rank_tol),
-        ))
-
-    products = [float(np.prod([factors[q - 1].value for q in term]))
-                for term in identity.rhs_terms]
-    rhs = _aggregate(products, aggregation)
-    exponent = identity.normalization_exponent if normalization_exponent is None \
-        else int(normalization_exponent)
-    residual = abs(lhs * initial_c ** exponent - rhs)
-    final_rank = numerical_rank(final, rank_tol)
-
+    superops = _superops(channels)
+    rho0 = psi.to_density().mat
+    finals, final_ranks = _final_states(rho0, superops, rank_tol)
+    ev = _evaluate(identity, rho0, finals, superops, anchor=anchor,
+                   normalization_exponent=normalization_exponent,
+                   aggregation=aggregation, leak_tol=leak_tol, rank_tol=rank_tol)
+    final_rank = int(final_ranks[0])
     return IdentityReport(
         identity=identity.form,
-        cut=cut.label,
-        lhs=lhs,
-        rhs=rhs,
-        residual=float(residual),
+        cut=identity.cut.label,
+        lhs=float(ev.lhs[0]),
+        rhs=float(ev.rhs[0]),
+        residual=float(ev.residual[0]),
         final_rank=final_rank,
         applicable=final_rank <= identity.rank_ceiling,
         channels=tuple(ch.params for ch in channels),
         seed=seed,
-        initial_concurrence=initial_c,
-        exponent=exponent,
+        initial_concurrence=ev.initial_concurrence,
+        exponent=ev.exponent,
         aggregation=aggregation,
         anchor=anchor,
-        factors=tuple(factors),
+        factors=tuple(
+            FactorReport(qubit=q, anchor=ev.anchors[q - 1], value=value, rank=rank)
+            for q, value, rank in zip(range(1, n + 1), ev.factors[0].tolist(),
+                                      ev.factor_ranks[0].tolist())),
         relabeling=tuple(relabeling) if relabeling is not None else None,
     )
 
@@ -232,8 +290,7 @@ def classify_scenario(psi, channels, rank_tol=RANK_TOL):
     channels = tuple(channels)
     if len(channels) != psi.n_qubits:
         raise DimensionMismatchError(f"need {psi.n_qubits} channels, got {len(channels)}")
-    final = apply(ChannelAssignment.many_sided(channels), psi.to_density())
-    rank = numerical_rank(final, rank_tol)
+    rank = int(_final_states(psi.to_density().mat, _superops(channels), rank_tol)[1][0])
     return rank, _suggested_identity(rank, psi.n_qubits)
 
 
@@ -243,6 +300,11 @@ def relabel_scenario(psi, channels, perm):
     perm = tuple(int(q) for q in perm)
     channels = tuple(channels)
     return psi.permuted(perm), tuple(channels[q - 1] for q in perm)
+
+
+def _require_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -265,7 +327,23 @@ class CampaignConfig:
     relabel: tuple | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "channels", tuple(str(c) for c in self.channels))
+        if not isinstance(self.state, str):
+            raise ValueError(f"state must be a string, got {self.state!r}")
+        if not isinstance(self.channels, (list, tuple)) \
+                or not all(isinstance(c, str) for c in self.channels):
+            raise ValueError(f"channels must be a list of channel family names, "
+                             f"got {self.channels!r}")
+        object.__setattr__(self, "channels", tuple(self.channels))
+        for name in ("samples", "seed"):
+            _require_int(name, getattr(self, name))
+        for name in ("tol", "rank_tol", "leak_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+        if self.normalization_exponent is not None:
+            _require_int("normalization_exponent", self.normalization_exponent)
+        if self.cut is not None and not isinstance(self.cut, str):
+            raise ValueError(f"cut must be a string such as '12|34', got {self.cut!r}")
         if self.samples < 0:
             raise ValueError(f"sample count must be nonnegative, got {self.samples}")
         if self.identity not in ("auto",) + FORMS:
@@ -277,21 +355,28 @@ class CampaignConfig:
         for fam in self.channels:
             _canonical_family(fam)
         if self.relabel is not None:
+            if not isinstance(self.relabel, (list, tuple)):
+                raise ValueError(f"relabel must be a list of qubits, got {self.relabel!r}")
+            for q in self.relabel:
+                _require_int("relabel entry", q)
             object.__setattr__(self, "relabel", tuple(int(q) for q in self.relabel))
 
     @classmethod
     def from_json(cls, obj):
         if isinstance(obj, str):
             obj = json.loads(obj)
+        if not isinstance(obj, dict):
+            raise ValueError(f"campaign config must be a JSON object, got {type(obj).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(obj) - known
         if extra:
             raise ValueError(f"unknown campaign config fields: {sorted(extra)}")
+        missing = {"state", "channels", "samples"} - set(obj)
+        if missing:
+            raise ValueError(f"campaign config is missing fields: {sorted(missing)}")
         kwargs = dict(obj)
         if kwargs.get("normalization_exponent") == "auto":
             kwargs["normalization_exponent"] = None
-        if "channels" in kwargs:
-            kwargs["channels"] = tuple(kwargs["channels"])
         return cls(**kwargs)
 
     def to_json_dict(self):
@@ -362,15 +447,18 @@ class CampaignReport:
 
 MAX_FAILURE_EXAMPLES = 10
 
+# Samples stacked into one evaluation. It bounds a campaign's memory (a w4
+# stack holds about 5 * _STACK * 36 4x4 blocks); rows do not depend on it.
+_STACK = 64
+
 
 def run_campaign(config):
     """Draw channels per sample (sample seed = base seed + index), classify the
     final rank, evaluate the configured or rank-suggested identity, and bucket
     the outcomes by rank. Deterministic for a fixed config.
 
-    The initial state, its density matrix and its concurrence on each cut
-    are built once per campaign, and each sample's many-sided final state
-    serves both the classification and the evaluation.
+    Up to _STACK samples run as one stack (see module docstring); the
+    initial state and its density matrix are built once per campaign.
     """
     psi = parse_state(config.state)
     n = psi.n_qubits
@@ -378,6 +466,8 @@ def run_campaign(config):
         raise DimensionMismatchError(
             f"state {config.state!r} has {n} qubits but "
             f"{len(config.channels)} channel families were given")
+    if n < 2:
+        raise ValueError(f"a campaign needs at least two qubits, state {config.state!r} has {n}")
     forced = None
     if config.identity != "auto":
         forced = identity_for(config.identity, n, config.cut)
@@ -386,37 +476,38 @@ def run_campaign(config):
                 f"identity is on {forced.n_qubits} qubits but state has {n}")
     if config.relabel is not None:
         psi = psi.permuted(config.relabel)
-    rho0 = psi.to_density()
-    initial_c = {}  # cut -> C(psi) on that cut
+    rho0 = psi.to_density().mat
+    families = [_canonical_family(fam) for fam in config.channels]
+    # new qubit k takes the channel drawn for old qubit relabel[k]
+    order = [q - 1 for q in config.relabel] if config.relabel is not None else slice(None)
 
     rows = []
-    for i in range(config.samples):
-        seed = config.seed + i
-        rng = np.random.default_rng(seed)
-        chans = tuple(sample_channel(fam, rng) for fam in config.channels)
-        if config.relabel is not None:
-            chans = tuple(chans[q - 1] for q in config.relabel)
-        final = apply(ChannelAssignment.many_sided(chans), rho0)
-        rank = numerical_rank(final, config.rank_tol)
-        identity = forced if forced is not None else _suggested_identity(rank, n)
-        if identity is None:
-            rows.append(SampleRow(seed, rank, None, None, None, None))
-            continue
-        if identity.cut not in initial_c:
-            initial_c[identity.cut] = cut_concurrence(rho0, identity.cut,
-                                                      leak_tol=config.leak_tol)
-        report = _evaluate(
-            identity, rho0, final, initial_c[identity.cut], chans,
-            anchor=config.anchor,
-            normalization_exponent=config.normalization_exponent,
-            aggregation=config.aggregation,
-            seed=seed,
-            leak_tol=config.leak_tol,
-            rank_tol=config.rank_tol,
-            relabeling=config.relabel,
-        )
-        rows.append(SampleRow(seed, rank, report.lhs, report.rhs,
-                              report.residual, report.residual <= config.tol))
+    for start in range(0, config.samples, _STACK):
+        seeds = range(config.seed + start, config.seed + min(config.samples, start + _STACK))
+        params = draw_params(families, [np.random.default_rng(seed) for seed in seeds])
+        superops = pauli_superops(params[:, order])
+        finals, ranks = _final_states(rho0, superops, config.rank_tol)
+        ranks = ranks.tolist()
+        by_rank = {r: forced if forced is not None else _suggested_identity(r, n)
+                   for r in set(ranks)}
+        identities = [by_rank[r] for r in ranks]
+        results = [(None, None, None)] * len(ranks)
+        for identity in dict.fromkeys(identities):
+            if identity is None:
+                continue
+            idx = [i for i, ident in enumerate(identities) if ident == identity]
+            ev = _evaluate(identity, rho0, finals[idx], superops[idx],
+                           anchor=config.anchor,
+                           normalization_exponent=config.normalization_exponent,
+                           aggregation=config.aggregation,
+                           leak_tol=config.leak_tol, rank_tol=config.rank_tol)
+            for i, result in zip(idx, zip(ev.lhs.tolist(), ev.rhs.tolist(),
+                                          ev.residual.tolist())):
+                results[i] = result
+        rows.extend(
+            SampleRow(seed, rank, lhs, rhs, residual,
+                      None if residual is None else residual <= config.tol)
+            for seed, rank, (lhs, rhs, residual) in zip(seeds, ranks, results))
 
     buckets = {}
     for rank in sorted({r.rank for r in rows}):

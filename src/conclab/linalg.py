@@ -1,5 +1,6 @@
 """Dense complex matrix primitives: Pauli constants, eigensolves, PSD square
-roots, qubit permutation, and the validated density-matrix container.
+roots, qubit permutation, and density-matrix validation, of one matrix (the
+`DensityMatrix` container) or of a (..., d, d) stack.
 
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
 big-endian: qubit 1 is the leftmost tensor factor, so basis index i has the
@@ -76,7 +77,9 @@ def psd_sqrt(m, tol=HERM_TOL):
     lowest = float(w[..., 0].min()) if w.size else 0.0
     if lowest < -PSD_CLAMP:
         raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} < -{PSD_CLAMP:.1e}")
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ _dagger(v)
+    vh = _dagger(v)
+    v *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return v @ vh
 
 
 def n_qubits_of(dim):
@@ -117,12 +120,48 @@ def permute_qubits(m, perm):
     return m[np.ix_(src, src)]
 
 
+def density_spectra(mats):
+    """Validate a density matrix, or every matrix of a (..., d, d) stack: finite
+    entries, Hermitian within HERM_TOL, unit trace within TRACE_TOL, lowest
+    eigenvalue at least EIG_FLOOR. Returns the ascending spectra, (..., d),
+    from one eigvalsh call.
+
+    A failing stack raises the error class and message that its first
+    failing matrix raises on its own (for Hermiticity, its worst matrix).
+    """
+    mats = np.asarray(mats)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise DimensionMismatchError(f"expected a square matrix, got shape {mats.shape}")
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("density matrix has non-finite entries")
+    n_qubits_of(mats.shape[-1])
+    require_hermitian(mats, HERM_TOL, what="density matrix")
+    traces = np.trace(mats, axis1=-2, axis2=-1).reshape(-1)
+    bad = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
+    if bad.size:
+        tr = complex(traces[bad[0]])
+        raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by > {TRACE_TOL:.1e}")
+    eigs = np.linalg.eigvalsh(mats)
+    lowest = eigs[..., 0].reshape(-1)
+    bad = np.flatnonzero(lowest < EIG_FLOOR)
+    if bad.size:
+        raise NotPSDError(f"density matrix has eigenvalue {lowest[bad[0]]:.3e} < {EIG_FLOOR:.1e}")
+    return eigs
+
+
+def spectral_ranks(eigs, tol=RANK_TOL):
+    """Count of eigenvalues strictly above tol (absolute; trace is 1) in each
+    spectrum of a (..., d) stack."""
+    return np.count_nonzero(np.asarray(eigs) > tol, axis=-1)
+
+
 class DensityMatrix:
     """Hermitian, unit-trace, PSD matrix on n qubits.
 
-    Validated on construction; raises NotHermitianError / ValueError /
-    NotPSDError when the tolerances (HERM_TOL, TRACE_TOL, EIG_FLOOR) are
-    violated. The eigenvalue spectrum is computed once and reused for rank.
+    Validated on construction by `density_spectra`; raises NotHermitianError /
+    ValueError / NotPSDError when the tolerances (HERM_TOL, TRACE_TOL,
+    EIG_FLOOR) are violated. The eigenvalue spectrum is computed once and
+    reused for rank.
     """
 
     __slots__ = ("mat", "n_qubits", "_eigs")
@@ -131,19 +170,10 @@ class DensityMatrix:
         mat = np.array(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("density matrix has non-finite entries")
-        n = n_qubits_of(mat.shape[0])
-        require_hermitian(mat, HERM_TOL, what="density matrix")
-        tr = complex(np.trace(mat))
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by > {TRACE_TOL:.1e}")
-        eigs = np.linalg.eigvalsh(mat)
-        if eigs[0] < EIG_FLOOR:
-            raise NotPSDError(f"density matrix has eigenvalue {eigs[0]:.3e} < {EIG_FLOOR:.1e}")
+        eigs = density_spectra(mat)
         mat.setflags(write=False)
         self.mat = mat
-        self.n_qubits = n
+        self.n_qubits = n_qubits_of(mat.shape[0])
         self._eigs = _frozen(eigs)
 
     @property
@@ -168,4 +198,4 @@ class DensityMatrix:
 
 def numerical_rank(rho, tol=RANK_TOL):
     """Count of eigenvalues strictly above tol (absolute; trace is 1)."""
-    return int(np.count_nonzero(rho.eigenvalues > tol))
+    return int(spectral_ranks(rho.eigenvalues, tol))

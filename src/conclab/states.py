@@ -85,13 +85,14 @@ _NAMED = {
 
 
 def _amplitude(entry):
-    if isinstance(entry, (list, tuple)):
-        if len(entry) != 2:
-            raise ValueError(f"amplitude entries must be numbers or [re, im] pairs, got {entry!r}")
-        return complex(float(entry[0]), float(entry[1]))
-    if isinstance(entry, str):
-        return complex(entry)
-    return complex(entry)
+    try:
+        if not isinstance(entry, (list, tuple)):
+            return complex(entry)
+        if len(entry) == 2:
+            return complex(float(entry[0]), float(entry[1]))
+    except TypeError:
+        pass
+    raise ValueError(f"amplitude entries must be numbers or [re, im] pairs, got {entry!r}")
 
 
 def state_from_json(obj):

@@ -8,12 +8,18 @@ from conclab.channels import (
     KrausChannel,
     PauliParams,
     apply,
+    FAMILIES,
+    PAULIS,
     channel_from_json,
+    draw_params,
+    evolve,
     flip_channel,
+    flip_params,
     identity_channel,
     parse_channel,
     parse_channel_list,
     pauli_channel,
+    pauli_superops,
     sample_channel,
     single_sided,
 )
@@ -148,6 +154,52 @@ class TestApplyMatchesKrausSum:
             assert np.max(np.abs(out.mat - kraus_sum_apply(lists, rho.mat))) <= 1e-14
 
 
+class TestStackedEvolution:
+    """`evolve` on stacks of superoperators against `apply` one draw at a time."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stack_equals_apply_per_draw_bitwise(self, n):
+        rng = np.random.default_rng(100 + n)
+        rho = DensityMatrix(random_density(n, 2, rng))
+        families = [FAMILIES[(q + n) % len(FAMILIES)] for q in range(n)]
+        params = draw_params(families, [np.random.default_rng(n * 1000 + i) for i in range(7)])
+        superops = pauli_superops(params)
+        stack = evolve(rho.mat[None], {q: superops[:, q - 1] for q in range(1, n + 1)})
+        for i in range(len(params)):
+            channels = [pauli_channel(PauliParams(a, family=f))
+                        for a, f in zip(params[i], families)]
+            one = apply(ChannelAssignment.many_sided(channels), rho)
+            assert np.array_equal(stack[i], one.mat)
+
+    def test_stack_of_states_through_one_channel(self):
+        rng = np.random.default_rng(5)
+        mats = np.array([random_density(3, 3, rng) for _ in range(4)])
+        channel = sample_channel("GeneralPauli", rng)
+        out = evolve(mats, {2: channel.superop[None]})
+        for rho, got in zip(mats, out):
+            expected = apply(ChannelAssignment(3, {2: channel}), DensityMatrix(rho))
+            assert np.array_equal(got, expected.mat)
+
+    def test_pauli_superops_match_kraus_superoperators_bitwise(self):
+        # each entry sums two signed a_k^2, so the order of the sums is moot
+        rng = np.random.default_rng(8)
+        params = draw_params(FAMILIES * 25, [rng])[0]
+        stacked = pauli_superops(params)
+        for a, superop in zip(params, stacked):
+            assert np.array_equal(pauli_channel(PauliParams(a)).superop, superop)
+            dense = sum(x * x * np.kron(s, s.conj()) for x, s in zip(a, PAULIS))
+            assert np.array_equal(dense, superop)
+
+    def test_flip_params_vectorize_flip_channel(self):
+        ps = np.linspace(0.0, 1.0, 11)
+        for family in ("BF", "PF", "BPF"):
+            grid = flip_params(family, ps)
+            for p, a in zip(ps, grid):
+                assert flip_channel(family, p).params.a == tuple(a)
+        with pytest.raises(ValueError):
+            flip_params("BF", [0.2, 1.5])
+
+
 class TestSingleSided:
     def test_identity_channel_is_noop(self):
         psi = ghz(3)
@@ -200,6 +252,32 @@ class TestSampling:
         rng = np.random.default_rng(23)
         a = sample_channel("PF", rng).params.a
         assert a[1] == 0.0 and a[2] == 0.0
+
+    @pytest.mark.parametrize("families", [
+        ("BF",), ("PF",), ("BPF",), ("GeneralPauli",),
+        ("BF", "PF", "BPF", "GeneralPauli"), ("GeneralPauli", "PF", "GeneralPauli"),
+    ])
+    def test_campaign_draws_equal_sample_channel_bitwise(self, families):
+        """A campaign's (n, 4) parameters for one seed are what drawing one
+        channel per family from that seed's generator gives, and what
+        normalizing per-family Gaussians with np.linalg.norm gives."""
+        seeds = range(40, 60)
+        stacked = draw_params(families, [np.random.default_rng(s) for s in seeds])
+        for seed, row in zip(seeds, stacked):
+            rng = np.random.default_rng(seed)
+            channels = [sample_channel(f, rng) for f in families]
+            assert [ch.params.a for ch in channels] == [tuple(a) for a in row]
+            rng = np.random.default_rng(seed)
+            for fam, a in zip(families, row):
+                g = rng.standard_normal(4 if fam == "GeneralPauli" else 2)
+                g = g / np.linalg.norm(g)
+                expected = np.zeros(4)
+                if fam == "GeneralPauli":
+                    expected[:] = g
+                else:
+                    expected[0] = g[0]
+                    expected[{"BF": 1, "BPF": 2, "PF": 3}[fam]] = g[1]
+                assert np.array_equal(a, expected)
 
 
 class TestParsing:

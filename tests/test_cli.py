@@ -1,6 +1,9 @@
 import json
 
 import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conclab.cli import cli_main
 
@@ -130,6 +133,72 @@ def test_campaign_config_bad_anchor_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "anchor" in err
     assert len(err.strip().split("\n")) == 1
     assert "Traceback" not in err
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.strip().split("\n")) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"state": "bell", "channels": ["BF", "BF"], "samples": "3"}', "samples"),
+    ('{"state": "bell", "channels": ["BF", "BF"], "samples": 3, "seed": 1.5}', "seed"),
+    ('{"state": "bell", "channels": ["BF", "BF"], "samples": 3, "tol": "x"}', "tol"),
+    ('{"state": 5, "channels": ["BF", "BF"], "samples": 3}', "state"),
+    ('[{"state": "bell", "channels": ["BF", "BF"], "samples": 3}]', "JSON object"),
+    ('{"state": "bell", "channels": ["BF", "BF"], "samples": true}', "samples"),
+    ('{"state": "ghz3", "channels": "BF,PF,PF", "samples": 3}', "channels"),
+], ids=["samples-string", "seed-float", "tol-string", "state-number", "top-level-list",
+        "samples-bool", "channels-string"])
+def test_campaign_config_schema_exits_one(tmp_path, capsys, text, needle):
+    path = tmp_path / "campaign.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "campaign", "--config", str(path))
+    assert_one_error_line(code, out, err)
+    assert needle in err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=True)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+_FIELDS = {
+    "state": st.sampled_from(["bell", "ghz3", "w3", "ghz4", "bell:alpha=1", "bell:alpha=x",
+                              "[1, 0]", "[1]", "[null, 1]", "[[1, 0], 0]", "nope"]) | _JSON,
+    "channels": st.lists(st.sampled_from(["BF", "PF", "BPF", "general", "XY"]), max_size=5)
+    | _JSON,
+    "samples": st.integers(-1, 3) | _JSON,
+    "seed": st.integers(-2, 5) | _JSON,
+    "tol": st.sampled_from([1e-8, 0, -1.0]) | _JSON,
+    "identity": st.sampled_from(["auto", "product", "sum"]) | _JSON,
+    "cut": st.sampled_from(["12|3", "1|2", "12|34", "3|12", "1|1"]) | _JSON,
+    "normalization_exponent": st.sampled_from(["auto", -1, 0, 2]) | _JSON,
+    "aggregation": st.sampled_from(["sum", "rms"]) | _JSON,
+    "anchor": st.sampled_from(["last", "own"]) | _JSON,
+    "rank_tol": st.sampled_from([1e-10, 0.05]) | _JSON,
+    "leak_tol": st.sampled_from([1e-8, -1.0]) | _JSON,
+    "relabel": st.sampled_from([[2, 1], [3, 2, 1], [1, 1, 2]]) | _JSON,
+}
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(config=st.fixed_dictionaries({}, optional=_FIELDS) | _JSON)
+def test_campaign_config_fuzz_never_tracebacks(tmp_path, capsys, config):
+    """Any config JSON ends in exit 0, 1 or 2; a failure is one error line."""
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "campaign", "--config", str(path))
+    assert code in (0, 1, 2)
+    if code:
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().split("\n")) == 1
 
 
 def test_campaign_flag_overrides(tmp_path, capsys):

@@ -8,9 +8,11 @@ from conclab.concurrence import (
     Bipartition,
     bipartite_concurrence,
     cut_concurrence,
+    cut_totals,
     parse_cut,
     so_generators,
     tau3,
+    tau3_stack,
     wootters,
 )
 from conclab.errors import DimensionMismatchError, SpectralLeakError
@@ -263,6 +265,40 @@ class TestDenseOracle:
                     reference.append(value)
                 total = mp.sqrt(sum(v * v for v in reference))
             assert abs(float(total - got.total)) <= 1e-12
+
+
+class TestStackedKernel:
+    """One kernel call over a stack gives, bit for bit, what the one-state
+    calls give, whatever else shares the stack."""
+
+    def test_cut_totals_equal_per_state_calls(self):
+        rng = np.random.default_rng(2006)
+        for n in (2, 3, 4):
+            mats = np.array([random_density(n, 1 + k % 5, rng) for k in range(9)])
+            for block1, block2 in (((1,), tuple(range(2, n + 1))),
+                                   (tuple(range(n, 1, -1)), (1,))):
+                cut = Bipartition(block1, block2)
+                totals = cut_totals(mats, cut)
+                for m, total in zip(mats, totals):
+                    rho = DensityMatrix(m)
+                    assert cut_concurrence(rho, cut) == total
+                    assert bipartite_concurrence(rho, cut).total == total
+                assert np.array_equal(cut_totals(mats[3:5], cut), totals[3:5])
+
+    def test_tau3_stack_equals_per_state_calls(self):
+        rng = np.random.default_rng(2008)
+        mats = np.array([random_density(3, 1 + k % 8, rng) for k in range(10)])
+        values = tau3_stack(mats)
+        assert values.tolist() == [tau3(DensityMatrix(m)) for m in mats]
+
+    def test_stack_guards(self):
+        mats = np.array([ghz(3).to_density().mat] * 2)
+        with pytest.raises(SpectralLeakError):
+            cut_totals(mats, parse_cut("12|3"), leak_tol=-1e-300)
+        with pytest.raises(DimensionMismatchError):
+            cut_totals(mats, parse_cut("12|34"))
+        with pytest.raises(DimensionMismatchError):
+            tau3_stack(np.array([bell(SQ2).to_density().mat]))
 
 
 class TestBipartitionParsing:

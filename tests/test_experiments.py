@@ -3,14 +3,18 @@ import math
 
 import pytest
 
+from conclab.channels import ChannelAssignment, apply, flip_channel
+from conclab.concurrence import tau3
 from conclab.experiments import (
     GENERIC_PS,
     RANK_SCENARIOS,
     SweepSpec,
+    _tau3_bpf3,
     figure1_scan,
     rank_table,
     rank_table_csv,
 )
+from conclab.states import ghz
 
 
 class TestSweepSpec:
@@ -77,6 +81,13 @@ class TestFigure1:
     def test_csv_deterministic(self):
         spec = SweepSpec.uniform(6)
         assert figure1_scan(spec).to_csv() == figure1_scan(spec).to_csv()
+
+    def test_rows_equal_point_by_point_bitwise(self, result):
+        rho0 = ghz(3).to_density()
+        for p, direct, _, _ in result.rows:
+            assert _tau3_bpf3([p], rho0.mat)[0] == direct
+            channels = [flip_channel("BPF", p)] * 3
+            assert tau3(apply(ChannelAssignment.many_sided(channels), rho0)) == direct
 
     def test_no_crossing_reports_nan(self):
         result = figure1_scan(SweepSpec(p_grid=(0.0, 0.1, 0.2)))

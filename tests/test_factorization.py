@@ -8,6 +8,7 @@ from conclab.channels import flip_channel, identity_channel, sample_channel
 from conclab.concurrence import parse_cut
 from conclab.errors import DimensionMismatchError
 from conclab.factorization import (
+    _STACK,
     CampaignConfig,
     classify_scenario,
     default_cut,
@@ -278,6 +279,29 @@ class TestCampaign:
             CampaignConfig.from_json({"state": "bell", "channels": ["BF", "BF"],
                                       "samples": 1, "mode": "fast"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("state", 5), ("channels", "BF,BF"), ("channels", ["BF", 2]), ("samples", "3"),
+        ("samples", True), ("samples", 2.0), ("seed", 1.5), ("seed", False), ("tol", "x"),
+        ("tol", True), ("rank_tol", None), ("leak_tol", [1e-8]), ("cut", 12),
+        ("normalization_exponent", "2"), ("normalization_exponent", True),
+        ("relabel", 21), ("relabel", [2, 1.0]), ("relabel", [True, 2]),
+    ])
+    def test_config_rejects_wrong_types(self, field, value):
+        fields = {"state": "bell", "channels": ["BF", "BF"], "samples": 3, field: value}
+        with pytest.raises(ValueError, match=field.split("_")[0]):
+            CampaignConfig.from_json(fields)
+
+    def test_config_accepts_numpy_numbers(self):
+        config = CampaignConfig(state="bell", channels=("BF", "BF"), samples=np.int64(2),
+                                seed=np.int32(4), tol=np.float64(1e-8))
+        assert len(run_campaign(config).rows) == 2
+
+    def test_config_json_must_be_a_complete_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            CampaignConfig.from_json([{"state": "bell"}])
+        with pytest.raises(ValueError, match="missing"):
+            CampaignConfig.from_json({"state": "bell", "channels": ["BF", "BF"]})
+
     def test_config_rejects_unknown_anchor(self):
         # rank-16 rows never reach the evaluation, so only the config can catch it
         with pytest.raises(ValueError, match="anchor"):
@@ -322,6 +346,31 @@ class TestCampaign:
     def test_rows_do_not_depend_on_sample_count(self, config):
         doubled = run_campaign(dataclasses.replace(config, samples=2 * config.samples))
         assert run_campaign(config).rows == doubled.rows[:config.samples]
+
+    @pytest.mark.parametrize("config", [
+        # a coarse rank_tol spreads the rows over the product, sum and
+        # unevaluated buckets, so the auto mode evaluates three groups
+        CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=24, seed=41,
+                       rank_tol=0.03),
+        CampaignConfig(state="ghz4", channels=("PF", "PF", "BF", "PF"), samples=10, seed=42,
+                       rank_tol=0.02, anchor="own", aggregation="rms"),
+        CampaignConfig(state="w4", channels=("PF", "PF", "PF", "PF"), samples=8, seed=43,
+                       identity="sum", cut="12|34", relabel=(2, 4, 1, 3)),
+        CampaignConfig(state="ghz3", channels=("BF", "BF", "BF"), samples=_STACK + 3, seed=44,
+                       rank_tol=0.05),
+    ], ids=["auto-three-buckets", "anchor-own", "relabel", "more-than-one-stack"])
+    def test_rows_equal_one_sample_campaigns_bitwise(self, config):
+        report = run_campaign(config)
+        assert len({r.rank for r in report.rows}) > 1 or config.identity != "auto"
+        for i, row in enumerate(report.rows):
+            one = run_campaign(dataclasses.replace(config, samples=1, seed=config.seed + i))
+            assert one.rows == (row,)
+
+    def test_zero_initial_concurrence_rejects_negative_exponent(self):
+        config = CampaignConfig(state="bell:alpha=1", channels=("BF", "BF"), samples=2,
+                                identity="product", normalization_exponent=-1)
+        with pytest.raises(ValueError, match="exponent"):
+            run_campaign(config)
 
     def test_cut_on_wrong_qubit_count(self):
         config = CampaignConfig(state="ghz4", channels=("PF",) * 4, samples=1,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,16 +12,22 @@ from conclab.errors import (
     NotPSDError,
 )
 from conclab.linalg import (
+    EIG_FLOOR,
+    HERM_TOL,
     IDENTITY_2,
     PSD_CLAMP,
+    RANK_TOL,
+    TRACE_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     DensityMatrix,
+    density_spectra,
     kron,
     numerical_rank,
     permute_qubits,
     psd_sqrt,
+    spectral_ranks,
 )
 
 from oracles import random_psd
@@ -111,6 +119,27 @@ class TestPsdSqrt:
         with pytest.raises(NotPSDError):
             psd_sqrt(matrix(-PSD_CLAMP * (1 + 1e-3)))
 
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_clamp_edge_inside_a_stack_acts_as_alone(self, factor):
+        """One block at -PSD_CLAMP * (1 +- 1e-3) among random PSD blocks
+        clamps to the same root, or raises the same error, as on its own."""
+        rng = np.random.default_rng(19)
+        edge = np.diag([0.4, 0.3, -PSD_CLAMP * factor, 0.3]).astype(complex)
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        edge = u @ edge @ u.conj().T
+        edge = (edge + edge.conj().T) / 2
+        stack = np.array([random_psd(4, rng) for _ in range(5)] + [edge]
+                         + [random_psd(4, rng) for _ in range(3)])
+        try:
+            alone = psd_sqrt(edge)
+        except NotPSDError as err:
+            with pytest.raises(NotPSDError, match=f"^{re.escape(str(err))}$"):
+                psd_sqrt(stack)
+            assert factor > 1
+        else:
+            assert factor < 1
+            assert np.array_equal(psd_sqrt(stack)[5], alone)
+
     def test_stack_rejects_one_non_hermitian_matrix(self):
         stack = np.array([np.eye(2), [[1, 1], [0, 1]]], dtype=complex)
         with pytest.raises(NotHermitianError):
@@ -192,6 +221,90 @@ class TestDensityMatrix:
         assert abs(rho.mat.trace().real - 1.0) <= 1e-9
         assert np.max(np.abs(rho.mat - rho.mat.conj().T)) <= 1e-9
         assert rho.eigenvalues[0] >= -1e-9
+
+
+def _rotated(diag, rng):
+    """A Hermitian matrix with the given spectrum in a random basis."""
+    d = len(diag)
+    u = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    m = u @ np.diag(np.asarray(diag, dtype=complex)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+class TestDensitySpectra:
+    """Stack validation raises what the single-matrix path raises for the
+    one matrix that sits just past a threshold, and nothing just inside."""
+
+    @staticmethod
+    def stack_with(bad, rng, at=2, size=5):
+        mats = [_rotated(rng.dirichlet(np.ones(4)), rng) for _ in range(size)]
+        mats[at] = bad
+        return np.array(mats)
+
+    @staticmethod
+    def past_hermitian(factor, rng):
+        m = _rotated([0.4, 0.3, 0.2, 0.1], rng)
+        m[0, 1] += HERM_TOL * factor
+        return m
+
+    @staticmethod
+    def past_trace(factor, rng):
+        return _rotated([0.4, 0.3, 0.2, 0.1 + TRACE_TOL * factor], rng)
+
+    @staticmethod
+    def past_floor(factor, rng):
+        low = EIG_FLOOR * factor
+        return np.diag([0.5, 0.3, 0.2 - low, low]).astype(complex)
+
+    @pytest.mark.parametrize("make,error", [
+        ("past_hermitian", NotHermitianError),
+        ("past_trace", ValueError),
+        ("past_floor", NotPSDError),
+    ])
+    def test_one_matrix_past_a_threshold(self, make, error):
+        rng = np.random.default_rng(29)
+        bad = getattr(self, make)(1 + 1e-2, rng)
+        with pytest.raises(error) as alone:
+            DensityMatrix(bad)
+        with pytest.raises(error) as stacked:
+            density_spectra(self.stack_with(bad, rng))
+        assert type(stacked.value) is type(alone.value)
+        assert str(stacked.value) == str(alone.value)
+        ok = getattr(self, make)(1 - 1e-2, rng)
+        eigs = density_spectra(self.stack_with(ok, rng))
+        assert np.array_equal(eigs[2], DensityMatrix(ok).eigenvalues)
+
+    def test_first_failing_matrix_is_reported(self):
+        rng = np.random.default_rng(31)
+        first = self.past_floor(2.0, rng)
+        stack = self.stack_with(first, rng, at=1)
+        stack[3] = self.past_floor(3.0, rng)
+        with pytest.raises(NotPSDError) as alone:
+            DensityMatrix(first)
+        with pytest.raises(NotPSDError, match=f"^{re.escape(str(alone.value))}$"):
+            density_spectra(stack)
+
+    def test_spectra_equal_density_matrix_eigenvalues(self):
+        from oracles import random_density
+
+        rng = np.random.default_rng(37)
+        mats = np.array([random_density(3, 1 + k % 8, rng) for k in range(12)])
+        eigs = density_spectra(mats)
+        for m, e in zip(mats, eigs):
+            assert np.array_equal(DensityMatrix(m).eigenvalues, e)
+
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_rank_edge_matches_numerical_rank(self, factor):
+        rng = np.random.default_rng(41)
+        mats = []
+        for k in range(6):
+            small = [RANK_TOL * factor] * (k % 3)
+            big = rng.dirichlet(np.ones(4 - len(small))) * (1 - sum(small))
+            mats.append(np.diag(np.concatenate([big, small])).astype(complex))
+        ranks = spectral_ranks(density_spectra(np.array(mats)))
+        assert ranks.tolist() == [numerical_rank(DensityMatrix(m)) for m in mats]
+        expected = [4 if factor > 1 else 4 - k % 3 for k in range(6)]
+        assert ranks.tolist() == expected
 
 
 class TestNumericalRank:
