@@ -12,7 +12,6 @@ from .channels import (
     parse_channel_list,
     pauli_channel,
     sample_channel,
-    single_sided,
 )
 from .concurrence import (
     Bipartition,
@@ -21,7 +20,6 @@ from .concurrence import (
     bipartite_concurrence,
     cut_concurrence,
     parse_cut,
-    so_generators,
     tau3,
     wootters,
 )
@@ -31,7 +29,6 @@ from .errors import (
     NotHermitianError,
     NotNormalizedError,
     NotPSDError,
-    SpectralLeakError,
 )
 from .experiments import (
     Figure1Result,
@@ -50,7 +47,6 @@ from .factorization import (
     default_cut,
     evaluate_identity,
     identity_for,
-    relabel_scenario,
     run_campaign,
 )
 from .linalg import (
@@ -58,7 +54,6 @@ from .linalg import (
     kron,
     numerical_rank,
     permutation_indices,
-    permute_qubits,
     psd_sqrt,
 )
 from .states import PureState, bell, ghz, parse_state, random_pure, state_from_json, w

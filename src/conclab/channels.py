@@ -35,6 +35,7 @@ is its one-matrix case.
 """
 
 import json
+from numbers import Real
 
 import numpy as np
 
@@ -79,7 +80,7 @@ class PauliParams:
         if len(a) != 4:
             raise ValueError(f"expected 4 parameters, got {len(a)}")
         norm2 = sum(x * x for x in a)
-        if abs(norm2 - 1.0) > PARAM_NORM_TOL:
+        if not abs(norm2 - 1.0) <= PARAM_NORM_TOL:  # NaN fails too
             raise NotNormalizedError(f"sum a_i^2 = {norm2:.15g} deviates from 1 by > {PARAM_NORM_TOL:.1e}")
         if family is not None:
             family = _canonical_family(family)
@@ -263,13 +264,14 @@ def apply(assignment, rho):
     return DensityMatrix(evolve(rho.mat[None], superops)[0])
 
 
-def single_sided(channel, target_qubit, psi):
-    """Channel on one qubit of a pure state, identity elsewhere."""
-    target_qubit = int(target_qubit)
-    if not 1 <= target_qubit <= psi.n_qubits:
-        raise ValueError(f"qubit index {target_qubit} outside 1..{psi.n_qubits}")
-    assignment = ChannelAssignment(psi.n_qubits, {target_qubit: channel})
-    return apply(assignment, psi.to_density())
+def _json_real(value, what):
+    """A real number from JSON: an int or a float, not a bool."""
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def channel_from_json(obj):
@@ -280,10 +282,13 @@ def channel_from_json(obj):
         raise ValueError(f"cannot interpret {obj!r} as a channel; need a 'family' field")
     family = _canonical_family(obj["family"])
     if "a" in obj:
-        return pauli_channel(PauliParams(tuple(float(x) for x in obj["a"]),
+        a = obj["a"]
+        if not isinstance(a, list):
+            raise ValueError(f"channel parameters 'a' must be a list of numbers, got {a!r}")
+        return pauli_channel(PauliParams([_json_real(x, "channel parameter") for x in a],
                                          family=family))
     if "p" in obj:
-        return flip_channel(family, obj["p"])
+        return flip_channel(family, _json_real(obj["p"], "flip probability"))
     raise ValueError("channel object needs either 'p' or 'a'")
 
 
@@ -306,9 +311,15 @@ def parse_channel(token):
 
 
 def parse_channel_list(spec, n_qubits=None):
-    """Parse a comma-separated channel list, one token per qubit in order."""
-    tokens = [t for t in str(spec).split(",") if t.strip()]
-    channels = tuple(parse_channel(t) for t in tokens)
+    """Parse a comma-separated channel list, one token per qubit in order;
+    a token may be a JSON channel object, whose own commas do not split."""
+    tokens = []
+    for piece in str(spec).split(","):
+        if tokens and sum(map(tokens[-1].count, "{[")) > sum(map(tokens[-1].count, "}]")):
+            tokens[-1] += "," + piece  # inside an unclosed {...} or [...]
+        else:
+            tokens.append(piece)
+    channels = tuple(parse_channel(t) for t in tokens if t.strip())
     if n_qubits is not None and len(channels) != n_qubits:
         raise DimensionMismatchError(f"got {len(channels)} channels for {n_qubits} qubits")
     return channels

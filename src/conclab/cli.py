@@ -1,19 +1,22 @@
 """Command-line driver.
 
-Subcommands: evolve, concurrence, verify, campaign, figure1, rank-table.
-Exit codes: 0 success, 1 validation/usage error, 2 violated numerical
-assumption (spectral leak). CONCLAB_SEED sets the default campaign seed.
+Subcommands: evolve, concurrence, verify, campaign, sweep, figure1,
+rank-table. `sweep` runs a campaign on every catalogued scenario under both
+aggregations, one CSV each, and prints a summary table. Exit codes: 0
+success, 1 validation or usage error. CONCLAB_SEED sets the default campaign
+seed.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
+from dataclasses import fields
 
 from .channels import ChannelAssignment, apply, parse_channel_list
-from .concurrence import LEAK_TOL, bipartite_concurrence, cut_concurrence, parse_cut, tau3
-from .errors import SpectralLeakError
-from .experiments import SweepSpec, figure1_scan, rank_table, rank_table_csv
+from .concurrence import bipartite_concurrence, cut_concurrence, parse_cut, tau3
+from .experiments import CATALOGUE, SweepSpec, figure1_scan, rank_table, rank_table_csv
 from .factorization import (
     CampaignConfig,
     default_cut,
@@ -22,7 +25,7 @@ from .factorization import (
     run_campaign,
 )
 from .linalg import DensityMatrix
-from .states import parse_state
+from .states import _complex_entry, parse_state
 
 SEED_ENV = "CONCLAB_SEED"
 
@@ -63,13 +66,17 @@ def _load_density(args):
             obj = json.load(fh)
         if isinstance(obj, dict):
             obj = obj.get("matrix")
-        if not isinstance(obj, list):
-            raise ValueError("matrix file must hold a JSON matrix or {'matrix': [...]}")
-        rows = [[complex(e[0], e[1]) if isinstance(e, (list, tuple)) else complex(e)
-                 for e in row] for row in obj]
-        return DensityMatrix(rows)
+        if not isinstance(obj, list) \
+                or not all(isinstance(row, list) and len(row) == len(obj) for row in obj):
+            raise ValueError("matrix file must hold a square JSON matrix or {'matrix': [...]}")
+        return DensityMatrix([[_complex_entry(e, "matrix") for e in row] for row in obj])
     if not args.state:
         raise ValueError("need either --state or --matrix")
+    return _evolved(args)
+
+
+def _evolved(args):
+    """The density matrix of --state, sent through --channels if given."""
     psi = parse_state(args.state)
     rho = psi.to_density()
     if args.channels:
@@ -79,11 +86,7 @@ def _load_density(args):
 
 
 def _cmd_evolve(args):
-    psi = parse_state(args.state)
-    rho = psi.to_density()
-    if args.channels:
-        channels = parse_channel_list(args.channels, psi.n_qubits)
-        rho = apply(ChannelAssignment.many_sided(channels), rho)
+    rho = _evolved(args)
     header = {
         "state": args.state,
         "channels": args.channels,
@@ -103,14 +106,13 @@ def _cmd_evolve(args):
 def _cmd_concurrence(args):
     rho = _load_density(args)
     if args.tau3:
-        value = tau3(rho, leak_tol=args.leak_tol)
-        _write(f"tau3,{value!r}\n", args.out)
+        _write(f"tau3,{tau3(rho)!r}\n", args.out)
         return 0
     cut = parse_cut(args.cut) if args.cut else default_cut(rho.n_qubits)
     if not args.breakdown:
-        _write(f"total,{cut_concurrence(rho, cut, leak_tol=args.leak_tol)!r}\n", args.out)
+        _write(f"total,{cut_concurrence(rho, cut)!r}\n", args.out)
         return 0
-    breakdown = bipartite_concurrence(rho, cut, leak_tol=args.leak_tol)
+    breakdown = bipartite_concurrence(rho, cut)
     header = {"cut": cut.label, "total": breakdown.total}
     lines = ["# " + json.dumps(header, sort_keys=True),
              "m,n,lambda1,lambda2,lambda3,lambda4,c_mn"]
@@ -131,7 +133,6 @@ def _cmd_verify(args):
         anchor=args.anchor,
         normalization_exponent=args.exponent,
         aggregation=args.aggregation,
-        leak_tol=args.leak_tol,
     )
     header = {"state": args.state, "channels": args.channels, "identity": report.identity,
               "cut": report.cut, "aggregation": report.aggregation, "anchor": report.anchor}
@@ -148,51 +149,60 @@ def _cmd_verify(args):
     return 0
 
 
+def family_list(text):
+    """`campaign --channels`: comma-separated channel family names."""
+    return [t.strip() for t in text.split(",") if t.strip()]
+
+
+def qubit_list(text):
+    """`campaign --relabel`: comma-separated qubit numbers."""
+    return [int(t) for t in text.split(",") if t.strip()]
+
+
 def _cmd_campaign(args):
     merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ValueError(f"campaign config must be a JSON object, got {type(loaded).__name__}")
-        merged.update(loaded)
-    if args.state is not None:
-        merged["state"] = args.state
-    if args.channels is not None:
-        merged["channels"] = [t.strip() for t in args.channels.split(",") if t.strip()]
-    if args.samples is not None:
-        merged["samples"] = args.samples
-    if args.tol is not None:
-        merged["tol"] = args.tol
-    if args.seed is not None:
-        merged["seed"] = args.seed
-    elif "seed" not in merged:
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise ValueError(f"campaign config must be a JSON object, got {type(merged).__name__}")
+    # flags override the config file; every flag's dest is a CampaignConfig field
+    for field in fields(CampaignConfig):
+        value = getattr(args, field.name, None)
+        if value is not None:
+            merged[field.name] = value
+    if "seed" not in merged:
         merged["seed"] = _default_seed()
-    if args.identity is not None:
-        merged["identity"] = args.identity
-    if args.cut is not None:
-        merged["cut"] = args.cut
-    if args.exponent is not None:
-        merged["normalization_exponent"] = args.exponent
-    if args.aggregation is not None:
-        merged["aggregation"] = args.aggregation
-    if args.anchor is not None:
-        merged["anchor"] = args.anchor
-    if args.relabel is not None:
-        merged["relabel"] = [int(t) for t in args.relabel.split(",") if t.strip()]
-    missing = {"state", "channels", "samples"} - set(merged)
-    if missing:
-        raise ValueError(f"campaign config is missing fields: {sorted(missing)}")
-    config = CampaignConfig.from_json(merged)
-    report = run_campaign(config)
-    _write(report.to_csv(), args.out)
+    _write(run_campaign(CampaignConfig.from_json(merged)).to_csv(), args.out)
+    return 0
+
+
+def _cmd_sweep(args):
+    configs = [CampaignConfig(state=state, channels=families, samples=args.samples,
+                              tol=args.tol, seed=args.seed, aggregation=aggregation)
+               for state, families, _ in CATALOGUE for aggregation in ("sum", "rms")]
+    os.makedirs(args.out_dir, exist_ok=True)
+    print(f"{'state':<6} {'channels':<16} {'aggregation':<12} "
+          f"{'rank buckets':<14} {'passed':<10} worst residual")
+    for config in configs:
+        report = run_campaign(config)
+        name = f"{config.state}-{'-'.join(config.channels)}-{config.aggregation}.csv"
+        with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(report.to_csv())
+        buckets = report.buckets.values()
+        ranks = ",".join(str(r) for r in sorted(report.buckets))
+        evaluated = sum(b.evaluated for b in buckets)
+        passed = sum(b.passed for b in buckets)
+        worst = max((b.max_residual for b in buckets if b.max_residual is not None),
+                    default=float("nan"))
+        print(f"{config.state:<6} {'+'.join(config.channels):<16} {config.aggregation:<12} "
+              f"{ranks:<14} {passed}/{evaluated:<8} {worst:.3e}")
+    print(f"per-sample CSVs in {args.out_dir}/")
     return 0
 
 
 def _cmd_figure1(args):
-    spec = SweepSpec.uniform(points=args.points, scenario=args.scenario)
-    result = figure1_scan(spec)
-    _write(result.to_csv(), args.out)
+    _write(figure1_scan(SweepSpec.uniform(points=args.points)).to_csv(), args.out)
     return 0
 
 
@@ -201,7 +211,9 @@ def _cmd_rank_table(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The `conclab` parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="conclab",
         description="Concurrence evolution of 2-4 qubit states in local Pauli "
@@ -209,10 +221,11 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name, func, help_):
+    def add(name, func, help_, out=True):
         p = sub.add_parser(name, help=help_)
         p.set_defaults(func=func)
-        p.add_argument("--out", help="write output to this file instead of stdout")
+        if out:
+            p.add_argument("--out", help="write output to this file instead of stdout")
         return p
 
     p = add("evolve", _cmd_evolve, "apply channels to a state and dump the density matrix")
@@ -226,7 +239,6 @@ def build_parser():
     p.add_argument("--cut", help="bipartition such as 12|3 (default: last qubit alone)")
     p.add_argument("--tau3", action="store_true", help="three-qubit lower bound instead of one cut")
     p.add_argument("--breakdown", action="store_true", help="per generator pair CSV")
-    p.add_argument("--leak-tol", type=float, default=LEAK_TOL, dest="leak_tol")
 
     p = add("verify", _cmd_verify, "evaluate one factorization identity on a scenario")
     p.add_argument("--identity", required=True, choices=["product", "sum"])
@@ -237,25 +249,31 @@ def build_parser():
     p.add_argument("--exponent", type=int, default=None,
                    help="override the degree-matching normalization exponent")
     p.add_argument("--aggregation", choices=["sum", "rms"], default="sum")
-    p.add_argument("--leak-tol", type=float, default=LEAK_TOL, dest="leak_tol")
 
     p = add("campaign", _cmd_campaign, "seeded randomized identity verification")
     p.add_argument("--config", help="JSON campaign config file")
     p.add_argument("--state")
-    p.add_argument("--channels", help="comma-separated channel families, e.g. BF,PF,PF")
+    p.add_argument("--channels", type=family_list,
+                   help="comma-separated channel families, e.g. BF,PF,PF")
     p.add_argument("--samples", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, help=f"base seed (default: ${SEED_ENV} or 0)")
     p.add_argument("--identity", choices=["auto", "product", "sum"])
     p.add_argument("--cut")
-    p.add_argument("--exponent", type=int)
+    p.add_argument("--exponent", type=int, dest="normalization_exponent")
     p.add_argument("--aggregation", choices=["sum", "rms"])
     p.add_argument("--anchor", choices=["last", "own"])
-    p.add_argument("--relabel", help="qubit relabeling such as 3,2,1")
+    p.add_argument("--relabel", type=qubit_list, help="qubit relabeling such as 3,2,1")
+
+    p = add("sweep", _cmd_sweep, "campaigns on every catalogued scenario, both aggregations",
+            out=False)
+    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--out-dir", default="campaign_results", help="directory for the CSVs")
 
     p = add("figure1", _cmd_figure1, "lower-bound sweep of ghz3 under identical BPF(p)")
     p.add_argument("--points", type=int, default=101)
-    p.add_argument("--scenario", default="ghz3-bpf3")
 
     add("rank-table", _cmd_rank_table, "computed vs claimed final ranks for catalogued scenarios")
     return parser
@@ -277,9 +295,6 @@ def cli_main(argv=None):
         return 1
     try:
         return args.func(args)
-    except SpectralLeakError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

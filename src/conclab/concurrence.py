@@ -41,10 +41,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SpectralLeakError
+from .errors import DimensionMismatchError
 from .linalg import n_qubits_of, permutation_indices, psd_sqrt
-
-LEAK_TOL = 1e-8  # max allowed eigenvalue of rho @ rho_tilde beyond the top four
 
 
 class Bipartition:
@@ -106,23 +104,6 @@ def parse_cut(spec):
     return Bipartition(block(left), block(right))
 
 
-@lru_cache(maxsize=None)
-def so_generators(d):
-    """The d(d-1)/2 rotation generators E_ab (+1 at (a,b), -1 at (b,a), a < b)
-    in lexicographic order."""
-    if d < 2:
-        raise ValueError(f"need dimension >= 2, got {d}")
-    gens = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            g = np.zeros((d, d))
-            g[a, b] = 1.0
-            g[b, a] = -1.0
-            g.setflags(write=False)
-            gens.append(g)
-    return tuple(gens)
-
-
 class PairTerm:
     """One generator pair's contribution: indices (1-based), the four l's, C_mn."""
 
@@ -158,7 +139,8 @@ _FLIP_SIGNS.setflags(write=False)
 @lru_cache(maxsize=None)
 def _pair_blocks(block1, block2):
     """Every generator pair's principal block of a cut: the (m, n) labels,
-    1-based and lexicographic like so_generators, and the (P, 4, 4) indices
+    1-based, of the generators E_ab (a < b) of each block in lexicographic
+    order, and the (P, 4, 4) indices
     of the blocks' entries in the flattened d x d unpermuted state.
 
     Pair (E_ab, E_cd) selects the basis states {a, b} x {c, d} of the order
@@ -201,16 +183,6 @@ def _check_qubits(cut, mats):
             f"cut {cut.label} covers {cut.n_qubits} qubits but state has {n}")
 
 
-def _check_leak(cut, leak_tol):
-    """The leak guard: every eigenvalue of rho @ rho_tilde beyond a pair's
-    top four is exactly 0 (module docstring), so only a negative leak_tol
-    on a cut with more than four basis states trips it."""
-    if cut.d1 * cut.d2 > 4 and 0.0 > leak_tol:
-        raise SpectralLeakError(
-            f"pair (m=1, n=1) of cut {cut.label}: eigenvalue 0.000e+00 "
-            f"beyond the top four exceeds {leak_tol:.1e}")
-
-
 def wootters(rho):
     """Two-qubit mixed-state concurrence: the single principal block of cut 1|2."""
     if rho.n_qubits != 2:
@@ -219,24 +191,19 @@ def wootters(rho):
     return min(1.0, float(_pair_spectra(rho.mat[None], flat)[1][0, 0]))
 
 
-def cut_totals(mats, cut, leak_tol=LEAK_TOL):
+def cut_totals(mats, cut):
     """Concurrence across a cut of every state of a (B, d, d) stack: the
     (B,) totals sqrt(sum of C_mn^2) over the cut's generator pairs, summed
-    in pair order. A SpectralLeakError means some discarded eigenvalue of
-    rho @ rho_tilde exceeded leak_tol."""
+    in pair order."""
     _check_qubits(cut, mats)
-    _check_leak(cut, leak_tol)
     values = _pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1]
     return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
 
 
-def bipartite_concurrence(rho, cut, leak_tol=LEAK_TOL):
+def bipartite_concurrence(rho, cut):
     """Generalized concurrence of rho across a bipartition, one PairTerm per
-    generator pair. A SpectralLeakError means some discarded eigenvalue of
-    rho @ rho_tilde exceeded leak_tol.
-    """
+    generator pair."""
     _check_qubits(cut, rho.mat)
-    _check_leak(cut, leak_tol)
     labels, flat = _pair_blocks(cut.block1, cut.block2)
     lam, values = _pair_spectra(rho.mat[None], flat)
     return ConcurrenceBreakdown(
@@ -244,9 +211,9 @@ def bipartite_concurrence(rho, cut, leak_tol=LEAK_TOL):
         for (m, n), top, value in zip(labels, lam[0].tolist(), values[0].tolist()))
 
 
-def cut_concurrence(rho, cut, leak_tol=LEAK_TOL):
+def cut_concurrence(rho, cut):
     """Concurrence across a cut: the total over its generator pairs."""
-    return float(cut_totals(rho.mat[None], cut, leak_tol=leak_tol)[0])
+    return float(cut_totals(rho.mat[None], cut)[0])
 
 
 _TAU3_CUTS = (Bipartition((1, 2), (3,)), Bipartition((1, 3), (2,)), Bipartition((2, 3), (1,)))
@@ -260,19 +227,18 @@ def _tau3_blocks():
     return flat
 
 
-def tau3_stack(mats, leak_tol=LEAK_TOL):
+def tau3_stack(mats):
     """Root-mean-square of the three 2|1 bipartite concurrences of every
     3-qubit state of a (B, 8, 8) stack, from one kernel call over the 18
     pairs of the three cuts."""
     _check_qubits(_TAU3_CUTS[0], mats)
-    _check_leak(_TAU3_CUTS[0], leak_tol)
     values = _pair_spectra(mats, _tau3_blocks())[1]
     return np.sqrt(np.sum(values * values, axis=-1) / 3.0)
 
 
-def tau3(rho, leak_tol=LEAK_TOL):
+def tau3(rho):
     """Root-mean-square of the three 2|1 bipartite concurrences of a 3-qubit
     state: the one-state case of `tau3_stack`."""
     if rho.n_qubits != 3:
         raise DimensionMismatchError(f"tau3 needs 3 qubits, got {rho.n_qubits}")
-    return float(tau3_stack(rho.mat[None], leak_tol=leak_tol)[0])
+    return float(tau3_stack(rho.mat[None])[0])

@@ -20,11 +20,3 @@ class DimensionMismatchError(ValueError):
 class InvalidPermutationError(ValueError):
     """Sequence is not a permutation of the expected qubit indices."""
 
-
-class SpectralLeakError(RuntimeError):
-    """More than four numerically nonzero eigenvalues in a pair inversion spectrum.
-
-    Raised when the discarded part of the spectrum exceeds the leak tolerance,
-    which signals that the four-eigenvalue assumption behind the pairwise
-    concurrence terms does not hold for the given state.
-    """

@@ -1,5 +1,5 @@
-"""Named reproduction scenarios: the three-BPF lower-bound sweep and the
-rank table for every (state, channel family) scenario with a claimed rank."""
+"""Named reproduction scenarios: the catalogue of (state, channel family)
+scenarios, the three-BPF lower-bound sweep and the rank table."""
 
 import json
 import math
@@ -8,14 +8,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChannelAssignment, apply, evolve, flip_channel, flip_params, pauli_superops
-from .concurrence import LEAK_TOL, tau3_stack
+from .concurrence import tau3_stack
 from .linalg import density_spectra, numerical_rank
 from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
 BISECT_TOL = 1e-4       # p resolution of the zero-crossing refinement
 
-SCENARIOS = ("ghz3-bpf3",)
+# Every (state, per-qubit family) scenario, with the final rank it is claimed
+# to have for generic in-family channel parameters (None: no claim).
+# `conclab sweep` runs a campaign on each; `rank_table` checks the claims.
+CATALOGUE = (
+    ("bell", ("BF", "BF"), None),
+    ("bell", ("PF", "PF"), None),
+    ("bell", ("BPF", "BPF"), None),
+    ("ghz3", ("PF", "PF", "PF"), 2),
+    ("ghz3", ("BF", "BF", "BF"), 4),
+    ("ghz3", ("PF", "PF", "BF"), 4),
+    ("ghz3", ("PF", "PF", "BPF"), 4),
+    ("w3", ("PF", "PF", "PF"), 3),
+    ("ghz4", ("PF", "PF", "PF", "PF"), 2),
+    ("ghz4", ("PF", "PF", "PF", "BF"), 4),
+    ("w4", ("PF", "PF", "PF", "PF"), 4),
+    ("ghz3", ("BPF", "BPF", "BPF"), 8),
+)
 
 
 def _grid(points):
@@ -26,10 +42,9 @@ def _grid(points):
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Flip-probability sweep for a named scenario on p in [0, 0.5]."""
+    """Flip-probability grid of the ghz3 BPF^3 sweep on p in [0, 0.5]."""
 
     p_grid: tuple = _grid(101)
-    scenario: str = "ghz3-bpf3"
 
     def __post_init__(self):
         grid = tuple(float(p) for p in self.p_grid)
@@ -38,22 +53,20 @@ class SweepSpec:
         if grid and (grid[0] < 0.0 or grid[-1] > 0.5):
             raise ValueError("p grid must lie within [0, 0.5]")
         object.__setattr__(self, "p_grid", grid)
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
 
     @classmethod
-    def uniform(cls, points=101, scenario="ghz3-bpf3"):
-        return cls(p_grid=_grid(points), scenario=scenario)
+    def uniform(cls, points=101):
+        return cls(p_grid=_grid(points))
 
 
-def _tau3_bpf3(ps, rho0, leak_tol=LEAK_TOL):
+def _tau3_bpf3(ps, rho0):
     """tau3 (len(ps),) of the three-qubit initial density matrix `rho0`
     (8, 8), the GHZ state, after identical BPF(p) on every qubit, for every
     p of `ps`: one stacked evolution, validation and kernel call."""
     superops = pauli_superops(flip_params("BPF", ps))
     mats = evolve(rho0[None], dict.fromkeys((1, 2, 3), superops))
     density_spectra(mats)
-    return tau3_stack(mats, leak_tol=leak_tol)
+    return tau3_stack(mats)
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class Figure1Result:
 
     def to_csv(self):
         header = {
-            "scenario": self.spec.scenario,
+            "scenario": "ghz3-bpf3",
             "points": len(self.spec.p_grid),
             "p_min": self.spec.p_grid[0],
             "p_max": self.spec.p_grid[-1],
@@ -80,8 +93,8 @@ class Figure1Result:
         return "\n".join(out) + "\n"
 
 
-def figure1_scan(spec=None, leak_tol=LEAK_TOL):
-    """Sweep the scenario over the p grid.
+def figure1_scan(spec=None):
+    """Sweep ghz3 under identical BPF(p) on every qubit over the p grid.
 
     Column 2 is the direct lower bound of the evolved (rank-8) state; columns
     3 and 4 are the closed-form curves (1-2p)^3 and (1-2p)^2 that the product
@@ -91,7 +104,7 @@ def figure1_scan(spec=None, leak_tol=LEAK_TOL):
     """
     spec = spec or SweepSpec()
     rho0 = parse_state("ghz3").to_density().mat
-    direct = _tau3_bpf3(np.array(spec.p_grid), rho0, leak_tol=leak_tol).tolist()
+    direct = _tau3_bpf3(np.array(spec.p_grid), rho0).tolist()
     rows = [(p, tau, float((1 - 2 * p) ** 3), float((1 - 2 * p) ** 2))
             for p, tau in zip(spec.p_grid, direct)]
 
@@ -101,7 +114,7 @@ def figure1_scan(spec=None, leak_tol=LEAK_TOL):
             lo, hi = rows[k - 1][0], rows[k][0]
             while hi - lo > BISECT_TOL:
                 mid = 0.5 * (lo + hi)
-                if _tau3_bpf3([mid], rho0, leak_tol=leak_tol)[0] > VANISH_TOL:
+                if _tau3_bpf3([mid], rho0)[0] > VANISH_TOL:
                     lo = mid
                 else:
                     hi = mid
@@ -109,20 +122,6 @@ def figure1_scan(spec=None, leak_tol=LEAK_TOL):
             break
     return Figure1Result(spec=spec, rows=tuple(rows), zero_crossing=crossing)
 
-
-# Every (state, per-qubit family) scenario with a known final rank, and the
-# rank it is expected to have for generic in-family channel parameters.
-RANK_SCENARIOS = (
-    ("ghz3", ("PF", "PF", "PF"), 2),
-    ("ghz3", ("BF", "BF", "BF"), 4),
-    ("ghz3", ("PF", "PF", "BF"), 4),
-    ("ghz3", ("PF", "PF", "BPF"), 4),
-    ("w3", ("PF", "PF", "PF"), 3),
-    ("ghz4", ("PF", "PF", "PF", "PF"), 2),
-    ("ghz4", ("PF", "PF", "PF", "BF"), 4),
-    ("w4", ("PF", "PF", "PF", "PF"), 4),
-    ("ghz3", ("BPF", "BPF", "BPF"), 8),
-)
 
 # Fixed, pairwise-distinct generic flip probabilities (qubit k gets the k-th);
 # distinct values keep the channels inequivalent so ranks are not accidentally
@@ -145,7 +144,9 @@ class RankRow:
 def rank_table(p_values=GENERIC_PS):
     """Compute the final rank of every catalogued scenario next to its claim."""
     rows = []
-    for state_name, families, claimed in RANK_SCENARIOS:
+    for state_name, families, claimed in CATALOGUE:
+        if claimed is None:
+            continue
         psi = parse_state(state_name)
         channels = [flip_channel(fam, p_values[k]) for k, fam in enumerate(families)]
         rho = apply(ChannelAssignment.many_sided(channels), psi.to_density())

@@ -42,7 +42,7 @@ from .channels import (
     evolve,
     pauli_superops,
 )
-from .concurrence import LEAK_TOL, Bipartition, cut_totals, parse_cut
+from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
 from .linalg import RANK_TOL, density_spectra, spectral_ranks
 from .states import parse_state
@@ -183,7 +183,7 @@ class _Evaluation:
 
 
 def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponent,
-              aggregation, leak_tol, rank_tol):
+              aggregation, rank_tol):
     """Evaluate an identity on S scenarios that share the initial density
     matrix rho0 (d, d), given their many-sided final states finals
     (S, d, d) and per-qubit superoperators superops (S, n, 4, 4)."""
@@ -206,7 +206,7 @@ def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponen
         factor_ranks[:, cols] = spectral_ranks(density_spectra(states), rank_tol).reshape(
             samples, len(cols))
         single[:, cols] = states.reshape(samples, len(cols), d, d)
-    totals = cut_totals(mats, identity.cut, leak_tol=leak_tol)
+    totals = cut_totals(mats, identity.cut)
     lhs = totals[:samples]
     factors = totals[samples:-1].reshape(samples, n)
     initial_c = float(totals[-1])
@@ -234,7 +234,7 @@ def _superops(channels):
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
                       normalization_exponent=None, aggregation="sum",
-                      seed=None, leak_tol=LEAK_TOL, rank_tol=RANK_TOL,
+                      seed=None, rank_tol=RANK_TOL,
                       relabeling=None):
     """Evaluate one identity on a scenario (initial state + one channel per qubit).
 
@@ -252,7 +252,7 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     finals, final_ranks = _final_states(rho0, superops, rank_tol)
     ev = _evaluate(identity, rho0, finals, superops, anchor=anchor,
                    normalization_exponent=normalization_exponent,
-                   aggregation=aggregation, leak_tol=leak_tol, rank_tol=rank_tol)
+                   aggregation=aggregation, rank_tol=rank_tol)
     final_rank = int(final_ranks[0])
     return IdentityReport(
         identity=identity.form,
@@ -294,14 +294,6 @@ def classify_scenario(psi, channels, rank_tol=RANK_TOL):
     return rank, _suggested_identity(rank, psi.n_qubits)
 
 
-def relabel_scenario(psi, channels, perm):
-    """Relabel qubits of a scenario: new qubit k is old qubit perm[k], and
-    each channel follows its qubit."""
-    perm = tuple(int(q) for q in perm)
-    channels = tuple(channels)
-    return psi.permuted(perm), tuple(channels[q - 1] for q in perm)
-
-
 def _require_int(name, value):
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -323,7 +315,6 @@ class CampaignConfig:
     aggregation: str = "sum"
     anchor: str = ANCHOR_LAST
     rank_tol: float = RANK_TOL
-    leak_tol: float = LEAK_TOL
     relabel: tuple | None = None
 
     def __post_init__(self):
@@ -336,7 +327,7 @@ class CampaignConfig:
         object.__setattr__(self, "channels", tuple(self.channels))
         for name in ("samples", "seed"):
             _require_int(name, getattr(self, name))
-        for name in ("tol", "rank_tol", "leak_tol"):
+        for name in ("tol", "rank_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
@@ -367,8 +358,7 @@ class CampaignConfig:
             obj = json.loads(obj)
         if not isinstance(obj, dict):
             raise ValueError(f"campaign config must be a JSON object, got {type(obj).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(obj) - known
+        extra = set(obj) - set(cls.__dataclass_fields__)
         if extra:
             raise ValueError(f"unknown campaign config fields: {sorted(extra)}")
         missing = {"state", "channels", "samples"} - set(obj)
@@ -393,7 +383,6 @@ class CampaignConfig:
             "aggregation": self.aggregation,
             "anchor": self.anchor,
             "rank_tol": self.rank_tol,
-            "leak_tol": self.leak_tol,
             "relabel": list(self.relabel) if self.relabel is not None else None,
         }
 
@@ -499,8 +488,7 @@ def run_campaign(config):
             ev = _evaluate(identity, rho0, finals[idx], superops[idx],
                            anchor=config.anchor,
                            normalization_exponent=config.normalization_exponent,
-                           aggregation=config.aggregation,
-                           leak_tol=config.leak_tol, rank_tol=config.rank_tol)
+                           aggregation=config.aggregation, rank_tol=config.rank_tol)
             for i, result in zip(idx, zip(ev.lhs.tolist(), ev.rhs.tolist(),
                                           ev.residual.tolist())):
                 results[i] = result

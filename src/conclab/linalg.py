@@ -1,5 +1,5 @@
 """Dense complex matrix primitives: Pauli constants, eigensolves, PSD square
-roots, qubit permutation, and density-matrix validation, of one matrix (the
+roots, qubit permutation indices, and density-matrix validation, of one matrix (the
 `DensityMatrix` container) or of a (..., d, d) stack.
 
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
@@ -110,16 +110,6 @@ def permutation_indices(n_qubits, perm):
     return src
 
 
-def permute_qubits(m, perm):
-    """Relabel the qubits of a 2^n x 2^n matrix; pure reindexing, no arithmetic."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-    n = n_qubits_of(m.shape[0])
-    src = permutation_indices(n, perm)
-    return m[np.ix_(src, src)]
-
-
 def density_spectra(mats):
     """Validate a density matrix, or every matrix of a (..., d, d) stack: finite
     entries, Hermitian within HERM_TOL, unit trace within TRACE_TOL, lowest
@@ -188,9 +178,6 @@ class DensityMatrix:
     @property
     def rank(self):
         return numerical_rank(self)
-
-    def permuted(self, perm):
-        return DensityMatrix(permute_qubits(self.mat, perm))
 
     def __repr__(self):
         return f"DensityMatrix(n_qubits={self.n_qubits}, rank={self.rank})"

@@ -2,6 +2,7 @@
 
 import json
 import math
+from numbers import Number, Real
 
 import numpy as np
 
@@ -84,15 +85,18 @@ _NAMED = {
 }
 
 
-def _amplitude(entry):
+def _complex_entry(entry, what="amplitude"):
+    """A JSON amplitude or matrix entry: a number, or an [re, im] pair of
+    real numbers; a bool, a string or any other value raises ValueError."""
     try:
-        if not isinstance(entry, (list, tuple)):
+        if isinstance(entry, Number) and not isinstance(entry, bool):
             return complex(entry)
-        if len(entry) == 2:
+        if isinstance(entry, (list, tuple)) and len(entry) == 2 \
+                and all(isinstance(x, Real) and not isinstance(x, bool) for x in entry):
             return complex(float(entry[0]), float(entry[1]))
-    except TypeError:
+    except OverflowError:
         pass
-    raise ValueError(f"amplitude entries must be numbers or [re, im] pairs, got {entry!r}")
+    raise ValueError(f"{what} entries must be numbers or [re, im] pairs, got {entry!r}")
 
 
 def state_from_json(obj):
@@ -106,7 +110,7 @@ def state_from_json(obj):
         obj = obj["amplitudes"]
     if not isinstance(obj, (list, tuple)):
         raise ValueError(f"cannot interpret {obj!r} as a state")
-    return PureState([_amplitude(e) for e in obj])
+    return PureState([_complex_entry(e) for e in obj])
 
 
 def parse_state(spec):

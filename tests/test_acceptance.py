@@ -14,19 +14,19 @@ import numpy as np
 import pytest
 
 from conclab.channels import ChannelAssignment, apply, sample_channel
-from conclab.concurrence import Bipartition, bipartite_concurrence, wootters
-from conclab.errors import SpectralLeakError
+from conclab.concurrence import Bipartition, bipartite_concurrence, parse_cut, wootters
 from conclab.experiments import SweepSpec, figure1_scan, rank_table
 from conclab.factorization import (
     CampaignConfig,
+    default_cut,
     evaluate_identity,
     identity_for,
     run_campaign,
 )
 from conclab.linalg import DensityMatrix
-from conclab.states import bell, ghz, random_pure, w
+from conclab.states import bell, ghz, parse_state, random_pure, w
 
-from oracles import all_cuts, pure_cut_concurrence, random_density
+from oracles import all_cuts, dense_cut_concurrence, pure_cut_concurrence, random_density
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -162,36 +162,48 @@ def test_criterion_06_measure_consistency():
 
 
 def test_criterion_07_four_eigenvalue_property():
-    # the leak check is armed inside every concurrence evaluation; any
-    # violation would raise SpectralLeakError out of these campaigns
-    campaigns = [
-        CampaignConfig(state="bell", channels=("BF", "BF"), samples=50, seed=71),
-        CampaignConfig(state="bell", channels=("PF", "PF"), samples=50, seed=72),
-        CampaignConfig(state="bell", channels=("BPF", "BPF"), samples=50, seed=73),
-        CampaignConfig(state="ghz3", channels=("PF", "PF", "PF"), samples=50, seed=74),
-        CampaignConfig(state="ghz3", channels=("BF", "BF", "BF"), samples=50, seed=75,
-                       identity="sum"),
-        CampaignConfig(state="w3", channels=("PF", "PF", "PF"), samples=50, seed=76,
-                       identity="sum"),
-        CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "PF"), samples=25, seed=77),
-        CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=25, seed=78,
-                       identity="sum", cut="12|34"),
-        CampaignConfig(state="w4", channels=("PF", "PF", "PF", "PF"), samples=25, seed=79,
-                       identity="sum"),
+    # The dense formula reads every pair's l's from all d singular values of
+    # sqrt(rho) (L_m kron L_n) sqrt(rho)* in full dimension, so a fifth
+    # nonzero l would show there. It is checked on the final states of the
+    # campaign scenarios, on their cuts, and on the three 2|1 cuts of ghz3
+    # under identical BPF. A fifth l needs a state of rank above four, so
+    # the rank-8 BPF states carry the check; the campaign states have rank
+    # at most four.
+    scenarios = [
+        ("bell", ("BF", "BF"), None, 71),
+        ("bell", ("PF", "PF"), None, 72),
+        ("bell", ("BPF", "BPF"), None, 73),
+        ("ghz3", ("PF", "PF", "PF"), None, 74),
+        ("ghz3", ("BF", "BF", "BF"), None, 75),
+        ("w3", ("PF", "PF", "PF"), None, 76),
+        ("ghz4", ("PF", "PF", "PF", "PF"), None, 77),
+        ("ghz4", ("PF", "PF", "PF", "BF"), "12|34", 78),
+        ("w4", ("PF", "PF", "PF", "PF"), None, 79),
     ]
-    clauses = []
-    leaked = False
-    try:
-        for config in campaigns:
-            run_campaign(config)
-        from conclab.concurrence import tau3
-        ch = _sampled(["BPF"], 80)[0]
-        tau3(apply(ChannelAssignment.many_sided([ch] * 3), ghz(3).to_density()))
-    except SpectralLeakError as err:
-        leaked = True
-        clauses.append((f"spectral leak raised: {err}", False))
-    if not leaked:
-        clauses.append(("no spectral leak across all campaign scenarios at 1e-8", True))
+    cases = []  # (density matrix, cut)
+    for state, families, cut, seed in scenarios:
+        psi = parse_state(state)
+        cut = parse_cut(cut) if cut else default_cut(psi.n_qubits)
+        for i in range(10):
+            chans = _sampled(families, 100 * seed + i)
+            cases.append((apply(ChannelAssignment.many_sided(chans), psi.to_density()), cut))
+    for i in range(10):
+        ch = _sampled(["BPF"], 8000 + i)[0]
+        rho = apply(ChannelAssignment.many_sided([ch] * 3), ghz(3).to_density())
+        cases += [(rho, cut) for cut in (parse_cut("12|3"), parse_cut("13|2"),
+                                         parse_cut("23|1"))]
+    pairs = 0
+    all_d = True
+    worst = 0.0
+    for rho, cut in cases:
+        terms, _ = dense_cut_concurrence(rho.mat, cut.block1, cut.block2)
+        pairs += len(terms)
+        all_d = all_d and all(len(lam) == rho.dim for _, _, lam, _ in terms)
+        worst = max([worst] + [float(lam[4]) ** 2 for _, _, lam, _ in terms if len(lam) > 4])
+    clauses = [
+        (f"dense spectra of {pairs} pairs over {len(cases)} states hold all d l's", all_d),
+        (f"largest fifth l^2 {worst:.3e} <= 1e-8", worst <= 1e-8),
+    ]
     _finish(7, "at most four nonzero eigenvalues per pair inversion", clauses)
 
 

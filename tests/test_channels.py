@@ -21,7 +21,6 @@ from conclab.channels import (
     pauli_channel,
     pauli_superops,
     sample_channel,
-    single_sided,
 )
 from conclab.concurrence import wootters
 from conclab.errors import DimensionMismatchError, NotNormalizedError
@@ -201,23 +200,26 @@ class TestStackedEvolution:
 
 
 class TestSingleSided:
+    """A channel on one qubit of a pure state, identity elsewhere."""
+
     def test_identity_channel_is_noop(self):
         psi = ghz(3)
-        out = single_sided(identity_channel(), 2, psi)
+        out = apply(ChannelAssignment(3, {2: identity_channel()}), psi.to_density())
         assert np.max(np.abs(out.mat - psi.to_density().mat)) <= 1e-14
 
     def test_phase_flip_on_ghz_has_rank_two(self):
-        out = single_sided(flip_channel("PF", 0.3), 3, ghz(3))
+        out = apply(ChannelAssignment(3, {3: flip_channel("PF", 0.3)}), ghz(3).to_density())
         assert out.rank == 2
 
     def test_bit_flip_on_bell_concurrence(self):
         for p in (0.1, 0.3, 0.45):
-            out = single_sided(flip_channel("BF", p), 2, bell(SQ2))
+            out = apply(ChannelAssignment(2, {2: flip_channel("BF", p)}),
+                        bell(SQ2).to_density())
             assert abs(wootters(out) - abs(1 - 2 * p)) <= 1e-12
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            single_sided(identity_channel(), 4, ghz(3))
+            ChannelAssignment(3, {4: identity_channel()})
 
 
 class TestSampling:
@@ -310,3 +312,28 @@ class TestParsing:
             parse_channel("BF:q=0.2")
         with pytest.raises(ValueError):
             channel_from_json({"family": "BF"})
+
+    def test_json_objects_in_a_list_keep_their_commas(self):
+        channels = parse_channel_list(
+            '{"family":"general","a":[0.5,0.5,0.5,0.5]},BF:p=0.3, {"family": "BPF", "p": 0.25}',
+            3)
+        assert [c.label for c in channels] == ["GeneralPauli", "BF", "BPF"]
+        assert channels[0].params.a == (0.5, 0.5, 0.5, 0.5)
+        assert channels[2].params == flip_channel("BPF", 0.25).params
+
+    @pytest.mark.parametrize("obj", [
+        {"family": "general", "a": 5},
+        {"family": "general", "a": [None, 1, 0, 0]},
+        {"family": "BF", "a": [True, 0, 0, 0]},
+        {"family": "general", "a": ["0.5", 0.5, 0.5, 0.5]},
+        {"family": "BF", "p": [0.2]},
+        {"family": "BF", "p": None},
+        {"family": "BF", "p": "0.2"},
+        {"family": "BF", "p": False},
+        {"family": "BF", "p": 10 ** 400},
+        {"family": "general", "a": [float("nan"), 0, 0, 0]},
+    ], ids=["a-number", "a-null", "a-bool", "a-string", "p-list", "p-null", "p-string",
+            "p-bool", "p-overflow", "a-nan"])
+    def test_json_parameter_types(self, obj):
+        with pytest.raises(ValueError):
+            channel_from_json(obj)

@@ -6,6 +6,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conclab.cli import cli_main
+from conclab.experiments import CATALOGUE
+from conclab.factorization import CampaignConfig, run_campaign
 
 
 def run(capsys, *argv):
@@ -63,10 +65,15 @@ def test_validation_error_exits_one(capsys):
     assert "error" in err.lower()
 
 
-def test_spectral_leak_exits_two(capsys):
-    code, _, err = run(capsys, "concurrence", "--state", "ghz3", "--leak-tol=-1")
-    assert code == 2
-    assert "error" in err.lower()
+@pytest.mark.parametrize("argv", [
+    ["concurrence", "--state", "ghz3"],
+    ["verify", "--identity", "product", "--state", "bell", "--channels", "BF:p=0.2,BF:p=0.3"],
+], ids=["concurrence", "verify"])
+def test_leak_tol_flag_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--leak-tol=1e-8")
+    assert code == 1
+    assert out == ""
+    assert "usage" in err.lower() and "--leak-tol" in err
 
 
 def test_evolve_dump(capsys):
@@ -111,6 +118,49 @@ def test_concurrence_matrix_file(tmp_path, capsys):
     assert abs(float(out.strip().split(",")[1]) - 1.0) < 1e-10
 
 
+def test_json_channel_objects_on_the_command_line(capsys):
+    code, out, _ = run(capsys, "evolve", "--state", "ghz3", "--channels",
+                       '{"family":"general","a":[0.5,0.5,0.5,0.5]},BF:p=0.3,BPF:p=0.25')
+    assert code == 0
+    assert len(out.strip().split("\n")) == 2 + 64
+
+
+@pytest.mark.parametrize("channels", [
+    '{"family":"general","a":5},BF:p=0.3,I',
+    '{"family":"general","a":[null,1,0,0]},BF:p=0.3,I',
+    '{"family":"BF","p":[0.2]},BF:p=0.3,I',
+    '{"family":"BF","p":0.2,BF:p=0.3,I',
+], ids=["a-number", "a-null", "p-list", "unclosed"])
+def test_bad_json_channel_exits_one(capsys, channels):
+    assert_one_error_line(*run(capsys, "evolve", "--state", "ghz3", "--channels", channels))
+
+
+@pytest.mark.parametrize("matrix", [
+    [[None, 0], [0, 1]],
+    [1, 2],
+    [[{"a": 1}, 0], [0, 1]],
+    [[[1]]],
+    [[True, 0], [0, False]],
+    [["1", 0], [0, 0]],
+    [[1, 0], [0]],
+    [[[0.5, 0.0, 1.0], 0], [0, 0.5]],
+    {"matrix": None},
+], ids=["null", "flat", "dict", "nested", "bool", "string", "ragged", "triple", "no-matrix"])
+def test_bad_matrix_file_exits_one(tmp_path, capsys, matrix):
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(matrix))
+    assert_one_error_line(*run(capsys, "concurrence", "--matrix", str(path)))
+
+
+def test_matrix_entries_as_pairs(tmp_path, capsys):
+    rho = [[0.5, 0, 0, [0.0, 0.5]], [0, 0, 0, 0], [0, 0, 0, 0], [[0.0, -0.5], 0, 0, 0.5]]
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(rho))
+    code, out, _ = run(capsys, "concurrence", "--matrix", str(path))
+    assert code == 0
+    assert abs(float(out.strip().split(",")[1]) - 1.0) < 1e-10
+
+
 def test_campaign_from_config_file(tmp_path, capsys):
     config = {"state": "bell", "channels": ["BF", "BF"], "samples": 20, "seed": 4}
     path = tmp_path / "campaign.json"
@@ -133,6 +183,57 @@ def test_campaign_config_bad_anchor_exits_one(tmp_path, capsys):
     assert err.startswith("error:") and "anchor" in err
     assert len(err.strip().split("\n")) == 1
     assert "Traceback" not in err
+
+
+def test_campaign_config_with_leak_tol_exits_one(tmp_path, capsys):
+    config = {"state": "bell", "channels": ["BF", "BF"], "samples": 3, "leak_tol": 1e-8}
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run(capsys, "campaign", "--config", str(path))
+    assert_one_error_line(code, out, err)
+    assert "unknown" in err and "leak_tol" in err
+
+
+def test_campaign_flags_fill_config_fields(capsys):
+    code, out, _ = run(capsys, "campaign", "--state", "ghz4", "--channels", "PF, PF,PF,BF",
+                       "--samples", "2", "--tol", "1e-6", "--seed", "7", "--identity", "sum",
+                       "--cut", "12|34", "--exponent", "1", "--aggregation", "rms",
+                       "--anchor", "own", "--relabel", "2,1,4,3")
+    assert code == 0
+    header = json.loads(out.split("\n")[0].removeprefix("# "))
+    assert header == CampaignConfig(
+        state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=2, tol=1e-6, seed=7,
+        identity="sum", cut="12|34", normalization_exponent=1, aggregation="rms",
+        anchor="own", relabel=(2, 1, 4, 3)).to_json_dict()
+
+
+def test_campaign_bad_relabel_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "campaign", "--state", "bell", "--channels", "BF,BF",
+                         "--samples", "1", "--relabel", "2,x")
+    assert code == 1
+    assert out == ""
+    assert "--relabel" in err
+
+
+def test_sweep_csvs_equal_run_campaign(tmp_path, capsys):
+    code, out, _ = run(capsys, "sweep", "--samples", "3", "--seed", "5",
+                       "--out-dir", str(tmp_path))
+    assert code == 0
+    written = sorted(p.name for p in tmp_path.iterdir())
+    expected = {}
+    for state, families, _ in CATALOGUE:
+        for aggregation in ("sum", "rms"):
+            config = CampaignConfig(state=state, channels=families, samples=3, seed=5,
+                                    aggregation=aggregation)
+            expected[f"{state}-{'-'.join(families)}-{aggregation}.csv"] = \
+                run_campaign(config).to_csv()
+    assert written == sorted(expected) and len(written) == 2 * len(CATALOGUE)
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text() == text
+    lines = out.strip().split("\n")
+    assert lines[0].split()[:2] == ["state", "channels"]
+    assert len(lines) == 1 + 2 * len(CATALOGUE) + 1
+    assert lines[-1] == f"per-sample CSVs in {tmp_path}/"
 
 
 def assert_one_error_line(code, out, err):
@@ -182,7 +283,7 @@ _FIELDS = {
     "aggregation": st.sampled_from(["sum", "rms"]) | _JSON,
     "anchor": st.sampled_from(["last", "own"]) | _JSON,
     "rank_tol": st.sampled_from([1e-10, 0.05]) | _JSON,
-    "leak_tol": st.sampled_from([1e-8, -1.0]) | _JSON,
+    "leak_tol": st.sampled_from([1e-8, -1.0]) | _JSON,  # no field any more: rejected
     "relabel": st.sampled_from([[2, 1], [3, 2, 1], [1, 1, 2]]) | _JSON,
 }
 
@@ -191,11 +292,81 @@ _FIELDS = {
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(config=st.fixed_dictionaries({}, optional=_FIELDS) | _JSON)
 def test_campaign_config_fuzz_never_tracebacks(tmp_path, capsys, config):
-    """Any config JSON ends in exit 0, 1 or 2; a failure is one error line."""
+    """Any config JSON ends in exit 0 or 1; a failure is one error line."""
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps(config))
     code, out, err = run(capsys, "campaign", "--config", str(path))
-    assert code in (0, 1, 2)
+    assert code in (0, 1)
+    if code:
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().split("\n")) == 1
+    if isinstance(config, dict) and "leak_tol" in config:
+        assert code == 1 and "leak_tol" in err
+
+
+_ENTRY = (st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-1, 1)
+          | st.sampled_from([0.5, 0.25, 0.0]) | st.text(max_size=3)
+          | st.lists(st.floats(-1, 1) | st.none() | st.booleans(), max_size=3)
+          | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_VALID_MATRICES = st.sampled_from([
+    [[1, 0], [0, 0]],
+    [[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]],
+    [[0.25 if i == j else 0 for j in range(8)] for i in range(8)][:4],
+    [[0.125 if i == j else 0 for j in range(8)] for i in range(8)],
+])
+
+
+@st.composite
+def _matrix_json(draw):
+    """A valid matrix with some entries replaced, a ragged or nested list of
+    entries, or any JSON value; bare or under a "matrix" key."""
+    kind = draw(st.sampled_from(["edited", "lists", "any"]))
+    if kind == "edited":
+        obj = [list(row) for row in draw(_VALID_MATRICES)]
+        for _ in range(draw(st.integers(0, 2))):
+            i = draw(st.integers(0, len(obj) - 1))
+            j = draw(st.integers(0, len(obj[i]) - 1))
+            obj[i][j] = draw(_ENTRY)
+    elif kind == "lists":
+        obj = draw(st.lists(st.lists(_ENTRY, max_size=4) | _ENTRY, max_size=4))
+    else:
+        obj = draw(_JSON)
+    return {"matrix": obj} if draw(st.booleans()) else obj
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(matrix=_matrix_json(),
+       flags=st.sampled_from([[], ["--tau3"], ["--breakdown"], ["--cut", "2|1"]]))
+def test_matrix_file_fuzz_never_tracebacks(tmp_path, capsys, matrix, flags):
+    """Any --matrix JSON ends in exit 0 or 1; a failure is one error line."""
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run(capsys, "concurrence", "--matrix", str(path), *flags)
+    assert code in (0, 1)
+    if code:
+        assert out == ""
+        assert err.startswith("error:") and len(err.strip().split("\n")) == 1
+
+
+_PARAM = (st.floats(-0.5, 1.5) | st.none() | st.booleans() | st.text(max_size=3)
+          | st.lists(st.floats(0, 1) | st.none(), max_size=5))
+_CHANNEL_OBJECT = st.fixed_dictionaries(
+    {"family": st.sampled_from(["BF", "PF", "BPF", "general", "XY"]) | _JSON},
+    optional={"p": _PARAM, "a": _PARAM | st.just([0.5, 0.5, 0.5, 0.5])},
+).map(json.dumps)
+_CHANNEL_TOKEN = (st.sampled_from(["I", "BF:p=0.2", "PF:p=0.35", "BPF:p=0.1", "BF:p=x",
+                                   "general", "BF", "PF:q=0.1", "", " ", "{", "]"])
+                  | _CHANNEL_OBJECT | st.text(max_size=4))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(tokens=st.lists(_CHANNEL_TOKEN, max_size=4))
+def test_channels_fuzz_never_tracebacks(capsys, tokens):
+    """Any --channels string ends in exit 0 or 1; a failure is one error line."""
+    code, out, err = run(capsys, "evolve", "--state", "ghz3", "--channels=" + ",".join(tokens))
+    assert code in (0, 1)
     if code:
         assert out == ""
         assert err.startswith("error:") and len(err.strip().split("\n")) == 1

@@ -10,12 +10,11 @@ from conclab.concurrence import (
     cut_concurrence,
     cut_totals,
     parse_cut,
-    so_generators,
     tau3,
     tau3_stack,
     wootters,
 )
-from conclab.errors import DimensionMismatchError, SpectralLeakError
+from conclab.errors import DimensionMismatchError
 from conclab.linalg import DensityMatrix, kron
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
@@ -26,6 +25,7 @@ from oracles import (
     pure_cut_concurrence,
     random_density,
     random_unitary,
+    rotation_generators,
     wootters_charpoly,
 )
 
@@ -39,22 +39,25 @@ def bell_mixture(x):
 
 
 class TestGenerators:
+    """The rotation generators of the dense reference formula, whose pair
+    order the kernel's PairTerm labels follow."""
+
     def test_unique_two_dimensional_generator(self):
-        gens = so_generators(2)
+        gens = rotation_generators(2)
         assert len(gens) == 1
         assert np.array_equal(gens[0], np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     @pytest.mark.parametrize("d,count", [(2, 1), (4, 6), (8, 28)])
     def test_counts(self, d, count):
-        assert len(so_generators(d)) == d * (d - 1) // 2
+        assert len(rotation_generators(d)) == d * (d - 1) // 2
 
     def test_antisymmetric_rank_two(self):
-        for g in so_generators(4):
+        for g in rotation_generators(4):
             assert np.array_equal(g, -g.T)
             assert np.linalg.matrix_rank(g) == 2
 
     def test_lexicographic_order(self):
-        gens = so_generators(3)
+        gens = rotation_generators(3)
         positions = [tuple(np.argwhere(g == 1.0)[0]) for g in gens]
         assert positions == [(0, 1), (0, 2), (1, 2)]
 
@@ -144,29 +147,14 @@ class TestBipartite:
         breakdown = bipartite_concurrence(ghz(3).to_density(), parse_cut("12|3"))
         assert [(p.m, p.n) for p in breakdown.pairs] == [(m, 1) for m in range(1, 7)]
 
-    def test_spectral_leak_raises_when_forced(self):
-        rho = ghz(3).to_density()
-        with pytest.raises(SpectralLeakError):
-            bipartite_concurrence(rho, parse_cut("12|3"), leak_tol=-1.0)
-
-    def test_leak_tol_zero_does_not_raise(self):
-        rho = ghz(3).to_density()
-        for label in ("12|3", "1|23", "13|2"):
-            bipartite_concurrence(rho, parse_cut(label), leak_tol=0.0)
-        tau3(rho, leak_tol=0.0)
-
-    def test_leak_tol_just_below_zero_raises(self):
-        with pytest.raises(SpectralLeakError):
-            bipartite_concurrence(ghz(3).to_density(), parse_cut("12|3"), leak_tol=-1e-300)
-        with pytest.raises(SpectralLeakError):
-            tau3(ghz(3).to_density(), leak_tol=-1e-300)
-
     def test_two_qubit_state_never_leaks(self):
         # one pair with exactly four l's: nothing lies beyond the top four
         rho = bell_mixture(0.8)
         for cut in (Bipartition((1,), (2,)), Bipartition((2,), (1,))):
-            total = bipartite_concurrence(rho, cut, leak_tol=-1.0).total
+            total = bipartite_concurrence(rho, cut).total
             assert abs(total - 0.6) <= 1e-12
+            terms, _ = dense_cut_concurrence(rho.mat, cut.block1, cut.block2)
+            assert [len(lam) for _, _, lam, _ in terms] == [4]
 
     def test_cut_state_mismatch(self):
         with pytest.raises(DimensionMismatchError):
@@ -293,8 +281,6 @@ class TestStackedKernel:
 
     def test_stack_guards(self):
         mats = np.array([ghz(3).to_density().mat] * 2)
-        with pytest.raises(SpectralLeakError):
-            cut_totals(mats, parse_cut("12|3"), leak_tol=-1e-300)
         with pytest.raises(DimensionMismatchError):
             cut_totals(mats, parse_cut("12|34"))
         with pytest.raises(DimensionMismatchError):

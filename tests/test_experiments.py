@@ -6,8 +6,8 @@ import pytest
 from conclab.channels import ChannelAssignment, apply, flip_channel
 from conclab.concurrence import tau3
 from conclab.experiments import (
+    CATALOGUE,
     GENERIC_PS,
-    RANK_SCENARIOS,
     SweepSpec,
     _tau3_bpf3,
     figure1_scan,
@@ -33,8 +33,6 @@ class TestSweepSpec:
             SweepSpec(p_grid=(0.2, 0.1))
         with pytest.raises(ValueError):
             SweepSpec(p_grid=(0.0, 0.7))
-        with pytest.raises(ValueError):
-            SweepSpec(scenario="ghz4-bf")
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +70,7 @@ class TestFigure1:
     def test_csv_shape_and_header(self, result):
         lines = result.to_csv().strip().split("\n")
         header = json.loads(lines[0].removeprefix("# "))
+        assert header["scenario"] == "ghz3-bpf3"
         assert header["points"] == 26
         assert abs(header["zero_crossing"] - result.zero_crossing) < 1e-12
         assert lines[1] == "p,tau3_direct,product_form,sum_form"
@@ -97,7 +96,10 @@ class TestFigure1:
 class TestRankTable:
     def test_every_scenario_matches_claim(self):
         rows = rank_table()
-        assert len(rows) == len(RANK_SCENARIOS) == 9
+        claimed = [(state, families) for state, families, rank in CATALOGUE if rank is not None]
+        assert len(CATALOGUE) == 12
+        assert [(row.state, row.families) for row in rows] == claimed
+        assert len(rows) == 9
         for row in rows:
             assert row.match, f"{row.state} {row.families}: {row.computed_rank} != {row.claimed_rank}"
 

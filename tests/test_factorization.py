@@ -14,7 +14,6 @@ from conclab.factorization import (
     default_cut,
     evaluate_identity,
     identity_for,
-    relabel_scenario,
     run_campaign,
 )
 from conclab.states import bell, ghz, parse_state, w
@@ -207,7 +206,8 @@ class TestClassify:
 class TestRelabel:
     def test_relabeled_scenario_matches_direct_pattern(self):
         chans = (flip_channel("BF", 0.17), flip_channel("PF", 0.29), flip_channel("PF", 0.38))
-        psi2, chans2 = relabel_scenario(ghz(3), chans, (3, 2, 1))
+        # new qubit k is old qubit perm[k], and each channel follows its qubit
+        psi2, chans2 = ghz(3).permuted((3, 2, 1)), tuple(chans[q - 1] for q in (3, 2, 1))
         assert [c.label for c in chans2] == ["PF", "PF", "BF"]
         direct = evaluate_identity(
             identity_for("sum", 3), ghz(3),
@@ -282,6 +282,7 @@ class TestCampaign:
     @pytest.mark.parametrize("field, value", [
         ("state", 5), ("channels", "BF,BF"), ("channels", ["BF", 2]), ("samples", "3"),
         ("samples", True), ("samples", 2.0), ("seed", 1.5), ("seed", False), ("tol", "x"),
+        # leak_tol is no field any more, so it is rejected as unknown
         ("tol", True), ("rank_tol", None), ("leak_tol", [1e-8]), ("cut", 12),
         ("normalization_exponent", "2"), ("normalization_exponent", True),
         ("relabel", 21), ("relabel", [2, 1.0]), ("relabel", [True, 2]),
@@ -326,7 +327,8 @@ class TestCampaign:
             chans = sampled(config.channels, row.seed)
             psi = psi0
             if config.relabel is not None:
-                psi, chans = relabel_scenario(psi0, chans, config.relabel)
+                psi = psi0.permuted(config.relabel)
+                chans = tuple(chans[q - 1] for q in config.relabel)
             rank, suggested = classify_scenario(psi, chans)
             assert row.rank == rank
             identity = suggested if config.identity == "auto" \

@@ -24,13 +24,14 @@ from conclab.linalg import (
     DensityMatrix,
     density_spectra,
     kron,
+    n_qubits_of,
     numerical_rank,
-    permute_qubits,
+    permutation_indices,
     psd_sqrt,
     spectral_ranks,
 )
 
-from oracles import random_psd
+from oracles import random_psd, reorder_qubits
 
 
 def bell_density():
@@ -147,18 +148,23 @@ class TestPsdSqrt:
 
 
 class TestPermuteQubits:
+    """`permutation_indices` against the index-loop reordering of the oracle."""
+
     def test_identity_permutation(self):
         rng = np.random.default_rng(3)
         m = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        assert np.array_equal(permute_qubits(m, (1, 2, 3)), m)
+        assert np.array_equal(permutation_indices(3, (1, 2, 3)), np.arange(8))
+        assert np.array_equal(reorder_qubits(m, (1, 2, 3)), m)
 
     def test_swap_relabels_basis(self):
         m = np.zeros((4, 4), dtype=complex)
         m[1, 1] = 1.0  # |01><01|
-        swapped = permute_qubits(m, (2, 1))
+        src = permutation_indices(2, (2, 1))
+        swapped = m[np.ix_(src, src)]
         expected = np.zeros((4, 4), dtype=complex)
         expected[2, 2] = 1.0  # |10><10|
         assert np.array_equal(swapped, expected)
+        assert np.array_equal(reorder_qubits(m, (2, 1)), expected)
 
     def test_ghz_invariant_under_any_permutation(self):
         from itertools import permutations
@@ -167,7 +173,8 @@ class TestPermuteQubits:
         v[0] = v[7] = 1 / np.sqrt(2)
         rho = np.outer(v, v.conj())
         for perm in permutations((1, 2, 3)):
-            assert np.array_equal(permute_qubits(rho, perm), rho)
+            src = permutation_indices(3, perm)
+            assert np.array_equal(rho[np.ix_(src, src)], rho)
 
     @settings(max_examples=50)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 4))
@@ -177,15 +184,18 @@ class TestPermuteQubits:
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         perm = tuple(rng.permutation(n) + 1)
         inverse = tuple(int(np.argwhere(np.array(perm) == k)[0, 0]) + 1 for k in range(1, n + 1))
-        assert np.array_equal(permute_qubits(permute_qubits(m, perm), inverse), m)
+        src = permutation_indices(n, perm)
+        back = permutation_indices(n, inverse)
+        assert np.array_equal(m[np.ix_(src, src)], reorder_qubits(m, perm))
+        assert np.array_equal(src[back], np.arange(dim))
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(DimensionMismatchError):
-            permute_qubits(np.eye(3), (1, 2))
+            n_qubits_of(3)
 
     def test_rejects_bad_permutation(self):
         with pytest.raises(InvalidPermutationError):
-            permute_qubits(np.eye(4), (1, 1))
+            permutation_indices(2, (1, 1))
 
 
 class TestDensityMatrix:
