@@ -1,16 +1,13 @@
 """Concurrence evolution of few-qubit states under local Pauli channels."""
 
 from .channels import (
-    ChannelAssignment,
-    KrausChannel,
-    PauliParams,
+    PauliChannel,
     apply,
     channel_from_json,
     flip_channel,
     identity_channel,
     parse_channel,
     parse_channel_list,
-    pauli_channel,
     sample_channel,
 )
 from .concurrence import (
@@ -51,7 +48,6 @@ from .factorization import (
 )
 from .linalg import (
     DensityMatrix,
-    kron,
     numerical_rank,
     permutation_indices,
     psd_sqrt,

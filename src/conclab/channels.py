@@ -1,10 +1,9 @@
-"""Single-qubit Pauli channels and their embedding as local operations on
-2-4 qubit density matrices via the operator-sum representation.
+"""Single-qubit Pauli channels and their action as local operations on
+2-4 qubit density matrices.
 
-A channel is a list of Kraus operators K_i with sum_i K_i^dag K_i = I.
-The Pauli parameterization uses K_i = a_i * sigma_i over (I, sx, sy, sz)
-with sum a_i^2 = 1, which makes the completeness relation exact. The flip
-families fix which Pauli mixes with the identity:
+A channel is a unit real 4-vector a = (a1, a2, a3, a4) over (I, sx, sy, sz):
+rho -> sum_i a_i^2 sigma_i rho sigma_i. The flip families fix which Pauli
+mixes with the identity:
 
     BF  : identity and sigma_x   (a3 = a4 = 0)
     PF  : identity and sigma_z   (a2 = a3 = 0)
@@ -12,17 +11,15 @@ families fix which Pauli mixes with the identity:
 
 Local channels act on each qubit independently, so the n-qubit map is the
 tensor product of the single-qubit ones and is applied one qubit at a time.
-Each channel carries its superoperator, the (4, 4) matrix
+A channel's superoperator is the (4, 4) matrix
 
-    S[(a, b), (c, d)] = sum_k K_k[a, c] * conj(K_k[b, d])     (sum_k K_k (x) K_k*)
+    S[(a, b), (c, d)] = sum_k a_k^2 sigma_k[a, c] * conj(sigma_k[b, d])
 
 so that rho'[a, b] = sum_{c, d} S[(a, b), (c, d)] rho[c, d] on the qubit's
-row and column indices. For Pauli channels S = sum_k a_k^2 T_k with
-T_k = sigma_k (x) sigma_k*, which is real with entries 0 and +-1, so a
-whole (S, n, 4) array of parameters becomes superoperators in one matmul
-(`pauli_superops`). Every entry of S sums exactly two of the a_k^2 with
-signs, so no summation order can change it: a Pauli channel's superop
-equals its `pauli_superops` bit for bit.
+row and column indices. S = sum_k a_k^2 T_k with T_k = sigma_k (x) sigma_k*,
+which is real with entries 0 and +-1, so a whole (S, n, 4) array of
+parameters becomes superoperators in one matmul (`pauli_superops`), the one
+formula every channel uses.
 
 `evolve` views a (B, d, d) stack of density matrices as (B,) + (2,)*2n
 tensors (row axes first, then column axes) and contracts an (S, 4, 4)
@@ -35,14 +32,14 @@ is its one-matrix case.
 """
 
 import json
-from numbers import Real
+from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, kron, n_qubits_of
+from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, n_qubits_of
 
-COMPLETENESS_TOL = 1e-10
 PARAM_NORM_TOL = 1e-12
 
 PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
@@ -55,7 +52,7 @@ _FREE_COORDS = {"GeneralPauli": [0, 1, 2, 3], **{fam: [0, ax] for fam, ax in FLI
 
 # T_k = sigma_k (x) sigma_k*, the superoperator of the Kraus operator sigma_k,
 # flattened to (4, 16); it is real
-_PAULI_TRANSFER = np.array([kron(s, s.conj()).real.reshape(-1) for s in PAULIS])
+_PAULI_TRANSFER = np.array([np.kron(s, s.conj()).real.reshape(-1) for s in PAULIS])
 _PAULI_TRANSFER.setflags(write=False)
 
 FAMILIES = ("BF", "PF", "BPF", "GeneralPauli")
@@ -69,90 +66,45 @@ def _canonical_family(family):
     raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
 
 
-class PauliParams:
-    """Real 4-vector (a1, a2, a3, a4) with unit Euclidean norm, optionally
-    tagged with the flip family whose zero-pattern it must satisfy."""
-
-    __slots__ = ("a", "family")
-
-    def __init__(self, a, family=None):
-        a = tuple(float(x) for x in a)
-        if len(a) != 4:
-            raise ValueError(f"expected 4 parameters, got {len(a)}")
-        norm2 = sum(x * x for x in a)
-        if not abs(norm2 - 1.0) <= PARAM_NORM_TOL:  # NaN fails too
-            raise NotNormalizedError(f"sum a_i^2 = {norm2:.15g} deviates from 1 by > {PARAM_NORM_TOL:.1e}")
-        if family is not None:
-            family = _canonical_family(family)
-            if family != "GeneralPauli":
-                flip = FLIP_AXIS[family]
-                for i in (1, 2, 3):
-                    if i != flip and a[i] != 0.0:
-                        raise ValueError(f"{family} channel requires a{i + 1} = 0, got {a[i]!r}")
-        self.a = a
-        self.family = family
-
-    def __repr__(self):
-        return f"PauliParams({self.a}, family={self.family!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, PauliParams) and self.a == other.a and self.family == other.family
-
-    def __hash__(self):
-        return hash((self.a, self.family))
-
-
-class KrausChannel:
-    """Finite set of same-dimension Kraus operators satisfying completeness,
-    with its (d^2, d^2) superoperator sum_k K_k (x) K_k* (see module docstring)."""
-
-    __slots__ = ("kraus_ops", "label", "params", "superop")
-
-    def __init__(self, kraus_ops, label="Custom", params=None):
-        ops = tuple(np.array(k, dtype=complex) for k in kraus_ops)
-        if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
-        dim = ops[0].shape[0]
-        for k in ops:
-            if k.ndim != 2 or k.shape != (dim, dim):
-                raise DimensionMismatchError("Kraus operators must be square and of equal dimension")
-            k.setflags(write=False)
-        stack = np.array(ops)
-        total = np.einsum("kba,kbc->ac", stack.conj(), stack)
-        err = float(np.max(np.abs(total - np.eye(dim))))
-        if err > COMPLETENESS_TOL:
-            raise NotNormalizedError(f"sum K_i^dag K_i deviates from identity by {err:.3e} > {COMPLETENESS_TOL:.1e}")
-        self.kraus_ops = ops
-        self.label = str(label)
-        self.params = params
-        self.superop = np.einsum("kac,kbd->abcd", stack, stack.conj()).reshape(dim * dim, -1)
-        self.superop.setflags(write=False)
-
-    @property
-    def dim(self):
-        return self.kraus_ops[0].shape[0]
-
-    def __repr__(self):
-        return f"KrausChannel(label={self.label!r}, n_ops={len(self.kraus_ops)})"
-
-
-def pauli_channel(params):
-    """Kraus set {a_i * sigma_i : a_i != 0} for unit-norm Pauli parameters."""
-    if not isinstance(params, PauliParams):
-        params = PauliParams(params)
-    ops = [a * sigma for a, sigma in zip(params.a, PAULIS) if a != 0.0]
-    return KrausChannel(ops, label=params.family or "GeneralPauli", params=params)
-
-
-def identity_channel():
-    return pauli_channel(PauliParams((1.0, 0.0, 0.0, 0.0)))
-
-
 def pauli_superops(a):
     """Superoperators (..., 4, 4), complex, of the Pauli channels with
     parameters (..., 4): sum_k a_k^2 T_k."""
     a = np.asarray(a, dtype=float)
     return (np.square(a) @ _PAULI_TRANSFER).reshape(a.shape[:-1] + (4, 4)).astype(complex)
+
+
+@dataclass(frozen=True)
+class PauliChannel:
+    """Single-qubit Pauli channel: a unit real 4-vector a over (I, sx, sy, sz),
+    tagged with the family whose zero pattern it satisfies, and its frozen
+    (4, 4) superoperator `pauli_superops(a)`."""
+
+    a: tuple
+    family: str = "GeneralPauli"
+    superop: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        a = tuple(float(x) for x in self.a)
+        if len(a) != 4:
+            raise ValueError(f"expected 4 parameters, got {len(a)}")
+        norm2 = sum(x * x for x in a)
+        if not abs(norm2 - 1.0) <= PARAM_NORM_TOL:  # NaN fails too
+            raise NotNormalizedError(f"sum a_i^2 = {norm2:.15g} deviates from 1 by > {PARAM_NORM_TOL:.1e}")
+        family = _canonical_family(self.family)
+        if family != "GeneralPauli":
+            flip = FLIP_AXIS[family]
+            for i in (1, 2, 3):
+                if i != flip and a[i] != 0.0:
+                    raise ValueError(f"{family} channel requires a{i + 1} = 0, got {a[i]!r}")
+        superop = pauli_superops(a)
+        superop.setflags(write=False)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "superop", superop)
+
+
+def identity_channel():
+    return PauliChannel((1.0, 0.0, 0.0, 0.0))
 
 
 def flip_params(family, p):
@@ -174,7 +126,7 @@ def flip_params(family, p):
 def flip_channel(family, p):
     """Family channel with flip probability p: a = (sqrt(1-p), sqrt(p)) on the
     identity and the family's flip coordinate."""
-    return pauli_channel(PauliParams(flip_params(family, p), family=family))
+    return PauliChannel(flip_params(family, p), family)
 
 
 def draw_params(families, rngs):
@@ -199,41 +151,7 @@ def draw_params(families, rngs):
 def sample_channel(family, rng):
     """One channel drawn by `draw_params`."""
     family = _canonical_family(family)
-    return pauli_channel(PauliParams(draw_params((family,), (rng,))[0, 0], family=family))
-
-
-class ChannelAssignment:
-    """Per-qubit channel table for an n-qubit system.
-
-    Qubits without an entry receive the identity channel. Channels must be
-    single-qubit; joint multi-qubit channels are out of scope.
-    """
-
-    __slots__ = ("n_qubits", "per_qubit")
-
-    def __init__(self, n_qubits, per_qubit=()):
-        n_qubits = int(n_qubits)
-        if n_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {n_qubits}")
-        entries = dict(per_qubit)
-        table = {}
-        for qubit, channel in entries.items():
-            qubit = int(qubit)
-            if not 1 <= qubit <= n_qubits:
-                raise ValueError(f"qubit index {qubit} outside 1..{n_qubits}")
-            if channel.dim != 2:
-                raise DimensionMismatchError("assignments take single-qubit channels only")
-            if qubit in table:
-                raise ValueError(f"duplicate assignment for qubit {qubit}")
-            table[qubit] = channel
-        self.n_qubits = n_qubits
-        self.per_qubit = table
-
-    @classmethod
-    def many_sided(cls, channels):
-        """One channel per qubit, in qubit order."""
-        channels = tuple(channels)
-        return cls(len(channels), {q: ch for q, ch in enumerate(channels, start=1)})
+    return PauliChannel(draw_params((family,), (rng,))[0, 0], family)
 
 
 def evolve(mats, superops):
@@ -253,14 +171,18 @@ def evolve(mats, superops):
     return t.reshape(-1, d, d)
 
 
-def apply(assignment, rho):
-    """Apply the local channels of an assignment to a density matrix, one
-    qubit at a time, in qubit order: the one-matrix case of `evolve`."""
-    n = assignment.n_qubits
-    if rho.n_qubits != n:
-        raise DimensionMismatchError(
-            f"state has {rho.n_qubits} qubits but assignment covers {n}")
-    superops = {q: ch.superop[None] for q, ch in assignment.per_qubit.items()}
+def apply(channels, rho):
+    """Send a density matrix through local channels given as {qubit:
+    PauliChannel}, one qubit at a time in qubit order: the one-matrix case
+    of `evolve`. Unassigned qubits are left untouched."""
+    n = rho.n_qubits
+    superops = {}
+    for qubit, channel in channels.items():
+        if not isinstance(qubit, Integral) or not 1 <= qubit <= n:
+            raise ValueError(f"qubit index {qubit!r} outside 1..{n}")
+        if not isinstance(channel, PauliChannel):
+            raise ValueError(f"qubit {qubit} needs a PauliChannel, got {channel!r}")
+        superops[qubit] = channel.superop[None]
     return DensityMatrix(evolve(rho.mat[None], superops)[0])
 
 
@@ -285,8 +207,7 @@ def channel_from_json(obj):
         a = obj["a"]
         if not isinstance(a, list):
             raise ValueError(f"channel parameters 'a' must be a list of numbers, got {a!r}")
-        return pauli_channel(PauliParams([_json_real(x, "channel parameter") for x in a],
-                                         family=family))
+        return PauliChannel([_json_real(x, "channel parameter") for x in a], family)
     if "p" in obj:
         return flip_channel(family, _json_real(obj["p"], "flip probability"))
     raise ValueError("channel object needs either 'p' or 'a'")

@@ -14,7 +14,7 @@ import os
 import sys
 from dataclasses import fields
 
-from .channels import ChannelAssignment, apply, parse_channel_list
+from .channels import apply, parse_channel_list
 from .concurrence import bipartite_concurrence, cut_concurrence, parse_cut, tau3
 from .experiments import CATALOGUE, SweepSpec, figure1_scan, rank_table, rank_table_csv
 from .factorization import (
@@ -81,7 +81,7 @@ def _evolved(args):
     rho = psi.to_density()
     if args.channels:
         channels = parse_channel_list(args.channels, psi.n_qubits)
-        rho = apply(ChannelAssignment.many_sided(channels), rho)
+        rho = apply(dict(enumerate(channels, start=1)), rho)
     return rho
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelAssignment, apply, evolve, flip_channel, flip_params, pauli_superops
+from .channels import apply, evolve, flip_channel, flip_params, pauli_superops
 from .concurrence import tau3_stack
 from .linalg import density_spectra, numerical_rank
 from .states import parse_state
@@ -149,7 +149,7 @@ def rank_table(p_values=GENERIC_PS):
             continue
         psi = parse_state(state_name)
         channels = [flip_channel(fam, p_values[k]) for k, fam in enumerate(families)]
-        rho = apply(ChannelAssignment.many_sided(channels), psi.to_density())
+        rho = apply(dict(enumerate(channels, start=1)), psi.to_density())
         rows.append(RankRow(state_name, tuple(families), numerical_rank(rho), claimed))
     return tuple(rows)
 

@@ -30,18 +30,13 @@ and `classify_scenario` are the one-sample case.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import (
-    ChannelAssignment,
-    _canonical_family,
-    draw_params,
-    evolve,
-    pauli_superops,
-)
+from .channels import PauliChannel, _canonical_family, draw_params, evolve, pauli_superops
 from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
 from .linalg import RANK_TOL, density_spectra, spectral_ranks
@@ -141,13 +136,11 @@ class IdentityReport:
     final_rank: int
     applicable: bool
     channels: tuple
-    seed: int | None
     initial_concurrence: float
     exponent: int
     aggregation: str
     anchor: str
     factors: tuple
-    relabeling: tuple | None = None
 
 
 def _aggregate(products, aggregation):
@@ -227,15 +220,16 @@ def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponen
 
 
 def _superops(channels):
-    """(1, n, 4, 4) superoperators of one channel per qubit, in qubit order."""
-    ChannelAssignment.many_sided(channels)  # single-qubit channels only
+    """(1, n, 4, 4) superoperators of one PauliChannel per qubit, in qubit order."""
+    for channel in channels:
+        if not isinstance(channel, PauliChannel):
+            raise ValueError(f"expected a PauliChannel, got {channel!r}")
     return np.array([[ch.superop for ch in channels]])
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
                       normalization_exponent=None, aggregation="sum",
-                      seed=None, rank_tol=RANK_TOL,
-                      relabeling=None):
+                      rank_tol=RANK_TOL):
     """Evaluate one identity on a scenario (initial state + one channel per qubit).
 
     Returns an IdentityReport carrying both sides, the residual
@@ -262,8 +256,7 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         residual=float(ev.residual[0]),
         final_rank=final_rank,
         applicable=final_rank <= identity.rank_ceiling,
-        channels=tuple(ch.params for ch in channels),
-        seed=seed,
+        channels=channels,
         initial_concurrence=ev.initial_concurrence,
         exponent=ev.exponent,
         aggregation=aggregation,
@@ -272,16 +265,16 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
             FactorReport(qubit=q, anchor=ev.anchors[q - 1], value=value, rank=rank)
             for q, value, rank in zip(range(1, n + 1), ev.factors[0].tolist(),
                                       ev.factor_ranks[0].tolist())),
-        relabeling=tuple(relabeling) if relabeling is not None else None,
     )
 
 
-def _suggested_identity(rank, n_qubits):
-    """The identity the rank conditions suggest for a final rank (None above 4)."""
+def _suggested_identity(rank, cut):
+    """The identity on the cut that the rank conditions suggest for a final
+    rank (None above 4)."""
     if rank <= 2:
-        return identity_for(PRODUCT, n_qubits)
-    if rank <= 4 and n_qubits >= 3:
-        return identity_for(SUM, n_qubits)
+        return FactorizationIdentity(PRODUCT, cut)
+    if rank <= 4 and cut.n_qubits >= 3:
+        return FactorizationIdentity(SUM, cut)
     return None
 
 
@@ -291,7 +284,7 @@ def classify_scenario(psi, channels, rank_tol=RANK_TOL):
     if len(channels) != psi.n_qubits:
         raise DimensionMismatchError(f"need {psi.n_qubits} channels, got {len(channels)}")
     rank = int(_final_states(psi.to_density().mat, _superops(channels), rank_tol)[1][0])
-    return rank, _suggested_identity(rank, psi.n_qubits)
+    return rank, _suggested_identity(rank, default_cut(psi.n_qubits))
 
 
 def _require_int(name, value):
@@ -326,17 +319,20 @@ class CampaignConfig:
                              f"got {self.channels!r}")
         object.__setattr__(self, "channels", tuple(self.channels))
         for name in ("samples", "seed"):
-            _require_int(name, getattr(self, name))
+            value = getattr(self, name)
+            _require_int(name, value)
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
         for name in ("tol", "rank_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
         if self.normalization_exponent is not None:
             _require_int("normalization_exponent", self.normalization_exponent)
         if self.cut is not None and not isinstance(self.cut, str):
             raise ValueError(f"cut must be a string such as '12|34', got {self.cut!r}")
-        if self.samples < 0:
-            raise ValueError(f"sample count must be nonnegative, got {self.samples}")
         if self.identity not in ("auto",) + FORMS:
             raise ValueError(f"identity must be 'auto', 'product', or 'sum', got {self.identity!r}")
         if self.aggregation not in ("sum", "rms"):
@@ -443,8 +439,8 @@ _STACK = 64
 
 def run_campaign(config):
     """Draw channels per sample (sample seed = base seed + index), classify the
-    final rank, evaluate the configured or rank-suggested identity, and bucket
-    the outcomes by rank. Deterministic for a fixed config.
+    final rank, evaluate the configured or rank-suggested identity on the
+    configured cut, and bucket the outcomes by rank. Deterministic for a fixed config.
 
     Up to _STACK samples run as one stack (see module docstring); the
     initial state and its density matrix are built once per campaign.
@@ -457,12 +453,10 @@ def run_campaign(config):
             f"{len(config.channels)} channel families were given")
     if n < 2:
         raise ValueError(f"a campaign needs at least two qubits, state {config.state!r} has {n}")
-    forced = None
-    if config.identity != "auto":
-        forced = identity_for(config.identity, n, config.cut)
-        if forced.n_qubits != n:
-            raise DimensionMismatchError(
-                f"identity is on {forced.n_qubits} qubits but state has {n}")
+    cut = default_cut(n) if config.cut is None else parse_cut(config.cut)
+    forced = None if config.identity == "auto" else FactorizationIdentity(config.identity, cut)
+    if cut.n_qubits != n:
+        raise DimensionMismatchError(f"cut {cut.label} is on {cut.n_qubits} qubits but state has {n}")
     if config.relabel is not None:
         psi = psi.permuted(config.relabel)
     rho0 = psi.to_density().mat
@@ -477,7 +471,7 @@ def run_campaign(config):
         superops = pauli_superops(params[:, order])
         finals, ranks = _final_states(rho0, superops, config.rank_tol)
         ranks = ranks.tolist()
-        by_rank = {r: forced if forced is not None else _suggested_identity(r, n)
+        by_rank = {r: forced if forced is not None else _suggested_identity(r, cut)
                    for r in set(ranks)}
         identities = [by_rank[r] for r in ranks]
         results = [(None, None, None)] * len(ranks)

@@ -35,18 +35,6 @@ SIGMA_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 SIGMA_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
-def kron(a, b):
-    """Kronecker product, block structure (a_ij * b).
-
-    Broadcasting implementation; for the tiny matrices used here it avoids
-    most of np.kron's call overhead while computing the same products.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
 def _dagger(m):
     """Conjugate transpose of a matrix or of every matrix in a (..., d, d) stack."""
     return np.swapaxes(m.conj(), -1, -2)

@@ -237,6 +237,21 @@ def principal_block_indices(block1, block2):
 
 # --- local channels by the full operator sum -----------------------------------
 
+_PAULIS = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex), _SY,
+           np.array([[1, 0], [0, -1]], dtype=complex))
+
+
+def pauli_kraus(a):
+    """Kraus set {a_i sigma_i : a_i != 0} of the Pauli channel with
+    parameters a over (I, sx, sy, sz)."""
+    return [x * s for x, s in zip(a, _PAULIS) if x != 0.0]
+
+
+def kraus_superop(kraus_ops):
+    """(d^2, d^2) superoperator sum_k K_k (x) K_k*, acting on the row-major
+    flattening of rho."""
+    return sum(np.kron(k, np.conj(k)) for k in np.asarray(kraus_ops, dtype=complex))
+
 
 def kraus_sum_apply(kraus_lists, mat):
     """sum over the Cartesian product of per-qubit Kraus choices of

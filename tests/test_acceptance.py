@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from conclab.channels import ChannelAssignment, apply, sample_channel
+from conclab.channels import apply, sample_channel
 from conclab.concurrence import Bipartition, bipartite_concurrence, parse_cut, wootters
 from conclab.experiments import SweepSpec, figure1_scan, rank_table
 from conclab.factorization import (
@@ -186,10 +186,10 @@ def test_criterion_07_four_eigenvalue_property():
         cut = parse_cut(cut) if cut else default_cut(psi.n_qubits)
         for i in range(10):
             chans = _sampled(families, 100 * seed + i)
-            cases.append((apply(ChannelAssignment.many_sided(chans), psi.to_density()), cut))
+            cases.append((apply(dict(enumerate(chans, start=1)), psi.to_density()), cut))
     for i in range(10):
         ch = _sampled(["BPF"], 8000 + i)[0]
-        rho = apply(ChannelAssignment.many_sided([ch] * 3), ghz(3).to_density())
+        rho = apply({1: ch, 2: ch, 3: ch}, ghz(3).to_density())
         cases += [(rho, cut) for cut in (parse_cut("12|3"), parse_cut("13|2"),
                                          parse_cut("23|1"))]
     pairs = 0
@@ -216,7 +216,7 @@ def test_criterion_08_cptp_contract():
         psi = random_pure(n, rng)
         families = rng.choice(["BF", "PF", "BPF", "GeneralPauli"], size=n)
         channels = {q: sample_channel(fam, rng) for q, fam in enumerate(families, start=1)}
-        out = apply(ChannelAssignment(n, channels), psi.to_density())
+        out = apply(channels, psi.to_density())
         worst_trace = max(worst_trace, abs(out.mat.trace().real - 1.0))
         worst_herm = max(worst_herm, float(np.max(np.abs(out.mat - out.mat.conj().T))))
         min_eig = min(min_eig, float(out.eigenvalues[0]))

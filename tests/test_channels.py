@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab.channels import (
-    ChannelAssignment,
-    KrausChannel,
-    PauliParams,
+    PauliChannel,
     apply,
     FAMILIES,
     PAULIS,
@@ -18,70 +16,86 @@ from conclab.channels import (
     identity_channel,
     parse_channel,
     parse_channel_list,
-    pauli_channel,
     pauli_superops,
     sample_channel,
 )
 from conclab.concurrence import wootters
 from conclab.errors import DimensionMismatchError, NotNormalizedError
-from conclab.linalg import SIGMA_Y, DensityMatrix
+from conclab.linalg import DensityMatrix
 from conclab.states import bell, ghz, random_pure
 
-from oracles import kraus_sum_apply, random_density
+from oracles import kraus_sum_apply, kraus_superop, pauli_kraus, random_density
 
 SQ2 = 1 / np.sqrt(2)
 
 
 class TestConstruction:
     def test_identity_case(self):
-        ch = pauli_channel(PauliParams((1, 0, 0, 0)))
-        assert len(ch.kraus_ops) == 1
-        assert np.array_equal(ch.kraus_ops[0], np.eye(2))
+        ch = PauliChannel((1, 0, 0, 0))
+        assert ch == identity_channel()
+        assert ch.a == (1.0, 0.0, 0.0, 0.0) and ch.family == "GeneralPauli"
+        assert np.array_equal(ch.superop, np.eye(4))
 
     def test_bit_flip_on_ground_state(self):
         ch = flip_channel("BF", 0.25)
         rho = DensityMatrix(np.diag([1.0, 0.0]).astype(complex))
-        out = sum(k @ rho.mat @ k.conj().T for k in ch.kraus_ops)
-        assert np.allclose(out, np.diag([0.75, 0.25]), atol=1e-14)
+        out = apply({1: ch}, rho)
+        assert np.allclose(out.mat, np.diag([0.75, 0.25]), atol=1e-14)
 
     def test_bit_phase_flip_operators(self):
         p = 0.3
         ch = flip_channel("BPF", p)
-        assert np.allclose(ch.kraus_ops[0], np.sqrt(1 - p) * np.eye(2), atol=1e-15)
-        assert np.allclose(ch.kraus_ops[1], np.sqrt(p) * SIGMA_Y, atol=1e-15)
+        assert ch.family == "BPF"
+        assert np.allclose(ch.a, (np.sqrt(1 - p), 0, np.sqrt(p), 0), atol=1e-15)
 
     def test_rejects_unnormalized_params(self):
         with pytest.raises(NotNormalizedError):
-            PauliParams((1.0, 0.1, 0, 0))
+            PauliChannel((1.0, 0.1, 0, 0))
 
     def test_family_zero_pattern_enforced(self):
         with pytest.raises(ValueError):
-            PauliParams((SQ2, 0, SQ2, 0), family="BF")  # a3 must vanish for BF
+            PauliChannel((SQ2, 0, SQ2, 0), family="BF")  # a3 must vanish for BF
 
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             flip_channel("XY", 0.2)
 
     def test_completeness_validated(self):
+        # the Kraus set {0.5 I} is the vector (0.5, 0, 0, 0)
         with pytest.raises(NotNormalizedError):
-            KrausChannel([0.5 * np.eye(2)])
+            PauliChannel((0.5, 0, 0, 0))
 
     def test_completeness_of_flip_channels(self):
         for family in ("BF", "PF", "BPF"):
             ch = flip_channel(family, 0.37)
-            total = sum(k.conj().T @ k for k in ch.kraus_ops)
+            total = sum(k.conj().T @ k for k in pauli_kraus(ch.a))
             assert np.max(np.abs(total - np.eye(2))) <= 1e-10
+
+    @pytest.mark.parametrize("a", [
+        (float("nan"), 0, 0, 0), (float("inf"), 0, 0, 0), (1, 0, 0), (1, 0, 0, 0, 0),
+    ], ids=["nan", "inf", "three", "five"])
+    def test_rejects_malformed_vectors(self, a):
+        with pytest.raises(ValueError):
+            PauliChannel(a)
+
+    def test_immutable_with_frozen_superop(self):
+        ch = flip_channel("PF", 0.2)
+        with pytest.raises(AttributeError):
+            ch.a = (1.0, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            ch.superop[0, 0] = 0
+        assert ch == flip_channel("pf", 0.2) and hash(ch) == hash(flip_channel("PF", 0.2))
 
 
 class TestApply:
     def test_empty_assignment_is_identity_map(self):
         rho = ghz(3).to_density()
-        out = apply(ChannelAssignment(3), rho)
+        out = apply({}, rho)
         assert np.max(np.abs(out.mat - rho.mat)) <= 1e-14
 
     def test_bit_flip_on_bell_gives_two_bell_mixture(self):
         p = 0.2
-        rho = apply(ChannelAssignment(2, {2: flip_channel("BF", p)}), bell(SQ2).to_density())
+        rho = apply({2: flip_channel("BF", p)}, bell(SQ2).to_density())
         phi = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         psi = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
         expected = (1 - p) * np.outer(phi, phi) + p * np.outer(psi, psi)
@@ -91,20 +105,28 @@ class TestApply:
 
     def test_three_phase_flips_leave_rank_two(self):
         channels = [flip_channel("PF", p) for p in (0.1, 0.25, 0.4)]
-        out = apply(ChannelAssignment.many_sided(channels), ghz(3).to_density())
+        out = apply(dict(enumerate(channels, start=1)), ghz(3).to_density())
         assert out.rank == 2
 
     def test_qubit_count_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            apply(ChannelAssignment(3), bell(SQ2).to_density())
+        with pytest.raises(ValueError, match="outside 1..2"):
+            apply({3: identity_channel()}, bell(SQ2).to_density())
+
+    @pytest.mark.parametrize("channels", [
+        {0: identity_channel()}, {1.5: identity_channel()}, {"1": identity_channel()},
+        {1: "BF:p=0.2"}, {1: np.eye(4)},
+    ], ids=["qubit-0", "qubit-float", "qubit-string", "token", "matrix"])
+    def test_rejects_bad_entries(self, channels):
+        with pytest.raises(ValueError):
+            apply(channels, bell(SQ2).to_density())
 
     def test_disjoint_assignments_commute(self):
         rho = ghz(3).to_density()
         a = flip_channel("BF", 0.2)
         b = flip_channel("BPF", 0.3)
-        ab = apply(ChannelAssignment(3, {2: b}), apply(ChannelAssignment(3, {1: a}), rho))
-        ba = apply(ChannelAssignment(3, {1: a}), apply(ChannelAssignment(3, {2: b}), rho))
-        joint = apply(ChannelAssignment(3, {1: a, 2: b}), rho)
+        ab = apply({2: b}, apply({1: a}, rho))
+        ba = apply({1: a}, apply({2: b}, rho))
+        joint = apply({1: a, 2: b}, rho)
         assert np.max(np.abs(ab.mat - joint.mat)) <= 1e-10
         assert np.max(np.abs(ba.mat - joint.mat)) <= 1e-10
 
@@ -114,43 +136,56 @@ class TestApply:
         rng = np.random.default_rng(seed)
         psi = random_pure(n, rng)
         channels = {q: sample_channel("GeneralPauli", rng) for q in range(1, n + 1)}
-        out = apply(ChannelAssignment(n, channels), psi.to_density())
+        out = apply(channels, psi.to_density())
         assert abs(out.mat.trace().real - 1.0) <= 1e-10
         assert np.max(np.abs(out.mat - out.mat.conj().T)) <= 1e-10
         assert out.eigenvalues[0] >= -1e-9
 
 
 def amplitude_damping(gamma):
-    """Non-unital channel: decay |1> -> |0> with probability gamma."""
-    return KrausChannel([[[1, 0], [0, np.sqrt(1 - gamma)]],
-                         [[0, np.sqrt(gamma)], [0, 0]]], label="AD")
+    """Kraus set of a non-unital channel: decay |1> -> |0> with probability gamma."""
+    return [[[1, 0], [0, np.sqrt(1 - gamma)]], [[0, np.sqrt(gamma)], [0, 0]]]
+
+
+QUBIT_SETS = [
+    (1, (1,)),
+    (2, (1, 2)), (2, (2,)),
+    (3, (1, 2, 3)), (3, (2,)), (3, (1, 3)),
+    (4, (1, 2, 3, 4)), (4, (2,)), (4, (3,)), (4, (1, 3, 4)), (4, ()),
+]
 
 
 class TestApplyMatchesKrausSum:
     """The per-qubit contraction against the operator sum over every product
     of Kraus choices, on random mixed states."""
 
-    KINDS = ("BF", "PF", "BPF", "GeneralPauli", "AD")
+    KINDS = FAMILIES
 
-    @pytest.mark.parametrize("n, qubits", [
-        (1, (1,)),
-        (2, (1, 2)), (2, (2,)),
-        (3, (1, 2, 3)), (3, (2,)), (3, (1, 3)),
-        (4, (1, 2, 3, 4)), (4, (2,)), (4, (3,)), (4, (1, 3, 4)), (4, ()),
-    ])
+    @pytest.mark.parametrize("n, qubits", QUBIT_SETS)
     def test_matches_oracle(self, n, qubits):
         rng = np.random.default_rng([n, *qubits])
         for trial in range(2 * len(self.KINDS)):
             rho = DensityMatrix(random_density(n, int(rng.integers(1, (1 << n) + 1)), rng))
-            channels = {}
-            for q in qubits:
-                kind = self.KINDS[(trial + q) % len(self.KINDS)]
-                channels[q] = amplitude_damping(rng.random()) if kind == "AD" \
-                    else sample_channel(kind, rng)
-            out = apply(ChannelAssignment(n, channels), rho)
-            lists = [channels[q].kraus_ops if q in channels else None
+            channels = {q: sample_channel(self.KINDS[(trial + q) % len(self.KINDS)], rng)
+                        for q in qubits}
+            out = apply(channels, rho)
+            lists = [pauli_kraus(channels[q].a) if q in channels else None
                      for q in range(1, n + 1)]
             assert np.max(np.abs(out.mat - kraus_sum_apply(lists, rho.mat))) <= 1e-14
+
+    @pytest.mark.parametrize("n, qubits", QUBIT_SETS)
+    def test_evolve_matches_oracle_non_unital(self, n, qubits):
+        """Amplitude damping is neither unital nor symmetric under swapping
+        the superoperator's row and column pairs, so it guards the
+        contraction's index order where Pauli channels cannot."""
+        rng = np.random.default_rng([7, n, *qubits])
+        for _ in range(4):
+            rho = random_density(n, int(rng.integers(1, (1 << n) + 1)), rng)
+            lists = [amplitude_damping(rng.random()) if q in qubits else None
+                     for q in range(1, n + 1)]
+            superops = {q: kraus_superop(lists[q - 1])[None] for q in qubits}
+            out = evolve(rho[None], superops)[0]
+            assert np.max(np.abs(out - kraus_sum_apply(lists, rho))) <= 1e-14
 
 
 class TestStackedEvolution:
@@ -165,9 +200,9 @@ class TestStackedEvolution:
         superops = pauli_superops(params)
         stack = evolve(rho.mat[None], {q: superops[:, q - 1] for q in range(1, n + 1)})
         for i in range(len(params)):
-            channels = [pauli_channel(PauliParams(a, family=f))
-                        for a, f in zip(params[i], families)]
-            one = apply(ChannelAssignment.many_sided(channels), rho)
+            channels = {q: PauliChannel(a, f)
+                        for q, (a, f) in enumerate(zip(params[i], families), start=1)}
+            one = apply(channels, rho)
             assert np.array_equal(stack[i], one.mat)
 
     def test_stack_of_states_through_one_channel(self):
@@ -176,7 +211,7 @@ class TestStackedEvolution:
         channel = sample_channel("GeneralPauli", rng)
         out = evolve(mats, {2: channel.superop[None]})
         for rho, got in zip(mats, out):
-            expected = apply(ChannelAssignment(3, {2: channel}), DensityMatrix(rho))
+            expected = apply({2: channel}, DensityMatrix(rho))
             assert np.array_equal(got, expected.mat)
 
     def test_pauli_superops_match_kraus_superoperators_bitwise(self):
@@ -185,7 +220,8 @@ class TestStackedEvolution:
         params = draw_params(FAMILIES * 25, [rng])[0]
         stacked = pauli_superops(params)
         for a, superop in zip(params, stacked):
-            assert np.array_equal(pauli_channel(PauliParams(a)).superop, superop)
+            assert np.array_equal(PauliChannel(a).superop, superop)
+            assert np.array_equal(kraus_superop(pauli_kraus(a)), superop)
             dense = sum(x * x * np.kron(s, s.conj()) for x, s in zip(a, PAULIS))
             assert np.array_equal(dense, superop)
 
@@ -194,7 +230,7 @@ class TestStackedEvolution:
         for family in ("BF", "PF", "BPF"):
             grid = flip_params(family, ps)
             for p, a in zip(ps, grid):
-                assert flip_channel(family, p).params.a == tuple(a)
+                assert flip_channel(family, p).a == tuple(a)
         with pytest.raises(ValueError):
             flip_params("BF", [0.2, 1.5])
 
@@ -204,34 +240,33 @@ class TestSingleSided:
 
     def test_identity_channel_is_noop(self):
         psi = ghz(3)
-        out = apply(ChannelAssignment(3, {2: identity_channel()}), psi.to_density())
+        out = apply({2: identity_channel()}, psi.to_density())
         assert np.max(np.abs(out.mat - psi.to_density().mat)) <= 1e-14
 
     def test_phase_flip_on_ghz_has_rank_two(self):
-        out = apply(ChannelAssignment(3, {3: flip_channel("PF", 0.3)}), ghz(3).to_density())
+        out = apply({3: flip_channel("PF", 0.3)}, ghz(3).to_density())
         assert out.rank == 2
 
     def test_bit_flip_on_bell_concurrence(self):
         for p in (0.1, 0.3, 0.45):
-            out = apply(ChannelAssignment(2, {2: flip_channel("BF", p)}),
-                        bell(SQ2).to_density())
+            out = apply({2: flip_channel("BF", p)}, bell(SQ2).to_density())
             assert abs(wootters(out) - abs(1 - 2 * p)) <= 1e-12
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            ChannelAssignment(3, {4: identity_channel()})
+            apply({4: identity_channel()}, ghz(3).to_density())
 
 
 class TestSampling:
     def test_same_seed_same_channel(self):
-        a = sample_channel("BF", np.random.default_rng(11)).params.a
-        b = sample_channel("BF", np.random.default_rng(11)).params.a
+        a = sample_channel("BF", np.random.default_rng(11)).a
+        b = sample_channel("BF", np.random.default_rng(11)).a
         assert a == b
 
     def test_flip_family_moment(self):
         # uniform on the circle: E[a1^2] = 1/2
         rng = np.random.default_rng(11)
-        mean = np.mean([sample_channel("BF", rng).params.a[0] ** 2 for _ in range(10_000)])
+        mean = np.mean([sample_channel("BF", rng).a[0] ** 2 for _ in range(10_000)])
         assert abs(mean - 0.5) < 0.02
 
     def test_general_family_moments(self):
@@ -239,7 +274,7 @@ class TestSampling:
         rng = np.random.default_rng(13)
         acc = np.zeros(4)
         for _ in range(10_000):
-            acc += np.array(sample_channel("GeneralPauli", rng).params.a) ** 2
+            acc += np.array(sample_channel("GeneralPauli", rng).a) ** 2
         assert np.all(np.abs(acc / 10_000 - 0.25) < 0.02)
 
     def test_sampled_channels_complete(self):
@@ -247,12 +282,12 @@ class TestSampling:
         for family in ("BF", "PF", "BPF", "GeneralPauli"):
             for _ in range(50):
                 ch = sample_channel(family, rng)
-                total = sum(k.conj().T @ k for k in ch.kraus_ops)
+                total = sum(k.conj().T @ k for k in pauli_kraus(ch.a))
                 assert np.max(np.abs(total - np.eye(2))) <= 1e-12
 
     def test_family_zero_pattern_respected(self):
         rng = np.random.default_rng(23)
-        a = sample_channel("PF", rng).params.a
+        a = sample_channel("PF", rng).a
         assert a[1] == 0.0 and a[2] == 0.0
 
     @pytest.mark.parametrize("families", [
@@ -268,7 +303,7 @@ class TestSampling:
         for seed, row in zip(seeds, stacked):
             rng = np.random.default_rng(seed)
             channels = [sample_channel(f, rng) for f in families]
-            assert [ch.params.a for ch in channels] == [tuple(a) for a in row]
+            assert [ch.a for ch in channels] == [tuple(a) for a in row]
             rng = np.random.default_rng(seed)
             for fam, a in zip(families, row):
                 g = rng.standard_normal(4 if fam == "GeneralPauli" else 2)
@@ -285,25 +320,25 @@ class TestSampling:
 class TestParsing:
     def test_flip_token(self):
         ch = parse_channel("BF:p=0.2")
-        assert ch.label == "BF"
-        assert abs(ch.params.a[0] ** 2 - 0.8) < 1e-12
+        assert ch.family == "BF"
+        assert abs(ch.a[0] ** 2 - 0.8) < 1e-12
 
     def test_identity_token(self):
-        assert len(parse_channel("I").kraus_ops) == 1
+        assert parse_channel("I") == identity_channel()
 
     def test_channel_list_arity(self):
         channels = parse_channel_list("BF:p=0.2,PF:p=0.3,I", 3)
-        assert [c.label for c in channels] == ["BF", "PF", "GeneralPauli"]
+        assert [c.family for c in channels] == ["BF", "PF", "GeneralPauli"]
         with pytest.raises(DimensionMismatchError):
             parse_channel_list("BF:p=0.2", 2)
 
     def test_json_with_probability(self):
         ch = channel_from_json({"family": "PF", "p": 0.4})
-        assert ch.label == "PF"
+        assert ch.family == "PF"
 
     def test_json_with_vector(self):
         ch = channel_from_json({"family": "general", "a": [0.5, 0.5, 0.5, 0.5]})
-        assert len(ch.kraus_ops) == 4
+        assert ch == PauliChannel((0.5, 0.5, 0.5, 0.5))
 
     def test_bad_tokens(self):
         with pytest.raises(ValueError):
@@ -317,9 +352,9 @@ class TestParsing:
         channels = parse_channel_list(
             '{"family":"general","a":[0.5,0.5,0.5,0.5]},BF:p=0.3, {"family": "BPF", "p": 0.25}',
             3)
-        assert [c.label for c in channels] == ["GeneralPauli", "BF", "BPF"]
-        assert channels[0].params.a == (0.5, 0.5, 0.5, 0.5)
-        assert channels[2].params == flip_channel("BPF", 0.25).params
+        assert [c.family for c in channels] == ["GeneralPauli", "BF", "BPF"]
+        assert channels[0].a == (0.5, 0.5, 0.5, 0.5)
+        assert channels[2] == flip_channel("BPF", 0.25)
 
     @pytest.mark.parametrize("obj", [
         {"family": "general", "a": 5},

@@ -399,6 +399,54 @@ def test_campaign_bad_env_seed(capsys, monkeypatch):
     assert "CONCLAB_SEED" in err
 
 
+_BELL = ("--state", "bell", "--channels", "BF,BF")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("campaign", *_BELL, "--samples", "1", "--tol", "nan"), "tol"),
+    (("campaign", *_BELL, "--samples", "1", "--tol", "inf"), "tol"),
+    (("campaign", *_BELL, "--samples", "1", "--tol=-1e-300"), "tol"),
+    (("campaign", *_BELL, "--samples", "1", "--seed", "-1"), "seed"),
+    (("campaign", *_BELL, "--samples", "0", "--seed", "-3"), "seed"),
+    (("sweep", "--samples", "1", "--tol", "-1"), "tol"),
+    (("sweep", "--samples", "1", "--tol", "nan"), "tol"),
+    (("sweep", "--samples", "1", "--seed", "-1"), "seed"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "seed-negative", "seed-no-samples",
+        "sweep-tol-negative", "sweep-tol-nan", "sweep-seed-negative"])
+def test_bad_tolerance_or_seed_exits_one(tmp_path, capsys, argv, field):
+    if argv[0] == "sweep":
+        argv += ("--out-dir", str(tmp_path / "out"))
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert f"error: {field} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rank_tol", "NaN"), ("rank_tol", "Infinity"), ("rank_tol", "-1e-300"), ("seed", "-1"),
+], ids=["rank-tol-nan", "rank-tol-inf", "rank-tol-negative", "seed-negative"])
+def test_bad_config_tolerance_or_seed_exits_one(tmp_path, capsys, field, value):
+    path = tmp_path / "campaign.json"
+    path.write_text('{"state": "bell", "channels": ["BF", "BF"], "samples": 1, '
+                    f'"{field}": {value}}}')
+    code, out, err = run(capsys, "campaign", "--config", str(path))
+    assert_one_error_line(code, out, err)
+    assert f"error: {field} must be" in err
+
+
+@pytest.mark.parametrize("value", ["0", "5e-324"])
+def test_tolerance_edges_run(tmp_path, capsys, value):
+    code, out, _ = run(capsys, "campaign", *_BELL, "--samples", "1", "--tol", value)
+    assert code == 0
+    assert json.loads(out.split("\n")[0].removeprefix("# "))["tol"] == float(value)
+    path = tmp_path / "campaign.json"
+    path.write_text(json.dumps({"state": "bell", "channels": ["BF", "BF"], "samples": 1,
+                                "rank_tol": float(value), "seed": 0}))
+    code, out, _ = run(capsys, "campaign", "--config", str(path))
+    assert code == 0
+    assert json.loads(out.split("\n")[0].removeprefix("# "))["rank_tol"] == float(value)
+
+
 def test_campaign_missing_fields(capsys):
     code, _, err = run(capsys, "campaign", "--state", "bell")
     assert code == 1

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab.channels import FAMILIES, ChannelAssignment, apply, flip_channel, sample_channel
+from conclab.channels import FAMILIES, apply, flip_channel, sample_channel
 from conclab.concurrence import (
     Bipartition,
     bipartite_concurrence,
@@ -15,7 +15,7 @@ from conclab.concurrence import (
     wootters,
 )
 from conclab.errors import DimensionMismatchError
-from conclab.linalg import DensityMatrix, kron
+from conclab.linalg import DensityMatrix
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
 from oracles import (
@@ -91,7 +91,7 @@ class TestWootters:
         rng = np.random.default_rng(41)
         for _ in range(20):
             rho = DensityMatrix(random_density(2, 3, rng))
-            u = kron(random_unitary(2, rng), random_unitary(2, rng))
+            u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
             assert abs(wootters(rotated) - wootters(rho)) <= 1e-9
 
@@ -131,14 +131,13 @@ class TestBipartite:
 
     def test_block_order_invariance(self):
         channels = [flip_channel("BF", p) for p in (0.15, 0.3, 0.45)]
-        rho = apply(ChannelAssignment.many_sided(channels), ghz(3).to_density())
+        rho = apply(dict(enumerate(channels, start=1)), ghz(3).to_density())
         a = bipartite_concurrence(rho, Bipartition((1, 2), (3,))).total
         b = bipartite_concurrence(rho, Bipartition((2, 1), (3,))).total
         assert abs(a - b) <= 1e-10
 
     def test_total_recomputes_from_pairs(self):
-        rho = apply(ChannelAssignment.many_sided(
-            [flip_channel("BF", 0.2)] * 3), ghz(3).to_density())
+        rho = apply(dict.fromkeys((1, 2, 3), flip_channel("BF", 0.2)), ghz(3).to_density())
         breakdown = bipartite_concurrence(rho, parse_cut("12|3"))
         total = np.sqrt(sum(p.value ** 2 for p in breakdown.pairs))
         assert abs(breakdown.total - total) <= 1e-12
@@ -186,7 +185,7 @@ class TestTau3:
 
     def test_symmetric_scenario_matches_single_cut(self):
         ch = flip_channel("BPF", 0.2)
-        rho = apply(ChannelAssignment.many_sided([ch] * 3), ghz(3).to_density())
+        rho = apply({1: ch, 2: ch, 3: ch}, ghz(3).to_density())
         single = bipartite_concurrence(rho, parse_cut("12|3")).total
         assert abs(tau3(rho) - single) <= 1e-10
 
@@ -203,7 +202,7 @@ def evolved_case(rng):
     else:
         psi = parse_state(str(rng.choice(NAMED_STATES[n])))
     channels = [sample_channel(str(f), rng) for f in rng.choice(FAMILIES, size=n)]
-    rho = apply(ChannelAssignment.many_sided(channels), psi.to_density())
+    rho = apply(dict(enumerate(channels, start=1)), psi.to_density())
     order = tuple(int(q) + 1 for q in rng.permutation(n))
     split = int(rng.integers(1, n))
     return rho, order[:split], order[split:]

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from conclab.channels import ChannelAssignment, apply, flip_channel
+from conclab.channels import apply, flip_channel
 from conclab.concurrence import tau3
 from conclab.experiments import (
     CATALOGUE,
@@ -86,7 +86,7 @@ class TestFigure1:
         for p, direct, _, _ in result.rows:
             assert _tau3_bpf3([p], rho0.mat)[0] == direct
             channels = [flip_channel("BPF", p)] * 3
-            assert tau3(apply(ChannelAssignment.many_sided(channels), rho0)) == direct
+            assert tau3(apply(dict(enumerate(channels, start=1)), rho0)) == direct
 
     def test_no_crossing_reports_nan(self):
         result = figure1_scan(SweepSpec(p_grid=(0.0, 0.1, 0.2)))

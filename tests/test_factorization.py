@@ -129,9 +129,8 @@ class TestEvaluate:
 
     def test_report_records_parameters(self):
         chans = sampled(["BF", "BF"], 9)
-        rep = evaluate_identity(identity_for("product", 2), bell(SQ2), chans, seed=9)
-        assert rep.seed == 9
-        assert len(rep.channels) == 2
+        rep = evaluate_identity(identity_for("product", 2), bell(SQ2), chans)
+        assert rep.channels == tuple(chans)
         assert rep.channels[0].family == "BF"
         assert rep.aggregation == "sum" and rep.anchor == "last"
 
@@ -208,14 +207,13 @@ class TestRelabel:
         chans = (flip_channel("BF", 0.17), flip_channel("PF", 0.29), flip_channel("PF", 0.38))
         # new qubit k is old qubit perm[k], and each channel follows its qubit
         psi2, chans2 = ghz(3).permuted((3, 2, 1)), tuple(chans[q - 1] for q in (3, 2, 1))
-        assert [c.label for c in chans2] == ["PF", "PF", "BF"]
+        assert [c.family for c in chans2] == ["PF", "PF", "BF"]
         direct = evaluate_identity(
             identity_for("sum", 3), ghz(3),
             (flip_channel("PF", 0.38), flip_channel("PF", 0.29), flip_channel("BF", 0.17)))
-        relabeled = evaluate_identity(identity_for("sum", 3), psi2, chans2, relabeling=(3, 2, 1))
+        relabeled = evaluate_identity(identity_for("sum", 3), psi2, chans2)
         assert abs(direct.lhs - relabeled.lhs) <= 1e-12
         assert abs(direct.rhs - relabeled.rhs) <= 1e-12
-        assert relabeled.relabeling == (3, 2, 1)
 
 
 class TestCampaign:
@@ -312,6 +310,46 @@ class TestCampaign:
             assert CampaignConfig(state="bell", channels=("BF", "BF"), samples=1,
                                   anchor=anchor).anchor == anchor
 
+    @pytest.mark.parametrize("field", ["tol", "rank_tol"])
+    @pytest.mark.parametrize("value", [0, 0.0, 5e-324])
+    def test_config_accepts_tolerance_edges(self, field, value):
+        config = CampaignConfig(state="bell", channels=("BF", "BF"), samples=1, **{field: value})
+        assert getattr(config, field) == value
+        assert len(run_campaign(config).rows) == 1
+
+    @pytest.mark.parametrize("field", ["tol", "rank_tol"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-300, -1])
+    def test_config_rejects_bad_tolerances(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative"):
+            CampaignConfig(state="bell", channels=("BF", "BF"), samples=1, **{field: value})
+
+    def test_config_rejects_nan_json_literal(self):
+        text = '{"state": "bell", "channels": ["BF", "BF"], "samples": 1, "rank_tol": NaN}'
+        with pytest.raises(ValueError, match="^rank_tol "):
+            CampaignConfig.from_json(text)
+
+    @pytest.mark.parametrize("field", ["seed", "samples"])
+    def test_config_rejects_negative_counts(self, field):
+        assert getattr(CampaignConfig(state="bell", channels=("BF", "BF"), samples=0, seed=0),
+                       field) == 0
+        fields = {"state": "bell", "channels": ("BF", "BF"), "samples": 0, field: -1}
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
+            CampaignConfig(**fields)
+
+    def test_auto_identity_uses_the_configured_cut(self):
+        base = CampaignConfig(state="w4", channels=("PF",) * 4, samples=3, cut="12|34")
+        auto = run_campaign(base).rows
+        forced = run_campaign(dataclasses.replace(base, identity="sum")).rows
+        default = run_campaign(dataclasses.replace(base, cut=None)).rows
+        assert [r.rank for r in auto] == [4, 4, 4]
+        assert auto == forced
+        assert all(a.lhs != d.lhs for a, d in zip(auto, default))
+
+    def test_auto_identity_rejects_a_cut_of_the_wrong_size(self):
+        with pytest.raises(DimensionMismatchError, match="12|3"):
+            run_campaign(CampaignConfig(state="w4", channels=("PF",) * 4, samples=3,
+                                        cut="12|3"))
+
     @pytest.mark.parametrize("config", [
         CampaignConfig(state="ghz3", channels=("PF", "PF", "BF"), samples=12, seed=21),
         CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=6, seed=22,
@@ -336,8 +374,7 @@ class TestCampaign:
             if identity is None:
                 assert row.residual is None
                 continue
-            rep = evaluate_identity(identity, psi, chans, aggregation=config.aggregation,
-                                    relabeling=config.relabel)
+            rep = evaluate_identity(identity, psi, chans, aggregation=config.aggregation)
             assert (row.lhs, row.rhs, row.residual) == (rep.lhs, rep.rhs, rep.residual)
 
     @pytest.mark.parametrize("config", [

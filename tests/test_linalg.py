@@ -14,16 +14,11 @@ from conclab.errors import (
 from conclab.linalg import (
     EIG_FLOOR,
     HERM_TOL,
-    IDENTITY_2,
     PSD_CLAMP,
     RANK_TOL,
     TRACE_TOL,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
     DensityMatrix,
     density_spectra,
-    kron,
     n_qubits_of,
     numerical_rank,
     permutation_indices,
@@ -37,31 +32,6 @@ from oracles import random_psd, reorder_qubits
 def bell_density():
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     return DensityMatrix(np.outer(v, v.conj()))
-
-
-class TestKron:
-    def test_identity_pair(self):
-        assert np.array_equal(kron(IDENTITY_2, IDENTITY_2), np.eye(4))
-
-    def test_sigma_y_pair(self):
-        # expand by hand: anti-diagonal (-1, 1, 1, -1) reading from top-right
-        expected = np.array([
-            [0, 0, 0, -1],
-            [0, 0, 1, 0],
-            [0, 1, 0, 0],
-            [-1, 0, 0, 0],
-        ], dtype=complex)
-        assert np.allclose(kron(SIGMA_Y, SIGMA_Y), expected, atol=0)
-
-    def test_sigma_x_sigma_z_on_00(self):
-        ket00 = np.array([1, 0, 0, 0], dtype=complex)
-        ket10 = np.array([0, 0, 1, 0], dtype=complex)
-        assert np.allclose(kron(SIGMA_X, SIGMA_Z) @ ket00, ket10, atol=0)
-
-    def test_block_dimensions(self):
-        a = np.arange(9.0).reshape(3, 3)
-        b = np.arange(4.0).reshape(2, 2)
-        assert kron(a, b).shape == (6, 6)
 
 
 class TestPsdSqrt:
