@@ -30,7 +30,6 @@ from .errors import (
 from .experiments import (
     Figure1Result,
     RankRow,
-    SweepSpec,
     figure1_scan,
     rank_table,
     rank_table_csv,
@@ -50,7 +49,6 @@ from .linalg import (
     DensityMatrix,
     numerical_rank,
     permutation_indices,
-    psd_sqrt,
 )
 from .states import PureState, bell, ghz, parse_state, random_pure, state_from_json, w
 

@@ -11,12 +11,13 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from dataclasses import fields
 
 from .channels import apply, parse_channel_list
 from .concurrence import bipartite_concurrence, cut_concurrence, parse_cut, tau3
-from .experiments import CATALOGUE, SweepSpec, figure1_scan, rank_table, rank_table_csv
+from .experiments import CATALOGUE, figure1_scan, rank_table, rank_table_csv
 from .factorization import (
     CampaignConfig,
     default_cut,
@@ -34,7 +35,16 @@ class _UsageError(Exception):
     pass
 
 
+# Negative numbers as `float` reads them; argparse's own pattern takes only the
+# -1 and -.5 forms and reads -1e-300, -1E-3 or -inf as an unknown option.
+_NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         raise _UsageError(message)
 
@@ -202,7 +212,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_figure1(args):
-    _write(figure1_scan(SweepSpec.uniform(points=args.points)).to_csv(), args.out)
+    _write(figure1_scan(args.points).to_csv(), args.out)
     return 0
 
 

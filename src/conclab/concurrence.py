@@ -34,6 +34,11 @@ square roots of near-zero eigenvalues, which would inject noise of order
 sqrt(machine epsilon). `cut_totals` and `tau3_stack` serve whole stacks;
 `cut_concurrence`, `bipartite_concurrence` and `tau3` are their
 one-state cases, and `wootters` is the single-block case (cut 1|2).
+
+The kernel trusts its input, which has passed `density_spectra`. A block's
+entries are the state's, so it is Hermitian to HERM_TOL; by Cauchy
+interlacing its eigenvalues sit at or above EIG_FLOOR - 4 * HERM_TOL, the 4
+covering `eigh` reading a triangle that the gather reordered.
 """
 
 from functools import lru_cache
@@ -194,7 +199,7 @@ def wootters(rho):
 def cut_totals(mats, cut):
     """Concurrence across a cut of every state of a (B, d, d) stack: the
     (B,) totals sqrt(sum of C_mn^2) over the cut's generator pairs, summed
-    in pair order."""
+    in pair order. The stack must have passed `density_spectra`."""
     _check_qubits(cut, mats)
     values = _pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1]
     return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
@@ -229,8 +234,8 @@ def _tau3_blocks():
 
 def tau3_stack(mats):
     """Root-mean-square of the three 2|1 bipartite concurrences of every
-    3-qubit state of a (B, 8, 8) stack, from one kernel call over the 18
-    pairs of the three cuts."""
+    3-qubit state of a (B, 8, 8) stack that passed `density_spectra`, from
+    one kernel call over the 18 pairs of the three cuts."""
     _check_qubits(_TAU3_CUTS[0], mats)
     values = _pair_spectra(mats, _tau3_blocks())[1]
     return np.sqrt(np.sum(values * values, axis=-1) / 3.0)

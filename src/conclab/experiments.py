@@ -2,7 +2,6 @@
 scenarios, the three-BPF lower-bound sweep and the rank table."""
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,31 +33,6 @@ CATALOGUE = (
 )
 
 
-def _grid(points):
-    if points < 2:
-        raise ValueError(f"need at least two grid points, got {points}")
-    return tuple(0.5 * k / (points - 1) for k in range(points))
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Flip-probability grid of the ghz3 BPF^3 sweep on p in [0, 0.5]."""
-
-    p_grid: tuple = _grid(101)
-
-    def __post_init__(self):
-        grid = tuple(float(p) for p in self.p_grid)
-        if list(grid) != sorted(grid):
-            raise ValueError("p grid must be sorted ascending")
-        if grid and (grid[0] < 0.0 or grid[-1] > 0.5):
-            raise ValueError("p grid must lie within [0, 0.5]")
-        object.__setattr__(self, "p_grid", grid)
-
-    @classmethod
-    def uniform(cls, points=101):
-        return cls(p_grid=_grid(points))
-
-
 def _tau3_bpf3(ps, rho0):
     """tau3 (len(ps),) of the three-qubit initial density matrix `rho0`
     (8, 8), the GHZ state, after identical BPF(p) on every qubit, for every
@@ -72,20 +46,14 @@ def _tau3_bpf3(ps, rho0):
 @dataclass(frozen=True)
 class Figure1Result:
     """Sweep rows (p, direct tau3, product-form and sum-form closed curves)
-    plus the refined p at which the direct curve vanishes (NaN if it never does)."""
+    plus the refined p at which the direct curve vanishes."""
 
-    spec: SweepSpec
     rows: tuple
     zero_crossing: float
 
     def to_csv(self):
-        header = {
-            "scenario": "ghz3-bpf3",
-            "points": len(self.spec.p_grid),
-            "p_min": self.spec.p_grid[0],
-            "p_max": self.spec.p_grid[-1],
-            "zero_crossing": None if math.isnan(self.zero_crossing) else self.zero_crossing,
-        }
+        header = {"scenario": "ghz3-bpf3", "points": len(self.rows), "p_min": self.rows[0][0],
+                  "p_max": self.rows[-1][0], "zero_crossing": self.zero_crossing}
         out = ["# " + json.dumps(header, sort_keys=True)]
         out.append("p,tau3_direct,product_form,sum_form")
         for p, direct, prod, summ in self.rows:
@@ -93,34 +61,33 @@ class Figure1Result:
         return "\n".join(out) + "\n"
 
 
-def figure1_scan(spec=None):
-    """Sweep ghz3 under identical BPF(p) on every qubit over the p grid.
+def figure1_scan(points=101):
+    """Sweep ghz3 under identical BPF(p) on every qubit over `points` evenly
+    spaced p from 0 to 0.5.
 
     Column 2 is the direct lower bound of the evolved (rank-8) state; columns
     3 and 4 are the closed-form curves (1-2p)^3 and (1-2p)^2 that the product
-    and sum decompositions predict for identical channels. The vanishing point
-    of the direct curve is located by the first grid point at or below
-    VANISH_TOL and refined by bisection to BISECT_TOL.
+    and sum decompositions predict for identical channels. The direct curve
+    is 1 at p = 0 and 0 at p = 0.5, so the grid always brackets where it first
+    falls to VANISH_TOL; bisection refines that bracket to BISECT_TOL.
     """
-    spec = spec or SweepSpec()
+    if points < 2:
+        raise ValueError(f"need at least two grid points, got {points}")
+    grid = [0.5 * k / (points - 1) for k in range(points)]
     rho0 = parse_state("ghz3").to_density().mat
-    direct = _tau3_bpf3(np.array(spec.p_grid), rho0).tolist()
+    direct = _tau3_bpf3(np.array(grid), rho0).tolist()
     rows = [(p, tau, float((1 - 2 * p) ** 3), float((1 - 2 * p) ** 2))
-            for p, tau in zip(spec.p_grid, direct)]
+            for p, tau in zip(grid, direct)]
 
-    crossing = math.nan
-    for k in range(1, len(rows)):
-        if rows[k][1] <= VANISH_TOL < rows[k - 1][1]:
-            lo, hi = rows[k - 1][0], rows[k][0]
-            while hi - lo > BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if _tau3_bpf3([mid], rho0)[0] > VANISH_TOL:
-                    lo = mid
-                else:
-                    hi = mid
-            crossing = 0.5 * (lo + hi)
-            break
-    return Figure1Result(spec=spec, rows=tuple(rows), zero_crossing=crossing)
+    k = next(i for i, tau in enumerate(direct) if tau <= VANISH_TOL)
+    lo, hi = grid[k - 1], grid[k]
+    while hi - lo > BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        if _tau3_bpf3([mid], rho0)[0] > VANISH_TOL:
+            lo = mid
+        else:
+            hi = mid
+    return Figure1Result(rows=tuple(rows), zero_crossing=0.5 * (lo + hi))
 
 
 # Fixed, pairwise-distinct generic flip probabilities (qubit k gets the k-th);

@@ -2,6 +2,9 @@
 roots, qubit permutation indices, and density-matrix validation, of one matrix (the
 `DensityMatrix` container) or of a (..., d, d) stack.
 
+States are validated once, by `density_spectra`, the only raiser of
+NotHermitianError and NotPSDError; `psd_sqrt` clamps roundoff unchecked.
+
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
 big-endian: qubit 1 is the leftmost tensor factor, so basis index i has the
 bit of qubit k at position n-k, and |011> has index 3 for n=3.
@@ -19,7 +22,6 @@ from .errors import (
 HERM_TOL = 1e-10      # max entrywise |M - M^dag| accepted as Hermitian
 TRACE_TOL = 1e-10     # |tr(rho) - 1| accepted for density matrices
 EIG_FLOOR = -1e-10    # most negative eigenvalue accepted for density matrices
-PSD_CLAMP = 1e-8      # eigenvalues in [-PSD_CLAMP, 0) clamp to 0; below raises
 RANK_TOL = 1e-10      # absolute eigenvalue threshold for numerical rank
 
 
@@ -40,31 +42,14 @@ def _dagger(m):
     return np.swapaxes(m.conj(), -1, -2)
 
 
-def hermiticity_error(m):
-    """Max entrywise deviation |M - M^dag|, over a whole stack if given one."""
-    m = np.asarray(m)
-    return float(np.max(np.abs(m - _dagger(m)))) if m.size else 0.0
-
-
-def require_hermitian(m, tol=HERM_TOL, what="matrix"):
-    err = hermiticity_error(m)
-    if err > tol:
-        raise NotHermitianError(f"{what} is not Hermitian: residual {err:.3e} > {tol:.1e}")
-
-
-def psd_sqrt(m, tol=HERM_TOL):
+def psd_sqrt(m):
     """Hermitian PSD square root r with r @ r == m, of one matrix or of every
-    matrix in a (..., d, d) stack.
-
-    Eigenvalues in [-PSD_CLAMP, 0) are treated as roundoff and clamped to 0;
-    anything below -PSD_CLAMP, in any matrix of a stack, raises NotPSDError.
+    matrix in a (..., d, d) stack. Each must be a density matrix that
+    `density_spectra` accepted or a principal block of one, whose eigenvalues
+    then lie above EIG_FLOOR - 4 * HERM_TOL (see `concurrence`): negative
+    ones are roundoff and clamp to 0, unchecked.
     """
-    m = np.asarray(m, dtype=complex)
-    require_hermitian(m, tol)
     w, v = np.linalg.eigh(m)
-    lowest = float(w[..., 0].min()) if w.size else 0.0
-    if lowest < -PSD_CLAMP:
-        raise NotPSDError(f"matrix has eigenvalue {lowest:.3e} < -{PSD_CLAMP:.1e}")
     vh = _dagger(v)
     v *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
     return v @ vh
@@ -113,9 +98,13 @@ def density_spectra(mats):
     if not np.all(np.isfinite(mats)):
         raise ValueError("density matrix has non-finite entries")
     n_qubits_of(mats.shape[-1])
-    require_hermitian(mats, HERM_TOL, what="density matrix")
-    traces = np.trace(mats, axis1=-2, axis2=-1).reshape(-1)
-    bad = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
+    # huge finite entries overflow to inf here and fail the same checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = float(np.max(np.abs(mats - _dagger(mats)), initial=0.0))
+        traces = np.trace(mats, axis1=-2, axis2=-1).reshape(-1)
+        bad = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
+    if err > HERM_TOL:
+        raise NotHermitianError(f"density matrix is not Hermitian: residual {err:.3e} > {HERM_TOL:.1e}")
     if bad.size:
         tr = complex(traces[bad[0]])
         raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by > {TRACE_TOL:.1e}")

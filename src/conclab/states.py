@@ -20,7 +20,8 @@ class PureState:
     def __init__(self, amplitudes):
         amp = np.array(amplitudes, dtype=complex).reshape(-1)
         n = n_qubits_of(amp.shape[0])
-        norm = float(np.linalg.norm(amp))
+        with np.errstate(over="ignore", invalid="ignore"):  # huge entries: norm inf
+            norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise NotNormalizedError(f"state norm {norm:.15g} deviates from 1 by > {NORM_TOL:.1e}")
         amp.setflags(write=False)

@@ -15,7 +15,7 @@ import pytest
 
 from conclab.channels import apply, sample_channel
 from conclab.concurrence import Bipartition, bipartite_concurrence, parse_cut, wootters
-from conclab.experiments import SweepSpec, figure1_scan, rank_table
+from conclab.experiments import figure1_scan, rank_table
 from conclab.factorization import (
     CampaignConfig,
     default_cut,
@@ -119,7 +119,7 @@ def test_criterion_04_four_qubit_identities():
 
 
 def test_criterion_05_lower_bound_sweep():
-    result = figure1_scan(SweepSpec.uniform(101))
+    result = figure1_scan(101)
     clauses = []
     crossing = result.zero_crossing
     clauses.append((f"direct curve vanishes at p = {crossing:.4f}, required 0.31 +- 0.01",

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import conclab
 from conclab.cli import cli_main
 from conclab.experiments import CATALOGUE
 from conclab.factorization import CampaignConfig, run_campaign
@@ -304,9 +309,10 @@ def test_campaign_config_fuzz_never_tracebacks(tmp_path, capsys, config):
         assert code == 1 and "leak_tol" in err
 
 
-_ENTRY = (st.none() | st.booleans() | st.integers(-2, 2) | st.floats(-1, 1)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ENTRY = (st.none() | st.booleans() | st.integers(-2, 2) | _FINITE
           | st.sampled_from([0.5, 0.25, 0.0]) | st.text(max_size=3)
-          | st.lists(st.floats(-1, 1) | st.none() | st.booleans(), max_size=3)
+          | st.lists(_FINITE | st.none() | st.booleans(), max_size=3)
           | st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
 _VALID_MATRICES = st.sampled_from([
     [[1, 0], [0, 0]],
@@ -318,10 +324,15 @@ _VALID_MATRICES = st.sampled_from([
 
 @st.composite
 def _matrix_json(draw):
-    """A valid matrix with some entries replaced, a ragged or nested list of
-    entries, or any JSON value; bare or under a "matrix" key."""
-    kind = draw(st.sampled_from(["edited", "lists", "any"]))
-    if kind == "edited":
+    """A valid matrix with some entries replaced, a square matrix of finite
+    floats, a ragged or nested list of entries, or any JSON value; bare or
+    under a "matrix" key."""
+    kind = draw(st.sampled_from(["edited", "square", "lists", "any"]))
+    if kind == "square":
+        dim = draw(st.sampled_from([2, 4]))
+        obj = draw(st.lists(st.lists(_FINITE, min_size=dim, max_size=dim),
+                            min_size=dim, max_size=dim))
+    elif kind == "edited":
         obj = [list(row) for row in draw(_VALID_MATRICES)]
         for _ in range(draw(st.integers(0, 2))):
             i = draw(st.integers(0, len(obj) - 1))
@@ -420,6 +431,45 @@ def test_bad_tolerance_or_seed_exits_one(tmp_path, capsys, argv, field):
     assert_one_error_line(code, out, err)
     assert f"error: {field} must be" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["campaign", "sweep"])
+@pytest.mark.parametrize("value", ["-1e-300", "-1E-3", "-inf", "-.5e+2", "-2"])
+def test_negative_tolerance_reaches_the_config_check(tmp_path, capsys, command, value):
+    """argparse reads these as values, not as unknown options."""
+    argv = [command, "--samples", "1", "--tol", value]
+    argv += [*_BELL] if command == "campaign" else ["--out-dir", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: tol must be")
+    assert not (tmp_path / "out").exists()
+
+
+def _cli_subprocess(*argv):
+    """Run the CLI in a fresh interpreter: the only way to see what a user sees
+    on stderr, warnings included."""
+    env = dict(os.environ, PYTHONPATH=str(Path(conclab.__file__).resolve().parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run([sys.executable, "-m", "conclab.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("kind, payload, needle", [
+    ("matrix", [[1e308, 0], [0, 1e308]], "trace"),
+    ("matrix", [[1e308, 1e308], [-1e308, 1]], "not Hermitian"),
+    ("state", "[1e200, 1e200]", "norm"),
+], ids=["trace-overflow", "hermiticity-overflow", "norm-overflow"])
+def test_huge_finite_input_gives_one_error_line(tmp_path, kind, payload, needle):
+    if kind == "matrix":
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps(payload))
+        argv = ("concurrence", "--matrix", str(path))
+    else:
+        argv = ("evolve", "--state", payload)
+    code, out, err = _cli_subprocess(*argv)
+    assert_one_error_line(code, out, err)
+    assert needle in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("field, value", [

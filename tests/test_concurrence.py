@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,11 @@ from conclab.concurrence import (
     wootters,
 )
 from conclab.errors import DimensionMismatchError
-from conclab.linalg import DensityMatrix
+from conclab.linalg import EIG_FLOOR, HERM_TOL, DensityMatrix, density_spectra
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
 from oracles import (
+    all_cuts,
     bell_mixture_concurrence,
     dense_cut_concurrence,
     principal_block_indices,
@@ -123,8 +126,6 @@ class TestBipartite:
     def test_pure_state_purity_oracle(self, seed, n):
         psi = random_pure(n, np.random.default_rng(seed))
         rho = psi.to_density()
-        from oracles import all_cuts
-
         for block1, block2 in all_cuts(n):
             got = bipartite_concurrence(rho, Bipartition(block1, block2)).total
             assert abs(got - pure_cut_concurrence(psi.amplitudes, block1)) <= 1e-8
@@ -252,6 +253,59 @@ class TestDenseOracle:
                     reference.append(value)
                 total = mp.sqrt(sum(v * v for v in reference))
             assert abs(float(total - got.total)) <= 1e-12
+
+
+def _edge_state(n, rng):
+    """A state that `density_spectra` accepts at both edges: the triangle that
+    eigvalsh reads has lowest eigenvalue EIG_FLOOR * (1 - 1e-3), and the other
+    triangle carries a non-Hermitian error of modulus HERM_TOL * (1 - 1e-3)."""
+    dim = 1 << n
+    low = EIG_FLOOR * (1 - 1e-3)
+    rank = int(rng.integers(1, dim))
+    spectrum = np.zeros(dim)
+    spectrum[0] = low
+    spectrum[dim - rank:] = rng.dirichlet(np.ones(rank)) * (1 - low)
+    u = random_unitary(dim, rng)
+    h = (u * spectrum) @ u.conj().T
+    h = (h + h.conj().T) / 2
+    phases = np.exp(2j * np.pi * rng.random((dim, dim)))
+    return h + np.triu(phases, 1) * HERM_TOL * (1 - 1e-3)
+
+
+class TestValidatedBlocks:
+    """Why the kernel checks nothing: every principal block of a validated
+    state is Hermitian to HERM_TOL, and by Cauchy interlacing its eigenvalues,
+    read from either triangle, stay at or above EIG_FLOOR - 4 * HERM_TOL."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_blocks_of_edge_states(self, n):
+        rng = np.random.default_rng(1000 + n)
+        mats = np.array([_edge_state(n, rng) for _ in range(40)])
+        eigs = density_spectra(mats)
+        assert np.all(eigs[:, 0] <= 0.99 * EIG_FLOOR)
+        assert np.max(np.abs(mats - np.swapaxes(mats.conj(), -1, -2))) > 0.99 * HERM_TOL
+        for order in permutations(range(1, n + 1)):
+            for split in range(1, n):
+                block1, block2 = order[:split], order[split:]
+                for _, _, idx in principal_block_indices(block1, block2):
+                    blocks = mats[:, idx][:, :, idx]
+                    herm = np.max(np.abs(blocks - np.swapaxes(blocks.conj(), -1, -2)))
+                    assert herm <= HERM_TOL
+                    for uplo in "LU":
+                        lowest = np.linalg.eigvalsh(blocks, UPLO=uplo)[:, 0]
+                        assert np.min(lowest) >= EIG_FLOOR - 4 * HERM_TOL
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_kernel_matches_dense_formula_on_edge_states(self, n):
+        rng = np.random.default_rng(2000 + n)
+        mats = np.array([_edge_state(n, rng) for _ in range(4)])
+        density_spectra(mats)
+        for block1, block2 in all_cuts(n):
+            for cut in (Bipartition(block1, block2), Bipartition(block2[::-1], block1)):
+                got = cut_totals(mats, cut)
+                for k, m in enumerate(mats):
+                    _, total = dense_cut_concurrence(m, cut.block1, cut.block2)
+                    assert abs(got[k] - total) <= 1e-8
 
 
 class TestStackedKernel:

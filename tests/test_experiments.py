@@ -1,14 +1,14 @@
 import json
-import math
 
+import numpy as np
 import pytest
 
 from conclab.channels import apply, flip_channel
 from conclab.concurrence import tau3
 from conclab.experiments import (
+    BISECT_TOL,
     CATALOGUE,
     GENERIC_PS,
-    SweepSpec,
     _tau3_bpf3,
     figure1_scan,
     rank_table,
@@ -18,26 +18,33 @@ from conclab.states import ghz
 
 
 class TestSweepSpec:
+    """The sweep's one grid shape: `points` evenly spaced p from 0 to 0.5."""
+
     def test_default_grid(self):
-        spec = SweepSpec()
-        assert len(spec.p_grid) == 101
-        assert spec.p_grid[0] == 0.0
-        assert spec.p_grid[-1] == 0.5
+        grid = [row[0] for row in figure1_scan().rows]
+        assert len(grid) == 101
+        assert grid[0] == 0.0
+        assert grid[-1] == 0.5
 
     def test_uniform_points(self):
-        spec = SweepSpec.uniform(11)
-        assert spec.p_grid[1] == pytest.approx(0.05)
+        grid = [row[0] for row in figure1_scan(11).rows]
+        assert grid[1] == pytest.approx(0.05)
+        assert grid == [0.5 * k / 10 for k in range(11)]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SweepSpec(p_grid=(0.2, 0.1))
-        with pytest.raises(ValueError):
-            SweepSpec(p_grid=(0.0, 0.7))
+        for points in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least two grid points"):
+                figure1_scan(points)
 
 
 @pytest.fixture(scope="module")
 def result():
-    return figure1_scan(SweepSpec.uniform(26))
+    return figure1_scan(26)
+
+
+# The direct curve vanishes where the ghz3 state under BPF(p)^3 turns
+# separable on its 2|1 cuts: the real root of 2p^3 - 4p^2 + 4p - 1.
+P_STAR = float(next(r.real for r in np.roots([2, -4, 4, -1]) if abs(r.imag) < 1e-12))
 
 
 class TestFigure1:
@@ -64,8 +71,10 @@ class TestFigure1:
         assert values[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_zero_crossing_location(self, result):
-        # the direct bound vanishes at p ~ 0.3522 for this scenario
-        assert abs(result.zero_crossing - 0.3522) < 2e-3
+        assert P_STAR == pytest.approx(0.3522011287389578, abs=1e-15)
+        assert abs(result.zero_crossing - P_STAR) <= BISECT_TOL
+        for points in (2, 6, 101):  # every grid brackets the crossing
+            assert abs(figure1_scan(points).zero_crossing - P_STAR) <= BISECT_TOL
 
     def test_csv_shape_and_header(self, result):
         lines = result.to_csv().strip().split("\n")
@@ -78,8 +87,7 @@ class TestFigure1:
         assert all(len(line.split(",")) == 4 for line in lines[2:])
 
     def test_csv_deterministic(self):
-        spec = SweepSpec.uniform(6)
-        assert figure1_scan(spec).to_csv() == figure1_scan(spec).to_csv()
+        assert figure1_scan(6).to_csv() == figure1_scan(6).to_csv()
 
     def test_rows_equal_point_by_point_bitwise(self, result):
         rho0 = ghz(3).to_density()
@@ -87,10 +95,6 @@ class TestFigure1:
             assert _tau3_bpf3([p], rho0.mat)[0] == direct
             channels = [flip_channel("BPF", p)] * 3
             assert tau3(apply(dict(enumerate(channels, start=1)), rho0)) == direct
-
-    def test_no_crossing_reports_nan(self):
-        result = figure1_scan(SweepSpec(p_grid=(0.0, 0.1, 0.2)))
-        assert math.isnan(result.zero_crossing)
 
 
 class TestRankTable:
