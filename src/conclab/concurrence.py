@@ -24,10 +24,32 @@ P. Then A = W (P Y P*) W^T, and W, W^T act isometrically on the ranges
 involved, so A has the singular values of sqrt(rho_II) Y sqrt(rho_II)*:
 exactly four of them, and every eigenvalue beyond the top four is 0.
 
-The kernel therefore takes a (B, d, d) stack of states, gathers the
-(B, P, 4, 4) principal blocks of a cut with one fancy index (the cut's
-qubit reordering folded into the index sets), takes one batched PSD square
-root, and reads every pair's l's from one batched SVD. Y is a signed
+X-shaped blocks, whose only nonzero entries sit on the diagonal and the
+anti-diagonal, have closed-form l's (Yu and Eberly, Quantum Inf. Comput. 7,
+2007). Y maps |0> and |3> onto each other and |1> and |2> onto each other,
+so it maps span{0, 3} and span{1, 2} onto themselves. An X block is the
+direct sum of its 2x2 halves M = [[a, z], [z*, d]] on these spans: on
+span{0, 3}, a = r00, d = r33, z = r03; on span{1, 2}, a = r11, d = r22,
+z = r12. Its root and sqrt(rho_II) Y sqrt(rho_II)* are direct sums too, so
+the l's split into two 2x2 problems. On either span, Y acts as +-sigma_x.
+For PSD M, N = sqrt(M) sigma_x sqrt(M)* has |det N| = det M = ad - |z|^2
+and ||N||_F^2 = tr(M sigma_x M* sigma_x) = 2 (ad + |z|^2). Its singular
+values are therefore sqrt(ad) + |z| and sqrt(ad) - |z|. A diagonal block
+has z = 0 and l's (x, x, y, y), so C_mn = max(0, x - ((x + y) + y)) = 0
+exactly. Roundoff can leave M with a negative eigenvalue. The PSD root
+then clamps M to lambda+ times its top eigenprojector, with
+lambda+ = (a + d + g) / 2 and g = sqrt((a - d)^2 + 4 |z|^2). That clamped
+matrix has l's 2 lambda+ |z| / g and 0. This case is exactly where
+sqrt(ad) - |z| < 0, with a and d clipped at 0.
+
+The kernel therefore takes a (B, d, d) stack of states and reads the
+principal blocks of a cut through flat index sets (the cut's qubit
+reordering folded into them). It marks a (state, pair) as X-shaped when
+the eight entries of its block off the diagonal and anti-diagonal are
+exactly 0. It decides this per (state, pair), from that block alone,
+never once per stack. X blocks get the closed form. Only the other
+blocks, selected with one boolean mask, are gathered whole and go through
+one batched PSD square root and one batched SVD. Y is a signed
 permutation, so sqrt(rho_II) Y is a signed reversal of the columns of the
 root, not a matmul. Reading the l's as singular values avoids taking
 square roots of near-zero eigenvalues, which would inject noise of order
@@ -140,6 +162,13 @@ class ConcurrenceBreakdown:
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 _FLIP_SIGNS.setflags(write=False)
 
+# (rows, cols) of the eight entries of a 4x4 block off its diagonal and
+# anti-diagonal: a block is X-shaped when all of them are exactly 0
+_OFF_X = np.nonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
+# (rows, cols) of the entries an X block's l's depend on: r00, r11, r33,
+# r22 and the lower anti-diagonal r30, r21, the triangle `eigh` reads
+_X_ENTRIES = (np.array([0, 1, 3, 2, 3, 2]), np.array([0, 1, 3, 2, 0, 1]))
+
 
 @lru_cache(maxsize=None)
 def _pair_blocks(block1, block2):
@@ -165,19 +194,54 @@ def _pair_blocks(block1, block2):
     return tuple(labels), flat
 
 
+def _x_spectra(entries):
+    """The closed-form l's (B, P, 4), descending, of blocks read as X-shaped,
+    from their entries at _X_ENTRIES gathered as (B, 6, P):
+    sqrt(r00 r33) +- |r03| and sqrt(r11 r22) +- |r12|, the diagonal clipped
+    at 0, or (2 lambda+ |z| / g, 0) where a 2x2 half has a negative
+    eigenvalue for the PSD root to clamp (see the module docstring). They
+    are exact for X-shaped blocks and ignore every other entry."""
+    near, far, anti = entries[:, 0:2].real, entries[:, 2:4].real, entries[:, 4:6]
+    # |z| by correctly rounded operations only, so no SIMD path can make a
+    # value depend on its position in the stack
+    mod = np.sqrt(anti.real * anti.real + anti.imag * anti.imag)
+    mean = np.sqrt(np.maximum(near, 0.0) * np.maximum(far, 0.0))
+    hi, lo = mean + mod, mean - mod
+    clamped = lo < 0.0
+    if clamped.any():
+        a, d, z = near[clamped], far[clamped], mod[clamped]
+        gap = np.sqrt((a - d) * (a - d) + 4.0 * z * z)
+        hi[clamped] = z * np.maximum(a + d + gap, 0.0) / gap
+        lo[clamped] = 0.0
+    # each half has hi >= lo, so these comparisons sort the four l's
+    inner_hi, inner_lo = np.minimum(hi[:, 0], hi[:, 1]), np.maximum(lo[:, 0], lo[:, 1])
+    return np.stack((np.maximum(hi[:, 0], hi[:, 1]), np.maximum(inner_hi, inner_lo),
+                     np.minimum(inner_hi, inner_lo), np.minimum(lo[:, 0], lo[:, 1])), axis=-1)
+
+
 def _pair_spectra(mats, flat):
     """The l's (B, P, 4), descending, and C_mn = max(0, l1 - l2 - l3 - l4)
-    (B, P) of the principal blocks rho_II of a (B, d, d) stack, gathered by
-    their flat indices (P, 4, 4): the singular values of
-    sqrt(rho_II) Y sqrt(rho_II)*.
+    (B, P) of the principal blocks rho_II of a (B, d, d) stack, whose
+    entries sit at the flat indices (P, 4, 4): the singular values of
+    sqrt(rho_II) Y sqrt(rho_II)*, in closed form for each X-shaped block and
+    from one PSD root and one SVD of the other blocks.
 
-    Every array here is C-ordered with the stack axis first, so every
-    reduction runs over one state's own row and a state's values do not
-    depend on the stack it shares.
+    Whether a block is X-shaped is decided per (state, pair) from that
+    block's own entries; the closed form is evaluated for every block and
+    overwritten where the block is not X-shaped. Every array here has the
+    stack axis first and every operation acts per (state, pair), so a
+    state's values do not depend on the stack it shares.
     """
-    root = psd_sqrt(np.take(mats.reshape(len(mats), -1), flat, axis=1))
-    flipped = root[..., ::-1] * _FLIP_SIGNS
-    lam = np.linalg.svd(flipped @ np.conj(root, out=root), compute_uv=False)
+    states = mats.reshape(len(mats), -1)
+    # entries are gathered as (B, k, P): reducing over a short middle axis
+    # with the pairs contiguous is much cheaper than over a short last axis
+    general = np.any(np.take(states, flat[:, _OFF_X[0], _OFF_X[1]].T, axis=1) != 0, axis=1)
+    lam = _x_spectra(np.take(states, flat[:, _X_ENTRIES[0], _X_ENTRIES[1]].T, axis=1))
+    if general.any():
+        rows, pairs = np.nonzero(general)
+        root = psd_sqrt(states[rows[:, None, None], flat[pairs]])
+        flipped = root[..., ::-1] * _FLIP_SIGNS
+        lam[general] = np.linalg.svd(flipped @ np.conj(root, out=root), compute_uv=False)
     return lam, np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
 
 

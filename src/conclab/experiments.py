@@ -13,6 +13,7 @@ from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
 BISECT_TOL = 1e-4       # p resolution of the zero-crossing refinement
+MAX_POINTS = 10001      # largest sweep grid; the grid runs as one stack
 
 # Every (state, per-qubit family) scenario, with the final rank it is claimed
 # to have for generic in-family channel parameters (None: no claim).
@@ -70,9 +71,12 @@ def figure1_scan(points=101):
     and sum decompositions predict for identical channels. The direct curve
     is 1 at p = 0 and 0 at p = 0.5, so the grid always brackets where it first
     falls to VANISH_TOL; bisection refines that bracket to BISECT_TOL.
+    At most MAX_POINTS points: the whole grid is evolved as one stack.
     """
     if points < 2:
         raise ValueError(f"need at least two grid points, got {points}")
+    if points > MAX_POINTS:
+        raise ValueError(f"at most {MAX_POINTS} grid points, got {points}")
     grid = [0.5 * k / (points - 1) for k in range(points)]
     rho0 = parse_state("ghz3").to_density().mat
     direct = _tau3_bpf3(np.array(grid), rho0).tolist()

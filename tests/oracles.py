@@ -215,6 +215,16 @@ def dense_cut_concurrence(mat, block1, block2):
     return terms, float(np.sqrt(sum(t[3] ** 2 for t in terms)))
 
 
+def svd_block_spectra(blocks):
+    """The four l's, descending, of every 4x4 principal block of a
+    (..., 4, 4) stack: the singular values of sqrt(rho_II) Y sqrt(rho_II)*,
+    the root's negative eigenvalues clamped at 0. This is the kernel's
+    general path, applied to every block whatever its shape."""
+    w, v = np.linalg.eigh(blocks)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    return np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+
+
 def principal_block_indices(block1, block2):
     """(m, n, four basis indices of the unreordered state) per generator pair:
     the states {a, b} x {c, d} on which L_m kron L_n acts, for E_ab on block1

@@ -52,6 +52,12 @@ def test_figure1_csv_shape(tmp_path, capsys):
     assert all(len(row.split(",")) == 4 for row in data)
 
 
+def test_figure1_points_above_cap_exit_one(tmp_path, capsys):
+    target = tmp_path / "fig1.csv"
+    assert_one_error_line(*run(capsys, "figure1", "--points", "10002", "--out", str(target)))
+    assert not target.exists()
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conclab import concurrence
 from conclab.channels import FAMILIES, apply, flip_channel, sample_channel
 from conclab.concurrence import (
     Bipartition,
+    _pair_blocks,
+    _pair_spectra,
     bipartite_concurrence,
     cut_concurrence,
     cut_totals,
@@ -17,6 +20,7 @@ from conclab.concurrence import (
     wootters,
 )
 from conclab.errors import DimensionMismatchError
+from conclab.experiments import CATALOGUE, _tau3_bpf3
 from conclab.linalg import EIG_FLOOR, HERM_TOL, DensityMatrix, density_spectra
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
@@ -29,6 +33,7 @@ from oracles import (
     random_density,
     random_unitary,
     rotation_generators,
+    svd_block_spectra,
     wootters_charpoly,
 )
 
@@ -306,6 +311,191 @@ class TestValidatedBlocks:
                 for k, m in enumerate(mats):
                     _, total = dense_cut_concurrence(m, cut.block1, cut.block2)
                     assert abs(got[k] - total) <= 1e-8
+
+
+X_SHAPE = np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]
+
+
+def principal_blocks(mat, block1, block2):
+    """Every generator pair's 4x4 principal block of a cut, by the oracle's
+    index sets."""
+    indices = principal_block_indices(block1, block2)
+    return np.array([mat[np.ix_(idx, idx)] for _, _, idx in indices])
+
+
+def is_x(blocks):
+    return ~np.any(blocks[..., ~X_SHAPE] != 0, axis=-1)
+
+
+def random_x_state(rng):
+    """A two-qubit state that is X-shaped: a random mixture of a random state
+    on span{00, 11} and one on span{01, 10}, each of rank 1 or 2."""
+    rho = np.zeros((4, 4), dtype=complex)
+    weight = rng.random()
+    for idx, share in (([0, 3], weight), ([1, 2], 1.0 - weight)):
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        g[:, 1] *= rng.integers(0, 2)
+        half = g @ g.conj().T
+        rho[np.ix_(idx, idx)] = share * half / np.trace(half).real
+    return rho
+
+
+def edge_x_state(rng, idx):
+    """An X-shaped two-qubit state that `density_spectra` accepts at both
+    edges: its half on the basis states `idx` has lowest eigenvalue
+    EIG_FLOOR * (1 - 1e-3), and its upper anti-diagonal carries a
+    non-Hermitian error of modulus HERM_TOL * (1 - 1e-3)."""
+    low = EIG_FLOOR * (1 - 1e-3)
+    rho = np.zeros((4, 4), dtype=complex)
+    weight = 0.2 + 0.6 * rng.random()
+    u = random_unitary(2, rng)
+    rho[np.ix_(idx, idx)] = (u * [weight - low, low]) @ u.conj().T
+    other = [k for k in range(4) if k not in idx]
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    rho[np.ix_(other, other)] = (1.0 - weight) * (g @ g.conj().T) / np.linalg.norm(g) ** 2
+    rho = (rho + rho.conj().T) / 2
+    rho[[0, 1], [3, 2]] += np.exp(2j * np.pi * rng.random(2)) * HERM_TOL * (1 - 1e-3)
+    return rho
+
+
+def assert_matches_block_and_dense_oracles(mat, block1, block2):
+    """The kernel's l's against the root/flip/SVD oracle on the same blocks,
+    and its terms and total against the dense definition, all within 1e-12.
+    Returns the number of X-shaped blocks."""
+    got = bipartite_concurrence(DensityMatrix(mat), Bipartition(block1, block2))
+    blocks = principal_blocks(mat, block1, block2)
+    lam = svd_block_spectra(blocks)
+    values = np.maximum(0.0, lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3])
+    terms, total = dense_cut_concurrence(mat, block1, block2)
+    assert np.max(np.abs(np.array([p.lambdas for p in got.pairs]) - lam)) <= 1e-12
+    assert np.max(np.abs(np.array([p.value for p in got.pairs]) - values)) <= 1e-12
+    assert max(abs(p.value - term[3]) for p, term in zip(got.pairs, terms)) <= 1e-12
+    assert abs(got.total - total) <= 1e-12
+    return int(np.count_nonzero(is_x(blocks)))
+
+
+class TestXBlocks:
+    """X-shaped blocks (nonzero only on the diagonal and anti-diagonal) are
+    read in closed form, every other block by the PSD root and the SVD; the
+    choice is made per (state, pair)."""
+
+    @pytest.mark.parametrize("k", range(len(CATALOGUE)),
+                             ids=["-".join((s, *f)) for s, f, _ in CATALOGUE])
+    def test_catalogue_states_match_oracles(self, k):
+        state, families, _ = CATALOGUE[k]
+        rng = np.random.default_rng(3000 + k)
+        x_blocks = 0
+        for _ in range(2):
+            channels = {q: sample_channel(f, rng) for q, f in enumerate(families, start=1)}
+            mat = apply(channels, parse_state(state).to_density()).mat
+            for block1, block2 in all_cuts(len(families)):
+                for cut in ((block1, block2), (block2[::-1], block1)):
+                    x_blocks += assert_matches_block_and_dense_oracles(mat, *cut)
+        assert x_blocks > 0
+
+    def test_random_x_states_match_oracles(self):
+        rng = np.random.default_rng(3100)
+        for _ in range(200):
+            mat = random_x_state(rng)
+            for cut in (((1,), (2,)), ((2,), (1,))):
+                assert assert_matches_block_and_dense_oracles(mat, *cut) == 1
+
+    @pytest.mark.parametrize("idx", [[0, 3], [1, 2]], ids=["half-03", "half-12"])
+    def test_x_states_at_the_validation_edges(self, idx):
+        rng = np.random.default_rng(3200 + idx[0])
+        mats = np.array([edge_x_state(rng, idx) for _ in range(40)])
+        eigs = density_spectra(mats)
+        assert np.all(eigs[:, 0] <= 0.99 * EIG_FLOOR)
+        assert np.max(np.abs(mats - np.swapaxes(mats.conj(), -1, -2))) > 0.99 * HERM_TOL
+        for mat in mats:
+            for cut in (((1,), (2,)), ((2,), (1,))):
+                assert assert_matches_block_and_dense_oracles(mat, *cut) == 1
+            # the half with the negative eigenvalue is clamped: its lower l is 0
+            pair = bipartite_concurrence(DensityMatrix(mat), parse_cut("1|2")).pairs[0]
+            assert 0.0 in pair.lambdas
+
+    def test_sixty_digit_reference(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(3300)
+        flip = mp.matrix([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
+        ch = flip_channel("BPF", 0.2)
+        mats = [random_x_state(rng) for _ in range(8)]
+        mats += [bell_mixture(0.7).mat, apply({1: ch, 2: ch}, bell(SQ2).to_density()).mat]
+        with mp.workdps(60):
+            for mat in mats:
+                pair = bipartite_concurrence(DensityMatrix(mat), parse_cut("1|2")).pairs[0]
+                block = mp.matrix(mat.tolist())
+                eigs = mp.eig(block * flip * block.conjugate() * flip, left=False, right=False)
+                lam = sorted((mp.sqrt(max(mp.mpf(0), mp.re(e))) for e in eigs), reverse=True)
+                value = max(mp.mpf(0), lam[0] - lam[1] - lam[2] - lam[3])
+                assert max(abs(float(a - b)) for a, b in zip(lam, pair.lambdas)) <= 1e-12
+                assert abs(float(value - pair.value)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_diagonal_blocks_are_exactly_separable(self, n):
+        rng = np.random.default_rng(3400 + n)
+        for _ in range(10):
+            diag = rng.random(1 << n) * rng.integers(0, 2, 1 << n)
+            diag[0] += 1e-3
+            mat = np.diag(diag / diag.sum()).astype(complex)
+            for block1, block2 in all_cuts(n):
+                got = bipartite_concurrence(DensityMatrix(mat), Bipartition(block1, block2))
+                assert got.total == 0.0
+                for pair, (_, _, idx) in zip(got.pairs, principal_block_indices(block1, block2)):
+                    r = mat.real[idx, idx]
+                    x, y = sorted((np.sqrt(r[0] * r[3]), np.sqrt(r[1] * r[2])), reverse=True)
+                    assert pair.value == 0.0
+                    assert pair.lambdas == (x, x, y, y)
+
+    def test_general_path_runs_only_off_the_x(self, monkeypatch):
+        """A block goes through the PSD root exactly when one of its eight
+        entries off the X is nonzero, even by less than HERM_TOL."""
+        seen = []
+        psd_sqrt = concurrence.psd_sqrt
+
+        def counting(blocks):
+            seen.append(len(blocks))
+            return psd_sqrt(blocks)
+
+        monkeypatch.setattr(concurrence, "psd_sqrt", counting)
+        mat = random_x_state(np.random.default_rng(3500))
+        wootters(DensityMatrix(mat))
+        _tau3_bpf3(np.linspace(0.0, 0.5, 11), ghz(3).to_density().mat)
+        assert seen == []
+        for i, j in zip(*np.nonzero(~X_SHAPE)):
+            off = mat.copy()
+            off[i, j] = 0.5 * HERM_TOL
+            wootters(DensityMatrix(off))
+        assert seen == [1] * 8
+
+    def test_mixed_stack_equals_one_state_calls(self):
+        """A stack in which the same pair is X-shaped in some draws and not in
+        others gives, bit for bit, the one-state l's and values."""
+        rng = np.random.default_rng(3600)
+        ch = flip_channel("PF", 0.3)
+        for n in (2, 3):
+            mats = [apply({1: ch, 2: ch, 3: ch}, w(3).to_density()).mat] if n == 3 else []
+            for k in range(8):
+                mat = random_density(n, 1 + k % 4, rng)
+                # pinching keeps a state a state: X-shaped for 2 qubits, diagonal for 3
+                pinched = np.where(X_SHAPE, mat, 0.0) if n == 2 else np.diag(np.diag(mat))
+                mats.append(mat if k % 2 else pinched)
+            mats = np.array(mats)
+            density_spectra(mats)
+            for cut in (Bipartition((1,), tuple(range(2, n + 1))),
+                        Bipartition(tuple(range(n, 1, -1)), (1,))):
+                shapes = is_x(np.array([principal_blocks(m, cut.block1, cut.block2) for m in mats]))
+                assert np.all(shapes.any(axis=0) & ~shapes.all(axis=0))
+                flat = _pair_blocks(cut.block1, cut.block2)[1]
+                lam, values = _pair_spectra(mats, flat)
+                totals = cut_totals(mats, cut)
+                for k, mat in enumerate(mats):
+                    one_lam, one_values = _pair_spectra(mat[None], flat)
+                    assert np.array_equal(lam[k], one_lam[0])
+                    assert np.array_equal(values[k], one_values[0])
+                    assert totals[k] == cut_concurrence(DensityMatrix(mat), cut)
+            if n == 3:
+                assert tau3_stack(mats).tolist() == [tau3(DensityMatrix(m)) for m in mats]
 
 
 class TestStackedKernel:

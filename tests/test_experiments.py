@@ -9,6 +9,7 @@ from conclab.experiments import (
     BISECT_TOL,
     CATALOGUE,
     GENERIC_PS,
+    MAX_POINTS,
     _tau3_bpf3,
     figure1_scan,
     rank_table,
@@ -35,6 +36,14 @@ class TestSweepSpec:
         for points in (1, 0, -3):
             with pytest.raises(ValueError, match="at least two grid points"):
                 figure1_scan(points)
+
+    def test_grid_cap_edges(self):
+        assert MAX_POINTS == 10001
+        result = figure1_scan(MAX_POINTS)
+        assert len(result.rows) == MAX_POINTS
+        assert result.rows[-1][0] == 0.5
+        with pytest.raises(ValueError, match=f"at most {MAX_POINTS} grid points, got 10002"):
+            figure1_scan(MAX_POINTS + 1)
 
 
 @pytest.fixture(scope="module")
