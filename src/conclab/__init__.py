@@ -39,7 +39,6 @@ from .factorization import (
     CampaignReport,
     FactorizationIdentity,
     IdentityReport,
-    classify_scenario,
     default_cut,
     evaluate_identity,
     identity_for,

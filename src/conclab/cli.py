@@ -114,6 +114,8 @@ def _cmd_evolve(args):
 
 
 def _cmd_concurrence(args):
+    if args.tau3 and (args.cut or args.breakdown):
+        raise ValueError("--tau3 takes neither --cut nor --breakdown")
     rho = _load_density(args)
     if args.tau3:
         _write(f"tau3,{tau3(rho)!r}\n", args.out)

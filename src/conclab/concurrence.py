@@ -57,8 +57,12 @@ sqrt(machine epsilon). `cut_totals` and `tau3_stack` serve whole stacks;
 `cut_concurrence`, `bipartite_concurrence` and `tau3` are their
 one-state cases, and `wootters` is the single-block case (cut 1|2).
 
-The kernel trusts its input, which has passed `density_spectra`. A block's
-entries are the state's, so it is Hermitian to HERM_TOL; by Cauchy
+The kernel trusts its input: a state that passed `density_spectra`, or a
+factor state sum_k a_k^2 sigma_k rho0 sigma_k of one (sigma_k on one qubit,
+sum_k a_k^2 = 1). That is a convex mix of unitary conjugates of rho0, so it
+keeps rho0's trace and, to roundoff, its Hermiticity, and by concavity of
+the lowest eigenvalue its eigenvalues sit at or above lambda_min(rho0). A
+block's entries are the state's, so it is Hermitian to HERM_TOL; by Cauchy
 interlacing its eigenvalues sit at or above EIG_FLOOR - 4 * HERM_TOL, the 4
 covering `eigh` reading a triangle that the gather reordered.
 """
@@ -263,7 +267,9 @@ def wootters(rho):
 def cut_totals(mats, cut):
     """Concurrence across a cut of every state of a (B, d, d) stack: the
     (B,) totals sqrt(sum of C_mn^2) over the cut's generator pairs, summed
-    in pair order. The stack must have passed `density_spectra`."""
+    in pair order. Each state must have passed `density_spectra` or be a
+    factor state of one: a convex mix of its Pauli conjugates, Hermitian and
+    by concavity of the lowest eigenvalue no less PSD (see module docstring)."""
     _check_qubits(cut, mats)
     values = _pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1]
     return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])

@@ -13,6 +13,7 @@ from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
 BISECT_TOL = 1e-4       # p resolution of the zero-crossing refinement
+REFINE_POINTS = 65      # points of one refinement round: six bisection steps
 MAX_POINTS = 10001      # largest sweep grid; the grid runs as one stack
 
 # Every (state, per-qubit family) scenario, with the final rank it is claimed
@@ -70,8 +71,9 @@ def figure1_scan(points=101):
     3 and 4 are the closed-form curves (1-2p)^3 and (1-2p)^2 that the product
     and sum decompositions predict for identical channels. The direct curve
     is 1 at p = 0 and 0 at p = 0.5, so the grid always brackets where it first
-    falls to VANISH_TOL; bisection refines that bracket to BISECT_TOL.
-    At most MAX_POINTS points: the whole grid is evolved as one stack.
+    falls to VANISH_TOL. Rounds of REFINE_POINTS evenly spaced points, each
+    one stacked call, narrow that bracket until it is at most BISECT_TOL
+    wide. At most MAX_POINTS points: the whole grid is evolved as one stack.
     """
     if points < 2:
         raise ValueError(f"need at least two grid points, got {points}")
@@ -83,15 +85,15 @@ def figure1_scan(points=101):
     rows = [(p, tau, float((1 - 2 * p) ** 3), float((1 - 2 * p) ** 2))
             for p, tau in zip(grid, direct)]
 
-    k = next(i for i, tau in enumerate(direct) if tau <= VANISH_TOL)
-    lo, hi = grid[k - 1], grid[k]
-    while hi - lo > BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if _tau3_bpf3([mid], rho0)[0] > VANISH_TOL:
-            lo = mid
-        else:
-            hi = mid
-    return Figure1Result(rows=tuple(rows), zero_crossing=0.5 * (lo + hi))
+    ps, taus = grid, direct
+    while True:
+        k = next(i for i, tau in enumerate(taus) if tau <= VANISH_TOL)
+        lo, hi = ps[k - 1], ps[k]
+        if hi - lo <= BISECT_TOL:
+            break
+        ps = np.linspace(lo, hi, REFINE_POINTS)
+        taus = _tau3_bpf3(ps, rho0)
+    return Figure1Result(rows=tuple(rows), zero_crossing=float(0.5 * (lo + hi)))
 
 
 # Fixed, pairwise-distinct generic flip probabilities (qubit k gets the k-th);

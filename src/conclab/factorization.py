@@ -25,8 +25,9 @@ Scenarios are evaluated as stacks that share one initial state: one
 many-sided `evolve` and one eigvalsh give every final state and its rank,
 one single-sided `evolve` per anchor qubit gives the factor states, and one
 kernel call gives lhs, every factor and C(psi). A campaign runs its samples
-this way, grouped by the identity they evaluate, and `evaluate_identity`
-and `classify_scenario` are the one-sample case.
+this way, grouped by the identity they evaluate, and `evaluate_identity` is
+the one-sample case. Only `evaluate_identity` validates the factor states,
+to report their ranks; no campaign output reads them.
 """
 
 import json
@@ -57,19 +58,20 @@ def default_cut(n_qubits):
     return Bipartition(tuple(range(1, n_qubits)), (n_qubits,))
 
 
+@dataclass(frozen=True)
 class FactorizationIdentity:
     """A cut together with the product or sum structure of its right-hand side."""
 
-    __slots__ = ("form", "cut")
+    form: str
+    cut: Bipartition
 
-    def __init__(self, form, cut):
-        form = str(form).lower()
+    def __post_init__(self):
+        form = str(self.form).lower()
         if form not in FORMS:
             raise ValueError(f"identity form must be one of {FORMS}, got {form!r}")
-        if form == SUM and cut.n_qubits < 3:
+        if form == SUM and self.cut.n_qubits < 3:
             raise ValueError("sum identities are defined for three or more qubits")
-        self.form = form
-        self.cut = cut
+        object.__setattr__(self, "form", form)
 
     @property
     def n_qubits(self):
@@ -95,16 +97,6 @@ class FactorizationIdentity:
     @property
     def name(self):
         return f"{self.form}-{self.cut.label}"
-
-    def __repr__(self):
-        return f"FactorizationIdentity({self.name!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, FactorizationIdentity)
-                and self.form == other.form and self.cut == other.cut)
-
-    def __hash__(self):
-        return hash((self.form, self.cut))
 
 
 def identity_for(form, n_qubits=None, cut=None):
@@ -163,23 +155,25 @@ def _final_states(rho0, superops, rank_tol):
 @dataclass(frozen=True)
 class _Evaluation:
     """One identity on a stack of S scenarios: (S,) arrays lhs, rhs and
-    residual, (S, n) factor values and ranks, each factor's anchor qubit."""
+    residual, (S, n) factor values, the (S, n, d, d) factor states (a view
+    of the kernel's stack, unvalidated), each factor's anchor qubit."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
     factors: np.ndarray
-    factor_ranks: np.ndarray
+    factor_states: np.ndarray
     anchors: tuple
     initial_concurrence: float
     exponent: int
 
 
 def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponent,
-              aggregation, rank_tol):
+              aggregation):
     """Evaluate an identity on S scenarios that share the initial density
     matrix rho0 (d, d), given their many-sided final states finals
-    (S, d, d) and per-qubit superoperators superops (S, n, 4, 4)."""
+    (S, d, d) and per-qubit superoperators superops (S, n, 4, 4). The factor
+    states go to the kernel unvalidated (see `cut_totals`)."""
     if anchor not in (ANCHOR_LAST, ANCHOR_OWN):
         raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {anchor!r}")
     samples, n = superops.shape[:2]
@@ -191,13 +185,10 @@ def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponen
     mats[:samples] = finals
     single = mats[samples:-1].reshape(samples, n, d, d)
     mats[-1] = rho0
-    factor_ranks = np.empty((samples, n), dtype=int)
     for anchor_q in sorted(set(anchors)):
         cols = [q for q in range(n) if anchors[q] == anchor_q]
         # channel of qubit q on the anchor qubit alone, for every sample at once
         states = evolve(rho0[None], {anchor_q: superops[:, cols].reshape(-1, 4, 4)})
-        factor_ranks[:, cols] = spectral_ranks(density_spectra(states), rank_tol).reshape(
-            samples, len(cols))
         single[:, cols] = states.reshape(samples, len(cols), d, d)
     totals = cut_totals(mats, identity.cut)
     lhs = totals[:samples]
@@ -215,7 +206,7 @@ def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponen
         raise ValueError(f"initial concurrence {initial_c!r} cannot take the normalization "
                          f"exponent {exponent}") from None
     return _Evaluation(lhs=lhs, rhs=rhs, residual=np.abs(lhs * scale - rhs), factors=factors,
-                       factor_ranks=factor_ranks, anchors=anchors,
+                       factor_states=single, anchors=anchors,
                        initial_concurrence=initial_c, exponent=exponent)
 
 
@@ -246,8 +237,9 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     finals, final_ranks = _final_states(rho0, superops, rank_tol)
     ev = _evaluate(identity, rho0, finals, superops, anchor=anchor,
                    normalization_exponent=normalization_exponent,
-                   aggregation=aggregation, rank_tol=rank_tol)
+                   aggregation=aggregation)
     final_rank = int(final_ranks[0])
+    factor_ranks = spectral_ranks(density_spectra(ev.factor_states[0]), rank_tol)
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -264,7 +256,7 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         factors=tuple(
             FactorReport(qubit=q, anchor=ev.anchors[q - 1], value=value, rank=rank)
             for q, value, rank in zip(range(1, n + 1), ev.factors[0].tolist(),
-                                      ev.factor_ranks[0].tolist())),
+                                      factor_ranks.tolist())),
     )
 
 
@@ -276,15 +268,6 @@ def _suggested_identity(rank, cut):
     if rank <= 4 and cut.n_qubits >= 3:
         return FactorizationIdentity(SUM, cut)
     return None
-
-
-def classify_scenario(psi, channels, rank_tol=RANK_TOL):
-    """Final rank and the identity the rank conditions suggest (None above 4)."""
-    channels = tuple(channels)
-    if len(channels) != psi.n_qubits:
-        raise DimensionMismatchError(f"need {psi.n_qubits} channels, got {len(channels)}")
-    rank = int(_final_states(psi.to_density().mat, _superops(channels), rank_tol)[1][0])
-    return rank, _suggested_identity(rank, default_cut(psi.n_qubits))
 
 
 def _require_int(name, value):
@@ -482,7 +465,7 @@ def run_campaign(config):
             ev = _evaluate(identity, rho0, finals[idx], superops[idx],
                            anchor=config.anchor,
                            normalization_exponent=config.normalization_exponent,
-                           aggregation=config.aggregation, rank_tol=config.rank_tol)
+                           aggregation=config.aggregation)
             for i, result in zip(idx, zip(ev.lhs.tolist(), ev.rhs.tolist(),
                                           ev.residual.tolist())):
                 results[i] = result

@@ -515,6 +515,13 @@ def test_concurrence_requires_a_source(capsys):
     assert "--state or --matrix" in err
 
 
+@pytest.mark.parametrize("flag", [["--cut", "12|3"], ["--breakdown"]])
+def test_concurrence_tau3_rejects_cut_and_breakdown(capsys, flag):
+    code, out, err = run(capsys, "concurrence", "--state", "ghz3", "--tau3", *flag)
+    assert_one_error_line(code, out, err)
+    assert flag[0] in err
+
+
 def test_concurrence_rejects_channels_with_matrix(capsys, tmp_path):
     path = tmp_path / "rho.json"
     path.write_text(json.dumps([[1.0, 0.0], [0.0, 0.0]]))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from conclab import experiments
 from conclab.channels import apply, flip_channel
 from conclab.concurrence import tau3
 from conclab.experiments import (
@@ -10,6 +11,7 @@ from conclab.experiments import (
     CATALOGUE,
     GENERIC_PS,
     MAX_POINTS,
+    VANISH_TOL,
     _tau3_bpf3,
     figure1_scan,
     rank_table,
@@ -84,6 +86,24 @@ class TestFigure1:
         assert abs(result.zero_crossing - P_STAR) <= BISECT_TOL
         for points in (2, 6, 101):  # every grid brackets the crossing
             assert abs(figure1_scan(points).zero_crossing - P_STAR) <= BISECT_TOL
+
+    @pytest.mark.parametrize("points", [2, 26, 101, 10001])
+    def test_zero_crossing_brackets_the_vanishing_point(self, points):
+        c = figure1_scan(points).zero_crossing
+        rho0 = ghz(3).to_density().mat
+        before, after = _tau3_bpf3([c - BISECT_TOL / 2, c + BISECT_TOL / 2], rho0)
+        assert before > VANISH_TOL >= after
+
+    def test_default_grid_refines_in_one_round(self, monkeypatch):
+        calls = []
+
+        def counted(ps, rho0):
+            calls.append(len(ps))
+            return _tau3_bpf3(ps, rho0)
+
+        monkeypatch.setattr(experiments, "_tau3_bpf3", counted)
+        figure1_scan(101)
+        assert calls == [101, experiments.REFINE_POINTS]
 
     def test_csv_shape_and_header(self, result):
         lines = result.to_csv().strip().split("\n")

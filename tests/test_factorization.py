@@ -4,18 +4,30 @@ import json
 import numpy as np
 import pytest
 
-from conclab.channels import flip_channel, identity_channel, sample_channel
-from conclab.concurrence import parse_cut
+from conclab import factorization
+from conclab.channels import (
+    _canonical_family,
+    apply,
+    draw_params,
+    flip_channel,
+    identity_channel,
+    pauli_superops,
+    sample_channel,
+)
+from conclab.concurrence import cut_totals, parse_cut
 from conclab.errors import DimensionMismatchError
+from conclab.experiments import CATALOGUE
 from conclab.factorization import (
     _STACK,
     CampaignConfig,
-    classify_scenario,
+    _evaluate,
+    _final_states,
     default_cut,
     evaluate_identity,
     identity_for,
     run_campaign,
 )
+from conclab.linalg import RANK_TOL, density_spectra
 from conclab.states import bell, ghz, parse_state, w
 
 SQ2 = 1 / np.sqrt(2)
@@ -179,27 +191,81 @@ class TestQuadratureRelations:
         assert rep.residual > 0.1
 
 
-class TestClassify:
-    def test_three_bit_flips_suggest_sum(self):
-        rank, suggestion = classify_scenario(ghz(3), sampled(["BF"] * 3, 21))
-        assert rank == 4
-        assert suggestion == identity_for("sum", 3)
+class TestAutoIdentity:
+    """Auto mode evaluates the identity the final rank suggests on the
+    default cut: product up to rank 2, sum up to rank 4 on three or more
+    qubits, and nothing above."""
 
-    def test_four_phase_flips_suggest_product(self):
-        rank, suggestion = classify_scenario(ghz(4), sampled(["PF"] * 4, 22))
-        assert rank == 2
-        assert suggestion == identity_for("product", 4)
+    @pytest.mark.parametrize("state, families, seed, rank, form", [
+        ("ghz3", ("BF",) * 3, 21, 4, "sum"),
+        ("ghz4", ("PF",) * 4, 22, 2, "product"),
+        ("ghz3", ("BPF",) * 3, 23, 8, None),
+        ("bell", ("BF", "PF"), 24, 4, None),
+    ], ids=["three-bit-flips-sum", "four-phase-flips-product", "rank-eight-nothing",
+            "two-qubit-rank-four-nothing"])
+    def test_rank_suggests_identity(self, state, families, seed, rank, form):
+        config = CampaignConfig(state=state, channels=families, samples=1, seed=seed)
+        (row,) = run_campaign(config).rows
+        assert row.rank == rank
+        if form is None:
+            assert (row.lhs, row.rhs, row.residual, row.passed) == (None,) * 4
+            return
+        psi = parse_state(state)
+        rep = evaluate_identity(identity_for(form, psi.n_qubits), psi, sampled(families, seed))
+        assert (row.lhs, row.rhs, row.residual) == (rep.lhs, rep.rhs, rep.residual)
 
-    def test_rank_eight_suggests_nothing(self):
-        rank, suggestion = classify_scenario(ghz(3), sampled(["BPF"] * 3, 23))
-        assert rank == 8
-        assert suggestion is None
 
-    def test_two_qubit_rank_four_suggests_nothing(self):
-        chans = (flip_channel("BF", 0.2), flip_channel("PF", 0.3))
-        rank, suggestion = classify_scenario(bell(SQ2), chans)
-        assert rank == 4
-        assert suggestion is None
+class TestFactorStates:
+    """The kernel reads the factor states unvalidated. Each is a convex mix of
+    Pauli conjugates of the validated initial state, so it must pass
+    `density_spectra`, Hermitian to roundoff and with its lowest eigenvalue
+    at or above the initial state's."""
+
+    @pytest.mark.parametrize("anchor, relabel", [("last", False), ("own", False),
+                                                 ("last", True)],
+                             ids=["last", "own", "relabel"])
+    @pytest.mark.parametrize("state, families", [entry[:2] for entry in CATALOGUE],
+                             ids=["-".join((s, *f)) for s, f, _ in CATALOGUE])
+    def test_factor_states_pass_validation(self, state, families, anchor, relabel):
+        psi = parse_state(state)
+        n = psi.n_qubits
+        order = list(range(n))
+        if relabel:
+            perm = tuple(range(n, 0, -1))
+            psi, order = psi.permuted(perm), [q - 1 for q in perm]
+        rho0 = psi.to_density()
+        params = draw_params([_canonical_family(f) for f in families],
+                             [np.random.default_rng(900 + i) for i in range(64)])
+        superops = pauli_superops(params[:, order])
+        finals = _final_states(rho0.mat, superops, RANK_TOL)[0]
+        identity = identity_for("product", n)
+        ev = _evaluate(identity, rho0.mat, finals, superops, anchor=anchor,
+                       normalization_exponent=None, aggregation="sum")
+        states = ev.factor_states
+        assert states.shape == (64, n, 1 << n, 1 << n)
+        eigs = density_spectra(states)
+        assert np.min(eigs[..., 0]) >= rho0.eigenvalues[0] - 1e-14
+        assert np.max(np.abs(states - np.swapaxes(states.conj(), -1, -2))) <= 1e-15
+        # the states the kernel read, not a copy
+        flat = states.reshape(-1, 1 << n, 1 << n)
+        assert np.array_equal(cut_totals(flat, identity.cut).reshape(64, n), ev.factors)
+
+    def test_only_verify_validates_factor_states(self, monkeypatch):
+        shapes = []
+
+        def counted(mats):
+            shapes.append(mats.shape)
+            return density_spectra(mats)
+
+        monkeypatch.setattr(factorization, "density_spectra", counted)
+        config = CampaignConfig(state="w4", channels=("PF",) * 4, samples=25, seed=7)
+        report = run_campaign(config)
+        assert all(r.residual is not None for r in report.rows)
+        assert shapes == [(25, 16, 16)]
+        shapes.clear()
+        rep = evaluate_identity(identity_for("sum", 4), w(4), sampled(config.channels, 7))
+        assert shapes == [(1, 16, 16), (4, 16, 16)]
+        assert [f.rank for f in rep.factors] == [2, 2, 2, 2]
 
 
 class TestRelabel:
@@ -367,13 +433,16 @@ class TestCampaign:
             if config.relabel is not None:
                 psi = psi0.permuted(config.relabel)
                 chans = tuple(chans[q - 1] for q in config.relabel)
-            rank, suggested = classify_scenario(psi, chans)
+            rank = apply(dict(enumerate(chans, start=1)), psi.to_density()).rank
             assert row.rank == rank
-            identity = suggested if config.identity == "auto" \
-                else identity_for(config.identity, psi.n_qubits, config.cut)
-            if identity is None:
+            form = config.identity
+            if form == "auto":
+                form = "product" if rank <= 2 \
+                    else "sum" if rank <= 4 and psi.n_qubits >= 3 else None
+            if form is None:
                 assert row.residual is None
                 continue
+            identity = identity_for(form, psi.n_qubits, config.cut)
             rep = evaluate_identity(identity, psi, chans, aggregation=config.aggregation)
             assert (row.lhs, row.rhs, row.residual) == (rep.lhs, rep.rhs, rep.residual)
 
