@@ -42,19 +42,40 @@ lambda+ = (a + d + g) / 2 and g = sqrt((a - d)^2 + 4 |z|^2). That clamped
 matrix has l's 2 lambda+ |z| / g and 0. This case is exactly where
 sqrt(ad) - |z| < 0, with a and d clipped at 0.
 
+A block that is not X-shaped can still have l's that need no root. Let J
+be its support: the states whose row or column holds a nonzero entry, and
+P_J the projector on span J. Then rho_II = P_J rho_II P_J, and its PSD root,
+built from the eigenvectors of nonzero eigenvalues, which lie in span J, is
+supported on J too. When J holds at most one state of each Y pair {0, 3}
+and {1, 2}, P_J Y P_J = 0, because Y maps each state onto its partner. So
+sqrt(rho_II) Y sqrt(rho_II)* = sqrt(rho_II) (P_J Y P_J) sqrt(rho_II)* = 0,
+and the l's are exactly (0, 0, 0, 0), whatever the entries on J hold. The
+closed form above writes exactly these: in each half one of a, d is 0, and
+so is z. The low-rank W states under phase flips, the only catalogued
+scenarios with blocks that are not X-shaped, have only blocks of this kind,
+so no catalogued block reaches the general path below.
+
+The general path takes a block with a nonzero entry off the X and both
+states of some Y pair live. With rho_II = V diag(w) V^dag from `eigh`, let
+G = V sqrt(max(w, 0)), the clamp of roundoff at 0. Then sqrt(rho_II) =
+V G^dag with V unitary, and sqrt(rho_II)* = sqrt(rho_II)^T = G* V^T, so
+sqrt(rho_II) Y sqrt(rho_II)* = V (G^dag Y G*) V^T has the singular values
+of G^dag Y G* and, Y being real, of its conjugate G^T Y G. Y is a signed
+permutation, so G^T Y is a signed reversal of the columns of G^T, and the
+product costs one 4x4 matmul per block, with no root rebuilt. Reading the
+l's as singular values avoids taking square roots of near-zero
+eigenvalues, which would inject noise of order sqrt(machine epsilon).
+
 The kernel therefore takes a (B, d, d) stack of states and reads the
 principal blocks of a cut through flat index sets (the cut's qubit
 reordering folded into them). It marks a (state, pair) as X-shaped when
 the eight entries of its block off the diagonal and anti-diagonal are
-exactly 0. It decides this per (state, pair), from that block alone,
-never once per stack. X blocks get the closed form. Only the other
-blocks, selected with one boolean mask, are gathered whole and go through
-one batched PSD square root and one batched SVD. Y is a signed
-permutation, so sqrt(rho_II) Y is a signed reversal of the columns of the
-root, not a matmul. Reading the l's as singular values avoids taking
-square roots of near-zero eigenvalues, which would inject noise of order
-sqrt(machine epsilon). `cut_totals` and `tau3_stack` serve whole stacks;
-`cut_concurrence`, `bipartite_concurrence` and `tau3` are their
+exactly 0, and gives it the closed form. Only the other blocks, selected
+with one boolean mask, are gathered whole; of these, only the ones with
+both states of some Y pair live go through one batched `eigh` and one
+batched SVD. Every decision is made per (state, pair), from that block
+alone, never once per stack. `cut_totals` and `tau3_stack` serve whole
+stacks; `cut_concurrence`, `bipartite_concurrence` and `tau3` are their
 one-state cases, and `wootters` is the single-block case (cut 1|2).
 
 The kernel trusts its input: a state that passed `density_spectra`, or a
@@ -73,7 +94,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import n_qubits_of, permutation_indices, psd_sqrt
+from .linalg import n_qubits_of, permutation_indices
 
 
 class Bipartition:
@@ -122,15 +143,18 @@ class Bipartition:
 def parse_cut(spec):
     """Parse '12|3' or '1,2|3' into a Bipartition."""
     text = str(spec).strip()
+    if text.count("|") > 1:
+        raise ValueError(f"cut spec {spec!r} has more than one '|' separator")
     left, sep, right = text.partition("|")
     if not sep:
         raise ValueError(f"cut spec {spec!r} needs a '|' separator")
 
     def block(part):
-        part = part.strip()
-        if "," in part:
-            return tuple(int(tok) for tok in part.split(",") if tok.strip())
-        return tuple(int(ch) for ch in part if not ch.isspace())
+        tokens = [tok.strip() for tok in (part.split(",") if "," in part else part)]
+        for tok in filter(None, tokens):
+            if not (tok.isascii() and tok.isdigit()):
+                raise ValueError(f"cut spec {spec!r} has qubit {tok!r}, which is not a number")
+        return tuple(int(tok) for tok in tokens if tok)
 
     return Bipartition(block(left), block(right))
 
@@ -227,14 +251,18 @@ def _pair_spectra(mats, flat):
     """The l's (B, P, 4), descending, and C_mn = max(0, l1 - l2 - l3 - l4)
     (B, P) of the principal blocks rho_II of a (B, d, d) stack, whose
     entries sit at the flat indices (P, 4, 4): the singular values of
-    sqrt(rho_II) Y sqrt(rho_II)*, in closed form for each X-shaped block and
-    from one PSD root and one SVD of the other blocks.
+    sqrt(rho_II) Y sqrt(rho_II)*. They are read in closed form for each
+    X-shaped block and for each block whose support holds at most one state
+    of each Y pair {0, 3}, {1, 2} (l's exactly 0, see the module docstring),
+    and from one `eigh` and one SVD of every other block. No catalogued
+    scenario has a block of that last kind.
 
-    Whether a block is X-shaped is decided per (state, pair) from that
-    block's own entries; the closed form is evaluated for every block and
-    overwritten where the block is not X-shaped. Every array here has the
-    stack axis first and every operation acts per (state, pair), so a
-    state's values do not depend on the stack it shares.
+    Which of the three a block is, is decided per (state, pair) from that
+    block's own entries, with a state live when its row or its column holds
+    a nonzero entry; the closed form is evaluated for every block and
+    overwritten where the SVD runs. Every array here has the stack axis
+    first and every operation acts per (state, pair), so a state's values
+    do not depend on the stack it shares.
     """
     states = mats.reshape(len(mats), -1)
     # entries are gathered as (B, k, P): reducing over a short middle axis
@@ -243,9 +271,17 @@ def _pair_spectra(mats, flat):
     lam = _x_spectra(np.take(states, flat[:, _X_ENTRIES[0], _X_ENTRIES[1]].T, axis=1))
     if general.any():
         rows, pairs = np.nonzero(general)
-        root = psd_sqrt(states[rows[:, None, None], flat[pairs]])
-        flipped = root[..., ::-1] * _FLIP_SIGNS
-        lam[general] = np.linalg.svd(flipped @ np.conj(root, out=root), compute_uv=False)
+        blocks = states[rows[:, None, None], flat[pairs]]
+        # a state is live when its row or its column holds a nonzero entry;
+        # a block with no live Y pair {0, 3} or {1, 2} has l's exactly 0
+        nonzero = blocks != 0
+        live = nonzero.any(axis=-1) | nonzero.any(axis=-2)
+        paired = (live[:, 0] & live[:, 3]) | (live[:, 1] & live[:, 2])
+        if paired.any():
+            w, g = np.linalg.eigh(blocks[paired])
+            g *= np.sqrt(np.maximum(w, 0.0))[..., None, :]
+            flipped = np.swapaxes(g, -1, -2)[..., ::-1] * _FLIP_SIGNS
+            lam[rows[paired], pairs[paired]] = np.linalg.svd(flipped @ g, compute_uv=False)
     return lam, np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
 
 

@@ -50,6 +50,10 @@ FORMS = (PRODUCT, SUM)
 ANCHOR_LAST = "last"
 ANCHOR_OWN = "own"
 
+# Largest campaign: every sample keeps its CSV row (about 0.5 KB) in memory
+# until the report is written.
+MAX_SAMPLES = 1_000_000
+
 
 def default_cut(n_qubits):
     """The canonical cut {1..n-1}|{n}."""
@@ -306,6 +310,8 @@ class CampaignConfig:
             _require_int(name, value)
             if value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
+        if self.samples > MAX_SAMPLES:
+            raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         for name in ("tol", "rank_tol"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real):

@@ -1,9 +1,9 @@
-"""Dense complex matrix primitives: Pauli constants, eigensolves, PSD square
-roots, qubit permutation indices, and density-matrix validation, of one matrix (the
+"""Dense complex matrix primitives: Pauli constants, eigensolves, qubit
+permutation indices, and density-matrix validation, of one matrix (the
 `DensityMatrix` container) or of a (..., d, d) stack.
 
 States are validated once, by `density_spectra`, the only raiser of
-NotHermitianError and NotPSDError; `psd_sqrt` clamps roundoff unchecked.
+NotHermitianError and NotPSDError.
 
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
 big-endian: qubit 1 is the leftmost tensor factor, so basis index i has the
@@ -40,19 +40,6 @@ SIGMA_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 def _dagger(m):
     """Conjugate transpose of a matrix or of every matrix in a (..., d, d) stack."""
     return np.swapaxes(m.conj(), -1, -2)
-
-
-def psd_sqrt(m):
-    """Hermitian PSD square root r with r @ r == m, of one matrix or of every
-    matrix in a (..., d, d) stack. Each must be a density matrix that
-    `density_spectra` accepted or a principal block of one, whose eigenvalues
-    then lie above EIG_FLOOR - 4 * HERM_TOL (see `concurrence`): negative
-    ones are roundoff and clamp to 0, unchecked.
-    """
-    w, v = np.linalg.eigh(m)
-    vh = _dagger(v)
-    v *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
-    return v @ vh
 
 
 def n_qubits_of(dim):

@@ -1,12 +1,13 @@
 """Independent reference computations used to pin expected test values.
 
 Everything here is deliberately implemented by a different route than the
-package: characteristic polynomials by symbolic Laplace expansion, partial
-traces and qubit reorderings by explicit index loops, pure-state cut
-concurrences from reduced purity, the generalized concurrence by its
-dense definition over Kronecker-built inversions, and local channels by
-the operator sum over every product of per-qubit Kraus choices. None of
-it calls into conclab.
+package: PSD square roots rebuilt from a clamped eigendecomposition (the
+kernel never forms one), characteristic polynomials by symbolic Laplace
+expansion, partial traces and qubit reorderings by explicit index loops,
+pure-state cut concurrences from reduced purity, the generalized
+concurrence by its dense definition over Kronecker-built inversions, and
+local channels by the operator sum over every product of per-qubit Kraus
+choices. None of it calls into conclab.
 """
 
 import numpy as np
@@ -176,11 +177,6 @@ def reorder_qubits(mat, order):
     return out
 
 
-def _dense_sqrt(m):
-    w, v = np.linalg.eigh(m)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
 def _pairs(d):
     """(a, b) with a < b, lexicographic."""
     return [(a, b) for a in range(d) for b in range(a + 1, d)]
@@ -205,7 +201,7 @@ def dense_cut_concurrence(mat, block1, block2):
     values of sqrt(rho) (L_m kron L_n) sqrt(rho)* in full dimension.
     """
     block1, block2 = tuple(block1), tuple(block2)
-    root = _dense_sqrt(reorder_qubits(mat, block1 + block2))
+    root = psd_sqrt(reorder_qubits(mat, block1 + block2))
     root_conj = root.conj()
     terms = []
     for m, lm in enumerate(rotation_generators(1 << len(block1)), start=1):
@@ -215,13 +211,21 @@ def dense_cut_concurrence(mat, block1, block2):
     return terms, float(np.sqrt(sum(t[3] ** 2 for t in terms)))
 
 
+def psd_sqrt(m):
+    """Hermitian PSD square root r with r @ r == m, of one matrix or of every
+    matrix in a (..., d, d) stack, its negative eigenvalues clamped to 0."""
+    w, v = np.linalg.eigh(m)
+    vh = np.swapaxes(v.conj(), -1, -2)
+    v *= np.sqrt(np.clip(w, 0.0, None))[..., None, :]
+    return v @ vh
+
+
 def svd_block_spectra(blocks):
     """The four l's, descending, of every 4x4 principal block of a
     (..., 4, 4) stack: the singular values of sqrt(rho_II) Y sqrt(rho_II)*,
-    the root's negative eigenvalues clamped at 0. This is the kernel's
-    general path, applied to every block whatever its shape."""
-    w, v = np.linalg.eigh(blocks)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+    from the rebuilt root with its negative eigenvalues clamped at 0,
+    applied to every block whatever its shape and support."""
+    root = psd_sqrt(blocks)
     return np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
 
 

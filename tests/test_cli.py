@@ -58,6 +58,39 @@ def test_figure1_points_above_cap_exit_one(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("samples", ["1000001", "100000000000000000000"])
+@pytest.mark.parametrize("source", ["flag", "config", "sweep"])
+def test_samples_above_cap_exit_one(tmp_path, capsys, source, samples):
+    """Constructed only: no campaign near the cap is ever run."""
+    if source == "config":
+        path = tmp_path / "campaign.json"
+        path.write_text(f'{{"state": "ghz3", "channels": ["PF", "PF", "PF"], "samples": {samples}}}')
+        argv = ["campaign", "--config", str(path)]
+    elif source == "flag":
+        argv = ["campaign", "--state", "ghz3", "--channels", "PF,PF,PF", "--samples", samples]
+    else:
+        argv = ["sweep", "--samples", samples, "--out-dir", str(tmp_path / "results")]
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: samples must be at most 1000000, got {samples}\n"
+    assert not (tmp_path / "results").exists()
+
+
+@pytest.mark.parametrize("cut, needle", [
+    ("12|34|5", "'12|34|5' has more than one '|' separator"),
+    ("a|b", "'a|b' has qubit 'a', which is not a number"),
+    ("1,x|2,3,4", "'1,x|2,3,4' has qubit 'x', which is not a number"),
+], ids=["two-separators", "letters", "comma-letter"])
+@pytest.mark.parametrize("command", ["concurrence", "verify"])
+def test_bad_cut_exits_one(capsys, command, cut, needle):
+    argv = [command, "--state", "w4", "--cut", cut]
+    if command == "verify":
+        argv += ["--identity", "sum", "--channels", "PF:p=0.1,PF:p=0.2,PF:p=0.3,PF:p=0.4"]
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: cut spec {needle}\n"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1

@@ -1,3 +1,4 @@
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -230,6 +231,10 @@ class TestDenseOracle:
                 assert abs(pair.value - value) <= 1e-8
                 # the dense spectrum beyond the top four is numerically empty
                 assert np.max(lam[4:], initial=0.0) ** 2 <= 1e-8
+            # the full-dimension root carries sqrt(eps) noise; the l's read
+            # from the eigh factor agree with the rebuilt block root to 1e-12
+            lam = svd_block_spectra(principal_blocks(rho.mat, block1, block2))
+            assert np.max(np.abs(np.array([p.lambdas for p in got.pairs]) - lam)) <= 1e-12
             worst = max(worst, abs(got.total - total))
         assert worst <= 1e-8
 
@@ -325,6 +330,43 @@ def principal_blocks(mat, block1, block2):
 
 def is_x(blocks):
     return ~np.any(blocks[..., ~X_SHAPE] != 0, axis=-1)
+
+
+def has_live_y_pair(blocks):
+    """Whether both states of a Y pair {0, 3} or {1, 2} of a block are live:
+    their row or their column holds a nonzero entry."""
+    nonzero = blocks != 0
+    live = nonzero.any(axis=-1) | nonzero.any(axis=-2)
+    return (live[..., 0] & live[..., 3]) | (live[..., 1] & live[..., 2])
+
+
+@pytest.fixture
+def eigh_blocks(monkeypatch):
+    """The number of blocks of every `eigh` call the kernel makes: the first
+    step of its general path. Calls from anywhere else are not counted."""
+    seen = []
+    eigh = np.linalg.eigh
+
+    def counting(blocks, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == concurrence.__name__:
+            seen.append(len(blocks))
+        return eigh(blocks, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    return seen
+
+
+# the largest supports that hold one state of each Y pair {0, 3}, {1, 2}
+ZERO_SUPPORTS = ([0, 1], [0, 2], [3, 1], [3, 2])
+
+
+def zero_support_state(rng, support):
+    """A two-qubit state supported on the basis states `support`, full rank
+    there, with complex entries between them."""
+    g = rng.standard_normal((len(support),) * 2) + 1j * rng.standard_normal((len(support),) * 2)
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[np.ix_(support, support)] = g @ g.conj().T / np.linalg.norm(g) ** 2
+    return rho
 
 
 def random_x_state(rng):
@@ -447,26 +489,100 @@ class TestXBlocks:
                     assert pair.value == 0.0
                     assert pair.lambdas == (x, x, y, y)
 
-    def test_general_path_runs_only_off_the_x(self, monkeypatch):
-        """A block goes through the PSD root exactly when one of its eight
-        entries off the X is nonzero, even by less than HERM_TOL."""
-        seen = []
-        psd_sqrt = concurrence.psd_sqrt
-
-        def counting(blocks):
-            seen.append(len(blocks))
-            return psd_sqrt(blocks)
-
-        monkeypatch.setattr(concurrence, "psd_sqrt", counting)
+    def test_general_path_runs_only_off_the_x(self, eigh_blocks):
+        """A block goes through `eigh` exactly when one of its eight entries
+        off the X is nonzero, even by less than HERM_TOL, and both states of
+        a Y pair are live."""
         mat = random_x_state(np.random.default_rng(3500))
         wootters(DensityMatrix(mat))
         _tau3_bpf3(np.linspace(0.0, 0.5, 11), ghz(3).to_density().mat)
-        assert seen == []
+        assert eigh_blocks == []
         for i, j in zip(*np.nonzero(~X_SHAPE)):
             off = mat.copy()
             off[i, j] = 0.5 * HERM_TOL
             wootters(DensityMatrix(off))
-        assert seen == [1] * 8
+        assert eigh_blocks == [1] * 8
+        for support in ZERO_SUPPORTS:
+            wootters(DensityMatrix(zero_support_state(np.random.default_rng(3501), support)))
+        assert eigh_blocks == [1] * 8
+
+    @pytest.mark.parametrize("support", ZERO_SUPPORTS + ([0], [1], [2], [3]),
+                             ids=lambda s: "J" + "".join(map(str, s)))
+    def test_blocks_without_a_live_y_pair_are_exactly_zero(self, support, eigh_blocks):
+        """A block whose support holds at most one state of each Y pair has
+        l's exactly (0, 0, 0, 0), whatever its entries off the X hold, and
+        never reaches `eigh`."""
+        rng = np.random.default_rng(3700 + sum(1 << k for k in support))
+        for _ in range(20):
+            mat = zero_support_state(rng, support)
+            density_spectra(mat)
+            assert not has_live_y_pair(mat)
+            assert is_x(mat) == (len(support) == 1)
+            for cut in (parse_cut("1|2"), parse_cut("2|1")):
+                got = bipartite_concurrence(DensityMatrix(mat), cut)
+                assert got.pairs[0].lambdas == (0.0, 0.0, 0.0, 0.0)
+                assert got.pairs[0].value == 0.0
+                assert got.total == 0.0
+            assert wootters(DensityMatrix(mat)) == 0.0
+        assert eigh_blocks == []
+
+    @pytest.mark.parametrize("support", ZERO_SUPPORTS, ids=lambda s: "J" + "".join(map(str, s)))
+    def test_an_entry_in_a_dead_row_or_column_sends_the_block_to_the_svd(self, support,
+                                                                        eigh_blocks):
+        """One entry of 0.5 * HERM_TOL between a dead state and a live one,
+        in either triangle, makes the dead state live and its Y pair with
+        it: the block goes through `eigh` and the SVD and matches both
+        oracles. A stack of these and the zero-support states gives, bit for
+        bit, the one-state l's and values."""
+        rng = np.random.default_rng(3800 + sum(1 << k for k in support))
+        mats = []
+        for dead in sorted(set(range(4)) - set(support)):
+            for live in support:
+                if X_SHAPE[dead, live]:
+                    continue
+                base = zero_support_state(rng, support)
+                for i, j in ((dead, live), (live, dead)):
+                    mat = base.copy()
+                    mat[i, j] = 0.5 * HERM_TOL
+                    assert has_live_y_pair(mat)
+                    del eigh_blocks[:]
+                    assert_matches_block_and_dense_oracles(mat, (1,), (2,))
+                    assert eigh_blocks == [1]
+                    mats += [mat, base]
+        assert len(mats) == 8
+        mats = np.array(mats)
+        flat = _pair_blocks((1,), (2,))[1]
+        lam, values = _pair_spectra(mats, flat)
+        assert np.all(lam[1::2] == 0.0)
+        for k, mat in enumerate(mats):
+            one_lam, one_values = _pair_spectra(mat[None], flat)
+            assert np.array_equal(lam[k], one_lam[0])
+            assert np.array_equal(values[k], one_values[0])
+
+    def test_no_catalogued_block_reaches_the_svd(self, eigh_blocks):
+        """Over two draws of every catalogued scenario and every cut in both
+        block orders, no block enters the general path, and every block of a
+        W state that is not X-shaped has no live Y pair and reports l's and
+        C_mn exactly 0."""
+        zero_support = 0
+        for k, (state, families, _) in enumerate(CATALOGUE):
+            rng = np.random.default_rng(3900 + k)
+            for _ in range(2):
+                channels = {q: sample_channel(f, rng) for q, f in enumerate(families, start=1)}
+                mat = apply(channels, parse_state(state).to_density()).mat
+                for block1, block2 in all_cuts(len(families)):
+                    for cut in ((block1, block2), (block2[::-1], block1)):
+                        pairs = bipartite_concurrence(DensityMatrix(mat), Bipartition(*cut)).pairs
+                        blocks = principal_blocks(mat, *cut)
+                        off_x = ~is_x(blocks)
+                        assert not np.any(off_x & has_live_y_pair(blocks))
+                        for pair in np.array(pairs)[off_x]:
+                            assert pair.lambdas == (0.0, 0.0, 0.0, 0.0)
+                            assert pair.value == 0.0
+                        if state.startswith("w"):
+                            zero_support += int(np.count_nonzero(off_x))
+        assert eigh_blocks == []
+        assert zero_support > 0
 
     def test_mixed_stack_equals_one_state_calls(self):
         """A stack in which the same pair is X-shaped in some draws and not in

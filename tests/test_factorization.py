@@ -19,6 +19,7 @@ from conclab.errors import DimensionMismatchError
 from conclab.experiments import CATALOGUE
 from conclab.factorization import (
     _STACK,
+    MAX_SAMPLES,
     CampaignConfig,
     _evaluate,
     _final_states,
@@ -401,6 +402,17 @@ class TestCampaign:
         fields = {"state": "bell", "channels": ("BF", "BF"), "samples": 0, field: -1}
         with pytest.raises(ValueError, match=f"^{field} must be nonnegative"):
             CampaignConfig(**fields)
+
+    def test_config_caps_samples(self):
+        """Constructed only: no campaign near the cap is ever run."""
+        fields = {"state": "bell", "channels": ("BF", "BF")}
+        assert CampaignConfig(**fields, samples=MAX_SAMPLES).samples == MAX_SAMPLES == 1_000_000
+        with pytest.raises(ValueError, match=f"^samples must be at most {MAX_SAMPLES}, got "
+                                             f"{MAX_SAMPLES + 1}$"):
+            CampaignConfig(**fields, samples=MAX_SAMPLES + 1)
+        with pytest.raises(ValueError, match="^samples must be at most"):
+            CampaignConfig.from_json('{"state": "bell", "channels": ["BF", "BF"], '
+                                     '"samples": 100000000000000000000}')
 
     def test_auto_identity_uses_the_configured_cut(self):
         base = CampaignConfig(state="w4", channels=("PF",) * 4, samples=3, cut="12|34")

@@ -21,11 +21,10 @@ from conclab.linalg import (
     n_qubits_of,
     numerical_rank,
     permutation_indices,
-    psd_sqrt,
     spectral_ranks,
 )
 
-from oracles import random_psd, reorder_qubits
+from oracles import psd_sqrt, random_psd, reorder_qubits
 
 
 def bell_density():
@@ -34,6 +33,8 @@ def bell_density():
 
 
 class TestPsdSqrt:
+    """The oracles' PSD root, which the dense and block oracles build on."""
+
     def test_identity(self):
         assert np.allclose(psd_sqrt(np.eye(3, dtype=complex)), np.eye(3), atol=1e-14)
 
