@@ -228,7 +228,12 @@ def parse_channel(token):
     key, _, value = args.partition("=")
     if key.strip() != "p":
         raise ValueError(f"unknown channel parameter {key.strip()!r}")
-    return flip_channel(family, float(value))
+    try:
+        p = float(value)
+    except ValueError:
+        raise ValueError(f"channel {token!r} has p {value.strip()!r}, "
+                         "which is not a number") from None
+    return flip_channel(family, p)
 
 
 def parse_channel_list(spec, n_qubits=None):

@@ -105,9 +105,8 @@ def _cmd_evolve(args):
         "trace": float(rho.mat.trace().real),
     }
     lines = ["# " + json.dumps(header, sort_keys=True), "i,j,re,im"]
-    for i in range(rho.dim):
-        for j in range(rho.dim):
-            z = rho.mat[i, j]
+    for i, row in enumerate(rho.mat.tolist()):
+        for j, z in enumerate(row):
             lines.append(f"{i},{j},{z.real!r},{z.imag!r}")
     _write("\n".join(lines) + "\n", args.out)
     return 0

@@ -78,14 +78,17 @@ alone, never once per stack. `cut_totals` and `tau3_stack` serve whole
 stacks; `cut_concurrence`, `bipartite_concurrence` and `tau3` are their
 one-state cases, and `wootters` is the single-block case (cut 1|2).
 
-The kernel trusts its input: a state that passed `density_spectra`, or a
-factor state sum_k a_k^2 sigma_k rho0 sigma_k of one (sigma_k on one qubit,
-sum_k a_k^2 = 1). That is a convex mix of unitary conjugates of rho0, so it
-keeps rho0's trace and, to roundoff, its Hermiticity, and by concavity of
-the lowest eigenvalue its eigenvalues sit at or above lambda_min(rho0). A
-block's entries are the state's, so it is Hermitian to HERM_TOL; by Cauchy
-interlacing its eigenvalues sit at or above EIG_FLOOR - 4 * HERM_TOL, the 4
-covering `eigh` reading a triangle that the gather reordered.
+The kernel trusts its input: a state rho0 that passed `density_spectra`,
+or any state evolved from one by local Pauli channels, many-sided or
+single-sided. Each channel's weights a_k^2 are nonnegative and sum to 1
+within 1e-12, so an evolved state is sum_P w_P P rho0 P over Pauli strings
+P, with w_P >= 0 and sum_P w_P = 1: a convex mix of unitary conjugates of
+rho0. It keeps rho0's trace and, to roundoff, its Hermiticity, and by
+concavity of the lowest eigenvalue its eigenvalues sit at or above
+lambda_min(rho0). A block's entries are the state's, so it is Hermitian to
+HERM_TOL; by Cauchy interlacing its eigenvalues sit at or above
+EIG_FLOOR - 4 * HERM_TOL, the 4 covering `eigh` reading a triangle that the
+gather reordered.
 """
 
 from functools import lru_cache
@@ -303,9 +306,10 @@ def wootters(rho):
 def cut_totals(mats, cut):
     """Concurrence across a cut of every state of a (B, d, d) stack: the
     (B,) totals sqrt(sum of C_mn^2) over the cut's generator pairs, summed
-    in pair order. Each state must have passed `density_spectra` or be a
-    factor state of one: a convex mix of its Pauli conjugates, Hermitian and
-    by concavity of the lowest eigenvalue no less PSD (see module docstring)."""
+    in pair order. Each state must have passed `density_spectra` or be
+    evolved from one by local Pauli channels: a convex mix of its Pauli
+    conjugates, Hermitian and by concavity of the lowest eigenvalue no less
+    PSD (see module docstring)."""
     _check_qubits(cut, mats)
     values = _pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1]
     return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
@@ -340,8 +344,8 @@ def _tau3_blocks():
 
 def tau3_stack(mats):
     """Root-mean-square of the three 2|1 bipartite concurrences of every
-    3-qubit state of a (B, 8, 8) stack that passed `density_spectra`, from
-    one kernel call over the 18 pairs of the three cuts."""
+    3-qubit state of a (B, 8, 8) stack that `cut_totals` accepts, from one
+    kernel call over the 18 pairs of the three cuts."""
     _check_qubits(_TAU3_CUTS[0], mats)
     values = _pair_spectra(mats, _tau3_blocks())[1]
     return np.sqrt(np.sum(values * values, axis=-1) / 3.0)

@@ -22,12 +22,14 @@ the same-family scenarios actually satisfy; both are exposed so campaigns
 can discriminate the conventions empirically.
 
 Scenarios are evaluated as stacks that share one initial state: one
-many-sided `evolve` and one eigvalsh give every final state and its rank,
-one single-sided `evolve` per anchor qubit gives the factor states, and one
-kernel call gives lhs, every factor and C(psi). A campaign runs its samples
-this way, grouped by the identity they evaluate, and `evaluate_identity` is
-the one-sample case. Only `evaluate_identity` validates the factor states,
-to report their ranks; no campaign output reads them.
+many-sided `evolve` gives every final state and `hermitian_spectra` its
+rank, one single-sided `evolve` per anchor qubit gives the factor states,
+and one kernel call gives lhs, every factor and C(psi). A campaign runs its
+samples this way, grouped by the identity they evaluate, and
+`evaluate_identity` is the one-sample case. Only the initial state is
+validated: every evolved state is a convex mix of its Pauli conjugates (see
+`conclab.concurrence`). `evaluate_identity` alone also validates the factor
+states, to report their ranks; no campaign output reads them.
 """
 
 import json
@@ -40,7 +42,7 @@ import numpy as np
 from .channels import PauliChannel, _canonical_family, draw_params, evolve, pauli_superops
 from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
-from .linalg import RANK_TOL, density_spectra, spectral_ranks
+from .linalg import RANK_TOL, density_spectra, hermitian_spectra, spectral_ranks
 from .states import parse_state
 
 PRODUCT = "product"
@@ -149,11 +151,12 @@ def _aggregate(products, aggregation):
 
 
 def _final_states(rho0, superops, rank_tol):
-    """Validated many-sided final states (S, d, d) of the initial density
+    """Many-sided final states (S, d, d) of the validated initial density
     matrix rho0 (d, d) under S draws of per-qubit superoperators
-    (S, n, 4, 4), and their ranks (S,)."""
+    (S, n, 4, 4), and their ranks (S,). The finals are trusted, not
+    checked: each is a convex mix of Pauli conjugates of rho0."""
     finals = evolve(rho0[None], {q: superops[:, q - 1] for q in range(1, superops.shape[1] + 1)})
-    return finals, spectral_ranks(density_spectra(finals), rank_tol)
+    return finals, spectral_ranks(hermitian_spectra(finals), rank_tol)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,24 @@
 permutation indices, and density-matrix validation, of one matrix (the
 `DensityMatrix` container) or of a (..., d, d) stack.
 
-States are validated once, by `density_spectra`, the only raiser of
-NotHermitianError and NotPSDError.
+Only inputs are validated, once, by `density_spectra`, the only raiser of
+NotHermitianError and NotPSDError. An evolved state is a convex mix of Pauli
+conjugates of a validated one and is trusted (see `conclab.concurrence`);
+where its rank is read, `hermitian_spectra` gives its spectrum unchecked.
+
+`hermitian_spectra` reads X-shaped matrices, whose only nonzero entries sit
+on the diagonal and the anti-diagonal, in closed form (Yu and Eberly,
+Quantum Inf. Comput. 7, 2007). Such a matrix is the direct sum of its 2x2
+halves on span{i, d-1-i}, [[a, z*], [z, b]] with z below the diagonal, whose
+eigenvalues are (a + b)/2 +- sqrt(((a - b)/2)^2 + |z|^2). Like `eigvalsh`,
+the closed form reads the real diagonal and the lower triangle.
 
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
 big-endian: qubit 1 is the leftmost tensor factor, so basis index i has the
 bit of qubit k at position n-k, and |011> has index 3 for n=3.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,11 +81,55 @@ def permutation_indices(n_qubits, perm):
     return src
 
 
+@lru_cache(maxsize=None)
+def _x_layout(dim):
+    """Flat indices, in a dim x dim matrix, of the entries off the diagonal and
+    the anti-diagonal, and of each 2x2 half {i, dim-1-i} (i < dim/2): its
+    two diagonal entries and its lower anti-diagonal entry."""
+    rows, cols = np.indices((dim, dim))
+    off_x = np.flatnonzero((rows != cols) & (rows + cols != dim - 1))
+    near = np.arange(dim // 2)
+    far = dim - 1 - near
+    layout = (off_x, near * (dim + 1), far * (dim + 1), far * dim + near)
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
+def hermitian_spectra(mats):
+    """Ascending spectra (..., d) of a (..., d, d) stack of Hermitian matrices,
+    as `eigvalsh` reads them, without checks. Each matrix whose entries off
+    the diagonal and anti-diagonal are all exactly 0, in both triangles, is
+    read in closed form (see module docstring); only the others reach one
+    `eigvalsh` call, and a stack with no X-shaped matrix goes to it whole,
+    uncopied.
+    Every operation acts per matrix, so a matrix's spectrum does not depend
+    on the stack it shares."""
+    mats = np.asarray(mats)
+    dim = mats.shape[-1]
+    flat = mats.reshape(-1, dim * dim)
+    off_x, near, far, anti = _x_layout(dim)
+    x = ~np.take(flat, off_x, axis=1).any(axis=1)
+    if dim < 2 or not x.any():
+        return np.linalg.eigvalsh(mats)
+    # the closed form of every matrix, overwritten where eigvalsh runs
+    a, b, z = flat[:, near].real, flat[:, far].real, flat[:, anti]
+    mean, half = 0.5 * (a + b), 0.5 * (a - b)
+    # |z| by correctly rounded operations only, so no SIMD path can make a
+    # value depend on its position in the stack
+    radius = np.sqrt(half * half + (z.real * z.real + z.imag * z.imag))
+    eigs = np.sort(np.concatenate((mean - radius, mean + radius), axis=1), axis=1)
+    if not x.all():
+        eigs[~x] = np.linalg.eigvalsh(flat[~x].reshape(-1, dim, dim))
+    return eigs.reshape(mats.shape[:-1])
+
+
 def density_spectra(mats):
     """Validate a density matrix, or every matrix of a (..., d, d) stack: finite
     entries, Hermitian within HERM_TOL, unit trace within TRACE_TOL, lowest
     eigenvalue at least EIG_FLOOR. Returns the ascending spectra, (..., d),
-    from one eigvalsh call.
+    from `hermitian_spectra`: closed form for X-shaped matrices, one eigvalsh
+    call for the rest.
 
     A failing stack raises the error class and message that its first
     failing matrix raises on its own (for Hermiticity, its worst matrix).
@@ -95,7 +150,10 @@ def density_spectra(mats):
     if bad.size:
         tr = complex(traces[bad[0]])
         raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by > {TRACE_TOL:.1e}")
-    eigs = np.linalg.eigvalsh(mats)
+    # an entry of modulus above about 1e154, which no density matrix has,
+    # overflows the closed form, whose lowest eigenvalue is then -inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        eigs = hermitian_spectra(mats)
     lowest = eigs[..., 0].reshape(-1)
     bad = np.flatnonzero(lowest < EIG_FLOOR)
     if bad.size:

@@ -126,7 +126,12 @@ def parse_state(spec):
         key, _, value = args.partition("=")
         if key.strip() != "alpha":
             raise ValueError(f"unknown bell parameter {key.strip()!r}")
-        return bell(float(value))
+        try:
+            alpha = float(value)
+        except ValueError:
+            raise ValueError(f"state {spec!r} has alpha {value.strip()!r}, "
+                             "which is not a number") from None
+        return bell(alpha)
     if args:
         raise ValueError(f"state {name!r} takes no parameters")
     try:

@@ -10,9 +10,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conclab
+from conclab.channels import apply, parse_channel_list
 from conclab.cli import cli_main
 from conclab.experiments import CATALOGUE
 from conclab.factorization import CampaignConfig, run_campaign
+from conclab.states import parse_state
 
 
 def run(capsys, *argv):
@@ -91,6 +93,19 @@ def test_bad_cut_exits_one(capsys, command, cut, needle):
     assert err == f"error: cut spec {needle}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--state", "ghz3", "--channels", "BF:p=,I,I"], "channel 'BF:p=' has p '', which is not a number"),
+    (["--state", "ghz3", "--channels", "I,PF:p=0.1x,I"],
+     "channel 'PF:p=0.1x' has p '0.1x', which is not a number"),
+    (["--state", "bell:alpha=abc"], "state 'bell:alpha=abc' has alpha 'abc', which is not a number"),
+    (["--state", "bell:alpha="], "state 'bell:alpha=' has alpha '', which is not a number"),
+], ids=["empty-p", "bad-p", "bad-alpha", "empty-alpha"])
+def test_bad_number_names_its_token(capsys, argv, message):
+    code, out, err = run(capsys, "evolve", *argv)
+    assert_one_error_line(code, out, err)
+    assert err == f"error: {message}\n"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 1
@@ -129,6 +144,25 @@ def test_evolve_dump(capsys):
     assert abs(header["trace"] - 1.0) < 1e-12
     assert lines[1] == "i,j,re,im"
     assert len(lines) == 2 + 16
+
+
+@pytest.mark.parametrize("state, channels", [
+    ("bell", "BF:p=0.2,I"),
+    ("ghz3", '{"family":"general","a":[0.5,0.5,0.5,0.5]},BF:p=0.3,BPF:p=0.25'),
+], ids=["bell", "ghz3-general"])
+def test_evolve_rows_are_plain_floats(capsys, state, channels):
+    """Every data row parses with float() back to the matrix entry, bit for bit."""
+    code, out, _ = run(capsys, "evolve", "--state", state, "--channels", channels)
+    assert code == 0
+    psi = parse_state(state)
+    rho = apply(dict(enumerate(parse_channel_list(channels, psi.n_qubits), start=1)),
+                psi.to_density())
+    rows = out.strip().split("\n")[2:]
+    assert len(rows) == rho.dim ** 2
+    for row in rows:
+        i, j, re_, im = row.split(",")
+        z = rho.mat[int(i), int(j)]
+        assert (float(re_), float(im)) == (z.real, z.imag)
 
 
 def test_concurrence_total(capsys):
@@ -497,8 +531,9 @@ def _cli_subprocess(*argv):
 @pytest.mark.parametrize("kind, payload, needle", [
     ("matrix", [[1e308, 0], [0, 1e308]], "trace"),
     ("matrix", [[1e308, 1e308], [-1e308, 1]], "not Hermitian"),
+    ("matrix", [[0.5, 1e200], [1e200, 0.5]], "eigenvalue -inf"),
     ("state", "[1e200, 1e200]", "norm"),
-], ids=["trace-overflow", "hermiticity-overflow", "norm-overflow"])
+], ids=["trace-overflow", "hermiticity-overflow", "spectrum-overflow", "norm-overflow"])
 def test_huge_finite_input_gives_one_error_line(tmp_path, kind, payload, needle):
     if kind == "matrix":
         path = tmp_path / "rho.json"

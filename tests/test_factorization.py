@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conclab import factorization
+from conclab import experiments, factorization
 from conclab.channels import (
     _canonical_family,
     apply,
@@ -14,9 +14,9 @@ from conclab.channels import (
     pauli_superops,
     sample_channel,
 )
-from conclab.concurrence import cut_totals, parse_cut
+from conclab.concurrence import cut_totals, parse_cut, tau3_stack
 from conclab.errors import DimensionMismatchError
-from conclab.experiments import CATALOGUE
+from conclab.experiments import CATALOGUE, REFINE_POINTS, figure1_scan
 from conclab.factorization import (
     _STACK,
     MAX_SAMPLES,
@@ -28,7 +28,7 @@ from conclab.factorization import (
     identity_for,
     run_campaign,
 )
-from conclab.linalg import RANK_TOL, density_spectra
+from conclab.linalg import RANK_TOL, density_spectra, spectral_ranks
 from conclab.states import bell, ghz, parse_state, w
 
 SQ2 = 1 / np.sqrt(2)
@@ -216,11 +216,54 @@ class TestAutoIdentity:
         assert (row.lhs, row.rhs, row.residual) == (rep.lhs, rep.rhs, rep.residual)
 
 
-class TestFactorStates:
-    """The kernel reads the factor states unvalidated. Each is a convex mix of
-    Pauli conjugates of the validated initial state, so it must pass
+def assert_trusted(states, rho0):
+    """An evolved stack that nothing validates is a convex mix of Pauli
+    conjugates of the validated initial state rho0, so it must pass
     `density_spectra`, Hermitian to roundoff and with its lowest eigenvalue
-    at or above the initial state's."""
+    at or above rho0's."""
+    eigs = density_spectra(states)
+    assert np.min(eigs[..., 0]) >= rho0.eigenvalues[0] - 1e-14
+    assert np.max(np.abs(states - np.swapaxes(states.conj(), -1, -2))) <= 1e-15
+    return eigs
+
+
+# every catalogued scenario, and the rank-16 one the benchmark runs
+EVOLVED = [entry[:2] for entry in CATALOGUE] + [("ghz4", ("GeneralPauli",) * 4)]
+
+
+class TestEvolvedStates:
+    """No evolved stack is validated: campaigns read ranks from the bare
+    spectra of their final states, and figure1 hands its grid to the kernel
+    unchecked. Each stack must keep the trust contract of `assert_trusted`."""
+
+    @pytest.mark.parametrize("state, families", EVOLVED,
+                             ids=["-".join((s, *f)) for s, f in EVOLVED])
+    def test_final_states_pass_validation(self, state, families):
+        rho0 = parse_state(state).to_density()
+        params = draw_params(families, [np.random.default_rng(1900 + i) for i in range(64)])
+        finals, ranks = _final_states(rho0.mat, pauli_superops(params), RANK_TOL)
+        assert finals.shape == (64, rho0.dim, rho0.dim)
+        eigs = assert_trusted(finals, rho0)
+        assert np.array_equal(ranks, spectral_ranks(eigs))
+
+    def test_figure1_stacks_pass_validation(self, monkeypatch):
+        stacks = []
+
+        def recording(mats):
+            stacks.append(mats)
+            return tau3_stack(mats)
+
+        monkeypatch.setattr(experiments, "tau3_stack", recording)
+        figure1_scan()
+        # the 101-point grid and one refinement round
+        assert [len(mats) for mats in stacks] == [101, REFINE_POINTS]
+        for mats in stacks:
+            assert_trusted(mats, ghz(3).to_density())
+
+
+class TestFactorStates:
+    """The kernel reads the factor states unvalidated; each must keep the
+    trust contract of `assert_trusted`."""
 
     @pytest.mark.parametrize("anchor, relabel", [("last", False), ("own", False),
                                                  ("last", True)],
@@ -244,9 +287,7 @@ class TestFactorStates:
                        normalization_exponent=None, aggregation="sum")
         states = ev.factor_states
         assert states.shape == (64, n, 1 << n, 1 << n)
-        eigs = density_spectra(states)
-        assert np.min(eigs[..., 0]) >= rho0.eigenvalues[0] - 1e-14
-        assert np.max(np.abs(states - np.swapaxes(states.conj(), -1, -2))) <= 1e-15
+        assert_trusted(states, rho0)
         # the states the kernel read, not a copy
         flat = states.reshape(-1, 1 << n, 1 << n)
         assert np.array_equal(cut_totals(flat, identity.cut).reshape(64, n), ev.factors)
@@ -262,10 +303,9 @@ class TestFactorStates:
         config = CampaignConfig(state="w4", channels=("PF",) * 4, samples=25, seed=7)
         report = run_campaign(config)
         assert all(r.residual is not None for r in report.rows)
-        assert shapes == [(25, 16, 16)]
-        shapes.clear()
+        assert shapes == []
         rep = evaluate_identity(identity_for("sum", 4), w(4), sampled(config.channels, 7))
-        assert shapes == [(1, 16, 16), (4, 16, 16)]
+        assert shapes == [(4, 16, 16)]
         assert [f.rank for f in rep.factors] == [2, 2, 2, 2]
 
 

@@ -1,10 +1,13 @@
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conclab import linalg
+from conclab.channels import draw_params, pauli_superops
 from conclab.errors import (
     DimensionMismatchError,
     InvalidPermutationError,
@@ -18,12 +21,16 @@ from conclab.linalg import (
     TRACE_TOL,
     DensityMatrix,
     density_spectra,
+    hermitian_spectra,
     n_qubits_of,
     numerical_rank,
     permutation_indices,
     spectral_ranks,
 )
 
+from conclab.experiments import CATALOGUE, figure1_scan
+from conclab.factorization import _final_states
+from conclab.states import parse_state
 from oracles import psd_sqrt, random_psd, reorder_qubits
 
 
@@ -193,6 +200,21 @@ def _rotated(diag, rng):
     return (m + m.conj().T) / 2
 
 
+def _x_rotated(diag, rng):
+    """An X-shaped Hermitian matrix with the given spectrum: the eigenvalues
+    (diag[i], diag[d-1-i]) in a random basis of each half {i, d-1-i}. Its
+    entries off the diagonal and anti-diagonal are exactly 0."""
+    d = len(diag)
+    u = np.zeros((d, d), dtype=complex)
+    for i in range(d // 2):
+        half = [i, d - 1 - i]
+        u[np.ix_(half, half)] = np.linalg.qr(rng.standard_normal((2, 2))
+                                             + 1j * rng.standard_normal((2, 2)))[0]
+    m = u @ np.diag(np.asarray(diag, dtype=complex)) @ u.conj().T
+    return (m + m.conj().T) / 2
+
+
+
 class TestDensitySpectra:
     """Stack validation raises what the single-matrix path raises for the
     one matrix that sits just past a threshold, and nothing just inside."""
@@ -218,10 +240,22 @@ class TestDensitySpectra:
         low = EIG_FLOOR * factor
         return np.diag([0.5, 0.3, 0.2 - low, low]).astype(complex)
 
+    @staticmethod
+    def past_floor_x(factor, rng):
+        low = EIG_FLOOR * factor
+        return _x_rotated([0.5, 0.3, 0.2 - low, low], rng)
+
+    @staticmethod
+    def past_floor_rotated(factor, rng):
+        low = EIG_FLOOR * factor
+        return _rotated([0.5, 0.3, 0.2 - low, low], rng)
+
     @pytest.mark.parametrize("make,error", [
         ("past_hermitian", NotHermitianError),
         ("past_trace", ValueError),
         ("past_floor", NotPSDError),
+        ("past_floor_x", NotPSDError),
+        ("past_floor_rotated", NotPSDError),
     ])
     def test_one_matrix_past_a_threshold(self, make, error):
         rng = np.random.default_rng(29)
@@ -281,3 +315,129 @@ class TestNumericalRank:
         rho = DensityMatrix(np.diag([1.0 - 1e-6, 1e-6]).astype(complex))
         assert numerical_rank(rho) == 2
         assert numerical_rank(rho, tol=1e-3) == 1
+
+
+def _off_x(d):
+    i, j = np.indices((d, d))
+    return (i != j) & (i + j != d - 1)
+
+
+@pytest.fixture
+def eigvalsh_stacks(monkeypatch):
+    """The number of matrices of every `eigvalsh` call made from
+    `conclab.linalg`. Calls from anywhere else are not counted."""
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(mats, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == linalg.__name__:
+            seen.append(int(np.prod(np.shape(mats)[:-2])))
+        return eigvalsh(mats, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return seen
+
+
+class TestHermitianSpectra:
+    """X-shaped matrices are read in closed form, every other matrix by
+    `eigvalsh`; the choice is made per matrix and changes no rank or error."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_x_states_match_eigvalsh(self, n, eigvalsh_stacks):
+        """Within 1e-15, with a non-Hermitian error of HERM_TOL * (1 - 1e-3) on
+        the upper anti-diagonal of every other state: both read the lower."""
+        rng = np.random.default_rng(50 + n)
+        d = 1 << n
+        mats = np.array([_x_rotated(rng.dirichlet(np.ones(d)), rng) for _ in range(50)])
+        upper = np.arange(d // 2)
+        mats[::2, upper, d - 1 - upper] += (np.exp(2j * np.pi * rng.random((25, d // 2)))
+                                            * HERM_TOL * (1 - 1e-3))
+        assert not np.any(mats[:, _off_x(d)])
+        eigs = density_spectra(mats)
+        assert eigvalsh_stacks == []
+        assert np.max(np.abs(eigs - np.linalg.eigvalsh(mats))) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_diagonal_states_stay_ordered(self, n):
+        rng = np.random.default_rng(60 + n)
+        for k in range(50):
+            diag = rng.dirichlet(np.ones(1 << n))
+            diag[1:][rng.random((1 << n) - 1) < 0.3] = 0.0
+            if k % 2:
+                diag[-1] = diag[0]  # a tie across one half
+            diag /= diag.sum()
+            eigs = hermitian_spectra(np.diag(diag).astype(complex))
+            assert np.all(np.diff(eigs) >= 0)
+            assert np.max(np.abs(eigs - np.sort(diag))) <= 1e-15
+
+    def test_one_by_one(self):
+        assert hermitian_spectra(np.ones((3, 1, 1), dtype=complex)).tolist() == [[1.0]] * 3
+
+    @pytest.mark.parametrize("shape", ["x", "rotated"])
+    @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
+    def test_rank_edge(self, factor, shape):
+        rng = np.random.default_rng(70)
+        make = _x_rotated if shape == "x" else _rotated
+        mats = []
+        for k in range(8):
+            small = [RANK_TOL * factor] * (k % 4)
+            big = rng.dirichlet(np.ones(8 - len(small))) * (1 - sum(small))
+            mats.append(make(np.concatenate([big, small]), rng))
+        mats = np.array(mats)
+        assert np.any(mats[:, _off_x(8)]) == (shape == "rotated")
+        ranks = spectral_ranks(density_spectra(mats))
+        assert ranks.tolist() == [numerical_rank(DensityMatrix(m)) for m in mats]
+        assert ranks.tolist() == [8 if factor > 1 else 8 - k % 4 for k in range(8)]
+
+    @pytest.mark.parametrize("triangle", ["upper", "lower"])
+    def test_one_off_x_entry_reaches_eigvalsh(self, triangle, eigvalsh_stacks):
+        rng = np.random.default_rng(90)
+        for i, j in zip(*np.nonzero(_off_x(8))):
+            if (i < j) != (triangle == "upper"):
+                continue
+            m = _x_rotated(rng.dirichlet(np.ones(8)), rng)
+            m[i, j] = 0.5 * HERM_TOL
+            assert np.array_equal(density_spectra(m), np.linalg.eigvalsh(m))
+        assert eigvalsh_stacks == [1] * 24
+
+    def test_mixed_stack_equals_one_state_calls(self, eigvalsh_stacks):
+        from oracles import random_density
+
+        rng = np.random.default_rng(100)
+        mats = []
+        for k in range(12):
+            if k % 3 == 0:
+                mats.append(random_density(3, 1 + k % 8, rng))
+            elif k % 3 == 1:
+                mats.append(_x_rotated(rng.dirichlet(np.ones(8)), rng))
+            else:
+                mats.append(np.diag(rng.dirichlet(np.ones(8))).astype(complex))
+        mats = np.array(mats)
+        eigs = density_spectra(mats)
+        assert eigvalsh_stacks == [4]
+        for m, e in zip(mats, eigs):
+            assert np.array_equal(density_spectra(m), e)
+            assert np.array_equal(hermitian_spectra(m[None])[0], e)
+
+
+# every catalogued scenario, and the rank-16 one the benchmark runs
+EVOLVED = [entry[:2] for entry in CATALOGUE] + [("ghz4", ("GeneralPauli",) * 4)]
+
+
+class TestSpectraTraffic:
+    """Which evolved stacks reach `eigvalsh`: only the W states', the one
+    catalogued kind that is not X-shaped."""
+
+    @pytest.mark.parametrize("state, families", EVOLVED,
+                             ids=["-".join((s, *f)) for s, f in EVOLVED])
+    def test_final_states(self, state, families, eigvalsh_stacks):
+        rho0 = parse_state(state).to_density().mat
+        eigvalsh_stacks.clear()
+        params = draw_params(families, [np.random.default_rng(1900 + i) for i in range(64)])
+        _final_states(rho0, pauli_superops(params), RANK_TOL)
+        assert eigvalsh_stacks == ([64] if state in ("w3", "w4") else [])
+
+    def test_figure1_scan(self, eigvalsh_stacks):
+        # the only state validated is rho0, X-shaped too
+        figure1_scan()
+        assert eigvalsh_stacks == []
