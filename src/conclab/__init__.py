@@ -46,7 +46,6 @@ from .factorization import (
 )
 from .linalg import (
     DensityMatrix,
-    numerical_rank,
     permutation_indices,
 )
 from .states import PureState, bell, ghz, parse_state, random_pure, state_from_json, w

@@ -159,7 +159,7 @@ def evolve(mats, superops):
     given as {qubit: (S, 4, 4) superoperator stack}, one stacked matmul per
     qubit in qubit order (see module docstring). B and S broadcast, so one
     initial state can go through S channel draws. Returns the unvalidated
-    (max(B, S), d, d) stack."""
+    (max(B, S), d, d) stack; see the trust contract in `conclab.concurrence`."""
     d = mats.shape[-1]
     n = n_qubits_of(d)
     t = mats.reshape((-1,) + (2,) * (2 * n))

@@ -19,6 +19,10 @@ from .channels import apply, parse_channel_list
 from .concurrence import bipartite_concurrence, cut_concurrence, parse_cut, tau3
 from .experiments import CATALOGUE, figure1_scan, rank_table, rank_table_csv
 from .factorization import (
+    AGGREGATIONS,
+    ANCHOR_LAST,
+    ANCHORS,
+    FORMS,
     CampaignConfig,
     default_cut,
     evaluate_identity,
@@ -191,7 +195,7 @@ def _cmd_campaign(args):
 def _cmd_sweep(args):
     configs = [CampaignConfig(state=state, channels=families, samples=args.samples,
                               tol=args.tol, seed=args.seed, aggregation=aggregation)
-               for state, families, _ in CATALOGUE for aggregation in ("sum", "rms")]
+               for state, families, _ in CATALOGUE for aggregation in AGGREGATIONS]
     os.makedirs(args.out_dir, exist_ok=True)
     print(f"{'state':<6} {'channels':<16} {'aggregation':<12} "
           f"{'rank buckets':<14} {'passed':<10} worst residual")
@@ -252,14 +256,14 @@ def build_parser():
     p.add_argument("--breakdown", action="store_true", help="per generator pair CSV")
 
     p = add("verify", _cmd_verify, "evaluate one factorization identity on a scenario")
-    p.add_argument("--identity", required=True, choices=["product", "sum"])
+    p.add_argument("--identity", required=True, choices=FORMS)
     p.add_argument("--state", required=True)
     p.add_argument("--channels", required=True)
     p.add_argument("--cut", help="bipartition (default: last qubit alone)")
-    p.add_argument("--anchor", choices=["last", "own"], default="last")
+    p.add_argument("--anchor", choices=ANCHORS, default=ANCHOR_LAST)
     p.add_argument("--exponent", type=int, default=None,
                    help="override the degree-matching normalization exponent")
-    p.add_argument("--aggregation", choices=["sum", "rms"], default="sum")
+    p.add_argument("--aggregation", choices=AGGREGATIONS, default="sum")
 
     p = add("campaign", _cmd_campaign, "seeded randomized identity verification")
     p.add_argument("--config", help="JSON campaign config file")
@@ -269,11 +273,11 @@ def build_parser():
     p.add_argument("--samples", type=int)
     p.add_argument("--tol", type=float)
     p.add_argument("--seed", type=int, help=f"base seed (default: ${SEED_ENV} or 0)")
-    p.add_argument("--identity", choices=["auto", "product", "sum"])
+    p.add_argument("--identity", choices=("auto",) + FORMS)
     p.add_argument("--cut")
     p.add_argument("--exponent", type=int, dest="normalization_exponent")
-    p.add_argument("--aggregation", choices=["sum", "rms"])
-    p.add_argument("--anchor", choices=["last", "own"])
+    p.add_argument("--aggregation", choices=AGGREGATIONS)
+    p.add_argument("--anchor", choices=ANCHORS)
     p.add_argument("--relabel", type=qubit_list, help="qubit relabeling such as 3,2,1")
 
     p = add("sweep", _cmd_sweep, "campaigns on every catalogued scenario, both aggregations",

@@ -78,43 +78,48 @@ alone, never once per stack. `cut_totals` and `tau3_stack` serve whole
 stacks; `cut_concurrence`, `bipartite_concurrence` and `tau3` are their
 one-state cases, and `wootters` is the single-block case (cut 1|2).
 
-The kernel trusts its input: a state rho0 that passed `density_spectra`,
-or any state evolved from one by local Pauli channels, many-sided or
-single-sided. Each channel's weights a_k^2 are nonnegative and sum to 1
-within 1e-12, so an evolved state is sum_P w_P P rho0 P over Pauli strings
-P, with w_P >= 0 and sum_P w_P = 1: a convex mix of unitary conjugates of
-rho0. It keeps rho0's trace and, to roundoff, its Hermiticity, and by
-concavity of the lowest eigenvalue its eigenvalues sit at or above
-lambda_min(rho0). A block's entries are the state's, so it is Hermitian to
-HERM_TOL; by Cauchy interlacing its eigenvalues sit at or above
-EIG_FLOOR - 4 * HERM_TOL, the 4 covering `eigh` reading a triangle that the
-gather reordered.
+Trust contract. The kernel trusts its input: a state rho0 that passed
+`density_spectra`, or any state evolved from one by local Pauli channels,
+many-sided or single-sided. Each channel's weights a_k^2 are nonnegative
+and sum to 1 within 1e-12, so an evolved state is sum_P w_P P rho0 P over
+Pauli strings P, with w_P >= 0 and sum_P w_P = 1: a convex mix of unitary
+conjugates of rho0. It keeps rho0's trace and, to roundoff, its
+Hermiticity, and by concavity of the lowest eigenvalue its eigenvalues sit
+at or above lambda_min(rho0). A block's entries are the state's, so it is
+Hermitian to HERM_TOL; by Cauchy interlacing its eigenvalues sit at or
+above EIG_FLOOR - 4 * HERM_TOL, the 4 covering `eigh` reading a triangle
+that the gather reordered. The same argument lets every other module hand
+evolved states to this kernel, and read their ranks from
+`hermitian_spectra`, unchecked: only inputs are validated.
 """
 
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import n_qubits_of, permutation_indices
+from .linalg import _x_layout, n_qubits_of, permutation_indices
 
 
+@dataclass(frozen=True)
 class Bipartition:
     """Ordered split of qubits 1..n into two nonempty blocks, e.g. {1,2}|{3}."""
 
-    __slots__ = ("block1", "block2")
+    block1: tuple
+    block2: tuple
 
-    def __init__(self, block1, block2):
-        block1 = tuple(int(q) for q in block1)
-        block2 = tuple(int(q) for q in block2)
+    def __post_init__(self):
+        block1 = tuple(int(q) for q in self.block1)
+        block2 = tuple(int(q) for q in self.block2)
         n = len(block1) + len(block2)
         if not block1 or not block2:
             raise ValueError("both blocks must be nonempty")
         if sorted(block1 + block2) != list(range(1, n + 1)):
             raise ValueError(f"blocks {block1}|{block2} must partition 1..{n}")
-        self.block1 = block1
-        self.block2 = block2
+        object.__setattr__(self, "block1", block1)
+        object.__setattr__(self, "block2", block2)
 
     @property
     def n_qubits(self):
@@ -134,13 +139,6 @@ class Bipartition:
 
     def __repr__(self):
         return f"Bipartition({self.label!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Bipartition)
-                and self.block1 == other.block1 and self.block2 == other.block2)
-
-    def __hash__(self):
-        return hash((self.block1, self.block2))
 
 
 def parse_cut(spec):
@@ -162,27 +160,25 @@ def parse_cut(spec):
     return Bipartition(block(left), block(right))
 
 
+@dataclass(frozen=True)
 class PairTerm:
     """One generator pair's contribution: indices (1-based), the four l's, C_mn."""
 
-    __slots__ = ("m", "n", "lambdas", "value")
-
-    def __init__(self, m, n, lambdas, value):
-        self.m = m
-        self.n = n
-        self.lambdas = lambdas
-        self.value = value
+    m: int
+    n: int
+    lambdas: tuple
+    value: float
 
     def __repr__(self):
         return f"PairTerm(m={self.m}, n={self.n}, value={self.value:.6g})"
 
 
+@dataclass(frozen=True)
 class ConcurrenceBreakdown:
-    __slots__ = ("pairs", "total")
+    """A cut's PairTerms, in pair order, and their total (see `_cut_total`)."""
 
-    def __init__(self, pairs):
-        self.pairs = tuple(pairs)
-        self.total = float(np.sqrt(sum(p.value * p.value for p in self.pairs)))
+    pairs: tuple
+    total: float
 
     def __repr__(self):
         return f"ConcurrenceBreakdown(total={self.total:.6g}, pairs={len(self.pairs)})"
@@ -193,20 +189,27 @@ class ConcurrenceBreakdown:
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 _FLIP_SIGNS.setflags(write=False)
 
-# (rows, cols) of the eight entries of a 4x4 block off its diagonal and
-# anti-diagonal: a block is X-shaped when all of them are exactly 0
-_OFF_X = np.nonzero(~(np.eye(4, dtype=bool) | np.eye(4, dtype=bool)[::-1]))
-# (rows, cols) of the entries an X block's l's depend on: r00, r11, r33,
-# r22 and the lower anti-diagonal r30, r21, the triangle `eigh` reads
-_X_ENTRIES = (np.array([0, 1, 3, 2, 3, 2]), np.array([0, 1, 3, 2, 0, 1]))
+
+def _gathers(flat):
+    """The (P, 4, 4) flat indices of P principal blocks in a flattened
+    state, with the (8, P) indices of each block's entries off its diagonal
+    and anti-diagonal and the (6, P) indices of its X entries r00, r11,
+    r33, r22, r30, r21 (the lower triangle `eigh` reads), both laid out by
+    `_x_layout(4)`."""
+    off_x, near, far, anti = _x_layout(4)
+    cells = flat.reshape(len(flat), 16)
+    gathers = (flat, cells[:, off_x].T, cells[:, np.concatenate((near, far, anti))].T)
+    for a in gathers:
+        a.setflags(write=False)
+    return gathers
 
 
 @lru_cache(maxsize=None)
 def _pair_blocks(block1, block2):
     """Every generator pair's principal block of a cut: the (m, n) labels,
     1-based, of the generators E_ab (a < b) of each block in lexicographic
-    order, and the (P, 4, 4) indices
-    of the blocks' entries in the flattened d x d unpermuted state.
+    order, and the `_gathers` of the blocks' entries in the flattened d x d
+    unpermuted state.
 
     Pair (E_ab, E_cd) selects the basis states {a, b} x {c, d} of the order
     with block1's qubits first; `src` maps them back to the state's own
@@ -220,14 +223,12 @@ def _pair_blocks(block1, block2):
             labels.append((m, n))
             index_sets.append(src[[a * d2 + c, a * d2 + d, b * d2 + c, b * d2 + d]])
     idx = np.array(index_sets)
-    flat = idx[:, :, None] * (d1 * d2) + idx[:, None, :]
-    flat.setflags(write=False)
-    return tuple(labels), flat
+    return tuple(labels), _gathers(idx[:, :, None] * (d1 * d2) + idx[:, None, :])
 
 
 def _x_spectra(entries):
     """The closed-form l's (B, P, 4), descending, of blocks read as X-shaped,
-    from their entries at _X_ENTRIES gathered as (B, 6, P):
+    from their X entries (see `_gathers`) gathered as (B, 6, P):
     sqrt(r00 r33) +- |r03| and sqrt(r11 r22) +- |r12|, the diagonal clipped
     at 0, or (2 lambda+ |z| / g, 0) where a 2x2 half has a negative
     eigenvalue for the PSD root to clamp (see the module docstring). They
@@ -250,10 +251,10 @@ def _x_spectra(entries):
                      np.minimum(inner_hi, inner_lo), np.minimum(lo[:, 0], lo[:, 1])), axis=-1)
 
 
-def _pair_spectra(mats, flat):
+def _pair_spectra(mats, gathers):
     """The l's (B, P, 4), descending, and C_mn = max(0, l1 - l2 - l3 - l4)
     (B, P) of the principal blocks rho_II of a (B, d, d) stack, whose
-    entries sit at the flat indices (P, 4, 4): the singular values of
+    entries sit at the flat indices of `gathers`: the singular values of
     sqrt(rho_II) Y sqrt(rho_II)*. They are read in closed form for each
     X-shaped block and for each block whose support holds at most one state
     of each Y pair {0, 3}, {1, 2} (l's exactly 0, see the module docstring),
@@ -267,11 +268,12 @@ def _pair_spectra(mats, flat):
     first and every operation acts per (state, pair), so a state's values
     do not depend on the stack it shares.
     """
+    flat, off_x, x_entries = gathers
     states = mats.reshape(len(mats), -1)
     # entries are gathered as (B, k, P): reducing over a short middle axis
     # with the pairs contiguous is much cheaper than over a short last axis
-    general = np.any(np.take(states, flat[:, _OFF_X[0], _OFF_X[1]].T, axis=1) != 0, axis=1)
-    lam = _x_spectra(np.take(states, flat[:, _X_ENTRIES[0], _X_ENTRIES[1]].T, axis=1))
+    general = np.any(np.take(states, off_x, axis=1) != 0, axis=1)
+    lam = _x_spectra(np.take(states, x_entries, axis=1))
     if general.any():
         rows, pairs = np.nonzero(general)
         blocks = states[rows[:, None, None], flat[pairs]]
@@ -299,31 +301,34 @@ def wootters(rho):
     """Two-qubit mixed-state concurrence: the single principal block of cut 1|2."""
     if rho.n_qubits != 2:
         raise DimensionMismatchError(f"Wootters concurrence needs 2 qubits, got {rho.n_qubits}")
-    _, flat = _pair_blocks((1,), (2,))
-    return min(1.0, float(_pair_spectra(rho.mat[None], flat)[1][0, 0]))
+    _, gathers = _pair_blocks((1,), (2,))
+    return min(1.0, float(_pair_spectra(rho.mat[None], gathers)[1][0, 0]))
+
+
+def _cut_total(values):
+    """A cut's total sqrt(sum of C_mn^2) over the last axis of its C_mn
+    values, added in pair order: every reader of a total gets these bits."""
+    return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
 
 
 def cut_totals(mats, cut):
     """Concurrence across a cut of every state of a (B, d, d) stack: the
-    (B,) totals sqrt(sum of C_mn^2) over the cut's generator pairs, summed
-    in pair order. Each state must have passed `density_spectra` or be
-    evolved from one by local Pauli channels: a convex mix of its Pauli
-    conjugates, Hermitian and by concavity of the lowest eigenvalue no less
-    PSD (see module docstring)."""
+    (B,) totals over the cut's generator pairs. Each state must have passed
+    `density_spectra` or be evolved from one by local Pauli channels (see
+    the trust contract in the module docstring)."""
     _check_qubits(cut, mats)
-    values = _pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1]
-    return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
+    return _cut_total(_pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1])
 
 
 def bipartite_concurrence(rho, cut):
     """Generalized concurrence of rho across a bipartition, one PairTerm per
     generator pair."""
     _check_qubits(cut, rho.mat)
-    labels, flat = _pair_blocks(cut.block1, cut.block2)
-    lam, values = _pair_spectra(rho.mat[None], flat)
-    return ConcurrenceBreakdown(
-        PairTerm(m, n, tuple(top), value)
-        for (m, n), top, value in zip(labels, lam[0].tolist(), values[0].tolist()))
+    labels, gathers = _pair_blocks(cut.block1, cut.block2)
+    lam, values = _pair_spectra(rho.mat[None], gathers)
+    pairs = tuple(PairTerm(m, n, tuple(top), value)
+                  for (m, n), top, value in zip(labels, lam[0].tolist(), values[0].tolist()))
+    return ConcurrenceBreakdown(pairs, float(_cut_total(values)[0]))
 
 
 def cut_concurrence(rho, cut):
@@ -336,10 +341,9 @@ _TAU3_CUTS = (Bipartition((1, 2), (3,)), Bipartition((1, 3), (2,)), Bipartition(
 
 @lru_cache(maxsize=None)
 def _tau3_blocks():
-    """Flat indices of the 18 principal blocks of the three 2|1 cuts."""
-    flat = np.concatenate([_pair_blocks(cut.block1, cut.block2)[1] for cut in _TAU3_CUTS])
-    flat.setflags(write=False)
-    return flat
+    """The `_gathers` of the 18 principal blocks of the three 2|1 cuts."""
+    return _gathers(np.concatenate([_pair_blocks(cut.block1, cut.block2)[1][0]
+                                    for cut in _TAU3_CUTS]))
 
 
 def tau3_stack(mats):

@@ -8,7 +8,6 @@ import numpy as np
 
 from .channels import apply, evolve, flip_channel, flip_params, pauli_superops
 from .concurrence import tau3_stack
-from .linalg import numerical_rank
 from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
@@ -38,9 +37,8 @@ CATALOGUE = (
 def _tau3_bpf3(ps, rho0):
     """tau3 (len(ps),) of the three-qubit initial density matrix `rho0`
     (8, 8), the GHZ state, after identical BPF(p) on every qubit, for every
-    p of `ps`: one stacked evolution and kernel call. The evolved states
-    are trusted, not checked: each is a convex mix of Pauli conjugates of
-    the validated `rho0`."""
+    p of `ps`: one stacked evolution and kernel call; see the trust
+    contract in `conclab.concurrence`."""
     superops = pauli_superops(flip_params("BPF", ps))
     return tau3_stack(evolve(rho0[None], dict.fromkeys((1, 2, 3), superops)))
 
@@ -114,16 +112,16 @@ class RankRow:
         return self.computed_rank == self.claimed_rank
 
 
-def rank_table(p_values=GENERIC_PS):
+def rank_table():
     """Compute the final rank of every catalogued scenario next to its claim."""
     rows = []
     for state_name, families, claimed in CATALOGUE:
         if claimed is None:
             continue
         psi = parse_state(state_name)
-        channels = [flip_channel(fam, p_values[k]) for k, fam in enumerate(families)]
+        channels = [flip_channel(fam, GENERIC_PS[k]) for k, fam in enumerate(families)]
         rho = apply(dict(enumerate(channels, start=1)), psi.to_density())
-        rows.append(RankRow(state_name, tuple(families), numerical_rank(rho), claimed))
+        rows.append(RankRow(state_name, tuple(families), rho.rank, claimed))
     return tuple(rows)
 
 

@@ -27,14 +27,12 @@ rank, one single-sided `evolve` per anchor qubit gives the factor states,
 and one kernel call gives lhs, every factor and C(psi). A campaign runs its
 samples this way, grouped by the identity they evaluate, and
 `evaluate_identity` is the one-sample case. Only the initial state is
-validated: every evolved state is a convex mix of its Pauli conjugates (see
-`conclab.concurrence`). `evaluate_identity` alone also validates the factor
-states, to report their ranks; no campaign output reads them.
+validated; see the trust contract in `conclab.concurrence`.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 
 import numpy as np
@@ -42,19 +40,31 @@ import numpy as np
 from .channels import PauliChannel, _canonical_family, draw_params, evolve, pauli_superops
 from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
-from .linalg import RANK_TOL, density_spectra, hermitian_spectra, spectral_ranks
+from .linalg import RANK_TOL, hermitian_spectra, spectral_ranks
 from .states import parse_state
 
 PRODUCT = "product"
 SUM = "sum"
 FORMS = (PRODUCT, SUM)
-
+# term products added, or their quadrature mean (see module docstring)
+AGGREGATIONS = ("sum", "rms")
 ANCHOR_LAST = "last"
 ANCHOR_OWN = "own"
+ANCHORS = (ANCHOR_LAST, ANCHOR_OWN)
 
 # Largest campaign: every sample keeps its CSV row (about 0.5 KB) in memory
 # until the report is written.
 MAX_SAMPLES = 1_000_000
+
+
+def _require_choice(name, value, choices):
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+
+
+def _require_int(name, value):
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def default_cut(n_qubits):
@@ -73,8 +83,7 @@ class FactorizationIdentity:
 
     def __post_init__(self):
         form = str(self.form).lower()
-        if form not in FORMS:
-            raise ValueError(f"identity form must be one of {FORMS}, got {form!r}")
+        _require_choice("identity form", form, FORMS)
         if form == SUM and self.cut.n_qubits < 3:
             raise ValueError("sum identities are defined for three or more qubits")
         object.__setattr__(self, "form", form)
@@ -143,20 +152,25 @@ class IdentityReport:
 
 def _aggregate(products, aggregation):
     """Term products, one (S,) array per term, aggregated row by row in term order."""
-    if aggregation == "sum":
-        return sum(products)
+    _require_choice("aggregation", aggregation, AGGREGATIONS)
     if aggregation == "rms":
         return np.sqrt(sum(p * p for p in products) / len(products))
-    raise ValueError(f"aggregation must be 'sum' or 'rms', got {aggregation!r}")
+    return sum(products)
+
+
+def _evolved_ranks(states, tol):
+    """Ranks (...,) of a (..., d, d) stack of evolved states, from their
+    spectra unchecked: the trust contract of `conclab.concurrence`."""
+    return spectral_ranks(hermitian_spectra(states), tol)
 
 
 def _final_states(rho0, superops, rank_tol):
     """Many-sided final states (S, d, d) of the validated initial density
     matrix rho0 (d, d) under S draws of per-qubit superoperators
-    (S, n, 4, 4), and their ranks (S,). The finals are trusted, not
-    checked: each is a convex mix of Pauli conjugates of rho0."""
+    (S, n, 4, 4), and their ranks (S,); see the trust contract in
+    `conclab.concurrence`."""
     finals = evolve(rho0[None], {q: superops[:, q - 1] for q in range(1, superops.shape[1] + 1)})
-    return finals, spectral_ranks(hermitian_spectra(finals), rank_tol)
+    return finals, _evolved_ranks(finals, rank_tol)
 
 
 @dataclass(frozen=True)
@@ -179,10 +193,9 @@ def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponen
               aggregation):
     """Evaluate an identity on S scenarios that share the initial density
     matrix rho0 (d, d), given their many-sided final states finals
-    (S, d, d) and per-qubit superoperators superops (S, n, 4, 4). The factor
-    states go to the kernel unvalidated (see `cut_totals`)."""
-    if anchor not in (ANCHOR_LAST, ANCHOR_OWN):
-        raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {anchor!r}")
+    (S, d, d) and per-qubit superoperators superops (S, n, 4, 4); see the
+    trust contract in `conclab.concurrence`."""
+    _require_choice("anchor", anchor, ANCHORS)
     samples, n = superops.shape[:2]
     d = rho0.shape[-1]
     anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
@@ -226,8 +239,7 @@ def _superops(channels):
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
-                      normalization_exponent=None, aggregation="sum",
-                      rank_tol=RANK_TOL):
+                      normalization_exponent=None, aggregation="sum"):
     """Evaluate one identity on a scenario (initial state + one channel per qubit).
 
     Returns an IdentityReport carrying both sides, the residual
@@ -241,12 +253,12 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         raise DimensionMismatchError(f"need {n} channels, got {len(channels)}")
     superops = _superops(channels)
     rho0 = psi.to_density().mat
-    finals, final_ranks = _final_states(rho0, superops, rank_tol)
+    finals, final_ranks = _final_states(rho0, superops, RANK_TOL)
     ev = _evaluate(identity, rho0, finals, superops, anchor=anchor,
                    normalization_exponent=normalization_exponent,
                    aggregation=aggregation)
     final_rank = int(final_ranks[0])
-    factor_ranks = spectral_ranks(density_spectra(ev.factor_states[0]), rank_tol)
+    factor_ranks = _evolved_ranks(ev.factor_states[0], RANK_TOL)
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -275,11 +287,6 @@ def _suggested_identity(rank, cut):
     if rank <= 4 and cut.n_qubits >= 3:
         return FactorizationIdentity(SUM, cut)
     return None
-
-
-def _require_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -325,12 +332,9 @@ class CampaignConfig:
             _require_int("normalization_exponent", self.normalization_exponent)
         if self.cut is not None and not isinstance(self.cut, str):
             raise ValueError(f"cut must be a string such as '12|34', got {self.cut!r}")
-        if self.identity not in ("auto",) + FORMS:
-            raise ValueError(f"identity must be 'auto', 'product', or 'sum', got {self.identity!r}")
-        if self.aggregation not in ("sum", "rms"):
-            raise ValueError(f"aggregation must be 'sum' or 'rms', got {self.aggregation!r}")
-        if self.anchor not in (ANCHOR_LAST, ANCHOR_OWN):
-            raise ValueError(f"anchor must be '{ANCHOR_LAST}' or '{ANCHOR_OWN}', got {self.anchor!r}")
+        _require_choice("identity", self.identity, ("auto",) + FORMS)
+        _require_choice("aggregation", self.aggregation, AGGREGATIONS)
+        _require_choice("anchor", self.anchor, ANCHORS)
         for fam in self.channels:
             _canonical_family(fam)
         if self.relabel is not None:
@@ -358,21 +362,14 @@ class CampaignConfig:
         return cls(**kwargs)
 
     def to_json_dict(self):
-        exp = self.normalization_exponent
-        return {
-            "state": self.state,
-            "channels": list(self.channels),
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "identity": self.identity,
-            "cut": self.cut,
-            "normalization_exponent": "auto" if exp is None else exp,
-            "aggregation": self.aggregation,
-            "anchor": self.anchor,
-            "rank_tol": self.rank_tol,
-            "relabel": list(self.relabel) if self.relabel is not None else None,
-        }
+        """Every field, tuples as lists and a None exponent as "auto"."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in out.items():
+            if isinstance(value, tuple):
+                out[name] = list(value)
+        if self.normalization_exponent is None:
+            out["normalization_exponent"] = "auto"
+        return out
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,9 @@
 permutation indices, and density-matrix validation, of one matrix (the
 `DensityMatrix` container) or of a (..., d, d) stack.
 
-Only inputs are validated, once, by `density_spectra`, the only raiser of
-NotHermitianError and NotPSDError. An evolved state is a convex mix of Pauli
-conjugates of a validated one and is trusted (see `conclab.concurrence`);
-where its rank is read, `hermitian_spectra` gives its spectrum unchecked.
+Only inputs are validated, once, by `density_spectra` inside `DensityMatrix`,
+the only raiser of NotHermitianError and NotPSDError; evolved states are
+trusted unchecked (see the trust contract in `conclab.concurrence`).
 
 `hermitian_spectra` reads X-shaped matrices, whose only nonzero entries sit
 on the diagonal and the anti-diagonal, in closed form (Yu and Eberly,
@@ -144,7 +143,7 @@ def density_spectra(mats):
     with np.errstate(over="ignore", invalid="ignore"):
         err = float(np.max(np.abs(mats - _dagger(mats)), initial=0.0))
         traces = np.trace(mats, axis1=-2, axis2=-1).reshape(-1)
-        bad = np.flatnonzero(np.abs(traces - 1.0) > TRACE_TOL)
+        bad = np.flatnonzero(~(np.abs(traces - 1.0) <= TRACE_TOL))  # NaN fails too
     if err > HERM_TOL:
         raise NotHermitianError(f"density matrix is not Hermitian: residual {err:.3e} > {HERM_TOL:.1e}")
     if bad.size:
@@ -199,12 +198,8 @@ class DensityMatrix:
 
     @property
     def rank(self):
-        return numerical_rank(self)
+        """Count of eigenvalues strictly above RANK_TOL."""
+        return int(spectral_ranks(self._eigs))
 
     def __repr__(self):
         return f"DensityMatrix(n_qubits={self.n_qubits}, rank={self.rank})"
-
-
-def numerical_rank(rho, tol=RANK_TOL):
-    """Count of eigenvalues strictly above tol (absolute; trace is 1)."""
-    return int(spectral_ranks(rho.eigenvalues, tol))

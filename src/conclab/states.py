@@ -22,7 +22,7 @@ class PureState:
         n = n_qubits_of(amp.shape[0])
         with np.errstate(over="ignore", invalid="ignore"):  # huge entries: norm inf
             norm = float(np.linalg.norm(amp))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
             raise NotNormalizedError(f"state norm {norm:.15g} deviates from 1 by > {NORM_TOL:.1e}")
         amp.setflags(write=False)
         self.amplitudes = amp

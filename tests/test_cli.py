@@ -181,6 +181,17 @@ def test_concurrence_breakdown_columns(capsys):
     assert len(lines) == 2 + 6  # six generator pairs for the 4x2 cut
 
 
+@pytest.mark.parametrize("state", ["w3", "w4", "ghz3"])
+def test_breakdown_total_is_the_concurrence_total(capsys, state):
+    code, out, _ = run(capsys, "concurrence", "--state", state)
+    assert code == 0
+    total = out.strip().removeprefix("total,")
+    code, out, _ = run(capsys, "concurrence", "--state", state, "--breakdown")
+    assert code == 0
+    header = json.loads(out.split("\n")[0].removeprefix("# "))
+    assert repr(header["total"]) == total
+
+
 def test_concurrence_tau3(capsys):
     code, out, _ = run(capsys, "concurrence", "--state", "ghz3", "--tau3")
     assert code == 0
@@ -533,7 +544,9 @@ def _cli_subprocess(*argv):
     ("matrix", [[1e308, 1e308], [-1e308, 1]], "not Hermitian"),
     ("matrix", [[0.5, 1e200], [1e200, 0.5]], "eigenvalue -inf"),
     ("state", "[1e200, 1e200]", "norm"),
-], ids=["trace-overflow", "hermiticity-overflow", "spectrum-overflow", "norm-overflow"])
+    ("matrix", np.diag([1e308, 1e308, -1e308, -1e308]).tolist(), "trace nan"),
+], ids=["trace-overflow", "hermiticity-overflow", "spectrum-overflow", "norm-overflow",
+        "trace-nan"])
 def test_huge_finite_input_gives_one_error_line(tmp_path, kind, payload, needle):
     if kind == "matrix":
         path = tmp_path / "rho.json"
@@ -544,6 +557,12 @@ def test_huge_finite_input_gives_one_error_line(tmp_path, kind, payload, needle)
     code, out, err = _cli_subprocess(*argv)
     assert_one_error_line(code, out, err)
     assert needle in err and "Warning" not in err
+
+
+def test_nan_amplitude_fails_the_norm_check(capsys):
+    code, out, err = run(capsys, "concurrence", "--state", "[NaN, 0, 0, 0]")
+    assert_one_error_line(code, out, err)
+    assert err.startswith("error: state norm nan deviates from 1")
 
 
 @pytest.mark.parametrize("field, value", [

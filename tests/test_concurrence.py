@@ -632,6 +632,22 @@ class TestStackedKernel:
                     assert bipartite_concurrence(rho, cut).total == total
                 assert np.array_equal(cut_totals(mats[3:5], cut), totals[3:5])
 
+    def test_breakdown_total_is_the_cut_total(self):
+        """A breakdown's total is the kernel's cut total, bit for bit, on
+        evolved states and every cut in both block orders: one helper adds
+        the C_mn^2 in pair order for both."""
+        rng = np.random.default_rng(2010)
+        cases = 0
+        for _ in range(300):
+            rho, _, _ = evolved_case(rng)
+            for block1, block2 in all_cuts(rho.n_qubits):
+                for cut in (Bipartition(block1, block2), Bipartition(block2, block1)):
+                    breakdown = bipartite_concurrence(rho, cut)
+                    assert breakdown.total == cut_concurrence(rho, cut)
+                    assert type(breakdown.total) is float
+                    cases += 1
+        assert cases > 1000
+
     def test_tau3_stack_equals_per_state_calls(self):
         rng = np.random.default_rng(2008)
         mats = np.array([random_density(3, 1 + k % 8, rng) for k in range(10)])
@@ -657,6 +673,15 @@ class TestBipartitionParsing:
     def test_dims(self):
         cut = parse_cut("123|4")
         assert cut.d1 == 8 and cut.d2 == 2
+
+    def test_value_semantics(self):
+        cut = Bipartition([1, 2], [3])
+        assert cut.block1 == (1, 2) and cut.block2 == (3,)
+        assert repr(cut) == "Bipartition('12|3')"
+        assert cut == parse_cut("1,2|3") and hash(cut) == hash(parse_cut("12|3"))
+        assert cut != Bipartition((2, 1), (3,))
+        with pytest.raises(AttributeError):
+            cut.block1 = (3,)
 
     def test_validation(self):
         with pytest.raises(ValueError):

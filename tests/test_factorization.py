@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conclab import experiments, factorization
+from conclab import experiments, linalg
 from conclab.channels import (
     _canonical_family,
     apply,
@@ -292,20 +292,22 @@ class TestFactorStates:
         flat = states.reshape(-1, 1 << n, 1 << n)
         assert np.array_equal(cut_totals(flat, identity.cut).reshape(64, n), ev.factors)
 
-    def test_only_verify_validates_factor_states(self, monkeypatch):
+    def test_only_the_initial_state_is_validated(self, monkeypatch):
+        """A campaign and a verify each validate rho0 alone; final and
+        factor ranks come from the unchecked spectra."""
         shapes = []
 
         def counted(mats):
             shapes.append(mats.shape)
             return density_spectra(mats)
 
-        monkeypatch.setattr(factorization, "density_spectra", counted)
+        monkeypatch.setattr(linalg, "density_spectra", counted)
         config = CampaignConfig(state="w4", channels=("PF",) * 4, samples=25, seed=7)
         report = run_campaign(config)
         assert all(r.residual is not None for r in report.rows)
-        assert shapes == []
+        assert shapes == [(16, 16)]
         rep = evaluate_identity(identity_for("sum", 4), w(4), sampled(config.channels, 7))
-        assert shapes == [(4, 16, 16)]
+        assert shapes == [(16, 16)] * 2
         assert [f.rank for f in rep.factors] == [2, 2, 2, 2]
 
 

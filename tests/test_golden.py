@@ -28,6 +28,9 @@ CASES = {
     "rank-table.csv": ["rank-table"],
     "concurrence-w3-12-3-breakdown.csv": [
         "concurrence", "--state", "w3", "--cut", "12|3", "--breakdown"],
+    "verify-w4-sum.csv": [
+        "verify", "--identity", "sum", "--state", "w4",
+        "--channels", "PF:p=0.1,PF:p=0.2,PF:p=0.3,PF:p=0.4"],
 }
 
 

@@ -23,7 +23,6 @@ from conclab.linalg import (
     density_spectra,
     hermitian_spectra,
     n_qubits_of,
-    numerical_rank,
     permutation_indices,
     spectral_ranks,
 )
@@ -173,6 +172,16 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.diag([0.6, 0.6]).astype(complex))
 
+    def test_nan_trace_fails_the_trace_check(self):
+        # finite entries whose trace overflows to inf + -inf = NaN: the
+        # trace check, not the later spectrum check, must reject it
+        m = np.diag([1e308, 1e308, -1e308, -1e308]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isnan(np.trace(m))
+        with pytest.raises(ValueError, match="^density matrix trace nan") as err:
+            DensityMatrix(m)
+        assert type(err.value) is ValueError
+
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(NotPSDError):
             DensityMatrix(np.diag([1.1, -0.1]).astype(complex))
@@ -298,14 +307,14 @@ class TestDensitySpectra:
             big = rng.dirichlet(np.ones(4 - len(small))) * (1 - sum(small))
             mats.append(np.diag(np.concatenate([big, small])).astype(complex))
         ranks = spectral_ranks(density_spectra(np.array(mats)))
-        assert ranks.tolist() == [numerical_rank(DensityMatrix(m)) for m in mats]
+        assert ranks.tolist() == [DensityMatrix(m).rank for m in mats]
         expected = [4 if factor > 1 else 4 - k % 3 for k in range(6)]
         assert ranks.tolist() == expected
 
 
 class TestNumericalRank:
     def test_pure_state_rank_one(self):
-        assert numerical_rank(bell_density()) == 1
+        assert bell_density().rank == 1
 
     def test_mixture_rank(self):
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2, 0.0]).astype(complex))
@@ -313,8 +322,8 @@ class TestNumericalRank:
 
     def test_tolerance_knob(self):
         rho = DensityMatrix(np.diag([1.0 - 1e-6, 1e-6]).astype(complex))
-        assert numerical_rank(rho) == 2
-        assert numerical_rank(rho, tol=1e-3) == 1
+        assert rho.rank == 2
+        assert spectral_ranks(rho.eigenvalues, tol=1e-3) == 1
 
 
 def _off_x(d):
@@ -386,7 +395,7 @@ class TestHermitianSpectra:
         mats = np.array(mats)
         assert np.any(mats[:, _off_x(8)]) == (shape == "rotated")
         ranks = spectral_ranks(density_spectra(mats))
-        assert ranks.tolist() == [numerical_rank(DensityMatrix(m)) for m in mats]
+        assert ranks.tolist() == [DensityMatrix(m).rank for m in mats]
         assert ranks.tolist() == [8 if factor > 1 else 8 - k % 4 for k in range(8)]
 
     @pytest.mark.parametrize("triangle", ["upper", "lower"])

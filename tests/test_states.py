@@ -110,6 +110,15 @@ def test_norm_validation():
         PureState([1.0, 1.0])
 
 
+@pytest.mark.parametrize("spec", ["[NaN, 0]", "[1, NaN]", "[[0, NaN], 0]"])
+def test_nan_norm_fails_the_norm_check(spec):
+    with pytest.raises(NotNormalizedError, match="^state norm nan "):
+        parse_state(spec)
+    amplitudes = [complex(*e) if isinstance(e, list) else e for e in json.loads(spec)]
+    with pytest.raises(NotNormalizedError, match="^state norm nan "):
+        PureState(amplitudes)
+
+
 def test_parse_named_states():
     assert parse_state("bell").n_qubits == 2
     assert parse_state("GHZ3").n_qubits == 3
