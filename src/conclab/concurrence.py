@@ -349,10 +349,13 @@ def _tau3_blocks():
 def tau3_stack(mats):
     """Root-mean-square of the three 2|1 bipartite concurrences of every
     3-qubit state of a (B, 8, 8) stack that `cut_totals` accepts, from one
-    kernel call over the 18 pairs of the three cuts."""
+    kernel call over the 18 pairs of the three cuts. Each cut's total is
+    `_cut_total` over its 6 pairs, so tau3 is the rms of the three
+    `cut_totals`, bit for bit."""
     _check_qubits(_TAU3_CUTS[0], mats)
     values = _pair_spectra(mats, _tau3_blocks())[1]
-    return np.sqrt(np.sum(values * values, axis=-1) / 3.0)
+    t1, t2, t3 = _cut_total(values.reshape(len(mats), 3, -1)).T
+    return np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
 
 
 def tau3(rho):

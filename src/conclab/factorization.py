@@ -21,13 +21,46 @@ quadrature mean sqrt(sum of squares / n_terms) ("rms"), which is the form
 the same-family scenarios actually satisfy; both are exposed so campaigns
 can discriminate the conventions empirically.
 
+A factor whose anchor qubit stands alone on its side of the cut needs no
+evolution. For a pure psi, a channel $ on that qubit and the cut's
+generalized concurrence C, the one-sided law (Konrad et al., Nature Phys.
+4, 99, 2008; Tiersch, de Melo and Buchleitner, PRL 101, 170502, 2008)
+
+    C((1 (x) $) psi) = c($) * C(psi),   c($) = max(0, 2 max_k a_k^2 - 1),
+
+holds for this kernel (`conclab.concurrence`), in four steps:
+
+1. The anchor qubit is one whole side, so the pair (E_ab, E_cd) selects
+   the basis states {a, b} x {c, d} with the anchor's {c, d} = {0, 1}: the
+   block projector P_ab (x) 1 acts only on the other side, and it commutes
+   with 1 (x) $.
+2. So the block rho_II of the evolved state is the one-sided image of the
+   sub-normalized two-qubit pure state P_ab psi, and C_mn is the Wootters
+   concurrence of that image, read without normalizing it.
+3. Wootters concurrence is homogeneous of degree 1 in the state, so
+   Konrad's law for two qubits gives C_mn(final) = c($) * C_mn(psi) for
+   every pair, with c($) the concurrence of (1 (x) $) phi+, the
+   Bell-diagonal state with weights a_k^2.
+4. The total adds the pair terms in quadrature, sqrt(sum of C_mn^2), so
+   it scales by c($) too: total = c($) * C(psi).
+
+Step 1 needs the anchor qubit alone on its side. On 12|34 the anchor
+shares its side with another qubit, the projector there keeps two of that
+side's four basis states and does not commute with a channel on the anchor
+alone, and the law fails: C((1 (x) $) psi) exceeds c($) * C(psi) by up to
+about 0.7 on random pure states.
+
 Scenarios are evaluated as stacks that share one initial state: one
 many-sided `evolve` gives every final state and `hermitian_spectra` its
-rank, one single-sided `evolve` per anchor qubit gives the factor states,
-and one kernel call gives lhs, every factor and C(psi). A campaign runs its
-samples this way, grouped by the identity they evaluate, and
-`evaluate_identity` is the one-sample case. Only the initial state is
-validated; see the trust contract in `conclab.concurrence`.
+rank, and one kernel call gives lhs and C(psi). Each factor whose anchor
+stands alone is C(psi) * c($) from the drawn parameters; each other factor
+(the cut 12|34, or `anchor="own"` on a shared block) is read from one
+single-sided `evolve` per anchor qubit, whose states join the same kernel
+call. A campaign runs its samples this way, grouped by the identity they
+evaluate, and `evaluate_identity` is the one-sample case; it also evolves
+every factor state, one `evolve` per anchor, only to read its rank. Only
+the initial state is validated; see the trust contract in
+`conclab.concurrence`.
 """
 
 import json
@@ -173,47 +206,63 @@ def _final_states(rho0, superops, rank_tol):
     return finals, _evolved_ranks(finals, rank_tol)
 
 
+def _factor_states(rho0, superops, anchors):
+    """Single-sided factor states (S, k, d, d) of the validated initial
+    density matrix rho0 (d, d) under superoperators superops (S, k, 4, 4):
+    column j sends the channels superops[:, j] through qubit anchors[j]
+    alone, one `evolve` per anchor qubit. Unvalidated; see the trust
+    contract in `conclab.concurrence`."""
+    samples, k = superops.shape[:2]
+    d = rho0.shape[-1]
+    states = np.empty((samples, k, d, d), dtype=complex)
+    for anchor_q in sorted(set(anchors)):
+        cols = [j for j in range(k) if anchors[j] == anchor_q]
+        evolved = evolve(rho0[None], {anchor_q: superops[:, cols].reshape(-1, 4, 4)})
+        states[:, cols] = evolved.reshape(samples, len(cols), d, d)
+    return states
+
+
 @dataclass(frozen=True)
 class _Evaluation:
     """One identity on a stack of S scenarios: (S,) arrays lhs, rhs and
-    residual, (S, n) factor values, the (S, n, d, d) factor states (a view
-    of the kernel's stack, unvalidated), each factor's anchor qubit."""
+    residual, (S, n) factor values and each factor's anchor qubit."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
     factors: np.ndarray
-    factor_states: np.ndarray
     anchors: tuple
     initial_concurrence: float
     exponent: int
 
 
-def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponent,
+def _evaluate(identity, rho0, finals, superops, weights, *, anchor, normalization_exponent,
               aggregation):
-    """Evaluate an identity on S scenarios that share the initial density
-    matrix rho0 (d, d), given their many-sided final states finals
-    (S, d, d) and per-qubit superoperators superops (S, n, 4, 4); see the
-    trust contract in `conclab.concurrence`."""
+    """Evaluate an identity on S scenarios that share the pure initial
+    density matrix rho0 (d, d), given their many-sided final states finals
+    (S, d, d), per-qubit superoperators superops (S, n, 4, 4) and squared
+    channel parameters weights (S, n, 4). A factor whose anchor qubit stands
+    alone on its side of the cut is C(psi) * max(0, 2 max_k w_k - 1) (see
+    the module docstring); the others are read by the kernel from their
+    factor states. See the trust contract in `conclab.concurrence`."""
     _require_choice("anchor", anchor, ANCHORS)
     samples, n = superops.shape[:2]
     d = rho0.shape[-1]
     anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
+    cut = identity.cut
+    # an anchor alone on its side of the cut obeys the one-sided law
+    lone = {block[0] for block in (cut.block1, cut.block2) if len(block) == 1}
+    closed = [q for q in range(n) if anchors[q] in lone]
+    measured = [q for q in range(n) if anchors[q] not in lone]
 
-    # one kernel stack: the final states, the (sample, qubit) factor states, rho0
-    mats = np.empty((samples * (n + 1) + 1, d, d), dtype=complex)
-    mats[:samples] = finals
-    single = mats[samples:-1].reshape(samples, n, d, d)
-    mats[-1] = rho0
-    for anchor_q in sorted(set(anchors)):
-        cols = [q for q in range(n) if anchors[q] == anchor_q]
-        # channel of qubit q on the anchor qubit alone, for every sample at once
-        states = evolve(rho0[None], {anchor_q: superops[:, cols].reshape(-1, 4, 4)})
-        single[:, cols] = states.reshape(samples, len(cols), d, d)
-    totals = cut_totals(mats, identity.cut)
+    # one kernel stack: the final states, the measured factor states, rho0
+    states = _factor_states(rho0, superops[:, measured], [anchors[q] for q in measured])
+    totals = cut_totals(np.concatenate((finals, states.reshape(-1, d, d), rho0[None])), cut)
     lhs = totals[:samples]
-    factors = totals[samples:-1].reshape(samples, n)
     initial_c = float(totals[-1])
+    factors = np.empty((samples, n))
+    factors[:, measured] = totals[samples:-1].reshape(samples, len(measured))
+    factors[:, closed] = initial_c * np.maximum(0.0, 2.0 * weights[:, closed].max(axis=-1) - 1.0)
 
     products = [np.prod(factors[:, [q - 1 for q in term]], axis=1)
                 for term in identity.rhs_terms]
@@ -226,16 +275,16 @@ def _evaluate(identity, rho0, finals, superops, *, anchor, normalization_exponen
         raise ValueError(f"initial concurrence {initial_c!r} cannot take the normalization "
                          f"exponent {exponent}") from None
     return _Evaluation(lhs=lhs, rhs=rhs, residual=np.abs(lhs * scale - rhs), factors=factors,
-                       factor_states=single, anchors=anchors,
-                       initial_concurrence=initial_c, exponent=exponent)
+                       anchors=anchors, initial_concurrence=initial_c, exponent=exponent)
 
 
-def _superops(channels):
-    """(1, n, 4, 4) superoperators of one PauliChannel per qubit, in qubit order."""
+def _channel_arrays(channels):
+    """(1, n, 4, 4) superoperators and (1, n, 4) squared parameters of one
+    PauliChannel per qubit, in qubit order."""
     for channel in channels:
         if not isinstance(channel, PauliChannel):
             raise ValueError(f"expected a PauliChannel, got {channel!r}")
-    return np.array([[ch.superop for ch in channels]])
+    return np.array([[ch.superop for ch in channels]]), np.square([[ch.a for ch in channels]])
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
@@ -251,14 +300,14 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         raise DimensionMismatchError(f"identity is on {n} qubits but state has {psi.n_qubits}")
     if len(channels) != n:
         raise DimensionMismatchError(f"need {n} channels, got {len(channels)}")
-    superops = _superops(channels)
+    superops, weights = _channel_arrays(channels)
     rho0 = psi.to_density().mat
     finals, final_ranks = _final_states(rho0, superops, RANK_TOL)
-    ev = _evaluate(identity, rho0, finals, superops, anchor=anchor,
+    ev = _evaluate(identity, rho0, finals, superops, weights, anchor=anchor,
                    normalization_exponent=normalization_exponent,
                    aggregation=aggregation)
     final_rank = int(final_ranks[0])
-    factor_ranks = _evolved_ranks(ev.factor_states[0], RANK_TOL)
+    factor_ranks = _evolved_ranks(_factor_states(rho0, superops, ev.anchors)[0], RANK_TOL)
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -456,8 +505,8 @@ def run_campaign(config):
     rows = []
     for start in range(0, config.samples, _STACK):
         seeds = range(config.seed + start, config.seed + min(config.samples, start + _STACK))
-        params = draw_params(families, [np.random.default_rng(seed) for seed in seeds])
-        superops = pauli_superops(params[:, order])
+        params = draw_params(families, [np.random.default_rng(seed) for seed in seeds])[:, order]
+        superops = pauli_superops(params)
         finals, ranks = _final_states(rho0, superops, config.rank_tol)
         ranks = ranks.tolist()
         by_rank = {r: forced if forced is not None else _suggested_identity(r, cut)
@@ -468,7 +517,7 @@ def run_campaign(config):
             if identity is None:
                 continue
             idx = [i for i, ident in enumerate(identities) if ident == identity]
-            ev = _evaluate(identity, rho0, finals[idx], superops[idx],
+            ev = _evaluate(identity, rho0, finals[idx], superops[idx], np.square(params[idx]),
                            anchor=config.anchor,
                            normalization_exponent=config.normalization_exponent,
                            aggregation=config.aggregation)

@@ -654,6 +654,19 @@ class TestStackedKernel:
         values = tau3_stack(mats)
         assert values.tolist() == [tau3(DensityMatrix(m)) for m in mats]
 
+    def test_tau3_is_the_rms_of_the_three_cut_totals(self):
+        """tau3 adds each cut's C_mn^2 in pair order, as `cut_totals` does,
+        so it is the rms of the three cut totals bit for bit."""
+        rng = np.random.default_rng(2011)
+        mats = []
+        for _ in range(300):
+            channels = [sample_channel(str(f), rng) for f in rng.choice(FAMILIES, size=3)]
+            mats.append(apply(dict(enumerate(channels, start=1)),
+                              random_pure(3, rng).to_density()).mat)
+        mats = np.array(mats)
+        t1, t2, t3 = (cut_totals(mats, parse_cut(label)) for label in ("12|3", "13|2", "23|1"))
+        assert np.array_equal(tau3_stack(mats), np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3))
+
     def test_stack_guards(self):
         mats = np.array([ghz(3).to_density().mat] * 2)
         with pytest.raises(DimensionMismatchError):

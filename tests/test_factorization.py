@@ -6,15 +6,17 @@ import pytest
 
 from conclab import experiments, linalg
 from conclab.channels import (
+    FAMILIES,
     _canonical_family,
     apply,
     draw_params,
+    evolve,
     flip_channel,
     identity_channel,
     pauli_superops,
     sample_channel,
 )
-from conclab.concurrence import cut_totals, parse_cut, tau3_stack
+from conclab.concurrence import Bipartition, cut_concurrence, cut_totals, parse_cut, tau3_stack
 from conclab.errors import DimensionMismatchError
 from conclab.experiments import CATALOGUE, REFINE_POINTS, figure1_scan
 from conclab.factorization import (
@@ -22,6 +24,7 @@ from conclab.factorization import (
     MAX_SAMPLES,
     CampaignConfig,
     _evaluate,
+    _factor_states,
     _final_states,
     default_cut,
     evaluate_identity,
@@ -29,7 +32,9 @@ from conclab.factorization import (
     run_campaign,
 )
 from conclab.linalg import RANK_TOL, density_spectra, spectral_ranks
-from conclab.states import bell, ghz, parse_state, w
+from conclab.states import bell, ghz, parse_state, random_pure, w
+
+from oracles import all_cuts, dense_cut_concurrence, pure_cut_concurrence
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -261,9 +266,42 @@ class TestEvolvedStates:
             assert_trusted(mats, ghz(3).to_density())
 
 
+def factor_case(state, families, anchor, relabel=False, cut=None):
+    """`_evaluate` on 64 seeded draws of a catalogued scenario and the
+    product identity of the cut, with the factor states of every column
+    (one `evolve` per anchor), their totals on the cut (the evolve-plus-kernel
+    oracle) and the columns whose anchor shares its side of the cut, which
+    the kernel reads."""
+    psi = parse_state(state)
+    n = psi.n_qubits
+    order = list(range(n))
+    if relabel:
+        perm = tuple(range(n, 0, -1))
+        psi, order = psi.permuted(perm), [q - 1 for q in perm]
+    rho0 = psi.to_density()
+    params = draw_params([_canonical_family(f) for f in families],
+                         [np.random.default_rng(900 + i) for i in range(64)])[:, order]
+    superops = pauli_superops(params)
+    finals = _final_states(rho0.mat, superops, RANK_TOL)[0]
+    identity = identity_for("product", n, cut)
+    ev = _evaluate(identity, rho0.mat, finals, superops, np.square(params), anchor=anchor,
+                   normalization_exponent=None, aggregation="sum")
+    states = _factor_states(rho0.mat, superops, ev.anchors)
+    assert states.shape == (64, n, 1 << n, 1 << n)
+    oracle = cut_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
+    lone = {b[0] for b in (identity.cut.block1, identity.cut.block2) if len(b) == 1}
+    measured = [q for q in range(n) if ev.anchors[q] not in lone]
+    return rho0, ev, states, oracle, measured
+
+
+FOUR_QUBIT = [entry[:2] for entry in CATALOGUE if len(entry[1]) == 4]
+
+
 class TestFactorStates:
-    """The kernel reads the factor states unvalidated; each must keep the
-    trust contract of `assert_trusted`."""
+    """A factor whose anchor stands alone on its side of the cut is read
+    from the one-sided law and must match the evolve-plus-kernel oracle;
+    every other factor state is read by the kernel unvalidated and must
+    keep the trust contract of `assert_trusted`."""
 
     @pytest.mark.parametrize("anchor, relabel", [("last", False), ("own", False),
                                                  ("last", True)],
@@ -271,26 +309,26 @@ class TestFactorStates:
     @pytest.mark.parametrize("state, families", [entry[:2] for entry in CATALOGUE],
                              ids=["-".join((s, *f)) for s, f, _ in CATALOGUE])
     def test_factor_states_pass_validation(self, state, families, anchor, relabel):
-        psi = parse_state(state)
-        n = psi.n_qubits
-        order = list(range(n))
-        if relabel:
-            perm = tuple(range(n, 0, -1))
-            psi, order = psi.permuted(perm), [q - 1 for q in perm]
-        rho0 = psi.to_density()
-        params = draw_params([_canonical_family(f) for f in families],
-                             [np.random.default_rng(900 + i) for i in range(64)])
-        superops = pauli_superops(params[:, order])
-        finals = _final_states(rho0.mat, superops, RANK_TOL)[0]
-        identity = identity_for("product", n)
-        ev = _evaluate(identity, rho0.mat, finals, superops, anchor=anchor,
-                       normalization_exponent=None, aggregation="sum")
-        states = ev.factor_states
-        assert states.shape == (64, n, 1 << n, 1 << n)
+        rho0, ev, states, oracle, measured = factor_case(state, families, anchor, relabel)
+        n = rho0.n_qubits
+        closed = [q for q in range(n) if q not in measured]
+        # on the default cut only "own" puts anchors on the shared block
+        assert len(measured) == (n - 1 if anchor == "own" and n > 2 else 0)
+        assert np.max(np.abs(ev.factors[:, closed] - oracle[:, closed])) <= 1e-13
+        if measured:
+            assert_trusted(states[:, measured], rho0)
+            # the values the kernel read from these states, bit for bit
+            assert np.array_equal(ev.factors[:, measured], oracle[:, measured])
+
+    @pytest.mark.parametrize("anchor", ["last", "own"])
+    @pytest.mark.parametrize("state, families", FOUR_QUBIT,
+                             ids=["-".join((s, *f)) for s, f in FOUR_QUBIT])
+    def test_factor_states_on_12_34_pass_validation(self, state, families, anchor):
+        """No qubit stands alone on 12|34, so the kernel reads every factor."""
+        rho0, ev, states, oracle, measured = factor_case(state, families, anchor, cut="12|34")
+        assert measured == [0, 1, 2, 3]
         assert_trusted(states, rho0)
-        # the states the kernel read, not a copy
-        flat = states.reshape(-1, 1 << n, 1 << n)
-        assert np.array_equal(cut_totals(flat, identity.cut).reshape(64, n), ev.factors)
+        assert np.array_equal(ev.factors, oracle)
 
     def test_only_the_initial_state_is_validated(self, monkeypatch):
         """A campaign and a verify each validate rho0 alone; final and
@@ -309,6 +347,71 @@ class TestFactorStates:
         rep = evaluate_identity(identity_for("sum", 4), w(4), sampled(config.channels, 7))
         assert shapes == [(16, 16)] * 2
         assert [f.rank for f in rep.factors] == [2, 2, 2, 2]
+
+
+def channel_concurrence(params):
+    """c($) = max(0, 2 max_k a_k^2 - 1) of Pauli channels with parameters
+    (..., 4): the concurrence of the Bell-diagonal state (1 (x) $) phi+."""
+    return np.maximum(0.0, 2.0 * np.max(np.square(params), axis=-1) - 1.0)
+
+
+def law_case(n, qubit, family, seed, samples):
+    """Random pure n-qubit states (samples, d, d), each sent through one
+    drawn channel of the family on `qubit` alone, and the channels' (samples, 4)
+    parameters."""
+    rng = np.random.default_rng(seed)
+    amps = [random_pure(n, rng).amplitudes for _ in range(samples)]
+    rho0s = np.array([np.outer(a, a.conj()) for a in amps])
+    params = draw_params([family], [np.random.default_rng(seed + 1 + i)
+                                    for i in range(samples)])[:, 0]
+    return amps, rho0s, evolve(rho0s, {qubit: pauli_superops(params)}), params
+
+
+LONE_CUTS = [(b1, b2, q) for n in (2, 3, 4) for b1, b2 in all_cuts(n)
+             for q in (b1 + b2) if (q,) in (b1, b2)]
+
+
+class TestOneSidedLaw:
+    """C((1 (x) $) psi) = c($) C(psi) for pure psi when the channel's qubit
+    stands alone on its side of the cut (proof in the `factorization`
+    docstring), and not on 12|34."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("block1, block2, qubit", LONE_CUTS,
+                             ids=[f"{''.join(map(str, b1))}|{''.join(map(str, b2))}-q{q}"
+                                  for b1, b2, q in LONE_CUTS])
+    def test_law_on_every_lone_qubit_cut(self, block1, block2, qubit, family):
+        n = len(block1 + block2)
+        _, rho0s, finals, params = law_case(n, qubit, family, 4100 + 10 * n + qubit, 40)
+        c = channel_concurrence(params)
+        for cut in (Bipartition(block1, block2), Bipartition(block2, block1)):
+            gap = cut_totals(finals, cut) - c * cut_totals(rho0s, cut)
+            assert np.max(np.abs(gap)) <= 1e-13
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_law_matches_dense_and_purity_oracles(self, family):
+        for n, block1, block2 in ((2, (1,), (2,)), (3, (1, 3), (2,)), (4, (4,), (1, 2, 3))):
+            qubit = block2[0] if len(block2) == 1 else block1[0]
+            amps, _, finals, params = law_case(n, qubit, family, 4200 + n, 3)
+            # c($) is the concurrence of the channel's one-sided image of phi+
+            bells = evolve(bell(SQ2).to_density().mat[None], {2: pauli_superops(params)})
+            for amp, final, phi, c in zip(amps, finals, bells, channel_concurrence(params)):
+                assert abs(dense_cut_concurrence(phi, (1,), (2,))[1] - c) <= 1e-13
+                initial = pure_cut_concurrence(amp, block1)
+                dense = dense_cut_concurrence(final, block1, block2)[1]
+                assert abs(dense - c * initial) <= 1e-13
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("cut", ["12|34", "34|12"])
+    def test_law_fails_on_12_34(self, cut, family):
+        """No qubit stands alone on 12|34: the gap lhs - c($) C(psi) stays
+        nonnegative but is not 0, so the closed form must not serve it."""
+        cut = parse_cut(cut)
+        for qubit in (1, 2, 3, 4):
+            _, rho0s, finals, params = law_case(4, qubit, family, 4300 + qubit, 60)
+            gap = cut_totals(finals, cut) - channel_concurrence(params) * cut_totals(rho0s, cut)
+            assert np.min(gap) >= -1e-13
+            assert np.max(gap) > 1e-3
 
 
 class TestRelabel:
@@ -499,6 +602,39 @@ class TestCampaign:
             identity = identity_for(form, psi.n_qubits, config.cut)
             rep = evaluate_identity(identity, psi, chans, aggregation=config.aggregation)
             assert (row.lhs, row.rhs, row.residual) == (rep.lhs, rep.rhs, rep.residual)
+
+    @pytest.mark.parametrize("config", [
+        CampaignConfig(state="w4", channels=("PF",) * 4, samples=10, seed=51,
+                       identity="sum", aggregation="rms"),
+        CampaignConfig(state="w4", channels=("PF",) * 4, samples=10, seed=52,
+                       identity="sum", cut="12|34", aggregation="rms"),
+        CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=10, seed=53,
+                       identity="sum", cut="12|34"),
+        CampaignConfig(state="ghz3", channels=("PF", "PF", "BF"), samples=10, seed=54,
+                       identity="sum", anchor="own"),
+        CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=10, seed=55,
+                       identity="product", cut="2|13", relabel=(3, 1, 2)),
+    ], ids=["w4-123|4", "w4-12|34", "ghz4-12|34", "ghz3-own", "w3-relabel-2|13"])
+    def test_rows_match_evolved_factor_oracle(self, config):
+        """Every factor evolved by `apply` and measured by `cut_concurrence`,
+        whether or not the campaign read it from the one-sided law."""
+        psi = parse_state(config.state)
+        chans0 = [sampled(config.channels, config.seed + i) for i in range(config.samples)]
+        if config.relabel is not None:
+            psi = psi.permuted(config.relabel)
+            chans0 = [tuple(chans[q - 1] for q in config.relabel) for chans in chans0]
+        identity = identity_for(config.identity, psi.n_qubits, config.cut)
+        rho0 = psi.to_density()
+        for row, chans in zip(run_campaign(config).rows, chans0):
+            lhs = cut_concurrence(apply(dict(enumerate(chans, start=1)), rho0), identity.cut)
+            factors = [cut_concurrence(apply({q if config.anchor == "own" else psi.n_qubits: ch},
+                                             rho0), identity.cut)
+                       for q, ch in enumerate(chans, start=1)]
+            products = [np.prod([factors[q - 1] for q in term]) for term in identity.rhs_terms]
+            rhs = np.sqrt(np.mean(np.square(products))) if config.aggregation == "rms" \
+                else sum(products)
+            assert abs(row.lhs - lhs) <= 1e-13
+            assert abs(row.rhs - rhs) <= 1e-13
 
     @pytest.mark.parametrize("config", [
         CampaignConfig(state="ghz3", channels=("PF", "BF", "BPF"), samples=5, seed=31),
