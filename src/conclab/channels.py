@@ -172,18 +172,19 @@ def evolve(mats, superops):
 
 
 def apply(channels, rho):
-    """Send a density matrix through local channels given as {qubit:
+    """Send a `DensityMatrix` through local channels given as {qubit:
     PauliChannel}, one qubit at a time in qubit order: the one-matrix case
-    of `evolve`. Unassigned qubits are left untouched."""
+    of `evolve`. Unassigned qubits are left untouched. Returns the evolved
+    state unvalidated: see the trust contract in `conclab.concurrence`."""
     n = rho.n_qubits
     superops = {}
     for qubit, channel in channels.items():
-        if not isinstance(qubit, Integral) or not 1 <= qubit <= n:
+        if isinstance(qubit, bool) or not isinstance(qubit, Integral) or not 1 <= qubit <= n:
             raise ValueError(f"qubit index {qubit!r} outside 1..{n}")
         if not isinstance(channel, PauliChannel):
             raise ValueError(f"qubit {qubit} needs a PauliChannel, got {channel!r}")
         superops[qubit] = channel.superop[None]
-    return DensityMatrix(evolve(rho.mat[None], superops)[0])
+    return DensityMatrix._evolved(evolve(rho.mat[None], superops)[0])
 
 
 def _json_real(value, what):

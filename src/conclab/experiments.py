@@ -6,8 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import apply, evolve, flip_channel, flip_params, pauli_superops
+from .channels import evolve, flip_params, pauli_superops
 from .concurrence import tau3_stack
+from .factorization import _final_states
+from .linalg import RANK_TOL
 from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
@@ -113,15 +115,15 @@ class RankRow:
 
 
 def rank_table():
-    """Compute the final rank of every catalogued scenario next to its claim."""
+    """Final rank of every catalogued scenario, read as campaigns read it, next to its claim."""
     rows = []
     for state_name, families, claimed in CATALOGUE:
         if claimed is None:
             continue
-        psi = parse_state(state_name)
-        channels = [flip_channel(fam, GENERIC_PS[k]) for k, fam in enumerate(families)]
-        rho = apply(dict(enumerate(channels, start=1)), psi.to_density())
-        rows.append(RankRow(state_name, tuple(families), rho.rank, claimed))
+        rho0 = parse_state(state_name).to_density().mat
+        params = [[flip_params(fam, p) for fam, p in zip(families, GENERIC_PS)]]
+        _, ranks = _final_states(rho0, pauli_superops(params), RANK_TOL)
+        rows.append(RankRow(state_name, tuple(families), int(ranks[0]), claimed))
     return tuple(rows)
 
 

@@ -3,8 +3,8 @@ permutation indices, and density-matrix validation, of one matrix (the
 `DensityMatrix` container) or of a (..., d, d) stack.
 
 Only inputs are validated, once, by `density_spectra` inside `DensityMatrix`,
-the only raiser of NotHermitianError and NotPSDError; evolved states are
-trusted unchecked (see the trust contract in `conclab.concurrence`).
+the only raiser of NotHermitianError and NotPSDError; evolved states
+(`DensityMatrix._evolved`) are trusted unchecked: see `conclab.concurrence`.
 
 `hermitian_spectra` reads X-shaped matrices, whose only nonzero entries sit
 on the diagonal and the anti-diagonal, in closed form (Yu and Eberly,
@@ -171,8 +171,8 @@ class DensityMatrix:
 
     Validated on construction by `density_spectra`; raises NotHermitianError /
     ValueError / NotPSDError when the tolerances (HERM_TOL, TRACE_TOL,
-    EIG_FLOOR) are violated. The eigenvalue spectrum is computed once and
-    reused for rank.
+    EIG_FLOOR) are violated; `_evolved` keeps an evolved state unchecked.
+    The eigenvalue spectrum is computed once and reused for rank.
     """
 
     __slots__ = ("mat", "n_qubits", "_eigs")
@@ -186,6 +186,15 @@ class DensityMatrix:
         self.mat = mat
         self.n_qubits = n_qubits_of(mat.shape[0])
         self._eigs = _frozen(eigs)
+
+    @classmethod
+    def _evolved(cls, mat):
+        """A (d, d) state evolved from a validated one by local Pauli channels,
+        and its `hermitian_spectra`, unchecked (trust contract above)."""
+        self = cls.__new__(cls)
+        self.mat, self._eigs = _frozen(mat), _frozen(hermitian_spectra(mat))
+        self.n_qubits = n_qubits_of(mat.shape[0])
+        return self
 
     @property
     def dim(self):

@@ -2,12 +2,12 @@
 
 Everything here is deliberately implemented by a different route than the
 package: PSD square roots rebuilt from a clamped eigendecomposition (the
-kernel never forms one), characteristic polynomials by symbolic Laplace
-expansion, partial traces and qubit reorderings by explicit index loops,
-pure-state cut concurrences from reduced purity, the generalized
-concurrence by its dense definition over Kronecker-built inversions, and
-local channels by the operator sum over every product of per-qubit Kraus
-choices. None of it calls into conclab.
+kernel never forms one), characteristic polynomials by Laplace expansion
+and their roots, both at 60 digits in mpmath, partial traces and qubit
+reorderings by explicit index loops, pure-state cut concurrences from
+reduced purity, the generalized concurrence by its dense definition over
+Kronecker-built inversions, and local channels by the operator sum over
+every product of per-qubit Kraus choices. None of it calls into conclab.
 """
 
 import numpy as np
@@ -42,32 +42,44 @@ def _pdet(rows):
 
 
 def char_poly_coeffs(m):
-    """Coefficients of det(xI - M), ascending in x, by cofactor expansion.
+    """Coefficients of det(xI - M), ascending in x, by cofactor expansion of
+    a square mpmath matrix M, at the working precision.
 
     Exponential in the dimension; intended for d <= 4.
     """
-    m = np.asarray(m, dtype=complex)
-    d = m.shape[0]
-    rows = [[([-m[i, j], 1.0] if i == j else [-m[i, j]]) for j in range(d)] for i in range(d)]
+    d = m.rows
+    rows = [[([-m[i, j], 1] if i == j else [-m[i, j]]) for j in range(d)] for i in range(d)]
     return _pdet(rows)
 
 
 def char_poly_roots_desc(m):
-    """Real parts of the characteristic roots, descending.
+    """Real parts of the characteristic roots of a square mpmath matrix,
+    descending: the coefficients by `char_poly_coeffs` and the roots as the
+    companion matrix's eigenvalues, both at 60 digits.
 
-    Trailing coefficients at roundoff level are deflated into exact zero
-    roots first; without that, a multiple root at zero splits into
-    +-sqrt(noise) and ruins the comparison.
+    Trailing coefficients below 1e-45 of the largest are roundoff of the
+    60-digit arithmetic and are deflated into exact zero roots first;
+    without that, a multiple root at zero splits into +-sqrt(noise). A true
+    small root, which float arithmetic would lose in roundoff, keeps its
+    value.
     """
-    coeffs = char_poly_coeffs(m)
-    scale = max(abs(c) for c in coeffs)
-    zeros = 0
-    while abs(coeffs[0]) <= 1e-12 * scale and len(coeffs) > 1:
-        coeffs = coeffs[1:]
-        zeros += 1
-    roots = np.roots(np.array(coeffs[::-1], dtype=complex)) if len(coeffs) > 1 else np.array([])
-    roots = np.concatenate([np.real(roots), np.zeros(zeros)])
-    return np.sort(roots)[::-1]
+    import mpmath as mp
+
+    with mp.workdps(60):
+        coeffs = char_poly_coeffs(m)
+        scale = max(abs(c) for c in coeffs)
+        zeros = 0
+        while len(coeffs) > 1 and abs(coeffs[0]) <= mp.mpf("1e-45") * scale:
+            coeffs = coeffs[1:]
+            zeros += 1
+        k = len(coeffs) - 1
+        companion = mp.zeros(k, k)
+        for i in range(k):
+            if i:
+                companion[i, i - 1] = 1
+            companion[i, k - 1] = -coeffs[i] / coeffs[k]
+        roots = [mp.re(r) for r in mp.eig(companion, left=False, right=False)] if k else []
+        return sorted(roots + [mp.mpf(0)] * zeros, reverse=True)
 
 
 # --- partial trace and pure-state concurrence --------------------------------
@@ -130,11 +142,16 @@ _YY = np.kron(_SY, _SY)
 
 def wootters_charpoly(rho):
     """Two-qubit concurrence with eigenvalues taken from the characteristic
-    polynomial of the (non-Hermitian) flip product."""
-    rho = np.asarray(rho, dtype=complex)
-    product = rho @ _YY @ rho.conj() @ _YY
-    lam = np.sqrt(np.clip(char_poly_roots_desc(product), 0.0, None))
-    return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
+    polynomial of the (non-Hermitian) flip product, built from the float
+    entries of rho at 60 digits."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        r = mp.matrix(np.asarray(rho, dtype=complex).tolist())
+        yy = mp.matrix(_YY.tolist())
+        roots = char_poly_roots_desc(r * yy * r.conjugate() * yy)
+        lam = [mp.sqrt(max(root, 0)) for root in roots]
+        return max(0.0, float(lam[0] - lam[1] - lam[2] - lam[3]))
 
 
 def bell_mixture_concurrence(x):

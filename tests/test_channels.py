@@ -114,8 +114,8 @@ class TestApply:
 
     @pytest.mark.parametrize("channels", [
         {0: identity_channel()}, {1.5: identity_channel()}, {"1": identity_channel()},
-        {1: "BF:p=0.2"}, {1: np.eye(4)},
-    ], ids=["qubit-0", "qubit-float", "qubit-string", "token", "matrix"])
+        {True: identity_channel()}, {1: "BF:p=0.2"}, {1: np.eye(4)},
+    ], ids=["qubit-0", "qubit-float", "qubit-string", "qubit-bool", "token", "matrix"])
     def test_rejects_bad_entries(self, channels):
         with pytest.raises(ValueError):
             apply(channels, bell(SQ2).to_density())

@@ -10,10 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conclab
+from conclab import linalg
 from conclab.channels import apply, parse_channel_list
 from conclab.cli import cli_main
 from conclab.experiments import CATALOGUE
 from conclab.factorization import CampaignConfig, run_campaign
+from conclab.linalg import density_spectra
 from conclab.states import parse_state
 
 
@@ -616,3 +618,40 @@ def test_concurrence_rejects_channels_with_matrix(capsys, tmp_path):
                        "--channels", "BF:p=0.1")
     assert code == 1
     assert "--matrix" in err
+
+
+W4_PF = "PF:p=0.1,PF:p=0.2,PF:p=0.3,PF:p=0.4"
+
+
+@pytest.mark.parametrize("argv, inputs", [
+    (["evolve", "--state", "ghz3", "--channels", "BF:p=0.2,PF:p=0.1,I"], 1),
+    (["concurrence", "--state", "w4", "--channels", W4_PF], 1),
+    (["concurrence", "--state", "w4", "--channels", W4_PF, "--breakdown"], 1),
+    (["concurrence", "--state", "ghz3", "--channels", "BPF:p=0.1,BPF:p=0.2,BPF:p=0.3",
+      "--tau3"], 1),
+    (["concurrence", "--matrix", "RHO"], 1),
+    (["verify", "--identity", "sum", "--state", "w4", "--channels", W4_PF], 1),
+    (["verify", "--identity", "sum", "--state", "w4", "--channels", W4_PF,
+      "--cut", "12|34", "--anchor", "own"], 1),
+    (["campaign", "--state", "w4", "--channels", "PF,PF,PF,PF", "--samples", "70"], 1),
+    (["figure1"], 1),
+    (["rank-table"], sum(claimed is not None for _, _, claimed in CATALOGUE)),
+], ids=["evolve", "concurrence", "breakdown", "tau3", "matrix", "verify", "verify-own",
+        "campaign", "figure1", "rank-table"])
+def test_each_input_state_is_validated_once(tmp_path, capsys, monkeypatch, argv, inputs):
+    """Every CLI path validates its input states, one `density_spectra` call
+    each, and trusts every state evolved from them unchecked."""
+    path = tmp_path / "rho.json"
+    path.write_text(json.dumps([[0.5, 0, 0, 0.5], [0, 0, 0, 0], [0, 0, 0, 0], [0.5, 0, 0, 0.5]]))
+    shapes = []
+
+    def counted(mats):
+        shapes.append(mats.shape)
+        return density_spectra(mats)
+
+    monkeypatch.setattr(linalg, "density_spectra", counted)
+    argv = [str(path) if a == "RHO" else a for a in argv]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
+    assert (code, err) == (0, "")
+    assert len(shapes) == inputs
+    assert all(len(shape) == 2 for shape in shapes)

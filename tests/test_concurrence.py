@@ -7,7 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import concurrence
-from conclab.channels import FAMILIES, apply, flip_channel, sample_channel
+from conclab.channels import (
+    FAMILIES,
+    PauliChannel,
+    apply,
+    flip_channel,
+    flip_params,
+    sample_channel,
+)
 from conclab.concurrence import (
     Bipartition,
     _pair_blocks,
@@ -22,7 +29,14 @@ from conclab.concurrence import (
 )
 from conclab.errors import DimensionMismatchError
 from conclab.experiments import CATALOGUE, _tau3_bpf3
-from conclab.linalg import EIG_FLOOR, HERM_TOL, DensityMatrix, density_spectra
+from conclab.linalg import (
+    EIG_FLOOR,
+    HERM_TOL,
+    TRACE_TOL,
+    DensityMatrix,
+    density_spectra,
+    hermitian_spectra,
+)
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
 from oracles import (
@@ -83,6 +97,17 @@ class TestWootters:
         assert abs(wootters(rho) - 0.4) < 1e-12
         assert abs(wootters(rho) - bell_mixture_concurrence(0.7)) < 1e-12
         assert abs(wootters(rho) - wootters_charpoly(rho.mat)) < 1e-8
+
+    def test_characteristic_polynomial_keeps_a_small_root(self):
+        """(1 (x) $) phi+ is Bell-diagonal with weights a_k^2, concurrence
+        max(0, 2 max_k a_k^2 - 1); these weights give the flip product a
+        root of about 3e-7 and a constant coefficient of about 1e-15."""
+        weights = np.array([0.00665, 0.00977, 0.983, 0.000557])
+        weights /= weights.sum()
+        rho = apply({2: PauliChannel(np.sqrt(weights))}, bell(SQ2).to_density())
+        expected = max(0.0, 2.0 * weights.max() - 1.0)
+        assert abs(wootters_charpoly(rho.mat) - expected) <= 1e-8
+        assert abs(wootters(rho) - wootters_charpoly(rho.mat)) <= 1e-8
 
     def test_range(self):
         rng = np.random.default_rng(31)
@@ -612,6 +637,52 @@ class TestXBlocks:
                     assert totals[k] == cut_concurrence(DensityMatrix(mat), cut)
             if n == 3:
                 assert tau3_stack(mats).tolist() == [tau3(DensityMatrix(m)) for m in mats]
+
+
+def edge_inputs():
+    """States that `DensityMatrix` accepts at each validation edge: trace
+    1 +- 0.99e-10, Hermiticity residual and lowest eigenvalue within 1e-3
+    of HERM_TOL and EIG_FLOOR, on 2-4 qubits and on X-shaped halves."""
+    rng = np.random.default_rng(3400)
+    states = [np.diag([0.5 + sign * 0.99e-10, 0, 0, 0.5]).astype(complex) for sign in (1, -1)]
+    states += [(1 + sign * 0.99e-10) * random_density(n, 1 + n, rng)
+               for n in (2, 3, 4) for sign in (1, -1)]
+    states += [_edge_state(n, rng) for n in (2, 3, 4)]
+    states += [edge_x_state(rng, idx) for idx in ([0, 3], [1, 2])]
+    return [DensityMatrix(m) for m in states]
+
+
+def edge_channels(rng):
+    """A channel of every family, and channels of every family whose weights
+    sum to 1 +- 0.9e-12, inside PARAM_NORM_TOL."""
+    channels = [flip_channel(fam, 0.3) for fam in FAMILIES[:3]]
+    channels.append(sample_channel("GeneralPauli", rng))
+    for sign in (1, -1):
+        scale = np.sqrt(1 + sign * 0.9e-12)
+        channels.append(PauliChannel((scale, 0.0, 0.0, 0.0)))
+        channels += [PauliChannel(scale * flip_params(fam, 0.2), fam) for fam in FAMILIES[:3]]
+        channels.append(PauliChannel(np.full(4, 0.5 * scale)))
+    return channels
+
+
+class TestApplyAtValidationEdges:
+    """`apply` trusts what it evolves: on inputs at every validation edge and
+    channels at the weight-norm edge it never raises, and its state reads
+    its spectrum from `hermitian_spectra`, bit for bit."""
+
+    def test_evolved_states_are_not_revalidated(self):
+        channels = edge_channels(np.random.default_rng(3401))
+        trace_gap = 0.0
+        for rho in edge_inputs():
+            n = rho.n_qubits
+            outs = [apply({q: channels[(k + q) % len(channels)] for q in range(1, n + 1)}, rho)
+                    for k in range(len(channels))]
+            outs.append(apply({1: channels[-1]}, apply({n: channels[-2]}, outs[-1])))
+            for out in outs:
+                assert np.array_equal(out.eigenvalues, hermitian_spectra(out.mat))
+                trace_gap = max(trace_gap, abs(out.mat.trace().real - 1.0))
+        # some evolved state sits past the trace tolerance that its input met
+        assert trace_gap > TRACE_TOL
 
 
 class TestStackedKernel:
