@@ -129,16 +129,19 @@ def flip_channel(family, p):
     return PauliChannel(flip_params(family, p), family)
 
 
-def draw_params(families, rngs):
-    """Pauli parameters (S, n, 4), uniform on the unit sphere of each
+def draw_params(families, rng, samples):
+    """Pauli parameters (samples, n, 4), uniform on the unit sphere of each
     family's free coordinates (2 for BF/PF/BPF, 4 for GeneralPauli) via
-    normalized Gaussians. Row i takes all its draws from rngs[i], one
-    family after the other in order; deterministic for given generator
-    states. `families` are canonical names."""
+    normalized Gaussians. All Gaussians come from one
+    `rng.standard_normal((samples, width))` call, read in row-major order:
+    row i takes the next draws of the generator, one family after the other
+    in order. So two calls for a and b samples give the same rows as one
+    call for a + b, and row i equals n `sample_channel` calls made on the
+    generator after the rows before it. `families` are canonical names."""
     coords = [_FREE_COORDS[fam] for fam in families]
     width = sum(len(c) for c in coords)
-    g = np.array([rng.standard_normal(width) for rng in rngs]).reshape(len(rngs), width)
-    a = np.zeros((len(rngs), len(coords), 4))
+    g = rng.standard_normal((samples, width))
+    a = np.zeros((samples, len(coords), 4))
     start = 0
     for j, c in enumerate(coords):
         x = g[:, start:start + len(c)]
@@ -151,7 +154,7 @@ def draw_params(families, rngs):
 def sample_channel(family, rng):
     """One channel drawn by `draw_params`."""
     family = _canonical_family(family)
-    return PauliChannel(draw_params((family,), (rng,))[0, 0], family)
+    return PauliChannel(draw_params((family,), rng, 1)[0, 0], family)
 
 
 def evolve(mats, superops):
@@ -239,14 +242,17 @@ def parse_channel(token):
 
 def parse_channel_list(spec, n_qubits=None):
     """Parse a comma-separated channel list, one token per qubit in order;
-    a token may be a JSON channel object, whose own commas do not split."""
+    a token may be a JSON channel object, whose own commas do not split. An
+    empty token is an error."""
     tokens = []
     for piece in str(spec).split(","):
         if tokens and sum(map(tokens[-1].count, "{[")) > sum(map(tokens[-1].count, "}]")):
             tokens[-1] += "," + piece  # inside an unclosed {...} or [...]
         else:
             tokens.append(piece)
-    channels = tuple(parse_channel(t) for t in tokens if t.strip())
+    if not all(t.strip() for t in tokens):
+        raise ValueError(f"channel list {spec!r} has an empty item")
+    channels = tuple(parse_channel(t) for t in tokens)
     if n_qubits is not None and len(channels) != n_qubits:
         raise DimensionMismatchError(f"got {len(channels)} channels for {n_qubits} qubits")
     return channels

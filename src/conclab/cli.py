@@ -164,14 +164,17 @@ def _cmd_verify(args):
     return 0
 
 
-def family_list(text):
-    """`campaign --channels`: comma-separated channel family names."""
-    return [t.strip() for t in text.split(",") if t.strip()]
+def item_list(text):
+    """`campaign --channels`: comma-separated items, such as family names."""
+    items = [t.strip() for t in text.split(",")]
+    if "" in items:
+        raise argparse.ArgumentTypeError(f"{text!r} has an empty item")
+    return items
 
 
 def qubit_list(text):
     """`campaign --relabel`: comma-separated qubit numbers."""
-    return [int(t) for t in text.split(",") if t.strip()]
+    return [int(t) for t in item_list(text)]
 
 
 def _cmd_campaign(args):
@@ -268,7 +271,7 @@ def build_parser():
     p = add("campaign", _cmd_campaign, "seeded randomized identity verification")
     p.add_argument("--config", help="JSON campaign config file")
     p.add_argument("--state")
-    p.add_argument("--channels", type=family_list,
+    p.add_argument("--channels", type=item_list,
                    help="comma-separated channel families, e.g. BF,PF,PF")
     p.add_argument("--samples", type=int)
     p.add_argument("--tol", type=float)

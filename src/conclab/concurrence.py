@@ -151,11 +151,16 @@ def parse_cut(spec):
         raise ValueError(f"cut spec {spec!r} needs a '|' separator")
 
     def block(part):
-        tokens = [tok.strip() for tok in (part.split(",") if "," in part else part)]
-        for tok in filter(None, tokens):
+        if "," not in part:  # one digit per qubit; whitespace is skipped
+            tokens = [tok for tok in part if not tok.isspace()]
+        else:
+            tokens = [tok.strip() for tok in part.split(",")]
+            if "" in tokens:
+                raise ValueError(f"cut spec {spec!r} has an empty item")
+        for tok in tokens:
             if not (tok.isascii() and tok.isdigit()):
                 raise ValueError(f"cut spec {spec!r} has qubit {tok!r}, which is not a number")
-        return tuple(int(tok) for tok in tokens if tok)
+        return tuple(int(tok) for tok in tokens)
 
     return Bipartition(block(left), block(right))
 

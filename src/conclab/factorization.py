@@ -423,7 +423,7 @@ class CampaignConfig:
 
 @dataclass(frozen=True)
 class SampleRow:
-    seed: int
+    index: int
     rank: int
     lhs: float | None
     rhs: float | None
@@ -437,7 +437,7 @@ class BucketStats:
     evaluated: int
     passed: int
     max_residual: float | None
-    failure_seeds: tuple
+    failure_indices: tuple
 
 
 @dataclass(frozen=True)
@@ -447,20 +447,21 @@ class CampaignReport:
     buckets: dict = field(compare=False)
 
     def to_csv(self):
+        # the "seed" column and "failure_seeds" hold sample indices
         out = ["# " + json.dumps(self.config.to_json_dict(), sort_keys=True)]
         out.append("seed,rank,lhs,rhs,residual,pass")
         for r in self.rows:
             if r.residual is None:
-                out.append(f"{r.seed},{r.rank},,,,")
+                out.append(f"{r.index},{r.rank},,,,")
             else:
-                out.append(f"{r.seed},{r.rank},{r.lhs!r},{r.rhs!r},{r.residual!r},{int(r.passed)}")
+                out.append(f"{r.index},{r.rank},{r.lhs!r},{r.rhs!r},{r.residual!r},{int(r.passed)}")
         summary = {
             str(rank): {
                 "samples": b.samples,
                 "evaluated": b.evaluated,
                 "passed": b.passed,
                 "max_residual": b.max_residual,
-                "failure_seeds": list(b.failure_seeds),
+                "failure_seeds": list(b.failure_indices),
             }
             for rank, b in sorted(self.buckets.items())
         }
@@ -476,9 +477,16 @@ _STACK = 64
 
 
 def run_campaign(config):
-    """Draw channels per sample (sample seed = base seed + index), classify the
-    final rank, evaluate the configured or rank-suggested identity on the
-    configured cut, and bucket the outcomes by rank. Deterministic for a fixed config.
+    """Draw channels per sample, classify the final rank, evaluate the
+    configured or rank-suggested identity on the configured cut, and bucket
+    the outcomes by rank. Deterministic for a fixed config.
+
+    Every sample is drawn from one generator, `default_rng(config.seed)`,
+    which `draw_params` reads stack by stack: row i holds the i-th group of
+    draws, one channel per qubit in order, and its CSV `seed` field is i.
+    So rows do not depend on _STACK, the first N rows of a longer campaign
+    are the N-sample campaign, and row i is the last row of the same config
+    run with samples = i + 1. Different seeds give independent streams.
 
     Up to _STACK samples run as one stack (see module docstring); the
     initial state and its density matrix are built once per campaign.
@@ -502,10 +510,11 @@ def run_campaign(config):
     # new qubit k takes the channel drawn for old qubit relabel[k]
     order = [q - 1 for q in config.relabel] if config.relabel is not None else slice(None)
 
+    rng = np.random.default_rng(config.seed)
     rows = []
     for start in range(0, config.samples, _STACK):
-        seeds = range(config.seed + start, config.seed + min(config.samples, start + _STACK))
-        params = draw_params(families, [np.random.default_rng(seed) for seed in seeds])[:, order]
+        indices = range(start, min(config.samples, start + _STACK))
+        params = draw_params(families, rng, len(indices))[:, order]
         superops = pauli_superops(params)
         finals, ranks = _final_states(rho0, superops, config.rank_tol)
         ranks = ranks.tolist()
@@ -525,20 +534,20 @@ def run_campaign(config):
                                           ev.residual.tolist())):
                 results[i] = result
         rows.extend(
-            SampleRow(seed, rank, lhs, rhs, residual,
+            SampleRow(i, rank, lhs, rhs, residual,
                       None if residual is None else residual <= config.tol)
-            for seed, rank, (lhs, rhs, residual) in zip(seeds, ranks, results))
+            for i, rank, (lhs, rhs, residual) in zip(indices, ranks, results))
 
     buckets = {}
     for rank in sorted({r.rank for r in rows}):
         in_bucket = [r for r in rows if r.rank == rank]
         evaluated = [r for r in in_bucket if r.residual is not None]
-        failures = sorted(r.seed for r in evaluated if not r.passed)
+        failures = sorted(r.index for r in evaluated if not r.passed)
         buckets[rank] = BucketStats(
             samples=len(in_bucket),
             evaluated=len(evaluated),
             passed=sum(1 for r in evaluated if r.passed),
             max_residual=max((r.residual for r in evaluated), default=None),
-            failure_seeds=tuple(failures[:MAX_FAILURE_EXAMPLES]),
+            failure_indices=tuple(failures[:MAX_FAILURE_EXAMPLES]),
         )
     return CampaignReport(config=config, rows=tuple(rows), buckets=buckets)

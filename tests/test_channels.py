@@ -196,7 +196,7 @@ class TestStackedEvolution:
         rng = np.random.default_rng(100 + n)
         rho = DensityMatrix(random_density(n, 2, rng))
         families = [FAMILIES[(q + n) % len(FAMILIES)] for q in range(n)]
-        params = draw_params(families, [np.random.default_rng(n * 1000 + i) for i in range(7)])
+        params = draw_params(families, np.random.default_rng(n * 1000), 7)
         superops = pauli_superops(params)
         stack = evolve(rho.mat[None], {q: superops[:, q - 1] for q in range(1, n + 1)})
         for i in range(len(params)):
@@ -217,7 +217,7 @@ class TestStackedEvolution:
     def test_pauli_superops_match_kraus_superoperators_bitwise(self):
         # each entry sums two signed a_k^2, so the order of the sums is moot
         rng = np.random.default_rng(8)
-        params = draw_params(FAMILIES * 25, [rng])[0]
+        params = draw_params(FAMILIES * 25, rng, 1)[0]
         stacked = pauli_superops(params)
         for a, superop in zip(params, stacked):
             assert np.array_equal(PauliChannel(a).superop, superop)
@@ -295,16 +295,16 @@ class TestSampling:
         ("BF", "PF", "BPF", "GeneralPauli"), ("GeneralPauli", "PF", "GeneralPauli"),
     ])
     def test_campaign_draws_equal_sample_channel_bitwise(self, families):
-        """A campaign's (n, 4) parameters for one seed are what drawing one
-        channel per family from that seed's generator gives, and what
-        normalizing per-family Gaussians with np.linalg.norm gives."""
-        seeds = range(40, 60)
-        stacked = draw_params(families, [np.random.default_rng(s) for s in seeds])
-        for seed, row in zip(seeds, stacked):
-            rng = np.random.default_rng(seed)
+        """Row i of a stack is what drawing one channel per family from the
+        same generator gives after the rows before it, and what normalizing
+        per-family Gaussians with np.linalg.norm gives."""
+        stacked = draw_params(families, np.random.default_rng(40), 20)
+        rng = np.random.default_rng(40)
+        for row in stacked:
             channels = [sample_channel(f, rng) for f in families]
             assert [ch.a for ch in channels] == [tuple(a) for a in row]
-            rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(40)
+        for row in stacked:
             for fam, a in zip(families, row):
                 g = rng.standard_normal(4 if fam == "GeneralPauli" else 2)
                 g = g / np.linalg.norm(g)
@@ -315,6 +315,36 @@ class TestSampling:
                     expected[0] = g[0]
                     expected[{"BF": 1, "BPF": 2, "PF": 3}[fam]] = g[1]
                 assert np.array_equal(a, expected)
+
+    def test_stacks_split_the_stream(self):
+        """Consecutive stacks on one generator are the rows of one stack."""
+        families = ("BF", "GeneralPauli", "PF")
+        rng = np.random.default_rng(41)
+        split = np.concatenate([draw_params(families, rng, k) for k in (64, 1, 35)])
+        assert np.array_equal(split, draw_params(families, np.random.default_rng(41), 100))
+
+    @pytest.mark.parametrize("base", [0, 7, 2**31 - 2])
+    def test_adjacent_seeds_share_no_row(self, base):
+        """Seeds b and b + 1 give independent streams: no (n, 4) row of one
+        appears in the other."""
+        families = ("BF", "PF", "GeneralPauli")
+        rows = [{row.tobytes() for row in draw_params(families, np.random.default_rng(s), 1000)}
+                for s in (base, base + 1)]
+        assert len(rows[0]) == len(rows[1]) == 1000
+        assert not rows[0] & rows[1]
+
+    def test_stream_is_pinned(self):
+        """The first draws of seed 0. If a numpy release changes the
+        Generator stream, this fails, and so do the campaign golden files
+        in tests/golden/: regenerate those with their tests/test_golden.py
+        commands, then update these values."""
+        got = [repr(x) for x in
+               draw_params(("GeneralPauli",), np.random.default_rng(0), 2).ravel().tolist()]
+        assert got == [
+            "0.1865168763949313", "-0.19597346002732666", "0.950047103190218",
+            "0.15561606441711276", "-0.3084949330512849", "0.20824457742971741",
+            "0.7509807854934109", "0.5454291265347876",
+        ], f"numpy {np.__version__} changed the Generator stream; see this test's docstring"
 
 
 class TestParsing:

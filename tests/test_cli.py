@@ -96,6 +96,29 @@ def test_bad_cut_exits_one(capsys, command, cut, needle):
 
 
 @pytest.mark.parametrize("argv, message", [
+    (["evolve", "--state", "bell", "--channels", "BF:p=0.1,,PF:p=0.2"],
+     "channel list 'BF:p=0.1,,PF:p=0.2' has an empty item"),
+    (["verify", "--identity", "product", "--state", "bell", "--channels", "BF:p=0.1, ,PF:p=0.2"],
+     "channel list 'BF:p=0.1, ,PF:p=0.2' has an empty item"),
+    (["campaign", "--state", "ghz3", "--channels", "PF,PF,PF", "--samples", "1",
+      "--relabel", "2,1,"], "argument --relabel: '2,1,' has an empty item"),
+    (["campaign", "--state", "bell", "--channels", "BF,,BF", "--samples", "1"],
+     "argument --channels: 'BF,,BF' has an empty item"),
+    (["concurrence", "--state", "w3", "--cut", "1,,2|3"], "cut spec '1,,2|3' has an empty item"),
+    (["concurrence", "--state", "w3", "--cut", "1,2| ,3"], "cut spec '1,2| ,3' has an empty item"),
+], ids=["evolve-channels", "verify-blank-channel", "relabel-trailing", "campaign-channels",
+        "cut", "cut-blank"])
+def test_empty_list_item_exits_one(capsys, argv, message):
+    """An empty item in a comma-separated list is an error, not a shorter
+    list; a usage error prints the usage line first."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if not line.startswith("usage:")] \
+        == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("argv, message", [
     (["--state", "ghz3", "--channels", "BF:p=,I,I"], "channel 'BF:p=' has p '', which is not a number"),
     (["--state", "ghz3", "--channels", "I,PF:p=0.1x,I"],
      "channel 'PF:p=0.1x' has p '0.1x', which is not a number"),

@@ -442,7 +442,7 @@ class TestSpectraTraffic:
     def test_final_states(self, state, families, eigvalsh_stacks):
         rho0 = parse_state(state).to_density().mat
         eigvalsh_stacks.clear()
-        params = draw_params(families, [np.random.default_rng(1900 + i) for i in range(64)])
+        params = draw_params(families, np.random.default_rng(1900), 64)
         _final_states(rho0, pauli_superops(params), RANK_TOL)
         assert eigvalsh_stacks == ([64] if state in ("w3", "w4") else [])
 
