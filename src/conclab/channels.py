@@ -32,7 +32,7 @@ is its one-matrix case.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -76,12 +76,10 @@ def pauli_superops(a):
 @dataclass(frozen=True)
 class PauliChannel:
     """Single-qubit Pauli channel: a unit real 4-vector a over (I, sx, sy, sz),
-    tagged with the family whose zero pattern it satisfies, and its frozen
-    (4, 4) superoperator `pauli_superops(a)`."""
+    tagged with the family whose zero pattern it satisfies."""
 
     a: tuple
     family: str = "GeneralPauli"
-    superop: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = tuple(float(x) for x in self.a)
@@ -96,11 +94,8 @@ class PauliChannel:
             for i in (1, 2, 3):
                 if i != flip and a[i] != 0.0:
                     raise ValueError(f"{family} channel requires a{i + 1} = 0, got {a[i]!r}")
-        superop = pauli_superops(a)
-        superop.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "family", family)
-        object.__setattr__(self, "superop", superop)
 
 
 def identity_channel():
@@ -177,17 +172,17 @@ def evolve(mats, superops):
 def apply(channels, rho):
     """Send a `DensityMatrix` through local channels given as {qubit:
     PauliChannel}, one qubit at a time in qubit order: the one-matrix case
-    of `evolve`. Unassigned qubits are left untouched. Returns the evolved
-    state unvalidated: see the trust contract in `conclab.concurrence`."""
+    of `evolve`, with one `pauli_superops` call for every channel.
+    Unassigned qubits are left untouched. Returns the evolved state
+    unvalidated: see the trust contract in `conclab.concurrence`."""
     n = rho.n_qubits
-    superops = {}
     for qubit, channel in channels.items():
         if isinstance(qubit, bool) or not isinstance(qubit, Integral) or not 1 <= qubit <= n:
             raise ValueError(f"qubit index {qubit!r} outside 1..{n}")
         if not isinstance(channel, PauliChannel):
             raise ValueError(f"qubit {qubit} needs a PauliChannel, got {channel!r}")
-        superops[qubit] = channel.superop[None]
-    return DensityMatrix._evolved(evolve(rho.mat[None], superops)[0])
+    superops = pauli_superops(np.reshape([ch.a for ch in channels.values()], (-1, 1, 4)))
+    return DensityMatrix._evolved(evolve(rho.mat[None], dict(zip(channels, superops)))[0])
 
 
 def _json_real(value, what):

@@ -3,8 +3,7 @@
 Subcommands: evolve, concurrence, verify, campaign, sweep, figure1,
 rank-table. `sweep` runs a campaign on every catalogued scenario under both
 aggregations, one CSV each, and prints a summary table. Exit codes: 0
-success, 1 validation or usage error. CONCLAB_SEED sets the default campaign
-seed.
+success, 1 validation or usage error.
 """
 
 import argparse
@@ -32,8 +31,6 @@ from .factorization import (
 from .linalg import DensityMatrix
 from .states import _complex_entry, parse_state
 
-SEED_ENV = "CONCLAB_SEED"
-
 
 class _UsageError(Exception):
     pass
@@ -53,16 +50,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _default_seed():
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
-
-
 def _write(text, out):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -74,7 +61,7 @@ def _write(text, out):
 def _load_density(args):
     """State for `concurrence`: either an evolved named state or a matrix file."""
     if args.matrix:
-        if args.channels:
+        if args.channels is not None:
             raise ValueError("--channels applies to --state, not --matrix")
         with open(args.matrix, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -93,7 +80,7 @@ def _evolved(args):
     """The density matrix of --state, sent through --channels if given."""
     psi = parse_state(args.state)
     rho = psi.to_density()
-    if args.channels:
+    if args.channels is not None:
         channels = parse_channel_list(args.channels, psi.n_qubits)
         rho = apply(dict(enumerate(channels, start=1)), rho)
     return rho
@@ -189,16 +176,20 @@ def _cmd_campaign(args):
         value = getattr(args, field.name, None)
         if value is not None:
             merged[field.name] = value
-    if "seed" not in merged:
-        merged["seed"] = _default_seed()
     _write(run_campaign(CampaignConfig.from_json(merged)).to_csv(), args.out)
     return 0
 
 
 def _cmd_sweep(args):
+    # catalogue entry k runs at its own seed, so no two scenarios share draws;
+    # both aggregations of an entry share them
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     configs = [CampaignConfig(state=state, channels=families, samples=args.samples,
-                              tol=args.tol, seed=args.seed, aggregation=aggregation)
-               for state, families, _ in CATALOGUE for aggregation in AGGREGATIONS]
+                              tol=args.tol, seed=args.seed * len(CATALOGUE) + k,
+                              aggregation=aggregation)
+               for k, (state, families, _) in enumerate(CATALOGUE)
+               for aggregation in AGGREGATIONS]
     os.makedirs(args.out_dir, exist_ok=True)
     print(f"{'state':<6} {'channels':<16} {'aggregation':<12} "
           f"{'rank buckets':<14} {'passed':<10} worst residual")
@@ -275,7 +266,7 @@ def build_parser():
                    help="comma-separated channel families, e.g. BF,PF,PF")
     p.add_argument("--samples", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int, help=f"base seed (default: ${SEED_ENV} or 0)")
+    p.add_argument("--seed", type=int, help="seed of the campaign's random stream (default: 0)")
     p.add_argument("--identity", choices=("auto",) + FORMS)
     p.add_argument("--cut")
     p.add_argument("--exponent", type=int, dest="normalization_exponent")
@@ -286,7 +277,8 @@ def build_parser():
     p = add("sweep", _cmd_sweep, "campaigns on every catalogued scenario, both aggregations",
             out=False)
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="catalogue entry k runs at seed * (number of entries) + k")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--out-dir", default="campaign_results", help="directory for the CSVs")
 

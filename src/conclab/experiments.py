@@ -9,7 +9,6 @@ import numpy as np
 from .channels import evolve, flip_params, pauli_superops
 from .concurrence import tau3_stack
 from .factorization import _final_states
-from .linalg import RANK_TOL
 from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
@@ -122,7 +121,7 @@ def rank_table():
             continue
         rho0 = parse_state(state_name).to_density().mat
         params = [[flip_params(fam, p) for fam, p in zip(families, GENERIC_PS)]]
-        _, ranks = _final_states(rho0, pauli_superops(params), RANK_TOL)
+        _, ranks = _final_states(rho0, params)
         rows.append(RankRow(state_name, tuple(families), int(ranks[0]), claimed))
     return tuple(rows)
 

@@ -50,16 +50,18 @@ side's four basis states and does not commute with a channel on the anchor
 alone, and the law fails: C((1 (x) $) psi) exceeds c($) * C(psi) by up to
 about 0.7 on random pure states.
 
-Scenarios are evaluated as stacks that share one initial state: one
-many-sided `evolve` gives every final state and `hermitian_spectra` its
-rank, and one kernel call gives lhs and C(psi). Each factor whose anchor
-stands alone is C(psi) * c($) from the drawn parameters; each other factor
-(the cut 12|34, or `anchor="own"` on a shared block) is read from one
-single-sided `evolve` per anchor qubit, whose states join the same kernel
-call. A campaign runs its samples this way, grouped by the identity they
-evaluate, and `evaluate_identity` is the one-sample case; it also evolves
-every factor state, one `evolve` per anchor, only to read its rank. Only
-the initial state is validated; see the trust contract in
+Scenarios are evaluated as stacks that share one initial state and one
+cut, fed only their (S, n, 4) channel parameters: one many-sided `evolve`
+gives every final state and `hermitian_spectra` its rank (at RANK_TOL),
+and one kernel call gives lhs and C(psi) for every row, whichever identity
+the row takes. Each factor whose anchor stands alone is C(psi) * c($) from
+the parameters; each other factor (the cut 12|34, or `anchor="own"` on a
+shared block) is read from one single-sided `evolve` per anchor qubit,
+whose states join the same kernel call. rhs and residual then follow per
+identity on its rows. A campaign makes one such evaluation per stack that
+holds an evaluated row, and `evaluate_identity` is the one-row case; it
+also evolves every factor state, one `evolve` per anchor, only to read its
+rank. Only the initial state is validated; see the trust contract in
 `conclab.concurrence`.
 """
 
@@ -183,37 +185,32 @@ class IdentityReport:
     factors: tuple
 
 
-def _aggregate(products, aggregation):
-    """Term products, one (S,) array per term, aggregated row by row in term order."""
-    _require_choice("aggregation", aggregation, AGGREGATIONS)
-    if aggregation == "rms":
-        return np.sqrt(sum(p * p for p in products) / len(products))
-    return sum(products)
-
-
-def _evolved_ranks(states, tol):
+def _evolved_ranks(states):
     """Ranks (...,) of a (..., d, d) stack of evolved states, from their
-    spectra unchecked: the trust contract of `conclab.concurrence`."""
-    return spectral_ranks(hermitian_spectra(states), tol)
+    spectra unchecked: the trust contract of `conclab.concurrence`. RANK_TOL
+    is read at each call."""
+    return spectral_ranks(hermitian_spectra(states), RANK_TOL)
 
 
-def _final_states(rho0, superops, rank_tol):
+def _final_states(rho0, params):
     """Many-sided final states (S, d, d) of the validated initial density
-    matrix rho0 (d, d) under S draws of per-qubit superoperators
-    (S, n, 4, 4), and their ranks (S,); see the trust contract in
+    matrix rho0 (d, d) under S draws of per-qubit Pauli parameters
+    (S, n, 4), and their ranks (S,); see the trust contract in
     `conclab.concurrence`."""
+    superops = pauli_superops(params)
     finals = evolve(rho0[None], {q: superops[:, q - 1] for q in range(1, superops.shape[1] + 1)})
-    return finals, _evolved_ranks(finals, rank_tol)
+    return finals, _evolved_ranks(finals)
 
 
-def _factor_states(rho0, superops, anchors):
+def _factor_states(rho0, params, anchors):
     """Single-sided factor states (S, k, d, d) of the validated initial
-    density matrix rho0 (d, d) under superoperators superops (S, k, 4, 4):
-    column j sends the channels superops[:, j] through qubit anchors[j]
+    density matrix rho0 (d, d) under Pauli parameters params (S, k, 4):
+    column j sends the channels params[:, j] through qubit anchors[j]
     alone, one `evolve` per anchor qubit. Unvalidated; see the trust
     contract in `conclab.concurrence`."""
-    samples, k = superops.shape[:2]
+    samples, k = params.shape[:2]
     d = rho0.shape[-1]
+    superops = pauli_superops(params)
     states = np.empty((samples, k, d, d), dtype=complex)
     for anchor_q in sorted(set(anchors)):
         cols = [j for j in range(k) if anchors[j] == anchor_q]
@@ -224,67 +221,70 @@ def _factor_states(rho0, superops, anchors):
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """One identity on a stack of S scenarios: (S,) arrays lhs, rhs and
-    residual, (S, n) factor values and each factor's anchor qubit."""
+    """Identities on a stack of S scenarios: (S,) arrays lhs, rhs, residual
+    and exponent, (S, n) factor values and each factor's anchor qubit."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
+    exponents: np.ndarray
     factors: np.ndarray
     anchors: tuple
     initial_concurrence: float
-    exponent: int
 
 
-def _evaluate(identity, rho0, finals, superops, weights, *, anchor, normalization_exponent,
+def _evaluate(identities, rho0, finals, params, *, anchor, normalization_exponent,
               aggregation):
-    """Evaluate an identity on S scenarios that share the pure initial
-    density matrix rho0 (d, d), given their many-sided final states finals
-    (S, d, d), per-qubit superoperators superops (S, n, 4, 4) and squared
-    channel parameters weights (S, n, 4). A factor whose anchor qubit stands
-    alone on its side of the cut is C(psi) * max(0, 2 max_k w_k - 1) (see
-    the module docstring); the others are read by the kernel from their
-    factor states. See the trust contract in `conclab.concurrence`."""
-    _require_choice("anchor", anchor, ANCHORS)
-    samples, n = superops.shape[:2]
+    """Evaluate identities[i] on scenario i of S scenarios that share the
+    pure initial density matrix rho0 (d, d), given their many-sided final
+    states finals (S, d, d) and Pauli parameters params (S, n, 4). Every
+    identity is on the same cut, so one kernel call reads lhs, C(psi) and
+    the factors it measures from their factor states; a factor whose anchor
+    qubit stands alone on its side of the cut is C(psi) * max(0,
+    2 max_k a_k^2 - 1) (see the module docstring). rhs and residual follow
+    per identity, on its rows. `anchor` and `aggregation` must be valid
+    choices. See the trust contract in `conclab.concurrence`."""
+    samples, n = params.shape[:2]
     d = rho0.shape[-1]
     anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
-    cut = identity.cut
+    cut = identities[0].cut
     # an anchor alone on its side of the cut obeys the one-sided law
     lone = {block[0] for block in (cut.block1, cut.block2) if len(block) == 1}
     closed = [q for q in range(n) if anchors[q] in lone]
     measured = [q for q in range(n) if anchors[q] not in lone]
 
     # one kernel stack: the final states, the measured factor states, rho0
-    states = _factor_states(rho0, superops[:, measured], [anchors[q] for q in measured])
+    states = _factor_states(rho0, params[:, measured], [anchors[q] for q in measured])
     totals = cut_totals(np.concatenate((finals, states.reshape(-1, d, d), rho0[None])), cut)
     lhs = totals[:samples]
     initial_c = float(totals[-1])
     factors = np.empty((samples, n))
     factors[:, measured] = totals[samples:-1].reshape(samples, len(measured))
-    factors[:, closed] = initial_c * np.maximum(0.0, 2.0 * weights[:, closed].max(axis=-1) - 1.0)
+    weights = np.square(params[:, closed])
+    factors[:, closed] = initial_c * np.maximum(0.0, 2.0 * weights.max(axis=-1) - 1.0)
 
-    products = [np.prod(factors[:, [q - 1 for q in term]], axis=1)
-                for term in identity.rhs_terms]
-    rhs = _aggregate(products, aggregation)
-    exponent = identity.normalization_exponent if normalization_exponent is None \
-        else int(normalization_exponent)
-    try:
-        scale = initial_c ** exponent
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"initial concurrence {initial_c!r} cannot take the normalization "
-                         f"exponent {exponent}") from None
-    return _Evaluation(lhs=lhs, rhs=rhs, residual=np.abs(lhs * scale - rhs), factors=factors,
-                       anchors=anchors, initial_concurrence=initial_c, exponent=exponent)
-
-
-def _channel_arrays(channels):
-    """(1, n, 4, 4) superoperators and (1, n, 4) squared parameters of one
-    PauliChannel per qubit, in qubit order."""
-    for channel in channels:
-        if not isinstance(channel, PauliChannel):
-            raise ValueError(f"expected a PauliChannel, got {channel!r}")
-    return np.array([[ch.superop for ch in channels]]), np.square([[ch.a for ch in channels]])
+    rows_of = {}
+    for i, identity in enumerate(identities):
+        rows_of.setdefault(identity, []).append(i)
+    rhs, residual = np.empty(samples), np.empty(samples)
+    exponents = np.empty(samples, dtype=int)
+    for identity, rows in rows_of.items():
+        # term products, added or as their quadrature mean, in term order
+        products = [np.prod(factors[rows][:, [q - 1 for q in term]], axis=1)
+                    for term in identity.rhs_terms]
+        rhs[rows] = np.sqrt(sum(p * p for p in products) / len(products)) \
+            if aggregation == "rms" else sum(products)
+        exponent = identity.normalization_exponent if normalization_exponent is None \
+            else int(normalization_exponent)
+        try:
+            scale = initial_c ** exponent
+        except (OverflowError, ZeroDivisionError):
+            raise ValueError(f"initial concurrence {initial_c!r} cannot take the normalization "
+                             f"exponent {exponent}") from None
+        residual[rows] = np.abs(lhs[rows] * scale - rhs[rows])
+        exponents[rows] = exponent
+    return _Evaluation(lhs=lhs, rhs=rhs, residual=residual, exponents=exponents,
+                       factors=factors, anchors=anchors, initial_concurrence=initial_c)
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
@@ -294,20 +294,25 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     Returns an IdentityReport carrying both sides, the residual
     |lhs * C(psi)^e - rhs|, the final rank, and per-factor detail.
     """
+    _require_choice("anchor", anchor, ANCHORS)
+    _require_choice("aggregation", aggregation, AGGREGATIONS)
     channels = tuple(channels)
     n = identity.n_qubits
     if psi.n_qubits != n:
         raise DimensionMismatchError(f"identity is on {n} qubits but state has {psi.n_qubits}")
     if len(channels) != n:
         raise DimensionMismatchError(f"need {n} channels, got {len(channels)}")
-    superops, weights = _channel_arrays(channels)
+    for channel in channels:
+        if not isinstance(channel, PauliChannel):
+            raise ValueError(f"expected a PauliChannel, got {channel!r}")
+    params = np.array([[ch.a for ch in channels]])
     rho0 = psi.to_density().mat
-    finals, final_ranks = _final_states(rho0, superops, RANK_TOL)
-    ev = _evaluate(identity, rho0, finals, superops, weights, anchor=anchor,
+    finals, final_ranks = _final_states(rho0, params)
+    ev = _evaluate((identity,), rho0, finals, params, anchor=anchor,
                    normalization_exponent=normalization_exponent,
                    aggregation=aggregation)
     final_rank = int(final_ranks[0])
-    factor_ranks = _evolved_ranks(_factor_states(rho0, superops, ev.anchors)[0], RANK_TOL)
+    factor_ranks = _evolved_ranks(_factor_states(rho0, params, ev.anchors)[0])
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -318,7 +323,7 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         applicable=final_rank <= identity.rank_ceiling,
         channels=channels,
         initial_concurrence=ev.initial_concurrence,
-        exponent=ev.exponent,
+        exponent=int(ev.exponents[0]),
         aggregation=aggregation,
         anchor=anchor,
         factors=tuple(
@@ -353,7 +358,6 @@ class CampaignConfig:
     normalization_exponent: int | None = None   # None means degree matching
     aggregation: str = "sum"
     anchor: str = ANCHOR_LAST
-    rank_tol: float = RANK_TOL
     relabel: tuple | None = None
 
     def __post_init__(self):
@@ -371,12 +375,10 @@ class CampaignConfig:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
         if self.samples > MAX_SAMPLES:
             raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
-        for name in ("tol", "rank_tol"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            if not 0 <= value < math.inf:  # NaN fails too
-                raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, Real):
+            raise ValueError(f"tol must be a number, got {self.tol!r}")
+        if not 0 <= self.tol < math.inf:  # NaN fails too
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
         if self.normalization_exponent is not None:
             _require_int("normalization_exponent", self.normalization_exponent)
         if self.cut is not None and not isinstance(self.cut, str):
@@ -515,28 +517,24 @@ def run_campaign(config):
     for start in range(0, config.samples, _STACK):
         indices = range(start, min(config.samples, start + _STACK))
         params = draw_params(families, rng, len(indices))[:, order]
-        superops = pauli_superops(params)
-        finals, ranks = _final_states(rho0, superops, config.rank_tol)
+        finals, ranks = _final_states(rho0, params)
         ranks = ranks.tolist()
         by_rank = {r: forced if forced is not None else _suggested_identity(r, cut)
                    for r in set(ranks)}
         identities = [by_rank[r] for r in ranks]
-        results = [(None, None, None)] * len(ranks)
-        for identity in dict.fromkeys(identities):
-            if identity is None:
-                continue
-            idx = [i for i, ident in enumerate(identities) if ident == identity]
-            ev = _evaluate(identity, rho0, finals[idx], superops[idx], np.square(params[idx]),
-                           anchor=config.anchor,
+        evaluated = [k for k, identity in enumerate(identities) if identity is not None]
+        results = {}
+        if evaluated:
+            ev = _evaluate([identities[k] for k in evaluated], rho0, finals[evaluated],
+                           params[evaluated], anchor=config.anchor,
                            normalization_exponent=config.normalization_exponent,
                            aggregation=config.aggregation)
-            for i, result in zip(idx, zip(ev.lhs.tolist(), ev.rhs.tolist(),
-                                          ev.residual.tolist())):
-                results[i] = result
-        rows.extend(
-            SampleRow(i, rank, lhs, rhs, residual,
-                      None if residual is None else residual <= config.tol)
-            for i, rank, (lhs, rhs, residual) in zip(indices, ranks, results))
+            results = dict(zip(evaluated, zip(ev.lhs.tolist(), ev.rhs.tolist(),
+                                              ev.residual.tolist())))
+        for k, (i, rank) in enumerate(zip(indices, ranks)):
+            lhs, rhs, residual = results.get(k, (None, None, None))
+            rows.append(SampleRow(i, rank, lhs, rhs, residual,
+                                  None if residual is None else residual <= config.tol))
 
     buckets = {}
     for rank in sorted({r.rank for r in rows}):

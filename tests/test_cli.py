@@ -10,8 +10,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conclab
-from conclab import linalg
-from conclab.channels import apply, parse_channel_list
+from conclab import cli, linalg
+from conclab.channels import _canonical_family, apply, draw_params, parse_channel_list
 from conclab.cli import cli_main
 from conclab.experiments import CATALOGUE
 from conclab.factorization import CampaignConfig, run_campaign
@@ -106,8 +106,14 @@ def test_bad_cut_exits_one(capsys, command, cut, needle):
      "argument --channels: 'BF,,BF' has an empty item"),
     (["concurrence", "--state", "w3", "--cut", "1,,2|3"], "cut spec '1,,2|3' has an empty item"),
     (["concurrence", "--state", "w3", "--cut", "1,2| ,3"], "cut spec '1,2| ,3' has an empty item"),
+    (["evolve", "--state", "bell", "--channels", ""], "channel list '' has an empty item"),
+    (["concurrence", "--state", "w3", "--channels", ""], "channel list '' has an empty item"),
+    # rejected before the file is read, so it need not exist
+    (["concurrence", "--matrix", "m.json", "--channels", ""],
+     "--channels applies to --state, not --matrix"),
 ], ids=["evolve-channels", "verify-blank-channel", "relabel-trailing", "campaign-channels",
-        "cut", "cut-blank"])
+        "cut", "cut-blank", "evolve-empty-channels", "concurrence-empty-channels",
+        "matrix-empty-channels"])
 def test_empty_list_item_exits_one(capsys, argv, message):
     """An empty item in a comma-separated list is an error, not a shorter
     list; a usage error prints the usage line first."""
@@ -335,10 +341,10 @@ def test_sweep_csvs_equal_run_campaign(tmp_path, capsys):
     assert code == 0
     written = sorted(p.name for p in tmp_path.iterdir())
     expected = {}
-    for state, families, _ in CATALOGUE:
+    for k, (state, families, _) in enumerate(CATALOGUE):
         for aggregation in ("sum", "rms"):
-            config = CampaignConfig(state=state, channels=families, samples=3, seed=5,
-                                    aggregation=aggregation)
+            config = CampaignConfig(state=state, channels=families, samples=3,
+                                    seed=5 * len(CATALOGUE) + k, aggregation=aggregation)
             expected[f"{state}-{'-'.join(families)}-{aggregation}.csv"] = \
                 run_campaign(config).to_csv()
     assert written == sorted(expected) and len(written) == 2 * len(CATALOGUE)
@@ -348,6 +354,56 @@ def test_sweep_csvs_equal_run_campaign(tmp_path, capsys):
     assert lines[0].split()[:2] == ["state", "channels"]
     assert len(lines) == 1 + 2 * len(CATALOGUE) + 1
     assert lines[-1] == f"per-sample CSVs in {tmp_path}/"
+
+
+def test_sweep_scenarios_share_no_draws(tmp_path, capsys, monkeypatch):
+    """Every catalogue entry draws its own stream: no channel parameter of
+    one entry recurs in another, and both aggregations of an entry share
+    all of theirs."""
+    configs = []
+
+    def recording(config):
+        configs.append(config)
+        return run_campaign(config)
+
+    monkeypatch.setattr(cli, "run_campaign", recording)
+    code, _, _ = run(capsys, "sweep", "--samples", "30", "--seed", "3",
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    draws = {}
+    for config in configs:
+        families = [_canonical_family(f) for f in config.channels]
+        params = draw_params(families, np.random.default_rng(config.seed), config.samples)
+        draws.setdefault((config.state, config.channels), []).append(params)
+    assert len(draws) == len(CATALOGUE)
+    assert all(np.array_equal(a, b) for a, b in draws.values())
+    # each entry's identity weights a_1, one per qubit and row
+    weights = [set(a[..., 0].ravel().tolist()) for a, _ in draws.values()]
+    for j, mine in enumerate(weights):
+        for other in weights[j + 1:]:
+            assert not mine & other
+
+
+def test_sweep_csv_replays_through_campaign(tmp_path, capsys):
+    """A sweep CSV's header is a campaign config: `campaign --config` on it
+    writes the same bytes."""
+    code, _, _ = run(capsys, "sweep", "--samples", "4", "--seed", "2",
+                     "--out-dir", str(tmp_path))
+    assert code == 0
+    for name in ("ghz3-PF-PF-BF-sum.csv", "w4-PF-PF-PF-PF-rms.csv"):
+        text = (tmp_path / name).read_text()
+        config = tmp_path / "config.json"
+        config.write_text(text.split("\n")[0].removeprefix("# "))
+        code, out, _ = run(capsys, "campaign", "--config", str(config))
+        assert (code, out) == (0, text)
+
+
+def test_sweep_negative_seed_names_the_given_value(tmp_path, capsys):
+    code, out, err = run(capsys, "sweep", "--samples", "1", "--seed=-5",
+                         "--out-dir", str(tmp_path / "out"))
+    assert_one_error_line(code, out, err)
+    assert err == "error: seed must be nonnegative, got -5\n"
+    assert not (tmp_path / "out").exists()
 
 
 def assert_one_error_line(code, out, err):
@@ -396,8 +452,9 @@ _FIELDS = {
     "normalization_exponent": st.sampled_from(["auto", -1, 0, 2]) | _JSON,
     "aggregation": st.sampled_from(["sum", "rms"]) | _JSON,
     "anchor": st.sampled_from(["last", "own"]) | _JSON,
+    # no fields any more: rejected
     "rank_tol": st.sampled_from([1e-10, 0.05]) | _JSON,
-    "leak_tol": st.sampled_from([1e-8, -1.0]) | _JSON,  # no field any more: rejected
+    "leak_tol": st.sampled_from([1e-8, -1.0]) | _JSON,
     "relabel": st.sampled_from([[2, 1], [3, 2, 1], [1, 1, 2]]) | _JSON,
 }
 
@@ -414,8 +471,9 @@ def test_campaign_config_fuzz_never_tracebacks(tmp_path, capsys, config):
     if code:
         assert out == ""
         assert err.startswith("error:") and len(err.strip().split("\n")) == 1
-    if isinstance(config, dict) and "leak_tol" in config:
-        assert code == 1 and "leak_tol" in err
+    for removed in ("leak_tol", "rank_tol"):
+        if isinstance(config, dict) and removed in config:
+            assert code == 1 and removed in err
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -502,23 +560,6 @@ def test_campaign_flag_overrides(tmp_path, capsys):
     assert header["samples"] == 2
 
 
-def test_campaign_seed_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("CONCLAB_SEED", "99")
-    code, out, _ = run(capsys, "campaign", "--state", "bell", "--channels", "BF,BF",
-                       "--samples", "1")
-    assert code == 0
-    header = json.loads(out.strip().split("\n")[0].removeprefix("# "))
-    assert header["seed"] == 99
-
-
-def test_campaign_bad_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("CONCLAB_SEED", "not-a-number")
-    code, _, err = run(capsys, "campaign", "--state", "bell", "--channels", "BF,BF",
-                       "--samples", "1")
-    assert code == 1
-    assert "CONCLAB_SEED" in err
-
-
 _BELL = ("--state", "bell", "--channels", "BF,BF")
 
 
@@ -591,8 +632,8 @@ def test_nan_amplitude_fails_the_norm_check(capsys):
 
 
 @pytest.mark.parametrize("field, value", [
-    ("rank_tol", "NaN"), ("rank_tol", "Infinity"), ("rank_tol", "-1e-300"), ("seed", "-1"),
-], ids=["rank-tol-nan", "rank-tol-inf", "rank-tol-negative", "seed-negative"])
+    ("tol", "NaN"), ("tol", "Infinity"), ("tol", "-1e-300"), ("seed", "-1"),
+], ids=["tol-nan", "tol-inf", "tol-negative", "seed-negative"])
 def test_bad_config_tolerance_or_seed_exits_one(tmp_path, capsys, field, value):
     path = tmp_path / "campaign.json"
     path.write_text('{"state": "bell", "channels": ["BF", "BF"], "samples": 1, '
@@ -609,10 +650,10 @@ def test_tolerance_edges_run(tmp_path, capsys, value):
     assert json.loads(out.split("\n")[0].removeprefix("# "))["tol"] == float(value)
     path = tmp_path / "campaign.json"
     path.write_text(json.dumps({"state": "bell", "channels": ["BF", "BF"], "samples": 1,
-                                "rank_tol": float(value), "seed": 0}))
+                                "tol": float(value), "seed": 0}))
     code, out, _ = run(capsys, "campaign", "--config", str(path))
     assert code == 0
-    assert json.loads(out.split("\n")[0].removeprefix("# "))["rank_tol"] == float(value)
+    assert json.loads(out.split("\n")[0].removeprefix("# "))["tol"] == float(value)
 
 
 def test_campaign_missing_fields(capsys):

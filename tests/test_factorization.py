@@ -254,7 +254,7 @@ class TestEvolvedStates:
     def test_final_states_pass_validation(self, state, families):
         rho0 = parse_state(state).to_density()
         params = draw_params(families, np.random.default_rng(1900), 64)
-        finals, ranks = _final_states(rho0.mat, pauli_superops(params), RANK_TOL)
+        finals, ranks = _final_states(rho0.mat, params)
         assert finals.shape == (64, rho0.dim, rho0.dim)
         eigs = assert_trusted(finals, rho0)
         assert np.array_equal(ranks, spectral_ranks(eigs))
@@ -289,12 +289,11 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
     rho0 = psi.to_density()
     params = draw_params([_canonical_family(f) for f in families],
                          np.random.default_rng(900), 64)[:, order]
-    superops = pauli_superops(params)
-    finals = _final_states(rho0.mat, superops, RANK_TOL)[0]
+    finals = _final_states(rho0.mat, params)[0]
     identity = identity_for("product", n, cut)
-    ev = _evaluate(identity, rho0.mat, finals, superops, np.square(params), anchor=anchor,
+    ev = _evaluate([identity] * 64, rho0.mat, finals, params, anchor=anchor,
                    normalization_exponent=None, aggregation="sum")
-    states = _factor_states(rho0.mat, superops, ev.anchors)
+    states = _factor_states(rho0.mat, params, ev.anchors)
     assert states.shape == (64, n, 1 << n, 1 << n)
     oracle = cut_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
     lone = {b[0] for b in (identity.cut.block1, identity.cut.block2) if len(b) == 1}
@@ -421,6 +420,16 @@ class TestOneSidedLaw:
             assert np.max(gap) > 1e-3
 
 
+@pytest.mark.parametrize("choice", [{"anchor": "first"}, {"aggregation": "mean"}],
+                         ids=["anchor", "aggregation"])
+def test_evaluate_identity_rejects_unknown_choices(choice):
+    """`evaluate_identity` checks its choices at entry, so a bad one fails
+    before anything is evolved."""
+    (name, value), = choice.items()
+    with pytest.raises(ValueError, match=f"^{name} must be one of .*, got '{value}'$"):
+        evaluate_identity(identity_for("sum", 3), ghz(3), sampled(("PF",) * 3, 1), **choice)
+
+
 class TestRelabel:
     def test_relabeled_scenario_matches_direct_pattern(self):
         chans = (flip_channel("BF", 0.17), flip_channel("PF", 0.29), flip_channel("PF", 0.38))
@@ -499,7 +508,7 @@ class TestCampaign:
     @pytest.mark.parametrize("field, value", [
         ("state", 5), ("channels", "BF,BF"), ("channels", ["BF", 2]), ("samples", "3"),
         ("samples", True), ("samples", 2.0), ("seed", 1.5), ("seed", False), ("tol", "x"),
-        # leak_tol is no field any more, so it is rejected as unknown
+        # leak_tol and rank_tol are no fields any more, so they are rejected as unknown
         ("tol", True), ("rank_tol", None), ("leak_tol", [1e-8]), ("cut", 12),
         ("normalization_exponent", "2"), ("normalization_exponent", True),
         ("relabel", 21), ("relabel", [2, 1.0]), ("relabel", [True, 2]),
@@ -529,22 +538,22 @@ class TestCampaign:
             assert CampaignConfig(state="bell", channels=("BF", "BF"), samples=1,
                                   anchor=anchor).anchor == anchor
 
-    @pytest.mark.parametrize("field", ["tol", "rank_tol"])
+    @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("value", [0, 0.0, 5e-324])
     def test_config_accepts_tolerance_edges(self, field, value):
         config = CampaignConfig(state="bell", channels=("BF", "BF"), samples=1, **{field: value})
         assert getattr(config, field) == value
         assert len(run_campaign(config).rows) == 1
 
-    @pytest.mark.parametrize("field", ["tol", "rank_tol"])
+    @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-300, -1])
     def test_config_rejects_bad_tolerances(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite and nonnegative"):
             CampaignConfig(state="bell", channels=("BF", "BF"), samples=1, **{field: value})
 
     def test_config_rejects_nan_json_literal(self):
-        text = '{"state": "bell", "channels": ["BF", "BF"], "samples": 1, "rank_tol": NaN}'
-        with pytest.raises(ValueError, match="^rank_tol "):
+        text = '{"state": "bell", "channels": ["BF", "BF"], "samples": 1, "tol": NaN}'
+        with pytest.raises(ValueError, match="^tol "):
             CampaignConfig.from_json(text)
 
     @pytest.mark.parametrize("field", ["seed", "samples"])
@@ -675,25 +684,57 @@ class TestCampaign:
         assert len(lhs[0]) == len(lhs[1]) == 200
         assert not lhs[0] & lhs[1]
 
-    @pytest.mark.parametrize("config", [
-        # a coarse rank_tol spreads the rows over the product, sum and
-        # unevaluated buckets, so the auto mode evaluates three groups
-        CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=24, seed=41,
-                       rank_tol=0.03),
-        CampaignConfig(state="ghz4", channels=("PF", "PF", "BF", "PF"), samples=10, seed=42,
-                       rank_tol=0.02, anchor="own", aggregation="rms"),
-        CampaignConfig(state="w4", channels=("PF", "PF", "PF", "PF"), samples=8, seed=43,
-                       identity="sum", cut="12|34", relabel=(2, 4, 1, 3)),
-        CampaignConfig(state="ghz3", channels=("BF", "BF", "BF"), samples=_STACK + 3, seed=44,
-                       rank_tol=0.05),
+    @pytest.mark.parametrize("config, rank_tol", [
+        # a coarse rank tolerance spreads the rows over the product, sum and
+        # unevaluated buckets, so the auto mode evaluates two identities
+        (CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=24, seed=41), 0.03),
+        (CampaignConfig(state="ghz4", channels=("PF", "PF", "BF", "PF"), samples=10, seed=42,
+                        anchor="own", aggregation="rms"), 0.02),
+        (CampaignConfig(state="w4", channels=("PF", "PF", "PF", "PF"), samples=8, seed=43,
+                        identity="sum", cut="12|34", relabel=(2, 4, 1, 3)), RANK_TOL),
+        (CampaignConfig(state="ghz3", channels=("BF", "BF", "BF"), samples=_STACK + 3,
+                        seed=44), 0.05),
     ], ids=["auto-three-buckets", "anchor-own", "relabel", "more-than-one-stack"])
-    def test_rows_equal_one_sample_campaigns_bitwise(self, config, monkeypatch):
+    def test_rows_equal_one_sample_campaigns_bitwise(self, config, rank_tol, monkeypatch):
         """Rows do not depend on the stacking: one-sample stacks give the
         same rows, bit for bit."""
+        monkeypatch.setattr(factorization, "RANK_TOL", rank_tol)
         report = run_campaign(config)
         assert len({r.rank for r in report.rows}) > 1 or config.identity != "auto"
         monkeypatch.setattr(factorization, "_STACK", 1)
         assert run_campaign(config).rows == report.rows
+
+    @pytest.mark.parametrize("config, rank_tol", [
+        (CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=24, seed=41), 0.03),
+        (CampaignConfig(state="ghz3", channels=("BF", "BF", "BF"), samples=_STACK + 3,
+                        seed=44), 0.05),
+        (CampaignConfig(state="w4", channels=("PF",) * 4, samples=_STACK + 3, seed=7,
+                        aggregation="rms"), RANK_TOL),
+        (CampaignConfig(state="ghz4", channels=("GeneralPauli",) * 4, samples=_STACK + 3,
+                        seed=7), RANK_TOL),
+    ], ids=["mixed-buckets", "mixed-two-stacks", "w4", "ghz4-general"])
+    def test_one_kernel_call_per_evaluated_stack(self, config, rank_tol, monkeypatch):
+        """Every evaluated row of a stack, whatever its identity, shares one
+        `cut_totals` call with rho0; a stack without one makes none."""
+        calls = []
+
+        def counted(mats, cut):
+            calls.append(len(mats))
+            return cut_totals(mats, cut)
+
+        monkeypatch.setattr(factorization, "cut_totals", counted)
+        monkeypatch.setattr(factorization, "RANK_TOL", rank_tol)
+        rows = run_campaign(config).rows
+        stacks = [rows[start:start + _STACK] for start in range(0, len(rows), _STACK)]
+        # the default cut puts every anchor alone on its side: no factor state
+        evaluated = [sum(r.residual is not None for r in stack) for stack in stacks]
+        assert calls == [count + 1 for count in evaluated if count]
+        if config.state == "ghz4":
+            assert calls == []
+        elif config.state != "w4":
+            # product (rank <= 2) and sum rows share the first stack's call
+            forms = {r.rank <= 2 for r in stacks[0] if r.residual is not None}
+            assert forms == {True, False}
 
     def test_zero_initial_concurrence_rejects_negative_exponent(self):
         config = CampaignConfig(state="bell:alpha=1", channels=("BF", "BF"), samples=2,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import linalg
-from conclab.channels import draw_params, pauli_superops
+from conclab.channels import draw_params
 from conclab.errors import (
     DimensionMismatchError,
     InvalidPermutationError,
@@ -443,7 +443,7 @@ class TestSpectraTraffic:
         rho0 = parse_state(state).to_density().mat
         eigvalsh_stacks.clear()
         params = draw_params(families, np.random.default_rng(1900), 64)
-        _final_states(rho0, pauli_superops(params), RANK_TOL)
+        _final_states(rho0, params)
         assert eigvalsh_stacks == ([64] if state in ("w3", "w4") else [])
 
     def test_figure1_scan(self, eigvalsh_stacks):
