@@ -11,49 +11,48 @@ mixes with the identity:
 
 Local channels act on each qubit independently, so the n-qubit map is the
 tensor product of the single-qubit ones and is applied one qubit at a time.
-A channel's superoperator is the (4, 4) matrix
+Let m be the bit of qubit q in a basis index (qubit 1 is the most
+significant) and w_k = a_k^2. sigma_x and sigma_y flip the qubit's bit and
+I and sigma_z keep it. Conjugating by sigma_z multiplies entry (r, c) by
+(-1)^(r_q + c_q), and conjugating by sigma_y by the same sign after the
+flip, since sigma_y = i sigma_x sigma_z. So with s = +1 where the qubit's
+row and column bits agree and s = -1 where they differ,
 
-    S[(a, b), (c, d)] = sum_k a_k^2 sigma_k[a, c] * conj(sigma_k[b, d])
+    rho'[r, c] = (w0 + s w3) rho[r, c] + (w1 + s w2) rho[r ^ m, c ^ m].
 
-so that rho'[a, b] = sum_{c, d} S[(a, b), (c, d)] rho[c, d] on the qubit's
-row and column indices. S = sum_k a_k^2 T_k with T_k = sigma_k (x) sigma_k*,
-which is real with entries 0 and +-1, so a whole (S, n, 4) array of
-parameters becomes superoperators in one matmul (`pauli_superops`), the one
-formula every channel uses.
+The flipped entry has the same XOR r ^ c, and s depends only on that XOR.
+So every "XOR class" {(r, r ^ x)} maps into itself, under every Pauli
+channel on every qubit (the fact that keeps X states X-shaped: Yu and
+Eberly, Quantum Inf. Comput. 7, 2007).
 
-`evolve` views a (B, d, d) stack of density matrices as (B,) + (2,)*2n
-tensors (row axes first, then column axes) and contracts an (S, 4, 4)
-superoperator stack into the row and column axis of every assigned qubit
-in turn, one stacked matmul per qubit; unassigned qubits are left
-untouched. This costs one contraction per assigned qubit instead of a sum
-over the k^n products of Kraus choices (Wood, Biamonte and Cory, "Tensor
-networks and graphical calculus for open quantum systems", 2015). `apply`
-is its one-matrix case.
+`evolve` gathers a (B, d, d) stack of density matrices into the class
+layout t[x, r, b] = rho_b[r, r ^ x] once, keeping only the classes that
+some input matrix occupies (any entry != 0) and the stack as the innermost
+axis. It applies the formula above as t = keep * t + move * t[:, r ^ m]
+for each assigned qubit in turn, and scatters the result into zeros once.
+Unassigned qubits are left untouched, and a class no input occupies stays
+exactly 0. Each coefficient is a sum of two signed weights and every step
+is elementwise, so a matrix's values do not depend on the stack it shares.
+`apply` is the one-matrix case.
 """
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError
-from .linalg import IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z, DensityMatrix, n_qubits_of
+from .linalg import DensityMatrix, n_qubits_of
 
 PARAM_NORM_TOL = 1e-12
-
-PAULIS = (IDENTITY_2, SIGMA_X, SIGMA_Y, SIGMA_Z)
 
 # index into (I, sx, sy, sz) of the family's flip coordinate
 FLIP_AXIS = {"BF": 1, "BPF": 2, "PF": 3}
 
 # coordinates a family draws on: the identity and its flip axis, or all four
 _FREE_COORDS = {"GeneralPauli": [0, 1, 2, 3], **{fam: [0, ax] for fam, ax in FLIP_AXIS.items()}}
-
-# T_k = sigma_k (x) sigma_k*, the superoperator of the Kraus operator sigma_k,
-# flattened to (4, 16); it is real
-_PAULI_TRANSFER = np.array([np.kron(s, s.conj()).real.reshape(-1) for s in PAULIS])
-_PAULI_TRANSFER.setflags(write=False)
 
 FAMILIES = ("BF", "PF", "BPF", "GeneralPauli")
 
@@ -64,13 +63,6 @@ def _canonical_family(family):
         if key.upper() == fam.upper() or (fam == "GeneralPauli" and key.lower() == "general"):
             return fam
     raise ValueError(f"unknown channel family {family!r}; expected one of {FAMILIES}")
-
-
-def pauli_superops(a):
-    """Superoperators (..., 4, 4), complex, of the Pauli channels with
-    parameters (..., 4): sum_k a_k^2 T_k."""
-    a = np.asarray(a, dtype=float)
-    return (np.square(a) @ _PAULI_TRANSFER).reshape(a.shape[:-1] + (4, 4)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -152,37 +144,56 @@ def sample_channel(family, rng):
     return PauliChannel(draw_params((family,), rng, 1)[0, 0], family)
 
 
-def evolve(mats, superops):
+@cache
+def _class_index(d):
+    """Read-only (d, d) table of flat indices into a d x d matrix: row x
+    holds the entries (r, r ^ x) of XOR class x in row order r."""
+    rows = np.arange(d)
+    index = rows * d + (rows ^ rows[:, None])
+    index.setflags(write=False)
+    return index
+
+
+def evolve(mats, params):
     """Send a (B, d, d) stack of density matrices through local channels,
-    given as {qubit: (S, 4, 4) superoperator stack}, one stacked matmul per
+    given as {qubit: (S, 4) Pauli parameters}, one class-layout step per
     qubit in qubit order (see module docstring). B and S broadcast, so one
     initial state can go through S channel draws. Returns the unvalidated
     (max(B, S), d, d) stack; see the trust contract in `conclab.concurrence`."""
     d = mats.shape[-1]
     n = n_qubits_of(d)
-    t = mats.reshape((-1,) + (2,) * (2 * n))
-    for q in sorted(superops):
-        axes = (q, n + q)
-        front = np.moveaxis(t, axes, (1, 2))
-        out = superops[q] @ front.reshape(front.shape[0], 4, -1)
-        t = np.moveaxis(out.reshape(out.shape[:1] + front.shape[1:]), (1, 2), axes)
-    return t.reshape(-1, d, d)
+    flat = mats.reshape(-1, d * d)
+    index = _class_index(d)
+    live = np.flatnonzero(np.any(flat != 0, axis=0)[index].any(axis=1))
+    index = index[live]
+    t = flat.T[index]  # (X, d, B) over the X live classes
+    rows = np.arange(d)
+    for q in sorted(params):
+        m = 1 << (n - q)
+        w = np.square(params[q]).T
+        # s per class: -1 where the qubit's row and column bits differ
+        sign = np.where(live & m, -1.0, 1.0)[:, None]
+        keep = (w[0] + w[3] * sign)[:, None]  # (X, 1, S)
+        move = (w[1] + w[2] * sign)[:, None]
+        t = keep * t + move * t[:, rows ^ m]
+    out = np.zeros((t.shape[-1], d * d), dtype=complex)
+    out.T[index] = t
+    return out.reshape(-1, d, d)
 
 
 def apply(channels, rho):
     """Send a `DensityMatrix` through local channels given as {qubit:
     PauliChannel}, one qubit at a time in qubit order: the one-matrix case
-    of `evolve`, with one `pauli_superops` call for every channel.
-    Unassigned qubits are left untouched. Returns the evolved state
-    unvalidated: see the trust contract in `conclab.concurrence`."""
+    of `evolve`. Unassigned qubits are left untouched. Returns the evolved
+    state unvalidated: see the trust contract in `conclab.concurrence`."""
     n = rho.n_qubits
     for qubit, channel in channels.items():
         if isinstance(qubit, bool) or not isinstance(qubit, Integral) or not 1 <= qubit <= n:
             raise ValueError(f"qubit index {qubit!r} outside 1..{n}")
         if not isinstance(channel, PauliChannel):
             raise ValueError(f"qubit {qubit} needs a PauliChannel, got {channel!r}")
-    superops = pauli_superops(np.reshape([ch.a for ch in channels.values()], (-1, 1, 4)))
-    return DensityMatrix._evolved(evolve(rho.mat[None], dict(zip(channels, superops)))[0])
+    params = {q: np.array([ch.a]) for q, ch in channels.items()}
+    return DensityMatrix._evolved(evolve(rho.mat[None], params)[0])
 
 
 def _json_real(value, what):

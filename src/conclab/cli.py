@@ -2,8 +2,8 @@
 
 Subcommands: evolve, concurrence, verify, campaign, sweep, figure1,
 rank-table. `sweep` runs a campaign on every catalogued scenario under both
-aggregations, one CSV each, and prints a summary table. Exit codes: 0
-success, 1 validation or usage error.
+aggregations, writes one CSV each, and then prints a summary table. Exit
+codes: 0 success, 1 validation or usage error or a closed stdout.
 """
 
 import argparse
@@ -36,6 +36,10 @@ class _UsageError(Exception):
     pass
 
 
+class _StdoutClosed(Exception):
+    """The reader of stdout went away, as in `conclab sweep | head`."""
+
+
 # Negative numbers as `float` reads them; argparse's own pattern takes only the
 # -1 and -.5 forms and reads -1e-300, -1E-3 or -inf as an unknown option.
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
@@ -51,11 +55,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write(text, out):
+    """Write text to the file `out`, or to stdout when `out` is empty."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
+        return
+    try:
         sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise _StdoutClosed from None
 
 
 def _load_density(args):
@@ -191,8 +200,8 @@ def _cmd_sweep(args):
                for k, (state, families, _) in enumerate(CATALOGUE)
                for aggregation in AGGREGATIONS]
     os.makedirs(args.out_dir, exist_ok=True)
-    print(f"{'state':<6} {'channels':<16} {'aggregation':<12} "
-          f"{'rank buckets':<14} {'passed':<10} worst residual")
+    lines = [f"{'state':<6} {'channels':<16} {'aggregation':<12} "
+             f"{'rank buckets':<14} {'passed':<10} worst residual"]
     for config in configs:
         report = run_campaign(config)
         name = f"{config.state}-{'-'.join(config.channels)}-{config.aggregation}.csv"
@@ -204,9 +213,11 @@ def _cmd_sweep(args):
         passed = sum(b.passed for b in buckets)
         worst = max((b.max_residual for b in buckets if b.max_residual is not None),
                     default=float("nan"))
-        print(f"{config.state:<6} {'+'.join(config.channels):<16} {config.aggregation:<12} "
-              f"{ranks:<14} {passed}/{evaluated:<8} {worst:.3e}")
-    print(f"per-sample CSVs in {args.out_dir}/")
+        lines.append(f"{config.state:<6} {'+'.join(config.channels):<16} "
+                     f"{config.aggregation:<12} {ranks:<14} {passed}/{evaluated:<8} {worst:.3e}")
+    lines.append(f"per-sample CSVs in {args.out_dir}/")
+    # printed after the last CSV, so a reader that stops early cuts no CSV short
+    _write("\n".join(lines) + "\n", None)
     return 0
 
 
@@ -305,6 +316,13 @@ def cli_main(argv=None):
         return 1
     try:
         return args.func(args)
+    except _StdoutClosed:
+        # Python's note on SIGPIPE: point stdout at devnull, so that the
+        # flush at exit cannot fail again, and exit 1 with no error line
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import evolve, flip_params, pauli_superops
+from .channels import evolve, flip_params
 from .concurrence import tau3_stack
 from .factorization import _final_states
 from .states import parse_state
@@ -40,8 +40,7 @@ def _tau3_bpf3(ps, rho0):
     (8, 8), the GHZ state, after identical BPF(p) on every qubit, for every
     p of `ps`: one stacked evolution and kernel call; see the trust
     contract in `conclab.concurrence`."""
-    superops = pauli_superops(flip_params("BPF", ps))
-    return tau3_stack(evolve(rho0[None], dict.fromkeys((1, 2, 3), superops)))
+    return tau3_stack(evolve(rho0[None], dict.fromkeys((1, 2, 3), flip_params("BPF", ps))))
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,7 @@ def rank_table():
         if claimed is None:
             continue
         rho0 = parse_state(state_name).to_density().mat
-        params = [[flip_params(fam, p) for fam, p in zip(families, GENERIC_PS)]]
+        params = np.array([[flip_params(fam, p) for fam, p in zip(families, GENERIC_PS)]])
         _, ranks = _final_states(rho0, params)
         rows.append(RankRow(state_name, tuple(families), int(ranks[0]), claimed))
     return tuple(rows)

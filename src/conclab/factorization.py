@@ -72,7 +72,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import PauliChannel, _canonical_family, draw_params, evolve, pauli_superops
+from .channels import PauliChannel, _canonical_family, draw_params, evolve
 from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
 from .linalg import RANK_TOL, hermitian_spectra, spectral_ranks
@@ -197,8 +197,7 @@ def _final_states(rho0, params):
     matrix rho0 (d, d) under S draws of per-qubit Pauli parameters
     (S, n, 4), and their ranks (S,); see the trust contract in
     `conclab.concurrence`."""
-    superops = pauli_superops(params)
-    finals = evolve(rho0[None], {q: superops[:, q - 1] for q in range(1, superops.shape[1] + 1)})
+    finals = evolve(rho0[None], {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
     return finals, _evolved_ranks(finals)
 
 
@@ -210,11 +209,10 @@ def _factor_states(rho0, params, anchors):
     contract in `conclab.concurrence`."""
     samples, k = params.shape[:2]
     d = rho0.shape[-1]
-    superops = pauli_superops(params)
     states = np.empty((samples, k, d, d), dtype=complex)
     for anchor_q in sorted(set(anchors)):
         cols = [j for j in range(k) if anchors[j] == anchor_q]
-        evolved = evolve(rho0[None], {anchor_q: superops[:, cols].reshape(-1, 4, 4)})
+        evolved = evolve(rho0[None], {anchor_q: params[:, cols].reshape(-1, 4)})
         states[:, cols] = evolved.reshape(samples, len(cols), d, d)
     return states
 

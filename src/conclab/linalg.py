@@ -41,12 +41,6 @@ def _frozen(a):
     return a
 
 
-IDENTITY_2 = _frozen(np.eye(2, dtype=complex))
-SIGMA_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
-SIGMA_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
-SIGMA_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
-
-
 def _dagger(m):
     """Conjugate transpose of a matrix or of every matrix in a (..., d, d) stack."""
     return np.swapaxes(m.conj(), -1, -2)

@@ -268,20 +268,49 @@ def principal_block_indices(block1, block2):
 
 # --- local channels by the full operator sum -----------------------------------
 
-_PAULIS = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex), _SY,
-           np.array([[1, 0], [0, -1]], dtype=complex))
+PAULIS = (np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex), _SY,
+          np.array([[1, 0], [0, -1]], dtype=complex))
+
+# T_k = sigma_k (x) sigma_k*, the superoperator of the Kraus operator sigma_k,
+# flattened to (4, 16); it is real
+_PAULI_TRANSFER = np.array([np.kron(s, s.conj()).real.reshape(-1) for s in PAULIS])
 
 
 def pauli_kraus(a):
     """Kraus set {a_i sigma_i : a_i != 0} of the Pauli channel with
     parameters a over (I, sx, sy, sz)."""
-    return [x * s for x, s in zip(a, _PAULIS) if x != 0.0]
+    return [x * s for x, s in zip(a, PAULIS) if x != 0.0]
 
 
 def kraus_superop(kraus_ops):
     """(d^2, d^2) superoperator sum_k K_k (x) K_k*, acting on the row-major
     flattening of rho."""
     return sum(np.kron(k, np.conj(k)) for k in np.asarray(kraus_ops, dtype=complex))
+
+
+def pauli_superops(a):
+    """Superoperators (..., 4, 4), complex, of the Pauli channels with
+    parameters (..., 4): sum_k a_k^2 T_k, entry S[(a, b), (c, d)] acting as
+    rho'[a, b] = sum_{c, d} S[(a, b), (c, d)] rho[c, d] on one qubit's row
+    and column indices."""
+    a = np.asarray(a, dtype=float)
+    return (np.square(a) @ _PAULI_TRANSFER).reshape(a.shape[:-1] + (4, 4)).astype(complex)
+
+
+def superop_evolve(mats, superops):
+    """(max(B, S), d, d) image of a (B, d, d) stack under {qubit: (S, 4, 4)
+    superoperator stack}: the stack viewed as (B,) + (2,)*2n tensors, row
+    axes first, and each superoperator contracted into its qubit's row and
+    column axis in qubit order, one stacked matmul per qubit."""
+    d = mats.shape[-1]
+    n = d.bit_length() - 1
+    t = mats.reshape((-1,) + (2,) * (2 * n))
+    for q in sorted(superops):
+        axes = (q, n + q)
+        front = np.moveaxis(t, axes, (1, 2))
+        out = superops[q] @ front.reshape(front.shape[0], 4, -1)
+        t = np.moveaxis(out.reshape(out.shape[:1] + front.shape[1:]), (1, 2), axes)
+    return t.reshape(-1, d, d)
 
 
 def kraus_sum_apply(kraus_lists, mat):

@@ -1,3 +1,5 @@
+from itertools import chain, combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from conclab.channels import (
     PauliChannel,
     apply,
     FAMILIES,
-    PAULIS,
     channel_from_json,
     draw_params,
     evolve,
@@ -16,15 +17,22 @@ from conclab.channels import (
     identity_channel,
     parse_channel,
     parse_channel_list,
-    pauli_superops,
     sample_channel,
 )
 from conclab.concurrence import wootters
 from conclab.errors import DimensionMismatchError, NotNormalizedError
 from conclab.linalg import DensityMatrix
-from conclab.states import bell, ghz, random_pure
+from conclab.states import bell, ghz, random_pure, w
 
-from oracles import kraus_sum_apply, kraus_superop, pauli_kraus, random_density
+from oracles import (
+    PAULIS,
+    kraus_sum_apply,
+    kraus_superop,
+    pauli_kraus,
+    pauli_superops,
+    random_density,
+    superop_evolve,
+)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -35,6 +43,8 @@ class TestConstruction:
         assert ch == identity_channel()
         assert ch.a == (1.0, 0.0, 0.0, 0.0) and ch.family == "GeneralPauli"
         assert np.array_equal(pauli_superops(ch.a), np.eye(4))
+        rho = random_density(2, 3, np.random.default_rng(1))
+        assert np.array_equal(evolve(rho[None], {2: np.array([ch.a])})[0], rho)
 
     def test_bit_flip_on_ground_state(self):
         ch = flip_channel("BF", 0.25)
@@ -175,21 +185,22 @@ class TestApplyMatchesKrausSum:
 
     @pytest.mark.parametrize("n, qubits", QUBIT_SETS)
     def test_evolve_matches_oracle_non_unital(self, n, qubits):
-        """Amplitude damping is neither unital nor symmetric under swapping
-        the superoperator's row and column pairs, so it guards the
-        contraction's index order where Pauli channels cannot."""
+        """The superoperator oracle against the operator sum. Amplitude
+        damping is neither unital nor symmetric under swapping the
+        superoperator's row and column pairs, so it guards the oracle's
+        index order where Pauli channels cannot."""
         rng = np.random.default_rng([7, n, *qubits])
         for _ in range(4):
             rho = random_density(n, int(rng.integers(1, (1 << n) + 1)), rng)
             lists = [amplitude_damping(rng.random()) if q in qubits else None
                      for q in range(1, n + 1)]
             superops = {q: kraus_superop(lists[q - 1])[None] for q in qubits}
-            out = evolve(rho[None], superops)[0]
+            out = superop_evolve(rho[None], superops)[0]
             assert np.max(np.abs(out - kraus_sum_apply(lists, rho))) <= 1e-14
 
 
 class TestStackedEvolution:
-    """`evolve` on stacks of superoperators against `apply` one draw at a time."""
+    """`evolve` on stacks of channel draws against `apply` one draw at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_equals_apply_per_draw_bitwise(self, n):
@@ -197,8 +208,7 @@ class TestStackedEvolution:
         rho = DensityMatrix(random_density(n, 2, rng))
         families = [FAMILIES[(q + n) % len(FAMILIES)] for q in range(n)]
         params = draw_params(families, np.random.default_rng(n * 1000), 7)
-        superops = pauli_superops(params)
-        stack = evolve(rho.mat[None], {q: superops[:, q - 1] for q in range(1, n + 1)})
+        stack = evolve(rho.mat[None], {q: params[:, q - 1] for q in range(1, n + 1)})
         for i in range(len(params)):
             channels = {q: PauliChannel(a, f)
                         for q, (a, f) in enumerate(zip(params[i], families), start=1)}
@@ -209,7 +219,7 @@ class TestStackedEvolution:
         rng = np.random.default_rng(5)
         mats = np.array([random_density(3, 3, rng) for _ in range(4)])
         channel = sample_channel("GeneralPauli", rng)
-        out = evolve(mats, {2: pauli_superops(channel.a)[None]})
+        out = evolve(mats, {2: np.array([channel.a])})
         for rho, got in zip(mats, out):
             expected = apply({2: channel}, DensityMatrix(rho))
             assert np.array_equal(got, expected.mat)
@@ -233,6 +243,69 @@ class TestStackedEvolution:
                 assert flip_channel(family, p).a == tuple(a)
         with pytest.raises(ValueError):
             flip_params("BF", [0.2, 1.5])
+
+
+# every qubit subset, the empty one included, of 1-4 qubits
+SUBSETS = [(n, qubits) for n in (1, 2, 3, 4)
+           for qubits in chain.from_iterable(combinations(range(1, n + 1), k)
+                                             for k in range(n + 1))]
+
+
+class TestClassLayout:
+    """`evolve` in the XOR-class layout against the superoperator contraction
+    and the operator sum, and the classes it skips."""
+
+    @pytest.mark.parametrize("n, qubits", SUBSETS)
+    def test_matches_superop_and_kraus_oracles(self, n, qubits):
+        rng = np.random.default_rng([11, n, *qubits])
+        draws = 3
+        mixed = tuple(FAMILIES[k] for k in rng.integers(0, len(FAMILIES), n))
+        for families in [(fam,) * n for fam in FAMILIES] + [mixed]:
+            params = draw_params(families, rng, draws)
+            assigned = {q: params[:, q - 1] for q in qubits}
+            superops = {q: pauli_superops(a) for q, a in assigned.items()}
+            mats = np.array([random_density(n, int(rng.integers(1, (1 << n) + 1)), rng)
+                             for _ in range(draws)])
+            for stack in (mats[:1], mats):  # B = 1 and B = S
+                got = evolve(stack, assigned)
+                assert np.max(np.abs(got - superop_evolve(stack, superops))) <= 1e-15
+                for i, out in enumerate(got):
+                    lists = [pauli_kraus(params[i, q - 1]) if q in qubits else None
+                             for q in range(1, n + 1)]
+                    rho = stack[min(i, len(stack) - 1)]
+                    assert np.max(np.abs(out - kraus_sum_apply(lists, rho))) <= 1e-15
+
+    def test_empty_class_stays_exactly_zero(self):
+        # ghz3 and its bit-flipped twin occupy the classes 0 and 7 only
+        mats = np.array([ghz(3).to_density().mat,
+                         apply({2: flip_channel("BF", 1.0)}, ghz(3).to_density()).mat])
+        params = draw_params(("GeneralPauli",) * 3, np.random.default_rng(4), 2)
+        out = evolve(mats, {q: params[:, q - 1] for q in (1, 2, 3)})
+        rows = np.arange(8)
+        xor = rows[:, None] ^ rows
+        assert np.all(out[:, (xor != 0) & (xor != 7)] == 0)
+        assert np.all(out[:, xor == 7] != 0)
+
+    def test_subnormal_class_is_evolved(self):
+        # liveness is exact: a class whose only nonzero entry is the smallest
+        # subnormal double still goes through the channel
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        rho[0, 3] = 5e-324
+        out = evolve(rho[None], {2: flip_params("BF", [1.0])})[0]
+        assert out[1, 2] == 5e-324 and out[0, 3] == 0
+
+    def test_row_equals_its_own_evolve_bitwise(self):
+        rng = np.random.default_rng(6)
+        mats = np.array([ghz(3).to_density().mat, w(3).to_density().mat,
+                         random_density(3, 2, rng)])
+        params = draw_params(("BF", "GeneralPauli", "PF"), rng, 3)
+        for assigned in ({q: params[:, q - 1] for q in (1, 2, 3)},
+                         {q: params[:1, q - 1] for q in (1, 3)}):
+            stack = evolve(mats, assigned)
+            for i in range(len(mats)):
+                one = evolve(mats[i:i + 1], {q: a[i:i + 1] if len(a) > 1 else a
+                                             for q, a in assigned.items()})
+                assert np.array_equal(stack[i], one[0])
 
 
 class TestSingleSided:

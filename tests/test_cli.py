@@ -406,6 +406,56 @@ def test_sweep_negative_seed_names_the_given_value(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+class _ClosedStdout:
+    """A stdout whose reader went away: every write raises BrokenPipeError.
+    Its file descriptor is a real file, which the CLI may point elsewhere."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_one_quietly_after_every_csv(tmp_path, capsys, monkeypatch):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout(target.fileno()))
+        code = cli_main(["sweep", "--samples", "2", "--out-dir", str(tmp_path / "csv")])
+        # the descriptor now points at the null device, so the flush at exit succeeds
+        assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert len(list((tmp_path / "csv").iterdir())) == 2 * len(CATALOGUE)
+
+
+def test_sweep_into_a_closed_pipe_writes_every_csv(tmp_path):
+    """`conclab sweep | head -0`: the reader is gone before the table is
+    printed, which happens after the last CSV."""
+    env = dict(os.environ, PYTHONPATH=str(Path(conclab.__file__).resolve().parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "conclab.cli", "sweep", "--samples", "1",
+                               "--out-dir", str(tmp_path)], env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert len(list(tmp_path.iterdir())) == 2 * len(CATALOGUE)
+
+
+def test_unwritable_out_file_keeps_its_error_line(tmp_path, capsys):
+    code, out, err = run(capsys, "rank-table", "--out", str(tmp_path))
+    assert_one_error_line(code, out, err)
+    assert str(tmp_path) in err
+
+
 def assert_one_error_line(code, out, err):
     assert code == 1
     assert out == ""

@@ -13,7 +13,6 @@ from conclab.channels import (
     evolve,
     flip_channel,
     identity_channel,
-    pauli_superops,
     sample_channel,
 )
 from conclab.concurrence import Bipartition, cut_concurrence, cut_totals, parse_cut, tau3_stack
@@ -370,7 +369,7 @@ def law_case(n, qubit, family, seed, samples):
     amps = [random_pure(n, rng).amplitudes for _ in range(samples)]
     rho0s = np.array([np.outer(a, a.conj()) for a in amps])
     params = draw_params([family], rng, samples)[:, 0]
-    return amps, rho0s, evolve(rho0s, {qubit: pauli_superops(params)}), params
+    return amps, rho0s, evolve(rho0s, {qubit: params}), params
 
 
 LONE_CUTS = [(b1, b2, q) for n in (2, 3, 4) for b1, b2 in all_cuts(n)
@@ -400,7 +399,7 @@ class TestOneSidedLaw:
             qubit = block2[0] if len(block2) == 1 else block1[0]
             amps, _, finals, params = law_case(n, qubit, family, 4200 + n, 3)
             # c($) is the concurrence of the channel's one-sided image of phi+
-            bells = evolve(bell(SQ2).to_density().mat[None], {2: pauli_superops(params)})
+            bells = evolve(bell(SQ2).to_density().mat[None], {2: params})
             for amp, final, phi, c in zip(amps, finals, bells, channel_concurrence(params)):
                 assert abs(dense_cut_concurrence(phi, (1,), (2,))[1] - c) <= 1e-13
                 initial = pure_cut_concurrence(amp, block1)
