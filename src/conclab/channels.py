@@ -25,26 +25,42 @@ So every "XOR class" {(r, r ^ x)} maps into itself, under every Pauli
 channel on every qubit (the fact that keeps X states X-shaped: Yu and
 Eberly, Quantum Inf. Comput. 7, 2007).
 
-`evolve` gathers a (B, d, d) stack of density matrices into the class
-layout t[x, r, b] = rho_b[r, r ^ x] once, keeping only the classes that
-some input matrix occupies (any entry != 0) and the stack as the innermost
-axis. It applies the formula above as t = keep * t + move * t[:, r ^ m]
-for each assigned qubit in turn, and scatters the result into zeros once.
-Unassigned qubits are left untouched, and a class no input occupies stays
-exactly 0. Each coefficient is a sum of two signed weights and every step
-is elementwise, so a matrix's values do not depend on the stack it shares.
-`apply` is the one-matrix case.
+The same step fixes where an evolved state can be nonzero. Channels of the
+BF, BPF and GeneralPauli families move entries: the flipped entry
+(r ^ m, c ^ m) feeds (r, c). A PF channel has w1 = w2 = 0, so its move
+coefficient is exactly 0 and it only scales each entry by w0 + s w3;
+skipping its move term changes at most the sign of a zero. So if rho0 is
+nonzero only on a pattern P, every state evolved from it, under any draws
+of these families, is nonzero only on the closure of P under the
+row-and-column bit flips of the moving qubits: each step maps the closure
+into itself, and outside it every step maps zeros to zeros. Which qubits
+move is read from the families, never from the drawn values, so no state's
+layout depends on the draws it is stacked with. A state nonzero only on
+the closure is block-diagonal over the closure's connected components,
+which is where ranks are read (`linalg.block_ranks`).
+
+A `SupportPlan` holds one closure: its entries, their signs s and partner
+indices per qubit, and its block partition, cached per (pattern, moving
+qubits) by `support_plan`. `evolve` gathers a (B, d, d) stack into the
+support layout t[e, b] = rho_b[entry e], with the stack as the innermost
+axis. Each moving qubit applies t = keep * t + move * t[partner] and each
+other qubit t = keep * t, with keep = w0 + s w3 and move = w1 + s w2 read
+per entry, and the result is scattered into zeros once. Unassigned qubits
+are left untouched, and every entry outside the closure is exactly 0. GHZ
+states fill 2 of the d XOR classes, and W4 under PF on every qubit only its
+own 16 entries. Every step is elementwise, so a matrix's values do not
+depend on the stack it shares. `apply` is the one-matrix case.
 """
 
 import json
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError
-from .linalg import DensityMatrix, n_qubits_of
+from .linalg import DensityMatrix, block_partition, n_qubits_of
 
 PARAM_NORM_TOL = 1e-12
 
@@ -144,41 +160,97 @@ def sample_channel(family, rng):
     return PauliChannel(draw_params((family,), rng, 1)[0, 0], family)
 
 
-@cache
-def _class_index(d):
-    """Read-only (d, d) table of flat indices into a d x d matrix: row x
-    holds the entries (r, r ^ x) of XOR class x in row order r."""
-    rows = np.arange(d)
-    index = rows * d + (rows ^ rows[:, None])
-    index.setflags(write=False)
-    return index
+def moving_qubits(assigned):
+    """The qubits whose channel family moves entries, from (qubit, canonical
+    family) pairs: BF, BPF and GeneralPauli move them, PF only scales them."""
+    return frozenset(q for q, fam in assigned if fam != "PF")
 
 
-def evolve(mats, params):
-    """Send a (B, d, d) stack of density matrices through local channels,
-    given as {qubit: (S, 4) Pauli parameters}, one class-layout step per
-    qubit in qubit order (see module docstring). B and S broadcast, so one
-    initial state can go through S channel draws. Returns the unvalidated
-    (max(B, S), d, d) stack; see the trust contract in `conclab.concurrence`."""
-    d = mats.shape[-1]
-    n = n_qubits_of(d)
-    flat = mats.reshape(-1, d * d)
-    index = _class_index(d)
-    live = np.flatnonzero(np.any(flat != 0, axis=0)[index].any(axis=1))
-    index = index[live]
-    t = flat.T[index]  # (X, d, B) over the X live classes
-    rows = np.arange(d)
-    for q in sorted(params):
+@dataclass(frozen=True, eq=False)
+class SupportPlan:
+    """Where a stack evolved from one support pattern by local Pauli channels
+    can be nonzero (see module docstring): the closure `entries` (E,), flat
+    indices ascending, of the pattern under the row-and-column bit flips of
+    the `moving` qubits; per qubit q, `flipped[q]` (E,), 1 where q's row and
+    column bits of an entry differ and 0 where they agree; per moving qubit,
+    `partner[q]` (E,), the position in `entries` of the entry with q's bit
+    flipped in both; and the `block_partition` of the closure, over which
+    every such state is block-diagonal."""
+
+    dim: int
+    moving: frozenset
+    entries: np.ndarray
+    flipped: dict
+    partner: dict
+    blocks: tuple
+
+    def evolve(self, mats, params):
+        """`evolve` on a (B, d, d) stack whose nonzero entries lie in the
+        plan's closure, with every assigned qubit outside `moving` carrying
+        channels with a2 = a3 = 0 (PF or the identity)."""
+        d = self.dim
+        t = mats.reshape(-1, d * d).T[self.entries]  # (E, B)
+        for q in sorted(params):
+            w = np.square(params[q]).T
+            # the coefficients at s = +1 and s = -1, read per entry
+            keep = np.stack((w[0] + w[3], w[0] - w[3]))[self.flipped[q]]
+            if q in self.moving:
+                move = np.stack((w[1] + w[2], w[1] - w[2]))[self.flipped[q]]
+                t = keep * t + move * t[self.partner[q]]
+            else:
+                t = keep * t
+        out = np.zeros((t.shape[-1], d * d), dtype=complex)
+        out.T[self.entries] = t
+        return out.reshape(-1, d, d)
+
+
+@lru_cache(maxsize=256)
+def _plan(pattern_bytes, dim, moving):
+    n = n_qubits_of(dim)
+    pattern = np.frombuffer(pattern_bytes, dtype=bool).reshape(dim, dim)
+    rows, cols = np.nonzero(pattern)
+    # every XOR of the moving qubits' bit masks: the flips the closure applies
+    flips = np.zeros(1, dtype=np.intp)
+    for q in sorted(moving):
+        flips = np.concatenate((flips, flips ^ (1 << (n - q))))
+    closed = np.zeros(dim * dim, dtype=bool)
+    closed[(rows[:, None] ^ flips) * dim + (cols[:, None] ^ flips)] = True
+    entries = np.flatnonzero(closed)
+    r, c = entries // dim, entries % dim
+    flipped, partner = {}, {}
+    for q in range(1, n + 1):
         m = 1 << (n - q)
-        w = np.square(params[q]).T
-        # s per class: -1 where the qubit's row and column bits differ
-        sign = np.where(live & m, -1.0, 1.0)[:, None]
-        keep = (w[0] + w[3] * sign)[:, None]  # (X, 1, S)
-        move = (w[1] + w[2] * sign)[:, None]
-        t = keep * t + move * t[:, rows ^ m]
-    out = np.zeros((t.shape[-1], d * d), dtype=complex)
-    out.T[index] = t
-    return out.reshape(-1, d, d)
+        flipped[q] = ((r ^ c) & m != 0).astype(np.intp)
+        if q in moving:
+            partner[q] = np.searchsorted(entries, (r ^ m) * dim + (c ^ m))
+    for a in (entries, *flipped.values(), *partner.values()):
+        a.setflags(write=False)
+    return SupportPlan(dim, moving, entries, flipped, partner,
+                       block_partition(closed.reshape(dim, dim)))
+
+
+def support_plan(pattern, moving):
+    """The cached `SupportPlan` of a (d, d) boolean support pattern (an
+    initial state's nonzero entries) under channels on the qubits `moving`
+    that move entries. At most 256 plans are kept, least recently used
+    first out."""
+    pattern = np.ascontiguousarray(pattern, dtype=bool)
+    return _plan(pattern.tobytes(), pattern.shape[-1], frozenset(moving))
+
+
+def evolve(mats, params, moving=None):
+    """Send a (B, d, d) stack of density matrices through local channels,
+    given as {qubit: (S, 4) Pauli parameters}, one support-layout step per
+    qubit in qubit order (see module docstring). `moving` holds the assigned
+    qubits whose family moves entries, read from the families and never from
+    drawn values; the others must carry a2 = a3 = 0. None means every
+    assigned qubit. B and S broadcast, so one initial state can go through
+    S channel draws. Returns the unvalidated (max(B, S), d, d) stack; see
+    the trust contract in `conclab.concurrence`."""
+    d = mats.shape[-1]
+    moving = frozenset(params) if moving is None else frozenset(moving) & frozenset(params)
+    pattern = np.any(mats.reshape(-1, d, d) != 0, axis=0)
+    return support_plan(pattern, moving).evolve(mats, params)
 
 
 def apply(channels, rho):
@@ -193,7 +265,8 @@ def apply(channels, rho):
         if not isinstance(channel, PauliChannel):
             raise ValueError(f"qubit {qubit} needs a PauliChannel, got {channel!r}")
     params = {q: np.array([ch.a]) for q, ch in channels.items()}
-    return DensityMatrix._evolved(evolve(rho.mat[None], params)[0])
+    moving = moving_qubits((q, ch.family) for q, ch in channels.items())
+    return DensityMatrix._evolved(evolve(rho.mat[None], params, moving)[0])
 
 
 def _json_real(value, what):

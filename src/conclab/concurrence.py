@@ -78,6 +78,25 @@ alone, never once per stack. `cut_totals` and `tau3_stack` serve whole
 stacks; `cut_concurrence`, `bipartite_concurrence` and `tau3` are their
 one-state cases, and `wootters` is the single-block case (cut 1|2).
 
+Pair pruning. `cut_totals` and `tau3_stack` first read the stack's union
+support, the entries nonzero in some state, and skip each pair whose block
+there has no coupling entry (r30, r21 or an entry off the X) or no Y pair
+with both states live. A skipped pair's C_mn is exactly +0.0 in every state
+of the stack. A state's block holds a subset of the union's entries, so
+the block has r30 = r21 = 0 (a nonzero r30 would make both 0 and 3 live,
+and likewise r21 for 1 and 2), and either it is X-shaped or none of its Y
+pairs is live; the SVD path runs only on blocks with a live Y pair, so
+either way the block gets the closed form with z = 0 in both halves. Each
+half then gives hi = lo = sqrt(max(a, 0) max(d, 0)) >= 0 and no clamp, so
+the l's are (x, x, y, y) with x >= y >= 0, and C_mn = max(0, x - ((x + y)
++ y)). Rounding is monotone,
+so (x + y) + y >= x, the difference is +0.0 or negative, and C_mn = +0.0.
+The skipped pairs are written as +0.0, the live ones as `_pair_spectra`
+gives them, so the (B, P) values and `_cut_total`'s ordered sum are those
+of the unpruned kernel, bit for bit, whatever else shares the stack.
+`bipartite_concurrence` keeps every pair: a breakdown prints each pair's
+l's, and a skipped pair's (x, x, y, y) need not be 0.
+
 Trust contract. The kernel trusts its input: a state rho0 that passed
 `density_spectra`, or any state evolved from one by local Pauli channels,
 many-sided or single-sided. Each channel's weights a_k^2 are nonnegative
@@ -89,8 +108,8 @@ at or above lambda_min(rho0). A block's entries are the state's, so it is
 Hermitian to HERM_TOL; by Cauchy interlacing its eigenvalues sit at or
 above EIG_FLOOR - 4 * HERM_TOL, the 4 covering `eigh` reading a triangle
 that the gather reordered. The same argument lets every other module hand
-evolved states to this kernel, and read their ranks from
-`hermitian_spectra`, unchecked: only inputs are validated.
+evolved states to this kernel, and read their ranks from their support
+blocks or `hermitian_spectra`, unchecked: only inputs are validated.
 """
 
 from dataclasses import dataclass
@@ -295,6 +314,28 @@ def _pair_spectra(mats, gathers):
     return lam, np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
 
 
+def _live_values(mats, gathers):
+    """C_mn (B, P) of a (B, d, d) stack, as `_pair_spectra` gives them, from
+    `_pair_spectra` on the live pairs alone. A pair is live when, in the
+    stack's union support, its block holds a nonzero coupling entry (r30,
+    r21 or an entry off the X) and both states of some Y pair are live. Every
+    other pair's C_mn is exactly +0.0 (see the module docstring), which is
+    what this writes for it."""
+    flat, off_x, x_entries = gathers
+    states = mats.reshape(len(mats), -1)
+    support = states.any(axis=0)
+    blocks = support[flat]
+    live = blocks.any(axis=-1) | blocks.any(axis=-2)
+    paired = (live[:, 0] & live[:, 3]) | (live[:, 1] & live[:, 2])
+    coupled = support[off_x].any(axis=0) | support[x_entries[4:]].any(axis=0)
+    pairs = np.flatnonzero(paired & coupled)
+    values = np.zeros((len(mats), len(flat)))
+    if len(pairs):
+        pruned = (flat[pairs], off_x[:, pairs], x_entries[:, pairs])
+        values[:, pairs] = _pair_spectra(states, pruned)[1]
+    return values
+
+
 def _check_qubits(cut, mats):
     n = n_qubits_of(mats.shape[-1])
     if cut.n_qubits != n:
@@ -322,7 +363,7 @@ def cut_totals(mats, cut):
     `density_spectra` or be evolved from one by local Pauli channels (see
     the trust contract in the module docstring)."""
     _check_qubits(cut, mats)
-    return _cut_total(_pair_spectra(mats, _pair_blocks(cut.block1, cut.block2)[1])[1])
+    return _cut_total(_live_values(mats, _pair_blocks(cut.block1, cut.block2)[1]))
 
 
 def bipartite_concurrence(rho, cut):
@@ -358,7 +399,7 @@ def tau3_stack(mats):
     `_cut_total` over its 6 pairs, so tau3 is the rms of the three
     `cut_totals`, bit for bit."""
     _check_qubits(_TAU3_CUTS[0], mats)
-    values = _pair_spectra(mats, _tau3_blocks())[1]
+    values = _live_values(mats, _tau3_blocks())
     t1, t2, t3 = _cut_total(values.reshape(len(mats), 3, -1)).T
     return np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import evolve, flip_params
+from .channels import evolve, flip_params, moving_qubits
 from .concurrence import tau3_stack
 from .factorization import _final_states
 from .states import parse_state
@@ -120,7 +120,7 @@ def rank_table():
             continue
         rho0 = parse_state(state_name).to_density().mat
         params = np.array([[flip_params(fam, p) for fam, p in zip(families, GENERIC_PS)]])
-        _, ranks = _final_states(rho0, params)
+        _, ranks = _final_states(rho0, params, moving_qubits(enumerate(families, start=1)))
         rows.append(RankRow(state_name, tuple(families), int(ranks[0]), claimed))
     return tuple(rows)
 

@@ -51,17 +51,20 @@ alone, and the law fails: C((1 (x) $) psi) exceeds c($) * C(psi) by up to
 about 0.7 on random pure states.
 
 Scenarios are evaluated as stacks that share one initial state and one
-cut, fed only their (S, n, 4) channel parameters: one many-sided `evolve`
-gives every final state and `hermitian_spectra` its rank (at RANK_TOL),
-and one kernel call gives lhs and C(psi) for every row, whichever identity
-the row takes. Each factor whose anchor stands alone is C(psi) * c($) from
-the parameters; each other factor (the cut 12|34, or `anchor="own"` on a
-shared block) is read from one single-sided `evolve` per anchor qubit,
-whose states join the same kernel call. rhs and residual then follow per
-identity on its rows. A campaign makes one such evaluation per stack that
-holds an evaluated row, and `evaluate_identity` is the one-row case; it
-also evolves every factor state, one `evolve` per anchor, only to read its
-rank. Only the initial state is validated; see the trust contract in
+cut, fed only their (S, n, 4) channel parameters and the qubits whose
+family moves entries: one many-sided `evolve` in the scenario's
+`SupportPlan` gives every final state, the plan's support blocks give its
+rank (at RANK_TOL, by `linalg.block_ranks`), and one kernel call gives lhs
+and C(psi) for every row, whichever identity the row takes. Each factor
+whose anchor stands alone is C(psi) * c($) from the parameters; each other
+factor (the cut 12|34, or `anchor="own"` on a shared block) is read from
+one single-sided `evolve` per anchor qubit, whose states join the same
+kernel call. rhs and residual then follow per identity on its rows. A
+campaign makes one such evaluation per stack that holds an evaluated row,
+and `evaluate_identity` is the one-row case; it also evolves every factor
+state, one `evolve` per anchor, only to read its rank from the blocks of
+the closure under the anchors it moves. Only the initial state is
+validated; see the trust contract in
 `conclab.concurrence`.
 """
 
@@ -72,10 +75,11 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import PauliChannel, _canonical_family, draw_params, evolve
+from .channels import (PauliChannel, _canonical_family, draw_params, evolve, moving_qubits,
+                       support_plan)
 from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
-from .linalg import RANK_TOL, hermitian_spectra, spectral_ranks
+from .linalg import RANK_TOL, block_ranks
 from .states import parse_state
 
 PRODUCT = "product"
@@ -185,36 +189,44 @@ class IdentityReport:
     factors: tuple
 
 
-def _evolved_ranks(states):
-    """Ranks (...,) of a (..., d, d) stack of evolved states, from their
-    spectra unchecked: the trust contract of `conclab.concurrence`. RANK_TOL
-    is read at each call."""
-    return spectral_ranks(hermitian_spectra(states), RANK_TOL)
+def _evolved_ranks(plan, states):
+    """Ranks (S,) of a (S, d, d) stack of states evolved within a
+    `SupportPlan`, from its blocks unchecked: the trust contract of
+    `conclab.concurrence`. RANK_TOL is read at each call."""
+    return block_ranks(states, plan.blocks, RANK_TOL)
 
 
-def _final_states(rho0, params):
+def _final_states(rho0, params, moving):
     """Many-sided final states (S, d, d) of the validated initial density
     matrix rho0 (d, d) under S draws of per-qubit Pauli parameters
-    (S, n, 4), and their ranks (S,); see the trust contract in
-    `conclab.concurrence`."""
-    finals = evolve(rho0[None], {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
-    return finals, _evolved_ranks(finals)
+    (S, n, 4), and their ranks (S,); `moving` holds the qubits whose family
+    moves entries. See the trust contract in `conclab.concurrence`."""
+    plan = support_plan(rho0 != 0, moving)
+    finals = plan.evolve(rho0[None], {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
+    return finals, _evolved_ranks(plan, finals)
 
 
-def _factor_states(rho0, params, anchors):
+def _factor_states(rho0, params, anchors, moving):
     """Single-sided factor states (S, k, d, d) of the validated initial
     density matrix rho0 (d, d) under Pauli parameters params (S, k, 4):
     column j sends the channels params[:, j] through qubit anchors[j]
-    alone, one `evolve` per anchor qubit. Unvalidated; see the trust
+    alone, one `evolve` per anchor qubit. `moving` holds the anchors that
+    some column sends a moving family through. Unvalidated; see the trust
     contract in `conclab.concurrence`."""
     samples, k = params.shape[:2]
     d = rho0.shape[-1]
     states = np.empty((samples, k, d, d), dtype=complex)
     for anchor_q in sorted(set(anchors)):
         cols = [j for j in range(k) if anchors[j] == anchor_q]
-        evolved = evolve(rho0[None], {anchor_q: params[:, cols].reshape(-1, 4)})
+        evolved = evolve(rho0[None], {anchor_q: params[:, cols].reshape(-1, 4)}, moving)
         states[:, cols] = evolved.reshape(samples, len(cols), d, d)
     return states
+
+
+def _moving_anchors(anchors, moving):
+    """The anchor qubits through which factor states send a moving family:
+    qubit q's channel goes through anchors[q - 1]."""
+    return frozenset(anchors[q - 1] for q in moving)
 
 
 @dataclass(frozen=True)
@@ -231,11 +243,12 @@ class _Evaluation:
     initial_concurrence: float
 
 
-def _evaluate(identities, rho0, finals, params, *, anchor, normalization_exponent,
+def _evaluate(identities, rho0, finals, params, moving, *, anchor, normalization_exponent,
               aggregation):
     """Evaluate identities[i] on scenario i of S scenarios that share the
     pure initial density matrix rho0 (d, d), given their many-sided final
-    states finals (S, d, d) and Pauli parameters params (S, n, 4). Every
+    states finals (S, d, d), Pauli parameters params (S, n, 4) and the
+    qubits `moving` whose family moves entries. Every
     identity is on the same cut, so one kernel call reads lhs, C(psi) and
     the factors it measures from their factor states; a factor whose anchor
     qubit stands alone on its side of the cut is C(psi) * max(0,
@@ -252,7 +265,8 @@ def _evaluate(identities, rho0, finals, params, *, anchor, normalization_exponen
     measured = [q for q in range(n) if anchors[q] not in lone]
 
     # one kernel stack: the final states, the measured factor states, rho0
-    states = _factor_states(rho0, params[:, measured], [anchors[q] for q in measured])
+    states = _factor_states(rho0, params[:, measured], [anchors[q] for q in measured],
+                            _moving_anchors(anchors, moving))
     totals = cut_totals(np.concatenate((finals, states.reshape(-1, d, d), rho0[None])), cut)
     lhs = totals[:samples]
     initial_c = float(totals[-1])
@@ -304,13 +318,17 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         if not isinstance(channel, PauliChannel):
             raise ValueError(f"expected a PauliChannel, got {channel!r}")
     params = np.array([[ch.a for ch in channels]])
+    moving = moving_qubits((q, ch.family) for q, ch in enumerate(channels, start=1))
     rho0 = psi.to_density().mat
-    finals, final_ranks = _final_states(rho0, params)
-    ev = _evaluate((identity,), rho0, finals, params, anchor=anchor,
+    finals, final_ranks = _final_states(rho0, params, moving)
+    ev = _evaluate((identity,), rho0, finals, params, moving, anchor=anchor,
                    normalization_exponent=normalization_exponent,
                    aggregation=aggregation)
     final_rank = int(final_ranks[0])
-    factor_ranks = _evolved_ranks(_factor_states(rho0, params, ev.anchors)[0])
+    # every factor state lies in the closure under the anchors it moves
+    factor_moving = _moving_anchors(ev.anchors, moving)
+    factor_ranks = _evolved_ranks(support_plan(rho0 != 0, factor_moving),
+                                  _factor_states(rho0, params, ev.anchors, factor_moving)[0])
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -508,14 +526,15 @@ def run_campaign(config):
     rho0 = psi.to_density().mat
     families = [_canonical_family(fam) for fam in config.channels]
     # new qubit k takes the channel drawn for old qubit relabel[k]
-    order = [q - 1 for q in config.relabel] if config.relabel is not None else slice(None)
+    order = [q - 1 for q in config.relabel] if config.relabel is not None else list(range(n))
+    moving = moving_qubits((k, families[old]) for k, old in enumerate(order, start=1))
 
     rng = np.random.default_rng(config.seed)
     rows = []
     for start in range(0, config.samples, _STACK):
         indices = range(start, min(config.samples, start + _STACK))
         params = draw_params(families, rng, len(indices))[:, order]
-        finals, ranks = _final_states(rho0, params)
+        finals, ranks = _final_states(rho0, params, moving)
         ranks = ranks.tolist()
         by_rank = {r: forced if forced is not None else _suggested_identity(r, cut)
                    for r in set(ranks)}
@@ -524,7 +543,7 @@ def run_campaign(config):
         results = {}
         if evaluated:
             ev = _evaluate([identities[k] for k in evaluated], rho0, finals[evaluated],
-                           params[evaluated], anchor=config.anchor,
+                           params[evaluated], moving, anchor=config.anchor,
                            normalization_exponent=config.normalization_exponent,
                            aggregation=config.aggregation)
             results = dict(zip(evaluated, zip(ev.lhs.tolist(), ev.rhs.tolist(),

@@ -13,6 +13,12 @@ halves on span{i, d-1-i}, [[a, z*], [z, b]] with z below the diagonal, whose
 eigenvalues are (a + b)/2 +- sqrt(((a - b)/2)^2 + |z|^2). Like `eigvalsh`,
 the closed form reads the real diagonal and the lower triangle.
 
+`block_ranks` reads the ranks of a stack that is block-diagonal over the
+components of a known support pattern (`block_partition`): the 1x1 blocks
+from the diagonal, the 2x2 blocks by the same closed form, and the larger
+blocks by one `eigvalsh` per block size. Evolved stacks get their ranks
+this way; `hermitian_spectra` serves one-matrix paths and validation.
+
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
 big-endian: qubit 1 is the leftmost tensor factor, so basis index i has the
 bit of qubit k at position n-k, and |011> has index 3 for n=3.
@@ -89,6 +95,17 @@ def _x_layout(dim):
     return layout
 
 
+def _pair_eigenvalues(a, b, z):
+    """Eigenvalues (low, high) of the Hermitian 2x2 matrices [[a, z*], [z, b]]
+    given their real diagonals a, b and lower entries z, elementwise:
+    (a + b)/2 -+ sqrt(((a - b)/2)^2 + |z|^2)."""
+    mean, half = 0.5 * (a + b), 0.5 * (a - b)
+    # |z| by correctly rounded operations only, so no SIMD path can make a
+    # value depend on its position in the stack
+    radius = np.sqrt(half * half + (z.real * z.real + z.imag * z.imag))
+    return mean - radius, mean + radius
+
+
 def hermitian_spectra(mats):
     """Ascending spectra (..., d) of a (..., d, d) stack of Hermitian matrices,
     as `eigvalsh` reads them, without checks. Each matrix whose entries off
@@ -106,12 +123,8 @@ def hermitian_spectra(mats):
     if dim < 2 or not x.any():
         return np.linalg.eigvalsh(mats)
     # the closed form of every matrix, overwritten where eigvalsh runs
-    a, b, z = flat[:, near].real, flat[:, far].real, flat[:, anti]
-    mean, half = 0.5 * (a + b), 0.5 * (a - b)
-    # |z| by correctly rounded operations only, so no SIMD path can make a
-    # value depend on its position in the stack
-    radius = np.sqrt(half * half + (z.real * z.real + z.imag * z.imag))
-    eigs = np.sort(np.concatenate((mean - radius, mean + radius), axis=1), axis=1)
+    halves = _pair_eigenvalues(flat[:, near].real, flat[:, far].real, flat[:, anti])
+    eigs = np.sort(np.concatenate(halves, axis=1), axis=1)
     if not x.all():
         eigs[~x] = np.linalg.eigvalsh(flat[~x].reshape(-1, dim, dim))
     return eigs.reshape(mats.shape[:-1])
@@ -158,6 +171,70 @@ def spectral_ranks(eigs, tol=RANK_TOL):
     """Count of eigenvalues strictly above tol (absolute; trace is 1) in each
     spectrum of a (..., d) stack."""
     return np.count_nonzero(np.asarray(eigs) > tol, axis=-1)
+
+
+def block_partition(pattern):
+    """The connected components of a (d, d) boolean support pattern, as the
+    gathers `block_ranks` reads: basis states r and c are joined when the
+    pattern holds (r, c) or (c, r). Every matrix whose nonzero entries lie in
+    the pattern is block-diagonal over these components, so its spectrum is
+    the union of its blocks' spectra and one 0 for each state the pattern
+    does not touch, which the partition leaves out.
+
+    Returns one (size, flat indices) item per component size, ascending;
+    within a size the components run in order of their smallest state, and
+    each lists its states ascending. The indices, into a flattened d x d
+    matrix, are (K,) diagonal entries for K components of size 1, the (3, K)
+    entries a, b and z (the lower one) of [[a, z*], [z, b]] for size 2, and
+    (K, k, k) blocks for every larger size k."""
+    pattern = np.asarray(pattern, dtype=bool)
+    d = len(pattern)
+    reach = pattern | pattern.T
+    touched = reach.any(axis=1)
+    reach |= np.eye(d, dtype=bool)
+    while True:  # squaring doubles the path length each round
+        wider = (reach.astype(np.intp) @ reach.astype(np.intp)) > 0
+        if np.array_equal(wider, reach):
+            break
+        reach = wider
+    by_size = {}
+    for smallest in sorted(set(reach.argmax(axis=1)[touched].tolist())):
+        members = np.flatnonzero(reach[smallest])
+        by_size.setdefault(len(members), []).append(members)
+    partition = []
+    for size, blocks in sorted(by_size.items()):
+        m = np.array(blocks)
+        if size == 1:
+            index = m[:, 0] * (d + 1)
+        elif size == 2:
+            index = np.array([m[:, 0] * (d + 1), m[:, 1] * (d + 1), m[:, 1] * d + m[:, 0]])
+        else:
+            index = m[:, :, None] * d + m[:, None, :]
+        partition.append((size, _frozen(index)))
+    return tuple(partition)
+
+
+def block_ranks(mats, partition, tol=RANK_TOL):
+    """Ranks (S,) of a (S, d, d) stack of Hermitian matrices that are
+    block-diagonal over a `block_partition`, read without checks: 1x1 blocks
+    from the diagonal, 2x2 blocks in the closed form of `hermitian_spectra`'s
+    X branch, and the blocks of each larger size from one `eigvalsh` call.
+    Counts eigenvalues strictly above tol, as `spectral_ranks` does, for a
+    tol >= 0: the states the partition leaves out hold eigenvalues 0. Every
+    operation acts per matrix, so a rank does not depend on the stack."""
+    flat = mats.reshape(len(mats), -1)
+    ranks = np.zeros(len(mats), dtype=np.intp)
+    for size, index in partition:
+        if size == 1:
+            eigs = (flat[:, index].real,)
+        elif size == 2:
+            a, b, z = np.moveaxis(flat[:, index], 1, 0)
+            eigs = _pair_eigenvalues(a.real, b.real, z)
+        else:
+            eigs = (np.linalg.eigvalsh(flat[:, index]),)
+        for e in eigs:
+            ranks += np.count_nonzero(e.reshape(len(mats), -1) > tol, axis=1)
+    return ranks
 
 
 class DensityMatrix:

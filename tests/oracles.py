@@ -7,7 +7,8 @@ and their roots, both at 60 digits in mpmath, partial traces and qubit
 reorderings by explicit index loops, pure-state cut concurrences from
 reduced purity, the generalized concurrence by its dense definition over
 Kronecker-built inversions, and local channels by the operator sum over
-every product of per-qubit Kraus choices. None of it calls into conclab.
+every product of per-qubit Kraus choices, by superoperator contraction and
+in the XOR-class layout. None of it calls into conclab.
 """
 
 import numpy as np
@@ -311,6 +312,33 @@ def superop_evolve(mats, superops):
         out = superops[q] @ front.reshape(front.shape[0], 4, -1)
         t = np.moveaxis(out.reshape(out.shape[:1] + front.shape[1:]), (1, 2), axes)
     return t.reshape(-1, d, d)
+
+
+def class_layout_evolve(mats, params):
+    """(max(B, S), d, d) image of a (B, d, d) stack under {qubit: (S, 4)
+    Pauli parameters}, in the XOR-class layout: every entry of every class
+    {(r, r ^ x)} that some input occupies, gathered as t[x, r, b] =
+    rho_b[r, r ^ x], each qubit q (bit mask m) applied as keep * t + move *
+    t[:, r ^ m] with keep = w0 + s w3 and move = w1 + s w2 (s = -1 where
+    the class has q's bit set), and the result scattered into zeros."""
+    d = mats.shape[-1]
+    n = d.bit_length() - 1
+    flat = mats.reshape(-1, d * d)
+    rows = np.arange(d)
+    index = rows * d + (rows ^ rows[:, None])  # row x: the class x entries
+    live = np.flatnonzero(np.any(flat != 0, axis=0)[index].any(axis=1))
+    index = index[live]
+    t = flat.T[index]
+    for q in sorted(params):
+        m = 1 << (n - q)
+        w = np.square(params[q]).T
+        sign = np.where(live & m, -1.0, 1.0)[:, None]
+        keep = (w[0] + w[3] * sign)[:, None]
+        move = (w[1] + w[2] * sign)[:, None]
+        t = keep * t + move * t[:, rows ^ m]
+    out = np.zeros((t.shape[-1], d * d), dtype=complex)
+    out.T[index] = t
+    return out.reshape(-1, d, d)
 
 
 def kraus_sum_apply(kraus_lists, mat):

@@ -1,3 +1,4 @@
+import json
 from itertools import chain, combinations
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conclab import channels
 from conclab.channels import (
     PauliChannel,
     apply,
@@ -15,17 +17,21 @@ from conclab.channels import (
     flip_channel,
     flip_params,
     identity_channel,
+    moving_qubits,
     parse_channel,
     parse_channel_list,
     sample_channel,
+    support_plan,
 )
 from conclab.concurrence import wootters
 from conclab.errors import DimensionMismatchError, NotNormalizedError
 from conclab.linalg import DensityMatrix
-from conclab.states import bell, ghz, random_pure, w
+from conclab.experiments import CATALOGUE
+from conclab.states import bell, ghz, parse_state, random_pure, w
 
 from oracles import (
     PAULIS,
+    class_layout_evolve,
     kraus_sum_apply,
     kraus_superop,
     pauli_kraus,
@@ -306,6 +312,91 @@ class TestClassLayout:
                 one = evolve(mats[i:i + 1], {q: a[i:i + 1] if len(a) > 1 else a
                                              for q, a in assigned.items()})
                 assert np.array_equal(stack[i], one[0])
+
+
+# every catalogued scenario, and the rank-16 one the benchmark runs
+SCENARIOS = [entry[:2] for entry in CATALOGUE] + [("ghz4", ("GeneralPauli",) * 4)]
+
+
+def _assigned(params, qubits):
+    return {q: params[:, q - 1] for q in qubits}
+
+
+class TestSupportLayout:
+    """`evolve` on the support closure under the moving qubits' flips
+    against the class layout (bit for bit) and the superoperator contraction
+    (to 1e-15), and the plan it reads."""
+
+    @pytest.mark.parametrize("state, families", SCENARIOS,
+                             ids=["-".join((s, *f)) for s, f in SCENARIOS])
+    def test_catalogue_matches_class_layout(self, state, families):
+        rho0 = parse_state(state).to_density().mat
+        n = len(families)
+        params = draw_params(families, np.random.default_rng(2200), 32)
+        assigned = _assigned(params, range(1, n + 1))
+        got = evolve(rho0[None], assigned, moving_qubits(enumerate(families, start=1)))
+        assert np.array_equal(got, class_layout_evolve(rho0[None], assigned))
+        superops = {q: pauli_superops(a) for q, a in assigned.items()}
+        assert np.max(np.abs(got - superop_evolve(rho0[None], superops))) <= 1e-15
+
+    def test_plan_sizes(self):
+        """The entries each scenario can fill: w4 under PF^4 keeps its 16,
+        ghz4 under general channels fills its two classes."""
+        sizes = {}
+        for state, families in SCENARIOS:
+            rho0 = parse_state(state).to_density().mat
+            plan = support_plan(rho0 != 0, moving_qubits(enumerate(families, start=1)))
+            sizes["-".join((state, *families))] = len(plan.entries)
+        assert sizes["w4-PF-PF-PF-PF"] == 16
+        assert sizes["ghz4-GeneralPauli-GeneralPauli-GeneralPauli-GeneralPauli"] == 32
+        assert sizes["ghz3-PF-PF-BF"] == 8
+        assert sizes["w3-PF-PF-PF"] == 9
+
+    @pytest.mark.parametrize("state", ["bell", "ghz3", "w3", "ghz4", "w4"])
+    def test_identity_channels(self, state):
+        """`I` is a GeneralPauli channel, so it counts as moving, and its
+        zero flip weights leave every entry as it was."""
+        rho = parse_state(state).to_density()
+        n = rho.n_qubits
+        for qubits in chain.from_iterable(combinations(range(1, n + 1), k)
+                                          for k in range(n + 1)):
+            identities = {q: identity_channel() for q in qubits}
+            out = apply(identities, rho)
+            params = {q: np.array([ch.a]) for q, ch in identities.items()}
+            assert np.array_equal(out.mat, class_layout_evolve(rho.mat[None], params)[0])
+            assert np.array_equal(out.mat, rho.mat)
+
+    def test_partial_supports_match_class_layout(self):
+        """JSON states on random subsets of the basis, under random families
+        on random qubits: most supports are not closed under the moving
+        flips, and the closure fills exactly what the oracles fill."""
+        rng = np.random.default_rng(2201)
+        grew = 0
+        for trial in range(120):
+            n = 2 + trial % 3
+            d = 1 << n
+            amps = np.zeros(d, dtype=complex)
+            chosen = rng.choice(d, int(rng.integers(1, d + 1)), replace=False)
+            amps[chosen] = rng.standard_normal(len(chosen)) + 1j * rng.standard_normal(len(chosen))
+            amps /= np.linalg.norm(amps)
+            spec = json.dumps([[a.real, a.imag] for a in amps.tolist()])
+            rho0 = parse_state(spec).to_density().mat
+            families = tuple(FAMILIES[k] for k in rng.integers(0, len(FAMILIES), n))
+            qubits = [q for q in range(1, n + 1) if rng.random() < 0.7]
+            params = draw_params(families, rng, 4)
+            assigned = _assigned(params, qubits)
+            got = evolve(rho0[None], assigned, moving_qubits(enumerate(families, start=1)))
+            assert np.array_equal(got, class_layout_evolve(rho0[None], assigned))
+            superops = {q: pauli_superops(a) for q, a in assigned.items()}
+            assert np.max(np.abs(got - superop_evolve(rho0[None], superops))) <= 1e-15
+            grew += np.any((got != 0) & (rho0 == 0))
+        assert grew > 30
+
+    def test_plan_is_cached_and_bounded(self):
+        pattern = ghz(3).to_density().mat != 0
+        assert support_plan(pattern, {3}) is support_plan(pattern.copy(), frozenset({3}))
+        assert support_plan(pattern, {3}) is not support_plan(pattern, {2, 3})
+        assert 0 < channels._plan.cache_info().maxsize <= 1024
 
 
 class TestSingleSided:

@@ -11,8 +11,10 @@ from conclab.channels import (
     FAMILIES,
     PauliChannel,
     apply,
+    draw_params,
     flip_channel,
     flip_params,
+    moving_qubits,
     sample_channel,
 )
 from conclab.concurrence import (
@@ -29,6 +31,7 @@ from conclab.concurrence import (
 )
 from conclab.errors import DimensionMismatchError
 from conclab.experiments import CATALOGUE, _tau3_bpf3
+from conclab.factorization import _factor_states, _final_states
 from conclab.linalg import (
     EIG_FLOOR,
     HERM_TOL,
@@ -744,6 +747,117 @@ class TestStackedKernel:
             cut_totals(mats, parse_cut("12|34"))
         with pytest.raises(DimensionMismatchError):
             tau3_stack(np.array([bell(SQ2).to_density().mat]))
+
+
+def _unpruned_totals(mats, gathers):
+    """Every pair's C_mn from `_pair_spectra`, added as `_cut_total` adds
+    them: the kernel without pair pruning."""
+    return concurrence._cut_total(_pair_spectra(mats, gathers)[1])
+
+
+def kernel_stacks(state, families, seed, samples=24):
+    """Stacks of one catalogued scenario that mix supports: its final
+    states, its factor states through the last qubit and through each
+    qubit itself, and rho0, together and apart."""
+    rho0 = parse_state(state).to_density().mat
+    n = len(families)
+    params = draw_params(families, np.random.default_rng(seed), samples)
+    moving = moving_qubits(enumerate(families, start=1))
+    finals = _final_states(rho0, params, moving)[0]
+    d = len(rho0)
+    factors = [_factor_states(rho0, params, anchors, frozenset(anchors[q - 1] for q in moving))
+               .reshape(-1, d, d)
+               for anchors in ((n,) * n, tuple(range(1, n + 1)))]
+    every = np.concatenate((finals, *factors, rho0[None]))
+    return every, (finals, *factors, rho0[None], every[::7])
+
+
+class TestPairPruning:
+    """`cut_totals` and `tau3_stack` run `_pair_spectra` only on the pairs
+    that can carry concurrence in a stack's union support; their totals
+    equal the unpruned kernel's bit for bit."""
+
+    @pytest.mark.parametrize("state, families", [entry[:2] for entry in CATALOGUE],
+                             ids=["-".join((e[0], *e[1])) for e in CATALOGUE])
+    def test_pruned_totals_equal_every_pair_bitwise(self, state, families):
+        every, parts = kernel_stacks(state, families, seed=2100)
+        n = len(families)
+        for block1, block2 in all_cuts(n):
+            for cut in (Bipartition(block1, block2), Bipartition(block2, block1)):
+                gathers = _pair_blocks(cut.block1, cut.block2)[1]
+                for mats in (every, *parts):
+                    got = cut_totals(mats, cut)
+                    assert got.tobytes() == _unpruned_totals(mats, gathers).tobytes()
+        if n == 3:
+            for mats in (every, *parts):
+                values = _pair_spectra(mats, concurrence._tau3_blocks())[1]
+                t1, t2, t3 = concurrence._cut_total(values.reshape(len(mats), 3, -1)).T
+                want = np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
+                assert tau3_stack(mats).tobytes() == want.tobytes()
+
+    def test_random_states_keep_every_pair(self):
+        rng = np.random.default_rng(2101)
+        for n in (2, 3, 4):
+            mats = np.array([random_density(n, 1 + k % 3, rng) for k in range(5)])
+            for block1, block2 in all_cuts(n):
+                cut = Bipartition(block1, block2)
+                gathers = _pair_blocks(block1, block2)[1]
+                assert cut_totals(mats, cut).tobytes() == _unpruned_totals(mats, gathers).tobytes()
+
+    def test_off_x_coupling_alone_keeps_a_pair(self):
+        """Two-qubit states with r03 = r12 = 0 can still be entangled through
+        their entries off the X, so those entries keep a pair live."""
+        rng = np.random.default_rng(2103)
+        mats = []
+        for _ in range(200):
+            v = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+            rho = v @ v.conj().T
+            rho[[0, 3, 1, 2], [3, 0, 2, 1]] = 0.0
+            rho -= min(0.0, np.linalg.eigvalsh(rho)[0]) * 1.001 * np.eye(4)
+            mats.append(rho / np.trace(rho).real)
+        mats = np.array(mats)
+        got = cut_totals(mats, parse_cut("1|2"))
+        assert got.tobytes() == _unpruned_totals(mats, _pair_blocks((1,), (2,))[1]).tobytes()
+        assert np.count_nonzero(got) > 10
+
+    @pytest.mark.parametrize("state, families, cut, pairs", [
+        ("w4", ("PF",) * 4, "123|4", [3]),
+        ("w4", ("PF",) * 4, "12|34", [4]),
+        ("ghz4", ("PF", "PF", "PF", "BF"), "12|34", [2]),
+        ("ghz3", ("BPF",) * 3, "12|3", [2]),
+    ])
+    def test_evaluated_pairs(self, state, families, cut, pairs, monkeypatch):
+        """Only the pairs whose blocks can couple reach `_pair_spectra`."""
+        seen = []
+
+        def counting(mats, gathers):
+            seen.append(len(gathers[0]))
+            return _pair_spectra(mats, gathers)
+
+        monkeypatch.setattr(concurrence, "_pair_spectra", counting)
+        cut_totals(kernel_stacks(state, families, seed=2102)[0], parse_cut(cut))
+        assert seen == pairs
+
+    def test_figure1_evaluates_six_of_eighteen_pairs(self, monkeypatch):
+        seen = []
+
+        def counting(mats, gathers):
+            seen.append(len(gathers[0]))
+            return _pair_spectra(mats, gathers)
+
+        monkeypatch.setattr(concurrence, "_pair_spectra", counting)
+        _tau3_bpf3(np.linspace(0.0, 0.5, 11), ghz(3).to_density().mat)
+        assert seen == [6]
+
+    def test_breakdown_keeps_every_pair(self, monkeypatch):
+        """`--breakdown` prints every pair's l's, and a pruned pair's are not
+        0: the maximally mixed state's blocks are diagonal, l's all 1/8."""
+        rho = DensityMatrix(np.eye(8) / 8)
+        breakdown = bipartite_concurrence(rho, parse_cut("12|3"))
+        assert [p.lambdas for p in breakdown.pairs] == [(0.125,) * 4] * 6
+        assert [p.value for p in breakdown.pairs] == [0.0] * 6
+        monkeypatch.setattr(concurrence, "_pair_spectra", None)  # no pair is live
+        assert cut_concurrence(rho, parse_cut("12|3")) == 0.0
 
 
 class TestBipartitionParsing:

@@ -13,6 +13,7 @@ from conclab.channels import (
     evolve,
     flip_channel,
     identity_channel,
+    moving_qubits,
     sample_channel,
 )
 from conclab.concurrence import Bipartition, cut_concurrence, cut_totals, parse_cut, tau3_stack
@@ -253,7 +254,7 @@ class TestEvolvedStates:
     def test_final_states_pass_validation(self, state, families):
         rho0 = parse_state(state).to_density()
         params = draw_params(families, np.random.default_rng(1900), 64)
-        finals, ranks = _final_states(rho0.mat, params)
+        finals, ranks = _final_states(rho0.mat, params, moving_qubits(enumerate(families, 1)))
         assert finals.shape == (64, rho0.dim, rho0.dim)
         eigs = assert_trusted(finals, rho0)
         assert np.array_equal(ranks, spectral_ranks(eigs))
@@ -286,13 +287,15 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
         perm = tuple(range(n, 0, -1))
         psi, order = psi.permuted(perm), [q - 1 for q in perm]
     rho0 = psi.to_density()
-    params = draw_params([_canonical_family(f) for f in families],
-                         np.random.default_rng(900), 64)[:, order]
-    finals = _final_states(rho0.mat, params)[0]
+    families = [_canonical_family(f) for f in families]
+    params = draw_params(families, np.random.default_rng(900), 64)[:, order]
+    moving = moving_qubits((k, families[old]) for k, old in enumerate(order, start=1))
+    finals = _final_states(rho0.mat, params, moving)[0]
     identity = identity_for("product", n, cut)
-    ev = _evaluate([identity] * 64, rho0.mat, finals, params, anchor=anchor,
+    ev = _evaluate([identity] * 64, rho0.mat, finals, params, moving, anchor=anchor,
                    normalization_exponent=None, aggregation="sum")
-    states = _factor_states(rho0.mat, params, ev.anchors)
+    states = _factor_states(rho0.mat, params, ev.anchors,
+                            frozenset(ev.anchors[q - 1] for q in moving))
     assert states.shape == (64, n, 1 << n, 1 << n)
     oracle = cut_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
     lone = {b[0] for b in (identity.cut.block1, identity.cut.block2) if len(b) == 1}
@@ -700,6 +703,35 @@ class TestCampaign:
         monkeypatch.setattr(factorization, "RANK_TOL", rank_tol)
         report = run_campaign(config)
         assert len({r.rank for r in report.rows}) > 1 or config.identity != "auto"
+        monkeypatch.setattr(factorization, "_STACK", 1)
+        assert run_campaign(config).rows == report.rows
+
+    @pytest.mark.parametrize("config", [
+        CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=_STACK + 3, seed=46),
+        CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=40, seed=47,
+                       identity="sum", cut="12|34", anchor="own"),
+        CampaignConfig(state="w4", channels=("PF", "BF", "PF", "PF"), samples=40, seed=48,
+                       identity="sum", cut="12|34"),
+    ], ids=["w3-auto", "ghz4-12|34-own", "w4-12|34"])
+    def test_exact_zero_flip_rows_equal_one_sample_campaigns_bitwise(self, config, monkeypatch):
+        """A BF draw with a2 = 0 exactly moves nothing, yet its qubit still
+        counts as moving: the support plan comes from the families, so each
+        row equals its one-sample campaign bit for bit."""
+        bf = config.channels.index("BF")
+        zeroed = []
+
+        def exact_zero_flips(families, rng, samples):
+            params = draw_params(families, rng, samples)
+            rows = np.abs(params[:, bf, 1]) < 0.3  # a per-row rule: replays alike
+            params[rows, bf] = (1.0, 0.0, 0.0, 0.0)
+            zeroed.append(rows)
+            return params
+
+        monkeypatch.setattr(factorization, "draw_params", exact_zero_flips)
+        report = run_campaign(config)
+        rows = np.concatenate(zeroed)
+        assert 0 < rows.sum() < len(rows)
+        assert any(r.residual is not None for r, z in zip(report.rows, rows) if z)
         monkeypatch.setattr(factorization, "_STACK", 1)
         assert run_campaign(config).rows == report.rows
 

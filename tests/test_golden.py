@@ -22,6 +22,10 @@ CASES = {
     "campaign-ghz4-pf3bf-sum-12-34.csv": [
         "campaign", "--state", "ghz4", "--channels", "PF,PF,PF,BF", "--identity", "sum",
         "--cut", "12|34", "--samples", "25", "--seed", "7"],
+    # the only golden that sends measured factor states through the kernel
+    "campaign-w4-pf4-12-34-own.csv": [
+        "campaign", "--state", "w4", "--channels", "PF,PF,PF,PF", "--cut", "12|34",
+        "--anchor", "own", "--samples", "25", "--seed", "7"],
     "evolve-ghz3-bf-pf-bpf.csv": [
         "evolve", "--state", "ghz3", "--channels", "BF:p=0.2,PF:p=0.1,BPF:p=0.3"],
     "figure1-26.csv": ["figure1", "--points", "26"],

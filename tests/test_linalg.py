@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import linalg
-from conclab.channels import draw_params
+from conclab.channels import draw_params, moving_qubits
 from conclab.errors import (
     DimensionMismatchError,
     InvalidPermutationError,
@@ -20,6 +20,8 @@ from conclab.linalg import (
     RANK_TOL,
     TRACE_TOL,
     DensityMatrix,
+    block_partition,
+    block_ranks,
     density_spectra,
     hermitian_spectra,
     n_qubits_of,
@@ -333,14 +335,15 @@ def _off_x(d):
 
 @pytest.fixture
 def eigvalsh_stacks(monkeypatch):
-    """The number of matrices of every `eigvalsh` call made from
+    """(number of matrices, dimension) of every `eigvalsh` call made from
     `conclab.linalg`. Calls from anywhere else are not counted."""
     seen = []
     eigvalsh = np.linalg.eigvalsh
 
     def counting(mats, *args, **kwargs):
         if sys._getframe(1).f_globals.get("__name__") == linalg.__name__:
-            seen.append(int(np.prod(np.shape(mats)[:-2])))
+            shape = np.shape(mats)
+            seen.append((int(np.prod(shape[:-2])), shape[-1]))
         return eigvalsh(mats, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
@@ -407,7 +410,7 @@ class TestHermitianSpectra:
             m = _x_rotated(rng.dirichlet(np.ones(8)), rng)
             m[i, j] = 0.5 * HERM_TOL
             assert np.array_equal(density_spectra(m), np.linalg.eigvalsh(m))
-        assert eigvalsh_stacks == [1] * 24
+        assert eigvalsh_stacks == [(1, 8)] * 24
 
     def test_mixed_stack_equals_one_state_calls(self, eigvalsh_stacks):
         from oracles import random_density
@@ -423,7 +426,7 @@ class TestHermitianSpectra:
                 mats.append(np.diag(rng.dirichlet(np.ones(8))).astype(complex))
         mats = np.array(mats)
         eigs = density_spectra(mats)
-        assert eigvalsh_stacks == [4]
+        assert eigvalsh_stacks == [(4, 8)]
         for m, e in zip(mats, eigs):
             assert np.array_equal(density_spectra(m), e)
             assert np.array_equal(hermitian_spectra(m[None])[0], e)
@@ -434,8 +437,9 @@ EVOLVED = [entry[:2] for entry in CATALOGUE] + [("ghz4", ("GeneralPauli",) * 4)]
 
 
 class TestSpectraTraffic:
-    """Which evolved stacks reach `eigvalsh`: only the W states', the one
-    catalogued kind that is not X-shaped."""
+    """Which evolved stacks reach `eigvalsh`, and at what size: final ranks
+    are read from the support blocks, so only the W states', whose one
+    block is larger than 2x2, make one call on that block."""
 
     @pytest.mark.parametrize("state, families", EVOLVED,
                              ids=["-".join((s, *f)) for s, f in EVOLVED])
@@ -443,10 +447,64 @@ class TestSpectraTraffic:
         rho0 = parse_state(state).to_density().mat
         eigvalsh_stacks.clear()
         params = draw_params(families, np.random.default_rng(1900), 64)
-        _final_states(rho0, params)
-        assert eigvalsh_stacks == ([64] if state in ("w3", "w4") else [])
+        _final_states(rho0, params, moving_qubits(enumerate(families, start=1)))
+        assert eigvalsh_stacks == {"w3": [(64, 3)], "w4": [(64, 4)]}.get(state, [])
 
     def test_figure1_scan(self, eigvalsh_stacks):
         # the only state validated is rho0, X-shaped too
         figure1_scan()
         assert eigvalsh_stacks == []
+
+
+class TestBlockRanks:
+    """Final ranks read from the support blocks, against the full spectra."""
+
+    @pytest.mark.parametrize("state, families", EVOLVED,
+                             ids=["-".join((s, *f)) for s, f in EVOLVED])
+    def test_equal_full_spectrum_ranks(self, state, families):
+        rho0 = parse_state(state).to_density().mat
+        params = draw_params(families, np.random.default_rng(2300), 2000)
+        finals, ranks = _final_states(rho0, params, moving_qubits(enumerate(families, start=1)))
+        assert np.array_equal(ranks, spectral_ranks(np.linalg.eigvalsh(finals)))
+        if not state.startswith("w"):
+            # X-shaped: the 2x2 blocks are the X halves, in the same arithmetic
+            assert np.array_equal(ranks, spectral_ranks(hermitian_spectra(finals)))
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    @pytest.mark.parametrize("edge", [RANK_TOL, np.nextafter(RANK_TOL, 1.0)],
+                             ids=["at", "above"])
+    def test_rank_edge(self, size, edge):
+        """A block eigenvalue at RANK_TOL is dropped and one just above it
+        kept, as `spectral_ranks` counts the spectra that each block size
+        stands for: the diagonal, `hermitian_spectra`'s X closed form (the
+        2x2 block is an X half here) and `eigvalsh`."""
+        d, block, isolated = (4, [0, 3], 1) if size == 2 else (16, [1, 2, 4, 8][:size], 0)
+        pattern = np.zeros((d, d), dtype=bool)
+        pattern[np.ix_(block, block)] = True
+        pattern[isolated, isolated] = True
+        partition = block_partition(pattern)
+        assert [k for k, _ in partition] == sorted({1, size})
+        mats = []
+        for j in range(size + 1):  # j of the block's eigenvalues at the edge
+            diag = np.zeros(d)
+            diag[block] = 0.25
+            diag[block[:j]] = edge
+            diag[isolated] = edge  # a 1x1 block
+            mats.append(np.diag(diag).astype(complex))
+        mats = np.array(mats)
+        ranks = block_ranks(mats, partition)
+        full = hermitian_spectra(mats) if size == 2 else np.linalg.eigvalsh(mats)
+        assert ranks.tolist() == spectral_ranks(full).tolist()
+        if edge > RANK_TOL:
+            assert ranks.tolist() == [size + 1] * (size + 1)
+        else:
+            assert ranks[0] == size and ranks[-1] == 0
+
+    def test_partition_of_w4_under_phase_flips(self):
+        """One 4x4 block on the W4 support; the 12 states it leaves out hold
+        eigenvalues 0."""
+        partition = block_partition(parse_state("w4").to_density().mat != 0)
+        assert [k for k, _ in partition] == [4]
+        assert partition[0][1].tolist() == [[[r * 16 + c for c in (1, 2, 4, 8)]
+                                             for r in (1, 2, 4, 8)]]
+
