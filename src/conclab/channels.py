@@ -37,7 +37,7 @@ into itself, and outside it every step maps zeros to zeros. Which qubits
 move is read from the families, never from the drawn values, so no state's
 layout depends on the draws it is stacked with. A state nonzero only on
 the closure is block-diagonal over the closure's connected components,
-which is where ranks are read (`linalg.block_ranks`).
+which is where spectra and ranks are read (`linalg.block_spectra`).
 
 A `SupportPlan` holds one closure: its entries, their signs s and partner
 indices per qubit, and its block partition, cached per (pattern, moving
@@ -257,7 +257,8 @@ def apply(channels, rho):
     """Send a `DensityMatrix` through local channels given as {qubit:
     PauliChannel}, one qubit at a time in qubit order: the one-matrix case
     of `evolve`. Unassigned qubits are left untouched. Returns the evolved
-    state unvalidated: see the trust contract in `conclab.concurrence`."""
+    state unvalidated, its spectrum read from the blocks of its
+    `SupportPlan`: see the trust contract in `conclab.concurrence`."""
     n = rho.n_qubits
     for qubit, channel in channels.items():
         if isinstance(qubit, bool) or not isinstance(qubit, Integral) or not 1 <= qubit <= n:
@@ -266,7 +267,8 @@ def apply(channels, rho):
             raise ValueError(f"qubit {qubit} needs a PauliChannel, got {channel!r}")
     params = {q: np.array([ch.a]) for q, ch in channels.items()}
     moving = moving_qubits((q, ch.family) for q, ch in channels.items())
-    return DensityMatrix._evolved(evolve(rho.mat[None], params, moving)[0])
+    plan = support_plan(rho.mat != 0, moving)
+    return DensityMatrix._evolved(plan.evolve(rho.mat[None], params)[0], plan.blocks)
 
 
 def _json_real(value, what):

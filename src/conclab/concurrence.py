@@ -108,8 +108,9 @@ at or above lambda_min(rho0). A block's entries are the state's, so it is
 Hermitian to HERM_TOL; by Cauchy interlacing its eigenvalues sit at or
 above EIG_FLOOR - 4 * HERM_TOL, the 4 covering `eigh` reading a triangle
 that the gather reordered. The same argument lets every other module hand
-evolved states to this kernel, and read their ranks from their support
-blocks or `hermitian_spectra`, unchecked: only inputs are validated.
+evolved states to this kernel, and read their spectra and ranks from their
+support blocks (`linalg.block_spectra`), unchecked: only inputs are
+validated.
 """
 
 from dataclasses import dataclass
@@ -119,7 +120,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import _x_layout, n_qubits_of, permutation_indices
+from .linalg import n_qubits_of, permutation_indices
 
 
 @dataclass(frozen=True)
@@ -213,16 +214,22 @@ class ConcurrenceBreakdown:
 _FLIP_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])
 _FLIP_SIGNS.setflags(write=False)
 
+# flat indices, in a 4x4 block, of the eight entries off the diagonal and the
+# anti-diagonal, and of the X entries r00, r11, r33, r22, r30, r21: the two
+# halves' diagonals, then their lower anti-diagonal entries
+_OFF_X = np.array([1, 2, 4, 7, 8, 11, 13, 14])
+_X_ENTRIES = np.array([0, 5, 15, 10, 12, 9])
+_OFF_X.setflags(write=False)
+_X_ENTRIES.setflags(write=False)
+
 
 def _gathers(flat):
     """The (P, 4, 4) flat indices of P principal blocks in a flattened
     state, with the (8, P) indices of each block's entries off its diagonal
     and anti-diagonal and the (6, P) indices of its X entries r00, r11,
-    r33, r22, r30, r21 (the lower triangle `eigh` reads), both laid out by
-    `_x_layout(4)`."""
-    off_x, near, far, anti = _x_layout(4)
+    r33, r22, r30, r21 (the lower triangle `eigh` reads)."""
     cells = flat.reshape(len(flat), 16)
-    gathers = (flat, cells[:, off_x].T, cells[:, np.concatenate((near, far, anti))].T)
+    gathers = (flat, cells[:, _OFF_X].T, cells[:, _X_ENTRIES].T)
     for a in gathers:
         a.setflags(write=False)
     return gathers

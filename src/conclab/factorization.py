@@ -54,18 +54,19 @@ Scenarios are evaluated as stacks that share one initial state and one
 cut, fed only their (S, n, 4) channel parameters and the qubits whose
 family moves entries: one many-sided `evolve` in the scenario's
 `SupportPlan` gives every final state, the plan's support blocks give its
-rank (at RANK_TOL, by `linalg.block_ranks`), and one kernel call gives lhs
-and C(psi) for every row, whichever identity the row takes. Each factor
-whose anchor stands alone is C(psi) * c($) from the parameters; each other
-factor (the cut 12|34, or `anchor="own"` on a shared block) is read from
-one single-sided `evolve` per anchor qubit, whose states join the same
-kernel call. rhs and residual then follow per identity on its rows. A
+rank (`spectral_ranks` of `linalg.block_spectra`, at RANK_TOL), and one
+kernel call gives lhs and C(psi) for every row, whichever identity the row
+takes. Each factor whose anchor stands alone is C(psi) * c($) from the
+parameters; each other factor (the cut 12|34, or `anchor="own"` on a
+shared block) is read from one single-sided `evolve` per anchor qubit,
+whose states join the same kernel call. rhs and residual then follow per identity on its rows. A
 campaign makes one such evaluation per stack that holds an evaluated row,
-and `evaluate_identity` is the one-row case; it also evolves every factor
-state, one `evolve` per anchor, only to read its rank from the blocks of
-the closure under the anchors it moves. Only the initial state is
-validated; see the trust contract in
-`conclab.concurrence`.
+and `evaluate_identity` is the one-row case. It also reports every
+factor's rank, read the same way from the blocks of the plan that evolved
+the factor state: the states the kernel measured are reused, and only the
+closed-form factors' states are evolved for it, one `evolve` per anchor.
+Campaigns read no factor rank. Only the initial state is validated; see
+the trust contract in `conclab.concurrence`.
 """
 
 import json
@@ -75,11 +76,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import (PauliChannel, _canonical_family, draw_params, evolve, moving_qubits,
-                       support_plan)
+from .channels import PauliChannel, _canonical_family, draw_params, moving_qubits, support_plan
 from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
-from .linalg import RANK_TOL, block_ranks
+from .linalg import RANK_TOL, block_spectra, spectral_ranks
 from .states import parse_state
 
 PRODUCT = "product"
@@ -189,36 +189,38 @@ class IdentityReport:
     factors: tuple
 
 
-def _evolved_ranks(plan, states):
-    """Ranks (S,) of a (S, d, d) stack of states evolved within a
-    `SupportPlan`, from its blocks unchecked: the trust contract of
-    `conclab.concurrence`. RANK_TOL is read at each call."""
-    return block_ranks(states, plan.blocks, RANK_TOL)
-
-
 def _final_states(rho0, params, moving):
     """Many-sided final states (S, d, d) of the validated initial density
     matrix rho0 (d, d) under S draws of per-qubit Pauli parameters
-    (S, n, 4), and their ranks (S,); `moving` holds the qubits whose family
-    moves entries. See the trust contract in `conclab.concurrence`."""
+    (S, n, 4), and their ranks (S,), read from the blocks of the plan that
+    evolves them at RANK_TOL (read at each call); `moving` holds the qubits
+    whose family moves entries. See the trust contract in
+    `conclab.concurrence`."""
     plan = support_plan(rho0 != 0, moving)
     finals = plan.evolve(rho0[None], {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
-    return finals, _evolved_ranks(plan, finals)
+    return finals, spectral_ranks(block_spectra(finals, plan.blocks), RANK_TOL)
+
+
+def _anchor_plan(rho0, anchor_q, moving):
+    """The `SupportPlan` of rho0's factor states sent through qubit anchor_q
+    alone, which moves entries when it is in `moving`."""
+    return support_plan(rho0 != 0, moving & {anchor_q})
 
 
 def _factor_states(rho0, params, anchors, moving):
     """Single-sided factor states (S, k, d, d) of the validated initial
     density matrix rho0 (d, d) under Pauli parameters params (S, k, 4):
     column j sends the channels params[:, j] through qubit anchors[j]
-    alone, one `evolve` per anchor qubit. `moving` holds the anchors that
-    some column sends a moving family through. Unvalidated; see the trust
-    contract in `conclab.concurrence`."""
+    alone, one `evolve` per anchor qubit in its `_anchor_plan`. `moving`
+    holds the anchors that some column sends a moving family through.
+    Unvalidated; see the trust contract in `conclab.concurrence`."""
     samples, k = params.shape[:2]
     d = rho0.shape[-1]
     states = np.empty((samples, k, d, d), dtype=complex)
     for anchor_q in sorted(set(anchors)):
         cols = [j for j in range(k) if anchors[j] == anchor_q]
-        evolved = evolve(rho0[None], {anchor_q: params[:, cols].reshape(-1, 4)}, moving)
+        evolved = _anchor_plan(rho0, anchor_q, moving).evolve(
+            rho0[None], {anchor_q: params[:, cols].reshape(-1, 4)})
         states[:, cols] = evolved.reshape(samples, len(cols), d, d)
     return states
 
@@ -232,7 +234,9 @@ def _moving_anchors(anchors, moving):
 @dataclass(frozen=True)
 class _Evaluation:
     """Identities on a stack of S scenarios: (S,) arrays lhs, rhs, residual
-    and exponent, (S, n) factor values and each factor's anchor qubit."""
+    and exponent, (S, n) factor values, each factor's anchor qubit, and the
+    states (S, m, d, d) of the m factors the kernel measured, whose 0-based
+    indices are `measured`."""
 
     lhs: np.ndarray
     rhs: np.ndarray
@@ -241,6 +245,8 @@ class _Evaluation:
     factors: np.ndarray
     anchors: tuple
     initial_concurrence: float
+    measured: list
+    factor_states: np.ndarray
 
 
 def _evaluate(identities, rho0, finals, params, moving, *, anchor, normalization_exponent,
@@ -296,7 +302,8 @@ def _evaluate(identities, rho0, finals, params, moving, *, anchor, normalization
         residual[rows] = np.abs(lhs[rows] * scale - rhs[rows])
         exponents[rows] = exponent
     return _Evaluation(lhs=lhs, rhs=rhs, residual=residual, exponents=exponents,
-                       factors=factors, anchors=anchors, initial_concurrence=initial_c)
+                       factors=factors, anchors=anchors, initial_concurrence=initial_c,
+                       measured=measured, factor_states=states)
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
@@ -325,10 +332,18 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
                    normalization_exponent=normalization_exponent,
                    aggregation=aggregation)
     final_rank = int(final_ranks[0])
-    # every factor state lies in the closure under the anchors it moves
+    # each factor's rank from the blocks of the plan that evolves its state:
+    # the states the kernel measured, and the others, evolved only for this
     factor_moving = _moving_anchors(ev.anchors, moving)
-    factor_ranks = _evolved_ranks(support_plan(rho0 != 0, factor_moving),
-                                  _factor_states(rho0, params, ev.anchors, factor_moving)[0])
+    closed = [q for q in range(n) if q not in ev.measured]
+    states = np.empty((n, *rho0.shape), dtype=complex)
+    states[ev.measured] = ev.factor_states[0]
+    states[closed] = _factor_states(rho0, params[:, closed], [ev.anchors[q] for q in closed],
+                                    factor_moving)[0]
+    factor_ranks = []
+    for state, anchor_q in zip(states, ev.anchors):
+        blocks = _anchor_plan(rho0, anchor_q, factor_moving).blocks
+        factor_ranks.append(int(spectral_ranks(block_spectra(state[None], blocks), RANK_TOL)[0]))
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -344,8 +359,7 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         anchor=anchor,
         factors=tuple(
             FactorReport(qubit=q, anchor=ev.anchors[q - 1], value=value, rank=rank)
-            for q, value, rank in zip(range(1, n + 1), ev.factors[0].tolist(),
-                                      factor_ranks.tolist())),
+            for q, value, rank in zip(range(1, n + 1), ev.factors[0].tolist(), factor_ranks)),
     )
 
 

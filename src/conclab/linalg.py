@@ -2,29 +2,23 @@
 permutation indices, and density-matrix validation, of one matrix (the
 `DensityMatrix` container) or of a (..., d, d) stack.
 
-Only inputs are validated, once, by `density_spectra` inside `DensityMatrix`,
-the only raiser of NotHermitianError and NotPSDError; evolved states
-(`DensityMatrix._evolved`) are trusted unchecked: see `conclab.concurrence`.
-
-`hermitian_spectra` reads X-shaped matrices, whose only nonzero entries sit
-on the diagonal and the anti-diagonal, in closed form (Yu and Eberly,
-Quantum Inf. Comput. 7, 2007). Such a matrix is the direct sum of its 2x2
-halves on span{i, d-1-i}, [[a, z*], [z, b]] with z below the diagonal, whose
-eigenvalues are (a + b)/2 +- sqrt(((a - b)/2)^2 + |z|^2). Like `eigvalsh`,
-the closed form reads the real diagonal and the lower triangle.
-
-`block_ranks` reads the ranks of a stack that is block-diagonal over the
-components of a known support pattern (`block_partition`): the 1x1 blocks
-from the diagonal, the 2x2 blocks by the same closed form, and the larger
-blocks by one `eigvalsh` per block size. Evolved stacks get their ranks
-this way; `hermitian_spectra` serves one-matrix paths and validation.
+Each kind of state has one spectrum path. Inputs are validated, once, by
+`density_spectra` inside `DensityMatrix`, the only raiser of
+NotHermitianError and NotPSDError, which reads their spectra with one
+`eigvalsh` call. Evolved states are trusted unchecked (see
+`conclab.concurrence`): `block_spectra` reads the spectra of a stack that
+is block-diagonal over the components of a known support pattern
+(`block_partition`), the 1x1 blocks from the diagonal, each 2x2 block
+[[a, z*], [z, b]], z below the diagonal, as (a + b)/2 +- sqrt(((a - b)/2)^2
++ |z|^2) (`_pair_eigenvalues`), and the larger blocks by one `eigvalsh` per
+block size. Like
+`eigvalsh`, it reads the real diagonal and the lower triangle. Every rank
+is `spectral_ranks` of such a spectrum.
 
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
 big-endian: qubit 1 is the leftmost tensor factor, so basis index i has the
 bit of qubit k at position n-k, and |011> has index 3 for n=3.
 """
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -80,62 +74,26 @@ def permutation_indices(n_qubits, perm):
     return src
 
 
-@lru_cache(maxsize=None)
-def _x_layout(dim):
-    """Flat indices, in a dim x dim matrix, of the entries off the diagonal and
-    the anti-diagonal, and of each 2x2 half {i, dim-1-i} (i < dim/2): its
-    two diagonal entries and its lower anti-diagonal entry."""
-    rows, cols = np.indices((dim, dim))
-    off_x = np.flatnonzero((rows != cols) & (rows + cols != dim - 1))
-    near = np.arange(dim // 2)
-    far = dim - 1 - near
-    layout = (off_x, near * (dim + 1), far * (dim + 1), far * dim + near)
-    for a in layout:
-        a.setflags(write=False)
-    return layout
-
-
 def _pair_eigenvalues(a, b, z):
     """Eigenvalues (low, high) of the Hermitian 2x2 matrices [[a, z*], [z, b]]
     given their real diagonals a, b and lower entries z, elementwise:
-    (a + b)/2 -+ sqrt(((a - b)/2)^2 + |z|^2)."""
-    mean, half = 0.5 * (a + b), 0.5 * (a - b)
-    # |z| by correctly rounded operations only, so no SIMD path can make a
+    (a + b)/2 -+ r with r = sqrt(h^2 + |z|^2) and h = |a - b|/2, read as
+    min(a, b) - s and max(a, b) + s with s = r - h = |z|^2 / (r + h). No
+    step cancels, so a diagonal block (z = 0) gives a and b exactly."""
+    half = 0.5 * np.abs(a - b)
+    # |z|^2 by correctly rounded operations only, so no SIMD path can make a
     # value depend on its position in the stack
-    radius = np.sqrt(half * half + (z.real * z.real + z.imag * z.imag))
-    return mean - radius, mean + radius
-
-
-def hermitian_spectra(mats):
-    """Ascending spectra (..., d) of a (..., d, d) stack of Hermitian matrices,
-    as `eigvalsh` reads them, without checks. Each matrix whose entries off
-    the diagonal and anti-diagonal are all exactly 0, in both triangles, is
-    read in closed form (see module docstring); only the others reach one
-    `eigvalsh` call, and a stack with no X-shaped matrix goes to it whole,
-    uncopied.
-    Every operation acts per matrix, so a matrix's spectrum does not depend
-    on the stack it shares."""
-    mats = np.asarray(mats)
-    dim = mats.shape[-1]
-    flat = mats.reshape(-1, dim * dim)
-    off_x, near, far, anti = _x_layout(dim)
-    x = ~np.take(flat, off_x, axis=1).any(axis=1)
-    if dim < 2 or not x.any():
-        return np.linalg.eigvalsh(mats)
-    # the closed form of every matrix, overwritten where eigvalsh runs
-    halves = _pair_eigenvalues(flat[:, near].real, flat[:, far].real, flat[:, anti])
-    eigs = np.sort(np.concatenate(halves, axis=1), axis=1)
-    if not x.all():
-        eigs[~x] = np.linalg.eigvalsh(flat[~x].reshape(-1, dim, dim))
-    return eigs.reshape(mats.shape[:-1])
+    zz = z.real * z.real + z.imag * z.imag
+    gap = np.sqrt(half * half + zz) + half
+    shift = np.divide(zz, gap, out=np.zeros_like(zz), where=gap > 0)
+    return np.minimum(a, b) - shift, np.maximum(a, b) + shift
 
 
 def density_spectra(mats):
     """Validate a density matrix, or every matrix of a (..., d, d) stack: finite
     entries, Hermitian within HERM_TOL, unit trace within TRACE_TOL, lowest
     eigenvalue at least EIG_FLOOR. Returns the ascending spectra, (..., d),
-    from `hermitian_spectra`: closed form for X-shaped matrices, one eigvalsh
-    call for the rest.
+    from one `eigvalsh` call.
 
     A failing stack raises the error class and message that its first
     failing matrix raises on its own (for Hermiticity, its worst matrix).
@@ -156,10 +114,7 @@ def density_spectra(mats):
     if bad.size:
         tr = complex(traces[bad[0]])
         raise ValueError(f"density matrix trace {tr:.12g} deviates from 1 by > {TRACE_TOL:.1e}")
-    # an entry of modulus above about 1e154, which no density matrix has,
-    # overflows the closed form, whose lowest eigenvalue is then -inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        eigs = hermitian_spectra(mats)
+    eigs = np.linalg.eigvalsh(mats)
     lowest = eigs[..., 0].reshape(-1)
     bad = np.flatnonzero(lowest < EIG_FLOOR)
     if bad.size:
@@ -175,7 +130,7 @@ def spectral_ranks(eigs, tol=RANK_TOL):
 
 def block_partition(pattern):
     """The connected components of a (d, d) boolean support pattern, as the
-    gathers `block_ranks` reads: basis states r and c are joined when the
+    gathers `block_spectra` reads: basis states r and c are joined when the
     pattern holds (r, c) or (c, r). Every matrix whose nonzero entries lie in
     the pattern is block-diagonal over these components, so its spectrum is
     the union of its blocks' spectra and one 0 for each state the pattern
@@ -214,27 +169,29 @@ def block_partition(pattern):
     return tuple(partition)
 
 
-def block_ranks(mats, partition, tol=RANK_TOL):
-    """Ranks (S,) of a (S, d, d) stack of Hermitian matrices that are
-    block-diagonal over a `block_partition`, read without checks: 1x1 blocks
-    from the diagonal, 2x2 blocks in the closed form of `hermitian_spectra`'s
-    X branch, and the blocks of each larger size from one `eigvalsh` call.
-    Counts eigenvalues strictly above tol, as `spectral_ranks` does, for a
-    tol >= 0: the states the partition leaves out hold eigenvalues 0. Every
-    operation acts per matrix, so a rank does not depend on the stack."""
+def block_spectra(mats, partition):
+    """Eigenvalues (S, d) of a (S, d, d) stack of Hermitian matrices that are
+    block-diagonal over a `block_partition`, read without checks and not
+    sorted: the 1x1 blocks from the diagonal, the 2x2 blocks in closed form
+    (see module docstring), the blocks of each larger size from one
+    `eigvalsh` call, in partition order, and then 0 for each state the
+    partition leaves out. Every operation acts per matrix, so a spectrum
+    does not depend on the stack."""
     flat = mats.reshape(len(mats), -1)
-    ranks = np.zeros(len(mats), dtype=np.intp)
+    eigs = np.zeros((len(mats), mats.shape[-1]))
+    start = 0
     for size, index in partition:
         if size == 1:
-            eigs = (flat[:, index].real,)
+            parts = (flat[:, index].real,)
         elif size == 2:
             a, b, z = np.moveaxis(flat[:, index], 1, 0)
-            eigs = _pair_eigenvalues(a.real, b.real, z)
+            parts = _pair_eigenvalues(a.real, b.real, z)
         else:
-            eigs = (np.linalg.eigvalsh(flat[:, index]),)
-        for e in eigs:
-            ranks += np.count_nonzero(e.reshape(len(mats), -1) > tol, axis=1)
-    return ranks
+            parts = (np.linalg.eigvalsh(flat[:, index]).reshape(len(mats), -1),)
+        for part in parts:
+            eigs[:, start:start + part.shape[1]] = part
+            start += part.shape[1]
+    return eigs
 
 
 class DensityMatrix:
@@ -259,11 +216,13 @@ class DensityMatrix:
         self._eigs = _frozen(eigs)
 
     @classmethod
-    def _evolved(cls, mat):
+    def _evolved(cls, mat, partition):
         """A (d, d) state evolved from a validated one by local Pauli channels,
-        and its `hermitian_spectra`, unchecked (trust contract above)."""
+        block-diagonal over a `block_partition`, and its sorted
+        `block_spectra`, unchecked (trust contract above)."""
         self = cls.__new__(cls)
-        self.mat, self._eigs = _frozen(mat), _frozen(hermitian_spectra(mat))
+        self.mat = _frozen(mat)
+        self._eigs = _frozen(np.sort(block_spectra(mat[None], partition)[0]))
         self.n_qubits = n_qubits_of(mat.shape[0])
         return self
 

@@ -658,11 +658,14 @@ def _cli_subprocess(*argv):
 @pytest.mark.parametrize("kind, payload, needle", [
     ("matrix", [[1e308, 0], [0, 1e308]], "trace"),
     ("matrix", [[1e308, 1e308], [-1e308, 1]], "not Hermitian"),
-    ("matrix", [[0.5, 1e200], [1e200, 0.5]], "eigenvalue -inf"),
+    ("matrix", [[0.5, 1e200], [1e200, 0.5]],
+     "error: density matrix has eigenvalue -1.000e+200 < -1.0e-10\n"),
+    ("matrix", [[0.5, 1.7e308], [1.7e308, 0.5]],
+     "error: density matrix has eigenvalue -1.700e+308 < -1.0e-10\n"),
     ("state", "[1e200, 1e200]", "norm"),
     ("matrix", np.diag([1e308, 1e308, -1e308, -1e308]).tolist(), "trace nan"),
-], ids=["trace-overflow", "hermiticity-overflow", "spectrum-overflow", "norm-overflow",
-        "trace-nan"])
+], ids=["trace-overflow", "hermiticity-overflow", "spectrum-overflow", "spectrum-largest",
+        "norm-overflow", "trace-nan"])
 def test_huge_finite_input_gives_one_error_line(tmp_path, kind, payload, needle):
     if kind == "matrix":
         path = tmp_path / "rho.json"

@@ -16,6 +16,7 @@ from conclab.channels import (
     flip_params,
     moving_qubits,
     sample_channel,
+    support_plan,
 )
 from conclab.concurrence import (
     Bipartition,
@@ -37,8 +38,8 @@ from conclab.linalg import (
     HERM_TOL,
     TRACE_TOL,
     DensityMatrix,
+    block_spectra,
     density_spectra,
-    hermitian_spectra,
 )
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
@@ -671,18 +672,23 @@ def edge_channels(rng):
 class TestApplyAtValidationEdges:
     """`apply` trusts what it evolves: on inputs at every validation edge and
     channels at the weight-norm edge it never raises, and its state reads
-    its spectrum from `hermitian_spectra`, bit for bit."""
+    its spectrum from the blocks of its support plan, bit for bit."""
 
     def test_evolved_states_are_not_revalidated(self):
         channels = edge_channels(np.random.default_rng(3401))
         trace_gap = 0.0
         for rho in edge_inputs():
             n = rho.n_qubits
-            outs = [apply({q: channels[(k + q) % len(channels)] for q in range(1, n + 1)}, rho)
-                    for k in range(len(channels))]
-            outs.append(apply({1: channels[-1]}, apply({n: channels[-2]}, outs[-1])))
-            for out in outs:
-                assert np.array_equal(out.eigenvalues, hermitian_spectra(out.mat))
+            assignments = [{q: channels[(k + q) % len(channels)] for q in range(1, n + 1)}
+                           for k in range(len(channels))]
+            outs = [(a, rho, apply(a, rho)) for a in assignments]
+            inner = apply({n: channels[-2]}, outs[-1][2])
+            outs.append(({1: channels[-1]}, inner, apply({1: channels[-1]}, inner)))
+            for assigned, before, out in outs:
+                moving = moving_qubits((q, ch.family) for q, ch in assigned.items())
+                plan = support_plan(before.mat != 0, moving)
+                spectrum = np.sort(block_spectra(out.mat[None], plan.blocks)[0])
+                assert np.array_equal(out.eigenvalues, spectrum)
                 trace_gap = max(trace_gap, abs(out.mat.trace().real - 1.0))
         # some evolved state sits past the trace tolerance that its input met
         assert trace_gap > TRACE_TOL

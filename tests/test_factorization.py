@@ -7,6 +7,8 @@ import pytest
 from conclab import experiments, factorization, linalg
 from conclab.channels import (
     FAMILIES,
+    PauliChannel,
+    SupportPlan,
     _canonical_family,
     apply,
     draw_params,
@@ -259,6 +261,19 @@ class TestEvolvedStates:
         eigs = assert_trusted(finals, rho0)
         assert np.array_equal(ranks, spectral_ranks(eigs))
 
+    @pytest.mark.parametrize("state, families", EVOLVED,
+                             ids=["-".join((s, *f)) for s, f in EVOLVED])
+    def test_apply_rank_equals_campaign_rank(self, state, families):
+        """`apply`, behind `conclab evolve`, reads a final rank as campaigns
+        do: from the blocks of the same support plan."""
+        rho0 = parse_state(state).to_density()
+        families = [_canonical_family(f) for f in families]
+        params = draw_params(families, np.random.default_rng(2500), 500)
+        ranks = _final_states(rho0.mat, params, moving_qubits(enumerate(families, 1)))[1]
+        for row, rank in zip(params, ranks.tolist()):
+            channels = {q: PauliChannel(a, fam) for q, (a, fam) in enumerate(zip(row, families), 1)}
+            assert apply(channels, rho0).rank == rank
+
     def test_figure1_stacks_pass_validation(self, monkeypatch):
         stacks = []
 
@@ -356,6 +371,62 @@ class TestFactorStates:
         rep = evaluate_identity(identity_for("sum", 4), w(4), sampled(config.channels, 7))
         assert shapes == [(16, 16)] * 2
         assert [f.rank for f in rep.factors] == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("state, families, anchor, evolves", [
+        ("w4", ("PF",) * 4, "own", [[1, 2, 3, 4], [1], [2], [3], [4]]),
+        ("ghz4", ("PF", "PF", "PF", "BF"), "last", [[1, 2, 3, 4], [4]]),
+    ], ids=["w4-own", "ghz4-pf3bf"])
+    def test_verify_evolves_each_factor_state_once(self, state, families, anchor, evolves,
+                                                   monkeypatch):
+        """On 12|34 the kernel measures every factor, and `evaluate_identity`
+        reads each factor's rank from the states the kernel measured: one
+        `SupportPlan.evolve` for the final state and one per anchor qubit."""
+        calls = []
+        evolve_in_plan = SupportPlan.evolve
+
+        def counted(plan, mats, params):
+            calls.append(sorted(params))
+            return evolve_in_plan(plan, mats, params)
+
+        monkeypatch.setattr(SupportPlan, "evolve", counted)
+        channels = [flip_channel(fam, p) for fam, p in zip(families, (0.1, 0.2, 0.3, 0.4))]
+        evaluate_identity(identity_for("sum", 4, "12|34"), parse_state(state), channels,
+                          anchor=anchor)
+        assert calls == evolves
+
+    @pytest.mark.parametrize("state, families, cut, anchor", [
+        ("w4", ("PF",) * 4, "12|34", "own"),
+        ("ghz4", ("PF", "PF", "PF", "BF"), "12|34", "last"),
+        ("ghz4", ("PF", "PF", "PF", "BF"), None, "own"),
+        ("ghz3", ("PF", "PF", "BPF"), None, "last"),
+        ("w3", ("PF", "BF", "PF"), "2|13", "own"),
+    ])
+    def test_factor_ranks_equal_applied_factor_ranks(self, state, families, cut, anchor):
+        """Measured and closed factors alike: each rank is the rank of the
+        factor state that `apply` builds."""
+        psi = parse_state(state)
+        n = psi.n_qubits
+        rho0 = psi.to_density()
+        for seed in range(5):
+            channels = sampled(families, 600 + seed)
+            rep = evaluate_identity(identity_for("product", n, cut), psi, channels, anchor=anchor)
+            assert [f.rank for f in rep.factors] == [
+                apply({f.anchor: ch}, rho0).rank for f, ch in zip(rep.factors, channels)]
+
+    def test_campaign_reads_no_factor_rank(self, monkeypatch):
+        """A campaign reads one spectrum stack per evaluated stack: its final
+        states'. Factor states go to the kernel and nowhere else."""
+        shapes = []
+
+        def counted(mats, partition):
+            shapes.append(mats.shape)
+            return linalg.block_spectra(mats, partition)
+
+        monkeypatch.setattr(factorization, "block_spectra", counted)
+        config = CampaignConfig(state="w4", channels=("PF",) * 4, cut="12|34", anchor="own",
+                                samples=_STACK + 3, seed=7)
+        assert all(r.residual is not None for r in run_campaign(config).rows)
+        assert shapes == [(_STACK, 16, 16), (3, 16, 16)]
 
 
 def channel_concurrence(params):

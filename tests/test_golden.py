@@ -35,6 +35,13 @@ CASES = {
     "verify-w4-sum.csv": [
         "verify", "--identity", "sum", "--state", "w4",
         "--channels", "PF:p=0.1,PF:p=0.2,PF:p=0.3,PF:p=0.4"],
+    # a final state whose rank is read from a 4x4 support block
+    "evolve-w4-pf4.csv": [
+        "evolve", "--state", "w4", "--channels", "PF:p=0.1,PF:p=0.2,PF:p=0.3,PF:p=0.4"],
+    # every factor measured by the kernel, its rank read from its own plan
+    "verify-w4-sum-12-34-own.csv": [
+        "verify", "--identity", "sum", "--state", "w4",
+        "--channels", "PF:p=0.1,PF:p=0.2,PF:p=0.3,PF:p=0.4", "--cut", "12|34", "--anchor", "own"],
 }
 
 

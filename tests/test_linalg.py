@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conclab import linalg
-from conclab.channels import draw_params, moving_qubits
+from conclab.channels import draw_params, moving_qubits, support_plan
 from conclab.errors import (
     DimensionMismatchError,
     InvalidPermutationError,
@@ -21,9 +21,8 @@ from conclab.linalg import (
     TRACE_TOL,
     DensityMatrix,
     block_partition,
-    block_ranks,
+    block_spectra,
     density_spectra,
-    hermitian_spectra,
     n_qubits_of,
     permutation_indices,
     spectral_ranks,
@@ -351,13 +350,14 @@ def eigvalsh_stacks(monkeypatch):
 
 
 class TestHermitianSpectra:
-    """X-shaped matrices are read in closed form, every other matrix by
-    `eigvalsh`; the choice is made per matrix and changes no rank or error."""
+    """Input spectra: one `eigvalsh` call validates X-shaped, diagonal and
+    rotated stacks, and a matrix's spectrum, rank and error do not depend on
+    the stack it shares."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_x_states_match_eigvalsh(self, n, eigvalsh_stacks):
-        """Within 1e-15, with a non-Hermitian error of HERM_TOL * (1 - 1e-3) on
-        the upper anti-diagonal of every other state: both read the lower."""
+        """With a non-Hermitian error of HERM_TOL * (1 - 1e-3) on the upper
+        anti-diagonal of every other state, which `eigvalsh` does not read."""
         rng = np.random.default_rng(50 + n)
         d = 1 << n
         mats = np.array([_x_rotated(rng.dirichlet(np.ones(d)), rng) for _ in range(50)])
@@ -366,8 +366,8 @@ class TestHermitianSpectra:
                                             * HERM_TOL * (1 - 1e-3))
         assert not np.any(mats[:, _off_x(d)])
         eigs = density_spectra(mats)
-        assert eigvalsh_stacks == []
-        assert np.max(np.abs(eigs - np.linalg.eigvalsh(mats))) <= 1e-15
+        assert eigvalsh_stacks == [(50, d)]
+        assert np.array_equal(eigs, np.linalg.eigvalsh(mats))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_diagonal_states_stay_ordered(self, n):
@@ -378,12 +378,12 @@ class TestHermitianSpectra:
             if k % 2:
                 diag[-1] = diag[0]  # a tie across one half
             diag /= diag.sum()
-            eigs = hermitian_spectra(np.diag(diag).astype(complex))
+            eigs = density_spectra(np.diag(diag).astype(complex))
             assert np.all(np.diff(eigs) >= 0)
             assert np.max(np.abs(eigs - np.sort(diag))) <= 1e-15
 
     def test_one_by_one(self):
-        assert hermitian_spectra(np.ones((3, 1, 1), dtype=complex)).tolist() == [[1.0]] * 3
+        assert density_spectra(np.ones((3, 1, 1), dtype=complex)).tolist() == [[1.0]] * 3
 
     @pytest.mark.parametrize("shape", ["x", "rotated"])
     @pytest.mark.parametrize("factor", [1 - 1e-3, 1 + 1e-3])
@@ -426,10 +426,9 @@ class TestHermitianSpectra:
                 mats.append(np.diag(rng.dirichlet(np.ones(8))).astype(complex))
         mats = np.array(mats)
         eigs = density_spectra(mats)
-        assert eigvalsh_stacks == [(4, 8)]
+        assert eigvalsh_stacks == [(12, 8)]
         for m, e in zip(mats, eigs):
             assert np.array_equal(density_spectra(m), e)
-            assert np.array_equal(hermitian_spectra(m[None])[0], e)
 
 
 # every catalogued scenario, and the rank-16 one the benchmark runs
@@ -451,33 +450,34 @@ class TestSpectraTraffic:
         assert eigvalsh_stacks == {"w3": [(64, 3)], "w4": [(64, 4)]}.get(state, [])
 
     def test_figure1_scan(self, eigvalsh_stacks):
-        # the only state validated is rho0, X-shaped too
+        # the only state validated is rho0; no evolved state reaches eigvalsh
         figure1_scan()
-        assert eigvalsh_stacks == []
+        assert eigvalsh_stacks == [(1, 8)]
 
 
 class TestBlockRanks:
-    """Final ranks read from the support blocks, against the full spectra."""
+    """Final spectra and ranks read from the support blocks (`block_spectra`),
+    against the full spectra."""
 
     @pytest.mark.parametrize("state, families", EVOLVED,
                              ids=["-".join((s, *f)) for s, f in EVOLVED])
     def test_equal_full_spectrum_ranks(self, state, families):
         rho0 = parse_state(state).to_density().mat
+        moving = moving_qubits(enumerate(families, start=1))
         params = draw_params(families, np.random.default_rng(2300), 2000)
-        finals, ranks = _final_states(rho0, params, moving_qubits(enumerate(families, start=1)))
-        assert np.array_equal(ranks, spectral_ranks(np.linalg.eigvalsh(finals)))
-        if not state.startswith("w"):
-            # X-shaped: the 2x2 blocks are the X halves, in the same arithmetic
-            assert np.array_equal(ranks, spectral_ranks(hermitian_spectra(finals)))
+        finals, ranks = _final_states(rho0, params, moving)
+        full = np.linalg.eigvalsh(finals)
+        assert np.array_equal(ranks, spectral_ranks(full))
+        blocks = support_plan(rho0 != 0, moving).blocks
+        assert np.max(np.abs(np.sort(block_spectra(finals, blocks)) - full)) <= 1e-15
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("edge", [RANK_TOL, np.nextafter(RANK_TOL, 1.0)],
                              ids=["at", "above"])
     def test_rank_edge(self, size, edge):
         """A block eigenvalue at RANK_TOL is dropped and one just above it
-        kept, as `spectral_ranks` counts the spectra that each block size
-        stands for: the diagonal, `hermitian_spectra`'s X closed form (the
-        2x2 block is an X half here) and `eigvalsh`."""
+        kept, as `spectral_ranks` counts `eigvalsh`'s spectra, for each block
+        size: the diagonal, the 2x2 closed form and `eigvalsh` per size."""
         d, block, isolated = (4, [0, 3], 1) if size == 2 else (16, [1, 2, 4, 8][:size], 0)
         pattern = np.zeros((d, d), dtype=bool)
         pattern[np.ix_(block, block)] = True
@@ -492,9 +492,10 @@ class TestBlockRanks:
             diag[isolated] = edge  # a 1x1 block
             mats.append(np.diag(diag).astype(complex))
         mats = np.array(mats)
-        ranks = block_ranks(mats, partition)
-        full = hermitian_spectra(mats) if size == 2 else np.linalg.eigvalsh(mats)
-        assert ranks.tolist() == spectral_ranks(full).tolist()
+        eigs = block_spectra(mats, partition)
+        assert np.array_equal(np.sort(eigs), np.linalg.eigvalsh(mats))
+        ranks = spectral_ranks(eigs)
+        assert ranks.tolist() == spectral_ranks(np.linalg.eigvalsh(mats)).tolist()
         if edge > RANK_TOL:
             assert ranks.tolist() == [size + 1] * (size + 1)
         else:
