@@ -37,19 +37,22 @@ into itself, and outside it every step maps zeros to zeros. Which qubits
 move is read from the families, never from the drawn values, so no state's
 layout depends on the draws it is stacked with. A state nonzero only on
 the closure is block-diagonal over the closure's connected components,
-which is where spectra and ranks are read (`linalg.block_spectra`).
+which is where spectra and ranks are read.
 
 A `SupportPlan` holds one closure: its entries, their signs s and partner
 indices per qubit, and its block partition, cached per (pattern, moving
-qubits) by `support_plan`. `evolve` gathers a (B, d, d) stack into the
-support layout t[e, b] = rho_b[entry e], with the stack as the innermost
-axis. Each moving qubit applies t = keep * t + move * t[partner] and each
-other qubit t = keep * t, with keep = w0 + s w3 and move = w1 + s w2 read
-per entry, and the result is scattered into zeros once. Unassigned qubits
-are left untouched, and every entry outside the closure is exactly 0. GHZ
-states fill 2 of the d XOR classes, and W4 under PF on every qubit only its
-own 16 entries. Every step is elementwise, so a matrix's values do not
-depend on the stack it shares. `apply` is the one-matrix case.
+qubits) by `support_plan`. It owns every state evolved in it: the plan's
+`evolve` is the one channel-application path, and its `spectra` reads
+those states' spectra from its blocks (`linalg.block_spectra`). `evolve`
+gathers a (B, d, d) stack into the support layout t[e, b] = rho_b[entry e],
+with the stack as the innermost axis. Each moving qubit applies
+t = keep * t + move * t[partner] and each other qubit t = keep * t, with
+keep = w0 + s w3 and move = w1 + s w2 read per entry, and the result is
+scattered into zeros once. Unassigned qubits are left untouched, and every
+entry outside the closure is exactly 0. GHZ states fill 2 of the d XOR
+classes, and W4 under PF on every qubit only its own 16 entries. Every step
+is elementwise, so a matrix's values do not depend on the stack it shares.
+`apply` is the one-matrix case.
 """
 
 import json
@@ -60,7 +63,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError
-from .linalg import DensityMatrix, block_partition, n_qubits_of
+from .linalg import DensityMatrix, block_partition, block_spectra, n_qubits_of
 
 PARAM_NORM_TOL = 1e-12
 
@@ -185,9 +188,14 @@ class SupportPlan:
     blocks: tuple
 
     def evolve(self, mats, params):
-        """`evolve` on a (B, d, d) stack whose nonzero entries lie in the
-        plan's closure, with every assigned qubit outside `moving` carrying
-        channels with a2 = a3 = 0 (PF or the identity)."""
+        """Send a (B, d, d) stack of density matrices, nonzero only in the
+        plan's closure, through local channels given as {qubit: (S, 4) Pauli
+        parameters}, one support-layout step per qubit in qubit order (see
+        module docstring). Every assigned qubit outside `moving` must carry
+        a2 = a3 = 0 (PF or the identity). B and S broadcast, so one initial
+        state can go through S channel draws. Returns the unvalidated
+        (max(B, S), d, d) stack; see the trust contract in
+        `conclab.concurrence`."""
         d = self.dim
         t = mats.reshape(-1, d * d).T[self.entries]  # (E, B)
         for q in sorted(params):
@@ -202,6 +210,11 @@ class SupportPlan:
         out = np.zeros((t.shape[-1], d * d), dtype=complex)
         out.T[self.entries] = t
         return out.reshape(-1, d, d)
+
+    def spectra(self, states):
+        """Unsorted eigenvalues (S, d) of a (S, d, d) stack this plan evolved,
+        read from its blocks by `block_spectra`, unchecked."""
+        return block_spectra(states, self.blocks)
 
 
 @lru_cache(maxsize=256)
@@ -238,27 +251,12 @@ def support_plan(pattern, moving):
     return _plan(pattern.tobytes(), pattern.shape[-1], frozenset(moving))
 
 
-def evolve(mats, params, moving=None):
-    """Send a (B, d, d) stack of density matrices through local channels,
-    given as {qubit: (S, 4) Pauli parameters}, one support-layout step per
-    qubit in qubit order (see module docstring). `moving` holds the assigned
-    qubits whose family moves entries, read from the families and never from
-    drawn values; the others must carry a2 = a3 = 0. None means every
-    assigned qubit. B and S broadcast, so one initial state can go through
-    S channel draws. Returns the unvalidated (max(B, S), d, d) stack; see
-    the trust contract in `conclab.concurrence`."""
-    d = mats.shape[-1]
-    moving = frozenset(params) if moving is None else frozenset(moving) & frozenset(params)
-    pattern = np.any(mats.reshape(-1, d, d) != 0, axis=0)
-    return support_plan(pattern, moving).evolve(mats, params)
-
-
 def apply(channels, rho):
     """Send a `DensityMatrix` through local channels given as {qubit:
     PauliChannel}, one qubit at a time in qubit order: the one-matrix case
-    of `evolve`. Unassigned qubits are left untouched. Returns the evolved
-    state unvalidated, its spectrum read from the blocks of its
-    `SupportPlan`: see the trust contract in `conclab.concurrence`."""
+    of `SupportPlan.evolve`. Unassigned qubits are left untouched. Returns
+    the evolved state unvalidated, its spectrum read by the same plan's
+    `spectra`: see the trust contract in `conclab.concurrence`."""
     n = rho.n_qubits
     for qubit, channel in channels.items():
         if isinstance(qubit, bool) or not isinstance(qubit, Integral) or not 1 <= qubit <= n:
@@ -268,7 +266,8 @@ def apply(channels, rho):
     params = {q: np.array([ch.a]) for q, ch in channels.items()}
     moving = moving_qubits((q, ch.family) for q, ch in channels.items())
     plan = support_plan(rho.mat != 0, moving)
-    return DensityMatrix._evolved(plan.evolve(rho.mat[None], params)[0], plan.blocks)
+    final = plan.evolve(rho.mat[None], params)
+    return DensityMatrix._evolved(final[0], np.sort(plan.spectra(final)[0]))
 
 
 def _json_real(value, what):

@@ -108,9 +108,9 @@ at or above lambda_min(rho0). A block's entries are the state's, so it is
 Hermitian to HERM_TOL; by Cauchy interlacing its eigenvalues sit at or
 above EIG_FLOOR - 4 * HERM_TOL, the 4 covering `eigh` reading a triangle
 that the gather reordered. The same argument lets every other module hand
-evolved states to this kernel, and read their spectra and ranks from their
-support blocks (`linalg.block_spectra`), unchecked: only inputs are
-validated.
+evolved states to this kernel, and read their spectra and ranks from the
+blocks of the plan that evolved them (`channels.SupportPlan.spectra`),
+unchecked: only inputs are validated.
 """
 
 from dataclasses import dataclass

@@ -1,12 +1,15 @@
 """Named reproduction scenarios: the catalogue of (state, channel family)
-scenarios, the three-BPF lower-bound sweep and the rank table."""
+scenarios, the three-BPF lower-bound sweep and the rank table. The sweep
+evolves its grid with one `SupportPlan.evolve` per stack, and the rank
+table reads each final rank as campaigns do, by the `SupportPlan.spectra`
+of the plan that evolved the state."""
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import evolve, flip_params, moving_qubits
+from .channels import flip_params, moving_qubits, support_plan
 from .concurrence import tau3_stack
 from .factorization import _final_states
 from .states import parse_state
@@ -38,9 +41,10 @@ CATALOGUE = (
 def _tau3_bpf3(ps, rho0):
     """tau3 (len(ps),) of the three-qubit initial density matrix `rho0`
     (8, 8), the GHZ state, after identical BPF(p) on every qubit, for every
-    p of `ps`: one stacked evolution and kernel call; see the trust
-    contract in `conclab.concurrence`."""
-    return tau3_stack(evolve(rho0[None], dict.fromkeys((1, 2, 3), flip_params("BPF", ps))))
+    p of `ps`: one stacked `SupportPlan.evolve` and kernel call; see the
+    trust contract in `conclab.concurrence`."""
+    plan = support_plan(rho0 != 0, (1, 2, 3))
+    return tau3_stack(plan.evolve(rho0[None], dict.fromkeys((1, 2, 3), flip_params("BPF", ps))))
 
 
 @dataclass(frozen=True)

@@ -52,21 +52,22 @@ about 0.7 on random pure states.
 
 Scenarios are evaluated as stacks that share one initial state and one
 cut, fed only their (S, n, 4) channel parameters and the qubits whose
-family moves entries: one many-sided `evolve` in the scenario's
-`SupportPlan` gives every final state, the plan's support blocks give its
-rank (`spectral_ranks` of `linalg.block_spectra`, at RANK_TOL), and one
-kernel call gives lhs and C(psi) for every row, whichever identity the row
-takes. Each factor whose anchor stands alone is C(psi) * c($) from the
+family moves entries: one many-sided `SupportPlan.evolve` in the
+scenario's plan gives every final state, the same plan's
+`SupportPlan.spectra` gives its rank (`spectral_ranks` at RANK_TOL), and
+one kernel call gives lhs and C(psi) for every row, whichever identity the
+row takes. Each factor whose anchor stands alone is C(psi) * c($) from the
 parameters; each other factor (the cut 12|34, or `anchor="own"` on a
-shared block) is read from one single-sided `evolve` per anchor qubit,
-whose states join the same kernel call. rhs and residual then follow per identity on its rows. A
-campaign makes one such evaluation per stack that holds an evaluated row,
-and `evaluate_identity` is the one-row case. It also reports every
-factor's rank, read the same way from the blocks of the plan that evolved
-the factor state: the states the kernel measured are reused, and only the
-closed-form factors' states are evolved for it, one `evolve` per anchor.
-Campaigns read no factor rank. Only the initial state is validated; see
-the trust contract in `conclab.concurrence`.
+shared block) is read from one single-sided `SupportPlan.evolve` per
+anchor qubit, whose states join the same kernel call. rhs and residual
+then follow per identity on its rows. A campaign makes one such
+evaluation per stack that holds an evaluated row, and `evaluate_identity`
+is the one-row case. It also reports every factor's rank, read by the
+`spectra` of the plan that evolved the factor state: the states the
+kernel measured are reused, and only the closed-form factors' states are
+evolved for it, one `SupportPlan.evolve` per anchor. Campaigns read no
+factor rank. Only the initial state is validated; see the trust contract
+in `conclab.concurrence`.
 """
 
 import json
@@ -79,7 +80,7 @@ import numpy as np
 from .channels import PauliChannel, _canonical_family, draw_params, moving_qubits, support_plan
 from .concurrence import Bipartition, cut_totals, parse_cut
 from .errors import DimensionMismatchError
-from .linalg import RANK_TOL, block_spectra, spectral_ranks
+from .linalg import RANK_TOL, spectral_ranks
 from .states import parse_state
 
 PRODUCT = "product"
@@ -148,10 +149,6 @@ class FactorizationIdentity:
         """Degree-matching default: factors per term minus one."""
         return len(self.rhs_terms[0]) - 1
 
-    @property
-    def name(self):
-        return f"{self.form}-{self.cut.label}"
-
 
 def identity_for(form, n_qubits=None, cut=None):
     """Build an identity from a form name and either a cut or a qubit count."""
@@ -192,34 +189,29 @@ class IdentityReport:
 def _final_states(rho0, params, moving):
     """Many-sided final states (S, d, d) of the validated initial density
     matrix rho0 (d, d) under S draws of per-qubit Pauli parameters
-    (S, n, 4), and their ranks (S,), read from the blocks of the plan that
+    (S, n, 4), and their ranks (S,), read by the `spectra` of the plan that
     evolves them at RANK_TOL (read at each call); `moving` holds the qubits
     whose family moves entries. See the trust contract in
     `conclab.concurrence`."""
     plan = support_plan(rho0 != 0, moving)
     finals = plan.evolve(rho0[None], {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
-    return finals, spectral_ranks(block_spectra(finals, plan.blocks), RANK_TOL)
-
-
-def _anchor_plan(rho0, anchor_q, moving):
-    """The `SupportPlan` of rho0's factor states sent through qubit anchor_q
-    alone, which moves entries when it is in `moving`."""
-    return support_plan(rho0 != 0, moving & {anchor_q})
+    return finals, spectral_ranks(plan.spectra(finals), RANK_TOL)
 
 
 def _factor_states(rho0, params, anchors, moving):
     """Single-sided factor states (S, k, d, d) of the validated initial
     density matrix rho0 (d, d) under Pauli parameters params (S, k, 4):
     column j sends the channels params[:, j] through qubit anchors[j]
-    alone, one `evolve` per anchor qubit in its `_anchor_plan`. `moving`
-    holds the anchors that some column sends a moving family through.
-    Unvalidated; see the trust contract in `conclab.concurrence`."""
+    alone, one `SupportPlan.evolve` per anchor qubit, in the plan where
+    only that qubit can move entries. `moving` holds the anchors that some
+    column sends a moving family through. Unvalidated; see the trust
+    contract in `conclab.concurrence`."""
     samples, k = params.shape[:2]
     d = rho0.shape[-1]
     states = np.empty((samples, k, d, d), dtype=complex)
     for anchor_q in sorted(set(anchors)):
         cols = [j for j in range(k) if anchors[j] == anchor_q]
-        evolved = _anchor_plan(rho0, anchor_q, moving).evolve(
+        evolved = support_plan(rho0 != 0, moving & {anchor_q}).evolve(
             rho0[None], {anchor_q: params[:, cols].reshape(-1, 4)})
         states[:, cols] = evolved.reshape(samples, len(cols), d, d)
     return states
@@ -332,8 +324,8 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
                    normalization_exponent=normalization_exponent,
                    aggregation=aggregation)
     final_rank = int(final_ranks[0])
-    # each factor's rank from the blocks of the plan that evolves its state:
-    # the states the kernel measured, and the others, evolved only for this
+    # each factor's rank from the plan that evolves its state: the states
+    # the kernel measured, and the others, evolved only for this
     factor_moving = _moving_anchors(ev.anchors, moving)
     closed = [q for q in range(n) if q not in ev.measured]
     states = np.empty((n, *rho0.shape), dtype=complex)
@@ -342,8 +334,8 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
                                     factor_moving)[0]
     factor_ranks = []
     for state, anchor_q in zip(states, ev.anchors):
-        blocks = _anchor_plan(rho0, anchor_q, factor_moving).blocks
-        factor_ranks.append(int(spectral_ranks(block_spectra(state[None], blocks), RANK_TOL)[0]))
+        plan = support_plan(rho0 != 0, factor_moving & {anchor_q})
+        factor_ranks.append(int(spectral_ranks(plan.spectra(state[None]), RANK_TOL)[0]))
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,

@@ -6,14 +6,14 @@ Each kind of state has one spectrum path. Inputs are validated, once, by
 `density_spectra` inside `DensityMatrix`, the only raiser of
 NotHermitianError and NotPSDError, which reads their spectra with one
 `eigvalsh` call. Evolved states are trusted unchecked (see
-`conclab.concurrence`): `block_spectra` reads the spectra of a stack that
-is block-diagonal over the components of a known support pattern
-(`block_partition`), the 1x1 blocks from the diagonal, each 2x2 block
+`conclab.concurrence`), and the plan that evolved them reads their spectra
+(`channels.SupportPlan.spectra`) with `block_spectra`: a stack that is
+block-diagonal over the components of a known support pattern
+(`block_partition`) gives its 1x1 blocks from the diagonal, each 2x2 block
 [[a, z*], [z, b]], z below the diagonal, as (a + b)/2 +- sqrt(((a - b)/2)^2
 + |z|^2) (`_pair_eigenvalues`), and the larger blocks by one `eigvalsh` per
-block size. Like
-`eigvalsh`, it reads the real diagonal and the lower triangle. Every rank
-is `spectral_ranks` of such a spectrum.
+block size. Like `eigvalsh`, it reads the real diagonal and the lower
+triangle. Every rank is `spectral_ranks` of such a spectrum.
 
 All matrices are plain numpy arrays (complex128). Qubits are numbered 1..n,
 big-endian: qubit 1 is the leftmost tensor factor, so basis index i has the
@@ -216,13 +216,12 @@ class DensityMatrix:
         self._eigs = _frozen(eigs)
 
     @classmethod
-    def _evolved(cls, mat, partition):
-        """A (d, d) state evolved from a validated one by local Pauli channels,
-        block-diagonal over a `block_partition`, and its sorted
-        `block_spectra`, unchecked (trust contract above)."""
+    def _evolved(cls, mat, eigs):
+        """A (d, d) state evolved from a validated one by local Pauli channels
+        and its ascending spectrum, unchecked (trust contract above)."""
         self = cls.__new__(cls)
         self.mat = _frozen(mat)
-        self._eigs = _frozen(np.sort(block_spectra(mat[None], partition)[0]))
+        self._eigs = _frozen(eigs)
         self.n_qubits = n_qubits_of(mat.shape[0])
         return self
 

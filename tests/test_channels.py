@@ -13,7 +13,6 @@ from conclab.channels import (
     FAMILIES,
     channel_from_json,
     draw_params,
-    evolve,
     flip_channel,
     flip_params,
     identity_channel,
@@ -50,7 +49,8 @@ class TestConstruction:
         assert ch.a == (1.0, 0.0, 0.0, 0.0) and ch.family == "GeneralPauli"
         assert np.array_equal(pauli_superops(ch.a), np.eye(4))
         rho = random_density(2, 3, np.random.default_rng(1))
-        assert np.array_equal(evolve(rho[None], {2: np.array([ch.a])})[0], rho)
+        out = support_plan(rho != 0, {2}).evolve(rho[None], {2: np.array([ch.a])})
+        assert np.array_equal(out[0], rho)
 
     def test_bit_flip_on_ground_state(self):
         ch = flip_channel("BF", 0.25)
@@ -206,7 +206,8 @@ class TestApplyMatchesKrausSum:
 
 
 class TestStackedEvolution:
-    """`evolve` on stacks of channel draws against `apply` one draw at a time."""
+    """`SupportPlan.evolve` on stacks of channel draws against `apply` one
+    draw at a time."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_stack_equals_apply_per_draw_bitwise(self, n):
@@ -214,7 +215,8 @@ class TestStackedEvolution:
         rho = DensityMatrix(random_density(n, 2, rng))
         families = [FAMILIES[(q + n) % len(FAMILIES)] for q in range(n)]
         params = draw_params(families, np.random.default_rng(n * 1000), 7)
-        stack = evolve(rho.mat[None], {q: params[:, q - 1] for q in range(1, n + 1)})
+        assigned = {q: params[:, q - 1] for q in range(1, n + 1)}
+        stack = support_plan(rho.mat != 0, set(assigned)).evolve(rho.mat[None], assigned)
         for i in range(len(params)):
             channels = {q: PauliChannel(a, f)
                         for q, (a, f) in enumerate(zip(params[i], families), start=1)}
@@ -225,7 +227,7 @@ class TestStackedEvolution:
         rng = np.random.default_rng(5)
         mats = np.array([random_density(3, 3, rng) for _ in range(4)])
         channel = sample_channel("GeneralPauli", rng)
-        out = evolve(mats, {2: np.array([channel.a])})
+        out = support_plan(np.any(mats != 0, axis=0), {2}).evolve(mats, {2: np.array([channel.a])})
         for rho, got in zip(mats, out):
             expected = apply({2: channel}, DensityMatrix(rho))
             assert np.array_equal(got, expected.mat)
@@ -258,8 +260,9 @@ SUBSETS = [(n, qubits) for n in (1, 2, 3, 4)
 
 
 class TestClassLayout:
-    """`evolve` in the XOR-class layout against the superoperator contraction
-    and the operator sum, and the classes it skips."""
+    """`SupportPlan.evolve` against the superoperator contraction and the
+    operator sum, on stacks of states with different supports, and the XOR
+    classes it leaves empty."""
 
     @pytest.mark.parametrize("n, qubits", SUBSETS)
     def test_matches_superop_and_kraus_oracles(self, n, qubits):
@@ -273,7 +276,8 @@ class TestClassLayout:
             mats = np.array([random_density(n, int(rng.integers(1, (1 << n) + 1)), rng)
                              for _ in range(draws)])
             for stack in (mats[:1], mats):  # B = 1 and B = S
-                got = evolve(stack, assigned)
+                plan = support_plan(np.any(stack != 0, axis=0), set(assigned))
+                got = plan.evolve(stack, assigned)
                 assert np.max(np.abs(got - superop_evolve(stack, superops))) <= 1e-15
                 for i, out in enumerate(got):
                     lists = [pauli_kraus(params[i, q - 1]) if q in qubits else None
@@ -286,7 +290,8 @@ class TestClassLayout:
         mats = np.array([ghz(3).to_density().mat,
                          apply({2: flip_channel("BF", 1.0)}, ghz(3).to_density()).mat])
         params = draw_params(("GeneralPauli",) * 3, np.random.default_rng(4), 2)
-        out = evolve(mats, {q: params[:, q - 1] for q in (1, 2, 3)})
+        out = support_plan(np.any(mats != 0, axis=0), {1, 2, 3}).evolve(
+            mats, {q: params[:, q - 1] for q in (1, 2, 3)})
         rows = np.arange(8)
         xor = rows[:, None] ^ rows
         assert np.all(out[:, (xor != 0) & (xor != 7)] == 0)
@@ -297,7 +302,7 @@ class TestClassLayout:
         # subnormal double still goes through the channel
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         rho[0, 3] = 5e-324
-        out = evolve(rho[None], {2: flip_params("BF", [1.0])})[0]
+        out = support_plan(rho != 0, {2}).evolve(rho[None], {2: flip_params("BF", [1.0])})[0]
         assert out[1, 2] == 5e-324 and out[0, 3] == 0
 
     def test_row_equals_its_own_evolve_bitwise(self):
@@ -307,10 +312,10 @@ class TestClassLayout:
         params = draw_params(("BF", "GeneralPauli", "PF"), rng, 3)
         for assigned in ({q: params[:, q - 1] for q in (1, 2, 3)},
                          {q: params[:1, q - 1] for q in (1, 3)}):
-            stack = evolve(mats, assigned)
+            stack = support_plan(np.any(mats != 0, axis=0), set(assigned)).evolve(mats, assigned)
             for i in range(len(mats)):
-                one = evolve(mats[i:i + 1], {q: a[i:i + 1] if len(a) > 1 else a
-                                             for q, a in assigned.items()})
+                row = {q: a[i:i + 1] if len(a) > 1 else a for q, a in assigned.items()}
+                one = support_plan(mats[i] != 0, set(assigned)).evolve(mats[i:i + 1], row)
                 assert np.array_equal(stack[i], one[0])
 
 
@@ -323,7 +328,7 @@ def _assigned(params, qubits):
 
 
 class TestSupportLayout:
-    """`evolve` on the support closure under the moving qubits' flips
+    """`SupportPlan.evolve` on the support closure under the moving qubits' flips
     against the class layout (bit for bit) and the superoperator contraction
     (to 1e-15), and the plan it reads."""
 
@@ -334,7 +339,8 @@ class TestSupportLayout:
         n = len(families)
         params = draw_params(families, np.random.default_rng(2200), 32)
         assigned = _assigned(params, range(1, n + 1))
-        got = evolve(rho0[None], assigned, moving_qubits(enumerate(families, start=1)))
+        plan = support_plan(rho0 != 0, moving_qubits(enumerate(families, start=1)))
+        got = plan.evolve(rho0[None], assigned)
         assert np.array_equal(got, class_layout_evolve(rho0[None], assigned))
         superops = {q: pauli_superops(a) for q, a in assigned.items()}
         assert np.max(np.abs(got - superop_evolve(rho0[None], superops))) <= 1e-15
@@ -385,7 +391,8 @@ class TestSupportLayout:
             qubits = [q for q in range(1, n + 1) if rng.random() < 0.7]
             params = draw_params(families, rng, 4)
             assigned = _assigned(params, qubits)
-            got = evolve(rho0[None], assigned, moving_qubits(enumerate(families, start=1)))
+            moving = moving_qubits(enumerate(families, start=1)) & set(assigned)
+            got = support_plan(rho0 != 0, moving).evolve(rho0[None], assigned)
             assert np.array_equal(got, class_layout_evolve(rho0[None], assigned))
             superops = {q: pauli_superops(a) for q, a in assigned.items()}
             assert np.max(np.abs(got - superop_evolve(rho0[None], superops))) <= 1e-15

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conclab import experiments, factorization, linalg
+from conclab import channels, experiments, factorization, linalg
 from conclab.channels import (
     FAMILIES,
     PauliChannel,
@@ -12,15 +12,15 @@ from conclab.channels import (
     _canonical_family,
     apply,
     draw_params,
-    evolve,
     flip_channel,
     identity_channel,
     moving_qubits,
     sample_channel,
+    support_plan,
 )
 from conclab.concurrence import Bipartition, cut_concurrence, cut_totals, parse_cut, tau3_stack
 from conclab.errors import DimensionMismatchError
-from conclab.experiments import CATALOGUE, REFINE_POINTS, figure1_scan
+from conclab.experiments import CATALOGUE, REFINE_POINTS, figure1_scan, rank_table
 from conclab.factorization import (
     _STACK,
     MAX_SAMPLES,
@@ -231,6 +231,57 @@ class TestAutoIdentity:
         assert (row.lhs, row.rhs, row.residual) == (rep.lhs, rep.rhs, rep.residual)
 
 
+@pytest.fixture
+def evolve_calls(monkeypatch):
+    """The sorted qubits of each `SupportPlan.evolve` call made while the
+    test runs, in call order."""
+    calls = []
+    evolve = SupportPlan.evolve
+
+    def counted(plan, mats, params):
+        calls.append(sorted(params))
+        return evolve(plan, mats, params)
+
+    monkeypatch.setattr(SupportPlan, "evolve", counted)
+    return calls
+
+
+class TestOneEvolutionPath:
+    """`SupportPlan.evolve` is the one channel-application path: every
+    command evolves through it, as often as pinned here."""
+
+    def test_no_module_level_evolve(self):
+        assert not hasattr(channels, "evolve")
+
+    @pytest.mark.parametrize("points, stacks", [(101, 2), (26, 3)])
+    def test_figure1(self, points, stacks, evolve_calls):
+        """The grid, then one call per refinement round."""
+        figure1_scan(points)
+        assert evolve_calls == [[1, 2, 3]] * stacks
+
+    def test_rank_table(self, evolve_calls):
+        """One call per catalogue entry that claims a rank: 9."""
+        rank_table()
+        assert evolve_calls == [list(range(1, len(fams) + 1))
+                                for _, fams, claimed in CATALOGUE if claimed is not None]
+        assert len(evolve_calls) == 9
+
+    def test_apply(self, evolve_calls):
+        apply({2: flip_channel("BF", 0.3)}, ghz(3).to_density())
+        assert evolve_calls == [[2]]
+
+    @pytest.mark.parametrize("config, evolves", [
+        (dict(state="ghz4", channels=("PF", "PF", "PF", "BF"), cut="12|34"),
+         [[1, 2, 3, 4], [4]] * 2),
+        (dict(state="w4", channels=("PF",) * 4, aggregation="rms"), [[1, 2, 3, 4]] * 2),
+    ], ids=["ghz4-pf3bf-12-34", "w4-pf4-rms"])
+    def test_campaign(self, config, evolves, evolve_calls):
+        """Per stack, the final states, then one call per anchor qubit whose
+        factors the kernel measures: none on the default cut."""
+        run_campaign(CampaignConfig(**config, samples=_STACK + 3, seed=7))
+        assert evolve_calls == evolves
+
+
 def assert_trusted(states, rho0):
     """An evolved stack that nothing validates is a convex mix of Pauli
     conjugates of the validated initial state rho0, so it must pass
@@ -377,22 +428,14 @@ class TestFactorStates:
         ("ghz4", ("PF", "PF", "PF", "BF"), "last", [[1, 2, 3, 4], [4]]),
     ], ids=["w4-own", "ghz4-pf3bf"])
     def test_verify_evolves_each_factor_state_once(self, state, families, anchor, evolves,
-                                                   monkeypatch):
+                                                   evolve_calls):
         """On 12|34 the kernel measures every factor, and `evaluate_identity`
         reads each factor's rank from the states the kernel measured: one
         `SupportPlan.evolve` for the final state and one per anchor qubit."""
-        calls = []
-        evolve_in_plan = SupportPlan.evolve
-
-        def counted(plan, mats, params):
-            calls.append(sorted(params))
-            return evolve_in_plan(plan, mats, params)
-
-        monkeypatch.setattr(SupportPlan, "evolve", counted)
         channels = [flip_channel(fam, p) for fam, p in zip(families, (0.1, 0.2, 0.3, 0.4))]
         evaluate_identity(identity_for("sum", 4, "12|34"), parse_state(state), channels,
                           anchor=anchor)
-        assert calls == evolves
+        assert evolve_calls == evolves
 
     @pytest.mark.parametrize("state, families, cut, anchor", [
         ("w4", ("PF",) * 4, "12|34", "own"),
@@ -417,12 +460,13 @@ class TestFactorStates:
         """A campaign reads one spectrum stack per evaluated stack: its final
         states'. Factor states go to the kernel and nowhere else."""
         shapes = []
+        spectra = SupportPlan.spectra
 
-        def counted(mats, partition):
-            shapes.append(mats.shape)
-            return linalg.block_spectra(mats, partition)
+        def counted(plan, states):
+            shapes.append(states.shape)
+            return spectra(plan, states)
 
-        monkeypatch.setattr(factorization, "block_spectra", counted)
+        monkeypatch.setattr(SupportPlan, "spectra", counted)
         config = CampaignConfig(state="w4", channels=("PF",) * 4, cut="12|34", anchor="own",
                                 samples=_STACK + 3, seed=7)
         assert all(r.residual is not None for r in run_campaign(config).rows)
@@ -443,7 +487,8 @@ def law_case(n, qubit, family, seed, samples):
     amps = [random_pure(n, rng).amplitudes for _ in range(samples)]
     rho0s = np.array([np.outer(a, a.conj()) for a in amps])
     params = draw_params([family], rng, samples)[:, 0]
-    return amps, rho0s, evolve(rho0s, {qubit: params}), params
+    finals = support_plan(np.any(rho0s != 0, axis=0), {qubit}).evolve(rho0s, {qubit: params})
+    return amps, rho0s, finals, params
 
 
 LONE_CUTS = [(b1, b2, q) for n in (2, 3, 4) for b1, b2 in all_cuts(n)
@@ -473,7 +518,8 @@ class TestOneSidedLaw:
             qubit = block2[0] if len(block2) == 1 else block1[0]
             amps, _, finals, params = law_case(n, qubit, family, 4200 + n, 3)
             # c($) is the concurrence of the channel's one-sided image of phi+
-            bells = evolve(bell(SQ2).to_density().mat[None], {2: params})
+            phi_plus = bell(SQ2).to_density().mat
+            bells = support_plan(phi_plus != 0, {2}).evolve(phi_plus[None], {2: params})
             for amp, final, phi, c in zip(amps, finals, bells, channel_concurrence(params)):
                 assert abs(dense_cut_concurrence(phi, (1,), (2,))[1] - c) <= 1e-13
                 initial = pure_cut_concurrence(amp, block1)
