@@ -55,14 +55,13 @@ is elementwise, so a matrix's values do not depend on the stack it shares.
 `apply` is the one-matrix case.
 """
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotNormalizedError
+from .errors import DimensionMismatchError, NotNormalizedError, loads_json
 from .linalg import DensityMatrix, block_partition, block_spectra, n_qubits_of
 
 PARAM_NORM_TOL = 1e-12
@@ -302,7 +301,7 @@ def parse_channel(token):
     or a JSON object string."""
     token = token.strip()
     if token.startswith("{"):
-        return channel_from_json(json.loads(token))
+        return channel_from_json(loads_json(token, "channel"))
     if token.upper() in ("I", "ID", "IDENTITY"):
         return identity_channel()
     name, _, args = token.partition(":")

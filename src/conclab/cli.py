@@ -16,6 +16,7 @@ from dataclasses import fields
 
 from .channels import apply, parse_channel_list
 from .concurrence import bipartite_concurrence, cut_concurrence, parse_cut, tau3
+from .errors import loads_json
 from .experiments import CATALOGUE, figure1_scan, rank_table, rank_table_csv
 from .factorization import (
     AGGREGATIONS,
@@ -73,7 +74,7 @@ def _load_density(args):
         if args.channels is not None:
             raise ValueError("--channels applies to --state, not --matrix")
         with open(args.matrix, encoding="utf-8") as fh:
-            obj = json.load(fh)
+            obj = loads_json(fh.read(), "matrix file")
         if isinstance(obj, dict):
             obj = obj.get("matrix")
         if not isinstance(obj, list) \
@@ -177,7 +178,7 @@ def _cmd_campaign(args):
     merged = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            merged = json.load(fh)
+            merged = loads_json(fh.read(), "campaign config")
         if not isinstance(merged, dict):
             raise ValueError(f"campaign config must be a JSON object, got {type(merged).__name__}")
     # flags override the config file; every flag's dest is a CampaignConfig field

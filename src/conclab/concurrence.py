@@ -82,18 +82,21 @@ Pair pruning. `cut_totals` and `tau3_stack` first read the stack's union
 support, the entries nonzero in some state, and skip each pair whose block
 there has no coupling entry (r30, r21 or an entry off the X) or no Y pair
 with both states live. A skipped pair's C_mn is exactly +0.0 in every state
-of the stack. A state's block holds a subset of the union's entries, so
-the block has r30 = r21 = 0 (a nonzero r30 would make both 0 and 3 live,
-and likewise r21 for 1 and 2), and either it is X-shaped or none of its Y
-pairs is live; the SVD path runs only on blocks with a live Y pair, so
-either way the block gets the closed form with z = 0 in both halves. Each
-half then gives hi = lo = sqrt(max(a, 0) max(d, 0)) >= 0 and no clamp, so
-the l's are (x, x, y, y) with x >= y >= 0, and C_mn = max(0, x - ((x + y)
-+ y)). Rounding is monotone,
-so (x + y) + y >= x, the difference is +0.0 or negative, and C_mn = +0.0.
-The skipped pairs are written as +0.0, the live ones as `_pair_spectra`
-gives them, so the (B, P) values and `_cut_total`'s ordered sum are those
-of the unpruned kernel, bit for bit, whatever else shares the stack.
+whose entries lie in that support, so the support may be any superset of
+the stack's union support: a campaign prunes once, on the closures of its
+support plans (`cut_pairs`), and reads each stack with `live_totals`. A
+state's block holds a subset of the support's entries, so the block has
+r30 = r21 = 0 (a nonzero r30 would make both 0 and 3 live, and likewise
+r21 for 1 and 2), and either it is X-shaped or none of its Y pairs is
+live; the SVD path runs only on blocks with a live Y pair, so either way
+the block gets the closed form with z = 0 in both halves. Each half then gives hi = lo =
+sqrt(max(a, 0) max(d, 0)) >= 0 and no clamp, so the l's are (x, x, y, y)
+with x >= y >= 0, and C_mn = max(0, x - ((x + y) + y)). Rounding is
+monotone, so (x + y) + y >= x, the difference is +0.0 or negative, and
+C_mn = +0.0. The skipped pairs are written as +0.0, the live ones as
+`_pair_spectra` gives them, so the (B, P) values and `_cut_total`'s
+ordered sum are those of the unpruned kernel, bit for bit, whatever else
+shares the stack and whichever superset the pairs were pruned on.
 `bipartite_concurrence` keeps every pair: a breakdown prints each pair's
 l's, and a skipped pair's (x, x, y, y) need not be 0.
 
@@ -321,26 +324,37 @@ def _pair_spectra(mats, gathers):
     return lam, np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
 
 
-def _live_values(mats, gathers):
-    """C_mn (B, P) of a (B, d, d) stack, as `_pair_spectra` gives them, from
-    `_pair_spectra` on the live pairs alone. A pair is live when, in the
-    stack's union support, its block holds a nonzero coupling entry (r30,
-    r21 or an entry off the X) and both states of some Y pair are live. Every
-    other pair's C_mn is exactly +0.0 (see the module docstring), which is
-    what this writes for it."""
+def _live_pairs(gathers, support):
+    """The pairs that can carry concurrence in any state whose nonzero
+    entries lie in `support`, a flat (d * d,) boolean pattern: those whose
+    block there holds a nonzero coupling entry (r30, r21 or an entry off the
+    X) and both states of some Y pair live. Returns the number of pairs P,
+    their indices and their `_gathers`. Every other pair's C_mn is exactly
+    +0.0 in every such state (see the module docstring), so the support may
+    be any superset of a stack's union support."""
     flat, off_x, x_entries = gathers
-    states = mats.reshape(len(mats), -1)
-    support = states.any(axis=0)
     blocks = support[flat]
     live = blocks.any(axis=-1) | blocks.any(axis=-2)
     paired = (live[:, 0] & live[:, 3]) | (live[:, 1] & live[:, 2])
     coupled = support[off_x].any(axis=0) | support[x_entries[4:]].any(axis=0)
     pairs = np.flatnonzero(paired & coupled)
-    values = np.zeros((len(mats), len(flat)))
+    return len(flat), pairs, (flat[pairs], off_x[:, pairs], x_entries[:, pairs])
+
+
+def _live_values(mats, live):
+    """C_mn (B, P) of a (B, d, d) stack, as `_pair_spectra` gives them, from
+    one `_pair_spectra` call on the pairs of `_live_pairs` alone; every
+    other pair is written as +0.0."""
+    count, pairs, pruned = live
+    values = np.zeros((len(mats), count))
     if len(pairs):
-        pruned = (flat[pairs], off_x[:, pairs], x_entries[:, pairs])
-        values[:, pairs] = _pair_spectra(states, pruned)[1]
+        values[:, pairs] = _pair_spectra(mats, pruned)[1]
     return values
+
+
+def _union_support(mats):
+    """The flat (d * d,) entries nonzero in some state of a (B, d, d) stack."""
+    return mats.reshape(len(mats), -1).any(axis=0)
 
 
 def _check_qubits(cut, mats):
@@ -364,13 +378,26 @@ def _cut_total(values):
     return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
 
 
+def cut_pairs(cut, support):
+    """The `_live_pairs` of a cut's generator pairs on a flat (d * d,)
+    boolean support pattern of a d x d state: what `live_totals` reads."""
+    return _live_pairs(_pair_blocks(cut.block1, cut.block2)[1], support)
+
+
+def live_totals(mats, live):
+    """Concurrence across a cut of every state of a (B, d, d) stack whose
+    nonzero entries lie in the support `live` was pruned on (`cut_pairs`):
+    the (B,) totals over the cut's generator pairs. Each state must have
+    passed `density_spectra` or be evolved from one by local Pauli channels
+    (see the trust contract in the module docstring)."""
+    return _cut_total(_live_values(mats, live))
+
+
 def cut_totals(mats, cut):
-    """Concurrence across a cut of every state of a (B, d, d) stack: the
-    (B,) totals over the cut's generator pairs. Each state must have passed
-    `density_spectra` or be evolved from one by local Pauli channels (see
-    the trust contract in the module docstring)."""
+    """Concurrence across a cut of every state of a (B, d, d) stack:
+    `live_totals` on the stack's own union support."""
     _check_qubits(cut, mats)
-    return _cut_total(_live_values(mats, _pair_blocks(cut.block1, cut.block2)[1]))
+    return live_totals(mats, cut_pairs(cut, _union_support(mats)))
 
 
 def bipartite_concurrence(rho, cut):
@@ -406,7 +433,7 @@ def tau3_stack(mats):
     `_cut_total` over its 6 pairs, so tau3 is the rms of the three
     `cut_totals`, bit for bit."""
     _check_qubits(_TAU3_CUTS[0], mats)
-    values = _live_values(mats, _tau3_blocks())
+    values = _live_values(mats, _live_pairs(_tau3_blocks(), _union_support(mats)))
     t1, t2, t3 = _cut_total(values.reshape(len(mats), 3, -1)).T
     return np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON reader that
+reports every malformed input as a ValueError."""
+
+import json
 
 
 class NotHermitianError(ValueError):
@@ -20,3 +23,11 @@ class DimensionMismatchError(ValueError):
 class InvalidPermutationError(ValueError):
     """Sequence is not a permutation of the expected qubit indices."""
 
+
+def loads_json(text, what):
+    """Parse JSON text; input nested too deeply for the parser is a
+    ValueError that names `what`, like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to parse") from None

@@ -1,17 +1,17 @@
 """Named reproduction scenarios: the catalogue of (state, channel family)
 scenarios, the three-BPF lower-bound sweep and the rank table. The sweep
 evolves its grid with one `SupportPlan.evolve` per stack, and the rank
-table reads each final rank as campaigns do, by the `SupportPlan.spectra`
-of the plan that evolved the state."""
+table compiles each scenario as campaigns do (`factorization._Scenario`)
+and reads its final rank by the same `final_states`."""
 
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import flip_params, moving_qubits, support_plan
+from .channels import flip_params, support_plan
 from .concurrence import tau3_stack
-from .factorization import _final_states
+from .factorization import ANCHOR_LAST, _Scenario, default_cut
 from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
@@ -122,9 +122,10 @@ def rank_table():
     for state_name, families, claimed in CATALOGUE:
         if claimed is None:
             continue
-        rho0 = parse_state(state_name).to_density().mat
+        psi = parse_state(state_name)
+        scenario = _Scenario.compile(psi, families, default_cut(psi.n_qubits), None, ANCHOR_LAST)
         params = np.array([[flip_params(fam, p) for fam, p in zip(families, GENERIC_PS)]])
-        _, ranks = _final_states(rho0, params, moving_qubits(enumerate(families, start=1)))
+        _, ranks = scenario.final_states(params)
         rows.append(RankRow(state_name, tuple(families), int(ranks[0]), claimed))
     return tuple(rows)
 

@@ -50,36 +50,57 @@ side's four basis states and does not commute with a channel on the anchor
 alone, and the law fails: C((1 (x) $) psi) exceeds c($) * C(psi) by up to
 about 0.7 on random pure states.
 
-Scenarios are evaluated as stacks that share one initial state and one
-cut, fed only their (S, n, 4) channel parameters and the qubits whose
-family moves entries: one many-sided `SupportPlan.evolve` in the
-scenario's plan gives every final state, the same plan's
-`SupportPlan.spectra` gives its rank (`spectral_ranks` at RANK_TOL), and
-one kernel call gives lhs and C(psi) for every row, whichever identity the
+A scenario is compiled once (`_Scenario`): its validated initial state,
+the relabel order and the qubits whose family moves entries, the
+`SupportPlan` of its final states and of each anchor qubit's factor
+states, a table from final rank to identity, the factor columns read in
+closed form and by the kernel, each identity's rhs terms, C(psi), and the
+kernel's generator pairs pruned once on the union of those plans'
+closures (`concurrence.cut_pairs`; the pruning is exact on any superset of
+a stack's union support). Campaigns keep compiled scenarios in `_scenario`,
+an `lru_cache` of at most 256, keyed by the `CampaignConfig` fields that
+no draw changes: state, channels, cut, relabel, identity and anchor. Each
+holds a few KB. Seed, samples, tol, aggregation and the exponent are read
+per request. Errors are not cached, so a malformed scenario raises on
+every request.
+
+Scenarios are then evaluated as stacks fed only their (S, n, 4) channel
+parameters: one many-sided `SupportPlan.evolve` in the scenario's plan
+gives every final state, the same plan's `SupportPlan.spectra` gives its
+rank (`spectral_ranks` at RANK_TOL), and one kernel call on the final
+states (`live_totals`) gives lhs for every row, whichever identity the
 row takes. Each factor whose anchor stands alone is C(psi) * c($) from the
 parameters; each other factor (the cut 12|34, or `anchor="own"` on a
 shared block) is read from one single-sided `SupportPlan.evolve` per
-anchor qubit, whose states join the same kernel call. rhs and residual
+anchor qubit, whose states take one more kernel call. rhs and residual
 then follow per identity on its rows. A campaign makes one such
 evaluation per stack that holds an evaluated row, and `evaluate_identity`
-is the one-row case. It also reports every factor's rank, read by the
-`spectra` of the plan that evolved the factor state: the states the
-kernel measured are reused, and only the closed-form factors' states are
-evolved for it, one `SupportPlan.evolve` per anchor. Campaigns read no
-factor rank. Only the initial state is validated; see the trust contract
-in `conclab.concurrence`.
+is the one-row case, compiled without the cache. It also reports every
+factor's rank, read by the `spectra` of the plan that evolved the factor
+state: the states the kernel measured are reused, and only the
+closed-form factors' states are evolved for it, one `SupportPlan.evolve`
+per anchor. Campaigns read no factor rank. Only the initial state is
+validated; see the trust contract in `conclab.concurrence`.
 """
 
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
 
-from .channels import PauliChannel, _canonical_family, draw_params, moving_qubits, support_plan
-from .concurrence import Bipartition, cut_totals, parse_cut
-from .errors import DimensionMismatchError
+from .channels import (
+    PauliChannel,
+    SupportPlan,
+    _canonical_family,
+    draw_params,
+    moving_qubits,
+    support_plan,
+)
+from .concurrence import Bipartition, cut_pairs, live_totals, parse_cut
+from .errors import DimensionMismatchError, loads_json
 from .linalg import RANK_TOL, spectral_ranks
 from .states import parse_state
 
@@ -105,6 +126,14 @@ def _require_choice(name, value, choices):
 def _require_int(name, value):
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_exponent(value):
+    """A normalization exponent override: an integer that fits the int64
+    exponent column."""
+    _require_int("normalization_exponent", value)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"normalization_exponent must lie in [-2**63, 2**63 - 1], got {value}")
 
 
 def default_cut(n_qubits):
@@ -186,116 +215,178 @@ class IdentityReport:
     factors: tuple
 
 
-def _final_states(rho0, params, moving):
-    """Many-sided final states (S, d, d) of the validated initial density
-    matrix rho0 (d, d) under S draws of per-qubit Pauli parameters
-    (S, n, 4), and their ranks (S,), read by the `spectra` of the plan that
-    evolves them at RANK_TOL (read at each call); `moving` holds the qubits
-    whose family moves entries. See the trust contract in
-    `conclab.concurrence`."""
-    plan = support_plan(rho0 != 0, moving)
-    finals = plan.evolve(rho0[None], {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
-    return finals, spectral_ranks(plan.spectra(finals), RANK_TOL)
-
-
-def _factor_states(rho0, params, anchors, moving):
-    """Single-sided factor states (S, k, d, d) of the validated initial
-    density matrix rho0 (d, d) under Pauli parameters params (S, k, 4):
-    column j sends the channels params[:, j] through qubit anchors[j]
-    alone, one `SupportPlan.evolve` per anchor qubit, in the plan where
-    only that qubit can move entries. `moving` holds the anchors that some
-    column sends a moving family through. Unvalidated; see the trust
-    contract in `conclab.concurrence`."""
-    samples, k = params.shape[:2]
-    d = rho0.shape[-1]
-    states = np.empty((samples, k, d, d), dtype=complex)
-    for anchor_q in sorted(set(anchors)):
-        cols = [j for j in range(k) if anchors[j] == anchor_q]
-        evolved = support_plan(rho0 != 0, moving & {anchor_q}).evolve(
-            rho0[None], {anchor_q: params[:, cols].reshape(-1, 4)})
-        states[:, cols] = evolved.reshape(samples, len(cols), d, d)
-    return states
-
-
-def _moving_anchors(anchors, moving):
-    """The anchor qubits through which factor states send a moving family:
-    qubit q's channel goes through anchors[q - 1]."""
-    return frozenset(anchors[q - 1] for q in moving)
+def _suggested_identity(rank, cut):
+    """The identity on the cut that the rank conditions suggest for a final
+    rank (None above 4)."""
+    if rank <= 2:
+        return FactorizationIdentity(PRODUCT, cut)
+    if rank <= 4 and cut.n_qubits >= 3:
+        return FactorizationIdentity(SUM, cut)
+    return None
 
 
 @dataclass(frozen=True)
 class _Evaluation:
     """Identities on a stack of S scenarios: (S,) arrays lhs, rhs, residual
-    and exponent, (S, n) factor values, each factor's anchor qubit, and the
-    states (S, m, d, d) of the m factors the kernel measured, whose 0-based
-    indices are `measured`."""
+    and exponent, (S, n) factor values, and the states (S, m, d, d) of the
+    m factors the kernel measured (the scenario's `measured` columns)."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
     exponents: np.ndarray
     factors: np.ndarray
-    anchors: tuple
-    initial_concurrence: float
-    measured: list
     factor_states: np.ndarray
 
 
-def _evaluate(identities, rho0, finals, params, moving, *, anchor, normalization_exponent,
-              aggregation):
-    """Evaluate identities[i] on scenario i of S scenarios that share the
-    pure initial density matrix rho0 (d, d), given their many-sided final
-    states finals (S, d, d), Pauli parameters params (S, n, 4) and the
-    qubits `moving` whose family moves entries. Every
-    identity is on the same cut, so one kernel call reads lhs, C(psi) and
-    the factors it measures from their factor states; a factor whose anchor
-    qubit stands alone on its side of the cut is C(psi) * max(0,
-    2 max_k a_k^2 - 1) (see the module docstring). rhs and residual follow
-    per identity, on its rows. `anchor` and `aggregation` must be valid
-    choices. See the trust contract in `conclab.concurrence`."""
-    samples, n = params.shape[:2]
-    d = rho0.shape[-1]
-    anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
-    cut = identities[0].cut
-    # an anchor alone on its side of the cut obeys the one-sided law
-    lone = {block[0] for block in (cut.block1, cut.block2) if len(block) == 1}
-    closed = [q for q in range(n) if anchors[q] in lone]
-    measured = [q for q in range(n) if anchors[q] not in lone]
+@dataclass(frozen=True, eq=False)
+class _Scenario:
+    """A scenario compiled once: every step of its evaluation that no draw
+    changes (see module docstring). Fields:
 
-    # one kernel stack: the final states, the measured factor states, rho0
-    states = _factor_states(rho0, params[:, measured], [anchors[q] for q in measured],
-                            _moving_anchors(anchors, moving))
-    totals = cut_totals(np.concatenate((finals, states.reshape(-1, d, d), rho0[None])), cut)
-    lhs = totals[:samples]
-    initial_c = float(totals[-1])
-    factors = np.empty((samples, n))
-    factors[:, measured] = totals[samples:-1].reshape(samples, len(measured))
-    weights = np.square(params[:, closed])
-    factors[:, closed] = initial_c * np.maximum(0.0, 2.0 * weights.max(axis=-1) - 1.0)
+    - `rho0`, the validated initial density matrix (d, d);
+    - `families`, the canonical channel families in draw order, and
+      `order`, the draw column each qubit takes (a relabel moves them);
+    - `plan`, the `SupportPlan` of the final states (its `moving` holds the
+      qubits whose family moves entries), and `factor_plans`, {anchor
+      qubit: the plan of its factor states}, in qubit order;
+    - `identities`, the identities some rank takes, and `identity_of_rank`
+      (d + 1,), the index into them of each final rank's identity, -1 for
+      none;
+    - `anchors`, each factor's anchor qubit, and `closed` and `measured`,
+      the 0-based factor columns read from the one-sided law and by the
+      kernel;
+    - `initial_concurrence`, C(psi) on the cut;
+    - `terms`, per identity, the 0-based factor columns of each rhs term;
+    - `live`, the cut's generator pairs pruned on the union of the closures
+      of `plan` and of the measured factors' plans (`cut_pairs`), which
+      holds every state the kernel reads.
+    """
 
-    rows_of = {}
-    for i, identity in enumerate(identities):
-        rows_of.setdefault(identity, []).append(i)
-    rhs, residual = np.empty(samples), np.empty(samples)
-    exponents = np.empty(samples, dtype=int)
-    for identity, rows in rows_of.items():
-        # term products, added or as their quadrature mean, in term order
-        products = [np.prod(factors[rows][:, [q - 1 for q in term]], axis=1)
-                    for term in identity.rhs_terms]
-        rhs[rows] = np.sqrt(sum(p * p for p in products) / len(products)) \
-            if aggregation == "rms" else sum(products)
-        exponent = identity.normalization_exponent if normalization_exponent is None \
-            else int(normalization_exponent)
-        try:
-            scale = initial_c ** exponent
-        except (OverflowError, ZeroDivisionError):
-            raise ValueError(f"initial concurrence {initial_c!r} cannot take the normalization "
-                             f"exponent {exponent}") from None
-        residual[rows] = np.abs(lhs[rows] * scale - rhs[rows])
-        exponents[rows] = exponent
-    return _Evaluation(lhs=lhs, rhs=rhs, residual=residual, exponents=exponents,
-                       factors=factors, anchors=anchors, initial_concurrence=initial_c,
-                       measured=measured, factor_states=states)
+    rho0: np.ndarray
+    families: tuple
+    order: tuple
+    plan: SupportPlan
+    factor_plans: dict
+    identities: tuple
+    identity_of_rank: np.ndarray
+    anchors: tuple
+    closed: list
+    measured: list
+    initial_concurrence: float
+    terms: tuple
+    live: tuple
+
+    @classmethod
+    def compile(cls, psi, families, cut, forced, anchor, order=None):
+        """The scenario of the pure initial state psi on n qubits, whose
+        density matrix is validated here, under channels of the canonical
+        `families` (draw order) with qubit k taking draw column order[k]
+        (default k), evaluated on the cut: the identity `forced`, or None
+        for the one each final rank suggests, with factors sent through the
+        `anchor` convention (a valid choice)."""
+        n = psi.n_qubits
+        order = tuple(range(n)) if order is None else tuple(order)
+        rho0 = psi.to_density().mat
+        pattern = rho0 != 0
+        moving = moving_qubits((k, families[old]) for k, old in enumerate(order, start=1))
+        anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
+        # qubit q's channel goes through anchors[q - 1]
+        factor_moving = frozenset(anchors[q - 1] for q in moving)
+        factor_plans = {q: support_plan(pattern, factor_moving & {q})
+                        for q in sorted(set(anchors))}
+        # an anchor alone on its side of the cut obeys the one-sided law
+        lone = {block[0] for block in (cut.block1, cut.block2) if len(block) == 1}
+        closed = [q for q in range(n) if anchors[q] in lone]
+        measured = [q for q in range(n) if anchors[q] not in lone]
+        by_rank = [forced if forced is not None else _suggested_identity(rank, cut)
+                   for rank in range(len(rho0) + 1)]
+        identities = tuple(dict.fromkeys(i for i in by_rank if i is not None))
+        identity_of_rank = np.array([-1 if i is None else identities.index(i) for i in by_rank])
+        identity_of_rank.setflags(write=False)
+        plan = support_plan(pattern, moving)
+        support = np.zeros(rho0.size, dtype=bool)
+        for p in (plan, *(factor_plans[anchors[q]] for q in measured)):
+            support[p.entries] = True
+        live = cut_pairs(cut, support)
+        return cls(rho0=rho0, families=tuple(families), order=order, plan=plan,
+                   factor_plans=factor_plans, identities=identities,
+                   identity_of_rank=identity_of_rank, anchors=anchors, closed=closed,
+                   measured=measured,
+                   initial_concurrence=float(live_totals(rho0[None], live)[0]),
+                   terms=tuple(tuple([q - 1 for q in term] for term in identity.rhs_terms)
+                               for identity in identities),
+                   live=live)
+
+    def final_states(self, params):
+        """Many-sided final states (S, d, d) under S draws of per-qubit
+        Pauli parameters (S, n, 4), and their ranks (S,), read by the plan's
+        `spectra` at RANK_TOL (read at each call). See the trust contract in
+        `conclab.concurrence`."""
+        finals = self.plan.evolve(self.rho0[None],
+                                  {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
+        return finals, spectral_ranks(self.plan.spectra(finals), RANK_TOL)
+
+    def factor_states(self, params, columns):
+        """Single-sided factor states (S, k, d, d) of the k factor columns
+        `columns` (0-based qubits) under Pauli parameters params (S, n, 4):
+        column j sends the channels params[:, columns[j]] through its
+        anchor qubit alone, one `SupportPlan.evolve` per anchor qubit, in
+        that anchor's plan. Unvalidated; see the trust contract in
+        `conclab.concurrence`."""
+        samples, d = len(params), len(self.rho0)
+        states = np.empty((samples, len(columns), d, d), dtype=complex)
+        for anchor_q, plan in self.factor_plans.items():
+            cols = [j for j, q in enumerate(columns) if self.anchors[q] == anchor_q]
+            if cols:
+                drawn = params[:, [columns[j] for j in cols]].reshape(-1, 4)
+                evolved = plan.evolve(self.rho0[None], {anchor_q: drawn})
+                states[:, cols] = evolved.reshape(samples, len(cols), d, d)
+        return states
+
+    def evaluate(self, which, finals, params, *, normalization_exponent, aggregation):
+        """Evaluate identities[which[i]] on row i of S rows, given their
+        final states finals (S, d, d) and Pauli parameters params (S, n, 4).
+        One kernel call on the final states reads lhs, and one on the
+        measured factor states reads those factors; a factor whose anchor
+        stands alone on its side of the cut is C(psi) * max(0,
+        2 max_k a_k^2 - 1) (see the module docstring). rhs and residual
+        follow per identity, on its rows. A None exponent takes each
+        identity's degree-matching one; `aggregation` must be a valid
+        choice. See the trust contract in `conclab.concurrence`."""
+        samples, n = params.shape[:2]
+        d = len(self.rho0)
+        initial_c = self.initial_concurrence
+        lhs = live_totals(finals, self.live)
+        factors = np.empty((samples, n))
+        states = self.factor_states(params, self.measured)
+        if self.measured:
+            factors[:, self.measured] = live_totals(states.reshape(-1, d, d), self.live) \
+                .reshape(samples, len(self.measured))
+        weights = np.square(params[:, self.closed])
+        factors[:, self.closed] = initial_c * np.maximum(0.0, 2.0 * weights.max(axis=-1) - 1.0)
+
+        rhs, residual = np.empty(samples), np.empty(samples)
+        exponents = np.empty(samples, dtype=np.int64)
+        for k, (identity, terms) in enumerate(zip(self.identities, self.terms)):
+            rows = np.flatnonzero(which == k)
+            if not len(rows):
+                continue
+            # term products, added or as their quadrature mean, in term order
+            products = [np.prod(factors[rows][:, term], axis=1) for term in terms]
+            rhs[rows] = np.sqrt(sum(p * p for p in products) / len(products)) \
+                if aggregation == "rms" else sum(products)
+            exponent = identity.normalization_exponent if normalization_exponent is None \
+                else int(normalization_exponent)
+            try:
+                scale = initial_c ** exponent
+            except (OverflowError, ZeroDivisionError):
+                raise ValueError(f"initial concurrence {initial_c!r} cannot take the "
+                                 f"normalization exponent {exponent}") from None
+            residual[rows] = np.abs(lhs[rows] * scale - rhs[rows])
+            exponents[rows] = exponent
+        return _Evaluation(lhs=lhs, rhs=rhs, residual=residual, exponents=exponents,
+                           factors=factors, factor_states=states)
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
@@ -307,6 +398,8 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     """
     _require_choice("anchor", anchor, ANCHORS)
     _require_choice("aggregation", aggregation, AGGREGATIONS)
+    if normalization_exponent is not None:
+        _require_exponent(normalization_exponent)
     channels = tuple(channels)
     n = identity.n_qubits
     if psi.n_qubits != n:
@@ -317,25 +410,21 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         if not isinstance(channel, PauliChannel):
             raise ValueError(f"expected a PauliChannel, got {channel!r}")
     params = np.array([[ch.a for ch in channels]])
-    moving = moving_qubits((q, ch.family) for q, ch in enumerate(channels, start=1))
-    rho0 = psi.to_density().mat
-    finals, final_ranks = _final_states(rho0, params, moving)
-    ev = _evaluate((identity,), rho0, finals, params, moving, anchor=anchor,
-                   normalization_exponent=normalization_exponent,
-                   aggregation=aggregation)
+    scenario = _Scenario.compile(psi, [ch.family for ch in channels], identity.cut, identity,
+                                 anchor)
+    finals, final_ranks = scenario.final_states(params)
+    ev = scenario.evaluate(np.zeros(1, dtype=np.intp), finals, params,
+                           normalization_exponent=normalization_exponent,
+                           aggregation=aggregation)
     final_rank = int(final_ranks[0])
     # each factor's rank from the plan that evolves its state: the states
     # the kernel measured, and the others, evolved only for this
-    factor_moving = _moving_anchors(ev.anchors, moving)
-    closed = [q for q in range(n) if q not in ev.measured]
-    states = np.empty((n, *rho0.shape), dtype=complex)
-    states[ev.measured] = ev.factor_states[0]
-    states[closed] = _factor_states(rho0, params[:, closed], [ev.anchors[q] for q in closed],
-                                    factor_moving)[0]
-    factor_ranks = []
-    for state, anchor_q in zip(states, ev.anchors):
-        plan = support_plan(rho0 != 0, factor_moving & {anchor_q})
-        factor_ranks.append(int(spectral_ranks(plan.spectra(state[None]), RANK_TOL)[0]))
+    states = np.empty((n, *scenario.rho0.shape), dtype=complex)
+    states[scenario.measured] = ev.factor_states[0]
+    states[scenario.closed] = scenario.factor_states(params, scenario.closed)[0]
+    factor_ranks = [
+        int(spectral_ranks(scenario.factor_plans[anchor_q].spectra(state[None]), RANK_TOL)[0])
+        for state, anchor_q in zip(states, scenario.anchors)]
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -345,24 +434,14 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         final_rank=final_rank,
         applicable=final_rank <= identity.rank_ceiling,
         channels=channels,
-        initial_concurrence=ev.initial_concurrence,
+        initial_concurrence=scenario.initial_concurrence,
         exponent=int(ev.exponents[0]),
         aggregation=aggregation,
         anchor=anchor,
         factors=tuple(
-            FactorReport(qubit=q, anchor=ev.anchors[q - 1], value=value, rank=rank)
+            FactorReport(qubit=q, anchor=scenario.anchors[q - 1], value=value, rank=rank)
             for q, value, rank in zip(range(1, n + 1), ev.factors[0].tolist(), factor_ranks)),
     )
-
-
-def _suggested_identity(rank, cut):
-    """The identity on the cut that the rank conditions suggest for a final
-    rank (None above 4)."""
-    if rank <= 2:
-        return FactorizationIdentity(PRODUCT, cut)
-    if rank <= 4 and cut.n_qubits >= 3:
-        return FactorizationIdentity(SUM, cut)
-    return None
 
 
 @dataclass(frozen=True)
@@ -402,7 +481,7 @@ class CampaignConfig:
         if not 0 <= self.tol < math.inf:  # NaN fails too
             raise ValueError(f"tol must be finite and nonnegative, got {self.tol!r}")
         if self.normalization_exponent is not None:
-            _require_int("normalization_exponent", self.normalization_exponent)
+            _require_exponent(self.normalization_exponent)
         if self.cut is not None and not isinstance(self.cut, str):
             raise ValueError(f"cut must be a string such as '12|34', got {self.cut!r}")
         _require_choice("identity", self.identity, ("auto",) + FORMS)
@@ -420,7 +499,7 @@ class CampaignConfig:
     @classmethod
     def from_json(cls, obj):
         if isinstance(obj, str):
-            obj = json.loads(obj)
+            obj = loads_json(obj, "campaign config")
         if not isinstance(obj, dict):
             raise ValueError(f"campaign config must be a JSON object, got {type(obj).__name__}")
         extra = set(obj) - set(cls.__dataclass_fields__)
@@ -500,6 +579,33 @@ MAX_FAILURE_EXAMPLES = 10
 _STACK = 64
 
 
+@lru_cache(maxsize=256)
+def _scenario(state, channels, cut, relabel, identity, anchor):
+    """The compiled `_Scenario` of a campaign, keyed by the `CampaignConfig`
+    fields that no draw changes: its state and channel families, cut,
+    relabel, identity and anchor, as the config holds them (valid
+    choices). At most 256 are kept, least recently used first out; a
+    malformed scenario raises on every call, since exceptions are not
+    cached."""
+    psi = parse_state(state)
+    n = psi.n_qubits
+    if len(channels) != n:
+        raise DimensionMismatchError(
+            f"state {state!r} has {n} qubits but {len(channels)} channel families were given")
+    if n < 2:
+        raise ValueError(f"a campaign needs at least two qubits, state {state!r} has {n}")
+    cut = default_cut(n) if cut is None else parse_cut(cut)
+    forced = None if identity == "auto" else FactorizationIdentity(identity, cut)
+    if cut.n_qubits != n:
+        raise DimensionMismatchError(f"cut {cut.label} is on {cut.n_qubits} qubits but state has {n}")
+    if relabel is not None:
+        psi = psi.permuted(relabel)
+    # new qubit k takes the channel drawn for old qubit relabel[k]
+    order = None if relabel is None else [q - 1 for q in relabel]
+    return _Scenario.compile(psi, [_canonical_family(fam) for fam in channels], cut, forced,
+                             anchor, order)
+
+
 def run_campaign(config):
     """Draw channels per sample, classify the final rank, evaluate the
     configured or rank-suggested identity on the configured cut, and bucket
@@ -512,49 +618,27 @@ def run_campaign(config):
     are the N-sample campaign, and row i is the last row of the same config
     run with samples = i + 1. Different seeds give independent streams.
 
-    Up to _STACK samples run as one stack (see module docstring); the
-    initial state and its density matrix are built once per campaign.
+    The scenario is compiled once per process (`_scenario`); up to _STACK
+    samples then run as one stack (see module docstring).
     """
-    psi = parse_state(config.state)
-    n = psi.n_qubits
-    if len(config.channels) != n:
-        raise DimensionMismatchError(
-            f"state {config.state!r} has {n} qubits but "
-            f"{len(config.channels)} channel families were given")
-    if n < 2:
-        raise ValueError(f"a campaign needs at least two qubits, state {config.state!r} has {n}")
-    cut = default_cut(n) if config.cut is None else parse_cut(config.cut)
-    forced = None if config.identity == "auto" else FactorizationIdentity(config.identity, cut)
-    if cut.n_qubits != n:
-        raise DimensionMismatchError(f"cut {cut.label} is on {cut.n_qubits} qubits but state has {n}")
-    if config.relabel is not None:
-        psi = psi.permuted(config.relabel)
-    rho0 = psi.to_density().mat
-    families = [_canonical_family(fam) for fam in config.channels]
-    # new qubit k takes the channel drawn for old qubit relabel[k]
-    order = [q - 1 for q in config.relabel] if config.relabel is not None else list(range(n))
-    moving = moving_qubits((k, families[old]) for k, old in enumerate(order, start=1))
-
+    scenario = _scenario(config.state, config.channels, config.cut, config.relabel,
+                         config.identity, config.anchor)
     rng = np.random.default_rng(config.seed)
     rows = []
     for start in range(0, config.samples, _STACK):
         indices = range(start, min(config.samples, start + _STACK))
-        params = draw_params(families, rng, len(indices))[:, order]
-        finals, ranks = _final_states(rho0, params, moving)
-        ranks = ranks.tolist()
-        by_rank = {r: forced if forced is not None else _suggested_identity(r, cut)
-                   for r in set(ranks)}
-        identities = [by_rank[r] for r in ranks]
-        evaluated = [k for k, identity in enumerate(identities) if identity is not None]
+        params = draw_params(scenario.families, rng, len(indices))[:, scenario.order]
+        finals, ranks = scenario.final_states(params)
+        which = scenario.identity_of_rank[ranks]
+        evaluated = np.flatnonzero(which >= 0)
         results = {}
-        if evaluated:
-            ev = _evaluate([identities[k] for k in evaluated], rho0, finals[evaluated],
-                           params[evaluated], moving, anchor=config.anchor,
-                           normalization_exponent=config.normalization_exponent,
-                           aggregation=config.aggregation)
-            results = dict(zip(evaluated, zip(ev.lhs.tolist(), ev.rhs.tolist(),
-                                              ev.residual.tolist())))
-        for k, (i, rank) in enumerate(zip(indices, ranks)):
+        if len(evaluated):
+            ev = scenario.evaluate(which[evaluated], finals[evaluated], params[evaluated],
+                                   normalization_exponent=config.normalization_exponent,
+                                   aggregation=config.aggregation)
+            results = dict(zip(evaluated.tolist(), zip(ev.lhs.tolist(), ev.rhs.tolist(),
+                                                       ev.residual.tolist())))
+        for k, (i, rank) in enumerate(zip(indices, ranks.tolist())):
             lhs, rhs, residual = results.get(k, (None, None, None))
             rows.append(SampleRow(i, rank, lhs, rhs, residual,
                                   None if residual is None else residual <= config.tol))

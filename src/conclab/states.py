@@ -1,12 +1,11 @@
 """Canonical initial pure states and parsing of user-supplied state specs."""
 
-import json
 import math
 from numbers import Number, Real
 
 import numpy as np
 
-from .errors import NotNormalizedError
+from .errors import NotNormalizedError, loads_json
 from .linalg import DensityMatrix, n_qubits_of, permutation_indices
 
 NORM_TOL = 1e-12
@@ -119,7 +118,7 @@ def parse_state(spec):
     or a JSON amplitude list."""
     spec = spec.strip()
     if spec.startswith("[") or spec.startswith("{"):
-        return state_from_json(json.loads(spec))
+        return state_from_json(loads_json(spec, "state"))
     name, _, args = spec.partition(":")
     name = name.lower()
     if name == "bell" and args:

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conclab
-from conclab import cli, linalg
+from conclab import cli, factorization, linalg
 from conclab.channels import _canonical_family, apply, draw_params, parse_channel_list
 from conclab.cli import cli_main
 from conclab.experiments import CATALOGUE
@@ -767,8 +767,77 @@ def test_each_input_state_is_validated_once(tmp_path, capsys, monkeypatch, argv,
         return density_spectra(mats)
 
     monkeypatch.setattr(linalg, "density_spectra", counted)
+    factorization._scenario.cache_clear()  # a campaign validates rho0 when it compiles
     argv = [str(path) if a == "RHO" else a for a in argv]
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
     assert (code, err) == (0, "")
     assert len(shapes) == inputs
     assert all(len(shape) == 2 for shape in shapes)
+
+
+_W4_CAMPAIGN = ("campaign", "--state", "w4", "--channels", "PF,PF,PF,PF", "--samples", "2")
+_GHZ3_VERIFY = ("verify", "--identity", "product", "--state", "ghz3",
+                "--channels", "PF:p=0.1,PF:p=0.2,PF:p=0.3")
+
+
+@pytest.mark.parametrize("source", ["campaign", "verify", "config"])
+@pytest.mark.parametrize("exponent, needle", [
+    (2**63 - 1, None),
+    (2**63, "error: normalization_exponent must lie in [-2**63, 2**63 - 1]"),
+    (-2**63, "cannot take the normalization exponent -9223372036854775808"),
+    (10**23, "error: normalization_exponent must lie in [-2**63, 2**63 - 1]"),
+], ids=["int64-max", "int64-max-plus-one", "int64-min", "ten-to-23"])
+def test_exponent_edges(tmp_path, capsys, source, exponent, needle):
+    """The exponent column is int64: an exponent at its edges runs or meets
+    the C(psi)^e check (C(psi) < 1 here, so C(psi)^-2^63 overflows), and
+    one beyond them is rejected with one error line."""
+    if source == "config":
+        path = tmp_path / "campaign.json"
+        path.write_text(json.dumps({"state": "w4", "channels": ["PF"] * 4, "samples": 2,
+                                    "normalization_exponent": exponent}))
+        argv = ("campaign", "--config", str(path))
+    else:
+        argv = (*(_W4_CAMPAIGN if source == "campaign" else _GHZ3_VERIFY), f"--exponent={exponent}")
+    code, out, err = run(capsys, *argv)
+    if needle is None:
+        assert (code, err) == (0, "")
+        assert out.startswith("# {")
+    else:
+        assert_one_error_line(code, out, err)
+        assert needle in err
+
+
+_DEEP = "[" * 50000
+
+
+@pytest.mark.parametrize("source", ["state", "channels", "config", "matrix"])
+def test_deeply_nested_json_exits_one(tmp_path, capsys, source):
+    """JSON nested past the parser's recursion limit is malformed input."""
+    path = tmp_path / "deep.json"
+    path.write_text(_DEEP)
+    argv = {
+        "state": ("evolve", "--state", _DEEP),
+        "channels": ("evolve", "--state", "bell", "--channels", '{"family": "BF", "a": ' + _DEEP),
+        "config": ("campaign", "--config", str(path)),
+        "matrix": ("concurrence", "--matrix", str(path)),
+    }[source]
+    code, out, err = run(capsys, *argv)
+    assert_one_error_line(code, out, err)
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("--state", "ghz3", "--channels", "PF,PF,PF", "--relabel", "1,1,2"), "not a permutation"),
+    (("--state", "ghz4", "--channels", "PF,PF,PF,PF", "--cut", "12|3"), "cut 12|3 is on 3"),
+    (("--state", "[1, 0]", "--channels", "PF"), "at least two qubits"),
+], ids=["relabel", "cut-qubits", "one-qubit"])
+def test_malformed_campaign_scenario_exits_one_every_time(capsys, argv, needle):
+    """A scenario that fails to compile is not cached: a second request
+    fails with the same one error line."""
+    errors = []
+    for _ in range(2):
+        code, out, err = run(capsys, "campaign", *argv, "--samples", "1")
+        assert_one_error_line(code, out, err)
+        assert needle in err
+        errors.append(err)
+    assert errors[0] == errors[1]

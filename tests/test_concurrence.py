@@ -32,7 +32,7 @@ from conclab.concurrence import (
 )
 from conclab.errors import DimensionMismatchError
 from conclab.experiments import CATALOGUE, _tau3_bpf3
-from conclab.factorization import _factor_states, _final_states
+from conclab.factorization import _scenario
 from conclab.linalg import (
     EIG_FLOOR,
     HERM_TOL,
@@ -768,12 +768,11 @@ def kernel_stacks(state, families, seed, samples=24):
     rho0 = parse_state(state).to_density().mat
     n = len(families)
     params = draw_params(families, np.random.default_rng(seed), samples)
-    moving = moving_qubits(enumerate(families, start=1))
-    finals = _final_states(rho0, params, moving)[0]
+    finals = _scenario(state, families, None, None, "auto", "last").final_states(params)[0]
     d = len(rho0)
-    factors = [_factor_states(rho0, params, anchors, frozenset(anchors[q - 1] for q in moving))
-               .reshape(-1, d, d)
-               for anchors in ((n,) * n, tuple(range(1, n + 1)))]
+    factors = [_scenario(state, families, None, None, "auto", anchor)
+               .factor_states(params, range(n)).reshape(-1, d, d)
+               for anchor in ("last", "own")]
     every = np.concatenate((finals, *factors, rho0[None]))
     return every, (finals, *factors, rho0[None], every[::7])
 

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conclab import channels, experiments, factorization, linalg
+from conclab import channels, concurrence, experiments, factorization, linalg
 from conclab.channels import (
     FAMILIES,
     PauliChannel,
@@ -14,20 +14,24 @@ from conclab.channels import (
     draw_params,
     flip_channel,
     identity_channel,
-    moving_qubits,
     sample_channel,
     support_plan,
 )
-from conclab.concurrence import Bipartition, cut_concurrence, cut_totals, parse_cut, tau3_stack
-from conclab.errors import DimensionMismatchError
+from conclab.concurrence import (
+    Bipartition,
+    cut_concurrence,
+    cut_totals,
+    live_totals,
+    parse_cut,
+    tau3_stack,
+)
+from conclab.errors import DimensionMismatchError, InvalidPermutationError
 from conclab.experiments import CATALOGUE, REFINE_POINTS, figure1_scan, rank_table
 from conclab.factorization import (
     _STACK,
     MAX_SAMPLES,
     CampaignConfig,
-    _evaluate,
-    _factor_states,
-    _final_states,
+    _scenario,
     default_cut,
     evaluate_identity,
     identity_for,
@@ -307,7 +311,7 @@ class TestEvolvedStates:
     def test_final_states_pass_validation(self, state, families):
         rho0 = parse_state(state).to_density()
         params = draw_params(families, np.random.default_rng(1900), 64)
-        finals, ranks = _final_states(rho0.mat, params, moving_qubits(enumerate(families, 1)))
+        finals, ranks = _scenario(state, families, None, None, "auto", "last").final_states(params)
         assert finals.shape == (64, rho0.dim, rho0.dim)
         eigs = assert_trusted(finals, rho0)
         assert np.array_equal(ranks, spectral_ranks(eigs))
@@ -320,7 +324,8 @@ class TestEvolvedStates:
         rho0 = parse_state(state).to_density()
         families = [_canonical_family(f) for f in families]
         params = draw_params(families, np.random.default_rng(2500), 500)
-        ranks = _final_states(rho0.mat, params, moving_qubits(enumerate(families, 1)))[1]
+        scenario = _scenario(state, tuple(families), None, None, "auto", "last")
+        ranks = scenario.final_states(params)[1]
         for row, rank in zip(params, ranks.tolist()):
             channels = {q: PauliChannel(a, fam) for q, (a, fam) in enumerate(zip(row, families), 1)}
             assert apply(channels, rho0).rank == rank
@@ -341,31 +346,26 @@ class TestEvolvedStates:
 
 
 def factor_case(state, families, anchor, relabel=False, cut=None):
-    """`_evaluate` on 64 seeded draws of a catalogued scenario and the
-    product identity of the cut, with the factor states of every column
-    (one `evolve` per anchor), their totals on the cut (the evolve-plus-kernel
-    oracle) and the columns whose anchor shares its side of the cut, which
-    the kernel reads."""
-    psi = parse_state(state)
-    n = psi.n_qubits
-    order = list(range(n))
-    if relabel:
-        perm = tuple(range(n, 0, -1))
-        psi, order = psi.permuted(perm), [q - 1 for q in perm]
-    rho0 = psi.to_density()
-    families = [_canonical_family(f) for f in families]
-    params = draw_params(families, np.random.default_rng(900), 64)[:, order]
-    moving = moving_qubits((k, families[old]) for k, old in enumerate(order, start=1))
-    finals = _final_states(rho0.mat, params, moving)[0]
+    """The compiled scenario's evaluation on 64 seeded draws of a catalogued
+    scenario and the product identity of the cut, with the factor states of
+    every column (one `evolve` per anchor), their totals on the cut (the
+    evolve-plus-kernel oracle) and the columns whose anchor shares its side
+    of the cut, which the kernel reads."""
+    n = len(families)
+    perm = tuple(range(n, 0, -1)) if relabel else None
+    scenario = _scenario(state, families, cut, perm, "product", anchor)
+    rho0 = parse_state(state).to_density() if perm is None \
+        else parse_state(state).permuted(perm).to_density()
+    params = draw_params(scenario.families, np.random.default_rng(900), 64)[:, scenario.order]
+    finals = scenario.final_states(params)[0]
     identity = identity_for("product", n, cut)
-    ev = _evaluate([identity] * 64, rho0.mat, finals, params, moving, anchor=anchor,
-                   normalization_exponent=None, aggregation="sum")
-    states = _factor_states(rho0.mat, params, ev.anchors,
-                            frozenset(ev.anchors[q - 1] for q in moving))
+    ev = scenario.evaluate(np.zeros(64, dtype=int), finals, params,
+                           normalization_exponent=None, aggregation="sum")
+    states = scenario.factor_states(params, range(n))
     assert states.shape == (64, n, 1 << n, 1 << n)
     oracle = cut_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
     lone = {b[0] for b in (identity.cut.block1, identity.cut.block2) if len(b) == 1}
-    measured = [q for q in range(n) if ev.anchors[q] not in lone]
+    measured = [q for q in range(n) if scenario.anchors[q] not in lone]
     return rho0, ev, states, oracle, measured
 
 
@@ -415,6 +415,7 @@ class TestFactorStates:
             return density_spectra(mats)
 
         monkeypatch.setattr(linalg, "density_spectra", counted)
+        factorization._scenario.cache_clear()  # compiling validates rho0
         config = CampaignConfig(state="w4", channels=("PF",) * 4, samples=25, seed=7)
         report = run_campaign(config)
         assert all(r.residual is not None for r in report.rows)
@@ -863,20 +864,22 @@ class TestCampaign:
     ], ids=["mixed-buckets", "mixed-two-stacks", "w4", "ghz4-general"])
     def test_one_kernel_call_per_evaluated_stack(self, config, rank_tol, monkeypatch):
         """Every evaluated row of a stack, whatever its identity, shares one
-        `cut_totals` call with rho0; a stack without one makes none."""
+        `live_totals` call on the final states; a stack without one makes
+        none. C(psi) is read when the scenario is compiled, not per stack."""
         calls = []
 
-        def counted(mats, cut):
+        def counted(mats, live):
             calls.append(len(mats))
-            return cut_totals(mats, cut)
+            return live_totals(mats, live)
 
-        monkeypatch.setattr(factorization, "cut_totals", counted)
         monkeypatch.setattr(factorization, "RANK_TOL", rank_tol)
+        run_campaign(config)  # compiles the scenario
+        monkeypatch.setattr(factorization, "live_totals", counted)
         rows = run_campaign(config).rows
         stacks = [rows[start:start + _STACK] for start in range(0, len(rows), _STACK)]
         # the default cut puts every anchor alone on its side: no factor state
         evaluated = [sum(r.residual is not None for r in stack) for stack in stacks]
-        assert calls == [count + 1 for count in evaluated if count]
+        assert calls == [count for count in evaluated if count]
         if config.state == "ghz4":
             assert calls == []
         elif config.state != "w4":
@@ -905,3 +908,93 @@ class TestCampaign:
         assert lines[-1].startswith("# summary ")
         summary = json.loads(lines[-1].removeprefix("# summary "))
         assert summary["2"]["passed"] == 4
+
+
+# a scenario key, and configs that change one key field of it
+_KEYED = dict(state="w4", channels=("PF",) * 4, samples=20, seed=3, cut="12|34", identity="sum")
+_KEY_CHANGES = [("state", "ghz4"), ("channels", ("PF", "PF", "PF", "BF")), ("cut", "123|4"),
+                ("relabel", (1, 3, 2, 4)), ("identity", "product"), ("anchor", "own")]
+_DRAW_CHANGES = [("seed", 4), ("samples", _STACK + 6), ("tol", 0.5), ("aggregation", "rms"),
+                 ("normalization_exponent", 2)]
+
+
+class TestCompiledScenario:
+    """A campaign compiles its scenario once per process (`_scenario`) and
+    then does only the work that depends on its draws."""
+
+    def test_cache_key_covers_every_field(self):
+        """Interleaved campaigns that differ in one key field, or only in
+        fields that no compiled step reads, write the CSVs of a cold cache."""
+        base = CampaignConfig(**_KEYED)
+        changed = [dataclasses.replace(base, **{name: value})
+                   for name, value in _KEY_CHANGES + _DRAW_CHANGES]
+        fresh = {}
+        for config in (base, *changed):
+            factorization._scenario.cache_clear()
+            fresh[config] = run_campaign(config).to_csv()
+        assert len(set(fresh.values())) == len(fresh)
+        for _ in range(2):
+            for config in changed:
+                for again in (base, config):
+                    assert run_campaign(again).to_csv() == fresh[again]
+
+    @pytest.mark.parametrize("config, pieces", [
+        (CampaignConfig(state="w4", channels=("PF",) * 4, samples=_STACK + 3, seed=7,
+                        aggregation="rms"), 1),
+        (CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), samples=_STACK + 3,
+                        seed=8, cut="12|34"), 2),
+        (CampaignConfig(state="w4", channels=("PF",) * 4, samples=_STACK + 3, seed=9,
+                        cut="12|34", anchor="own"), 2),
+        (CampaignConfig(state="ghz4", channels=("GeneralPauli",) * 4, samples=_STACK + 3,
+                        seed=10), 0),
+    ], ids=["w4-rms", "ghz4-pf3bf-12|34", "w4-12|34-own", "ghz4-general"])
+    def test_warm_request_work(self, config, pieces, monkeypatch):
+        """A second request for a scenario validates no state and looks up
+        no `SupportPlan`, and it makes at most one `_pair_spectra` call per
+        stack piece: the final states of an evaluated stack and, off the
+        default cut, its measured factor states."""
+        factorization._scenario.cache_clear()
+        cold = run_campaign(config)
+        validated, plans, pair_calls = [], [], []
+        density_spectra, plan, pair_spectra = linalg.density_spectra, channels._plan, \
+            concurrence._pair_spectra
+
+        def counted(calls, func):
+            def wrapper(*args):
+                calls.append(args)
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(linalg, "density_spectra", counted(validated, density_spectra))
+        monkeypatch.setattr(channels, "_plan", counted(plans, plan))
+        monkeypatch.setattr(concurrence, "_pair_spectra", counted(pair_calls, pair_spectra))
+        warm = run_campaign(config)
+        assert warm.rows == cold.rows
+        assert validated == [] and plans == []
+        stacks = [warm.rows[start:start + _STACK] for start in range(0, len(warm.rows), _STACK)]
+        evaluated = sum(any(r.residual is not None for r in stack) for stack in stacks)
+        assert evaluated == (0 if pieces == 0 else len(stacks))
+        assert len(pair_calls) <= pieces * evaluated
+
+    @pytest.mark.parametrize("fields, error, needle", [
+        (dict(state="ghz3", channels=("PF",) * 3, relabel=(1, 1, 2)), InvalidPermutationError,
+         "not a permutation"),
+        (dict(state="ghz4", channels=("PF",) * 4, cut="12|3"), DimensionMismatchError,
+         "cut 12|3 is on 3 qubits"),
+        (dict(state="[1, 0]", channels=("PF",)), ValueError, "at least two qubits"),
+    ], ids=["relabel", "cut-qubits", "one-qubit"])
+    def test_malformed_scenario_raises_on_every_call(self, fields, error, needle):
+        """Exceptions are not cached: each call compiles again and raises
+        the same error."""
+        config = CampaignConfig(samples=1, **fields)
+        cached = factorization._scenario.cache_info().currsize
+        messages = []
+        for _ in range(2):
+            with pytest.raises(error, match=needle) as info:
+                run_campaign(config)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert factorization._scenario.cache_info().currsize == cached
+
+    def test_cache_is_bounded(self):
+        assert 0 < factorization._scenario.cache_info().maxsize <= 1024

@@ -29,7 +29,7 @@ from conclab.linalg import (
 )
 
 from conclab.experiments import CATALOGUE, figure1_scan
-from conclab.factorization import _final_states
+from conclab.factorization import _scenario
 from conclab.states import parse_state
 from oracles import psd_sqrt, random_psd, reorder_qubits
 
@@ -443,10 +443,10 @@ class TestSpectraTraffic:
     @pytest.mark.parametrize("state, families", EVOLVED,
                              ids=["-".join((s, *f)) for s, f in EVOLVED])
     def test_final_states(self, state, families, eigvalsh_stacks):
-        rho0 = parse_state(state).to_density().mat
+        scenario = _scenario(state, families, None, None, "auto", "last")
         eigvalsh_stacks.clear()
         params = draw_params(families, np.random.default_rng(1900), 64)
-        _final_states(rho0, params, moving_qubits(enumerate(families, start=1)))
+        scenario.final_states(params)
         assert eigvalsh_stacks == {"w3": [(64, 3)], "w4": [(64, 4)]}.get(state, [])
 
     def test_figure1_scan(self, eigvalsh_stacks):
@@ -465,7 +465,7 @@ class TestBlockRanks:
         rho0 = parse_state(state).to_density().mat
         moving = moving_qubits(enumerate(families, start=1))
         params = draw_params(families, np.random.default_rng(2300), 2000)
-        finals, ranks = _final_states(rho0, params, moving)
+        finals, ranks = _scenario(state, families, None, None, "auto", "last").final_states(params)
         full = np.linalg.eigvalsh(finals)
         assert np.array_equal(ranks, spectral_ranks(full))
         blocks = support_plan(rho0 != 0, moving).blocks
