@@ -208,14 +208,12 @@ def _cmd_sweep(args):
         name = f"{config.state}-{'-'.join(config.channels)}-{config.aggregation}.csv"
         with open(os.path.join(args.out_dir, name), "w", encoding="utf-8") as fh:
             fh.write(report.to_csv())
-        buckets = report.buckets.values()
-        ranks = ",".join(str(r) for r in sorted(report.buckets))
-        evaluated = sum(b.evaluated for b in buckets)
-        passed = sum(b.passed for b in buckets)
-        worst = max((b.max_residual for b in buckets if b.max_residual is not None),
-                    default=float("nan"))
+        ranks = ",".join(report.summary())
+        done = report.residual[report.evaluated]
+        worst = done.max() if len(done) else float("nan")
         lines.append(f"{config.state:<6} {'+'.join(config.channels):<16} "
-                     f"{config.aggregation:<12} {ranks:<14} {passed}/{evaluated:<8} {worst:.3e}")
+                     f"{config.aggregation:<12} {ranks:<14} "
+                     f"{report.passed.sum()}/{len(done):<8} {worst:.3e}")
     lines.append(f"per-sample CSVs in {args.out_dir}/")
     # printed after the last CSV, so a reader that stops early cuts no CSV short
     _write("\n".join(lines) + "\n", None)

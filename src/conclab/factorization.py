@@ -85,7 +85,7 @@ validated; see the trust contract in `conclab.concurrence`.
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from numbers import Integral, Real
 
@@ -113,8 +113,9 @@ ANCHOR_LAST = "last"
 ANCHOR_OWN = "own"
 ANCHORS = (ANCHOR_LAST, ANCHOR_OWN)
 
-# Largest campaign: every sample keeps its CSV row (about 0.5 KB) in memory
-# until the report is written.
+# Largest campaign: the report keeps five columns per sample (rank, evaluated
+# mask, lhs, rhs and residual, about 33 B) in memory, and `to_csv` adds the
+# CSV text it builds.
 MAX_SAMPLES = 1_000_000
 
 
@@ -129,8 +130,7 @@ def _require_int(name, value):
 
 
 def _require_exponent(value):
-    """A normalization exponent override: an integer that fits the int64
-    exponent column."""
+    """A normalization exponent override: an integer in the int64 range."""
     _require_int("normalization_exponent", value)
     if not -2**63 <= value < 2**63:
         raise ValueError(f"normalization_exponent must lie in [-2**63, 2**63 - 1], got {value}")
@@ -227,14 +227,13 @@ def _suggested_identity(rank, cut):
 
 @dataclass(frozen=True)
 class _Evaluation:
-    """Identities on a stack of S scenarios: (S,) arrays lhs, rhs, residual
-    and exponent, (S, n) factor values, and the states (S, m, d, d) of the
-    m factors the kernel measured (the scenario's `measured` columns)."""
+    """Identities on a stack of S scenarios: (S,) arrays lhs, rhs and
+    residual, (S, n) factor values, and the states (S, m, d, d) of the m
+    factors the kernel measured (the scenario's `measured` columns)."""
 
     lhs: np.ndarray
     rhs: np.ndarray
     residual: np.ndarray
-    exponents: np.ndarray
     factors: np.ndarray
     factor_states: np.ndarray
 
@@ -367,7 +366,6 @@ class _Scenario:
         factors[:, self.closed] = initial_c * np.maximum(0.0, 2.0 * weights.max(axis=-1) - 1.0)
 
         rhs, residual = np.empty(samples), np.empty(samples)
-        exponents = np.empty(samples, dtype=np.int64)
         for k, (identity, terms) in enumerate(zip(self.identities, self.terms)):
             rows = np.flatnonzero(which == k)
             if not len(rows):
@@ -384,9 +382,8 @@ class _Scenario:
                 raise ValueError(f"initial concurrence {initial_c!r} cannot take the "
                                  f"normalization exponent {exponent}") from None
             residual[rows] = np.abs(lhs[rows] * scale - rhs[rows])
-            exponents[rows] = exponent
-        return _Evaluation(lhs=lhs, rhs=rhs, residual=residual, exponents=exponents,
-                           factors=factors, factor_states=states)
+        return _Evaluation(lhs=lhs, rhs=rhs, residual=residual, factors=factors,
+                           factor_states=states)
 
 
 def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
@@ -435,7 +432,8 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
         applicable=final_rank <= identity.rank_ceiling,
         channels=channels,
         initial_concurrence=scenario.initial_concurrence,
-        exponent=int(ev.exponents[0]),
+        exponent=int(identity.normalization_exponent if normalization_exponent is None
+                     else normalization_exponent),
         aggregation=aggregation,
         anchor=anchor,
         factors=tuple(
@@ -524,55 +522,59 @@ class CampaignConfig:
         return out
 
 
-@dataclass(frozen=True)
-class SampleRow:
-    index: int
-    rank: int
-    lhs: float | None
-    rhs: float | None
-    residual: float | None
-    passed: bool | None
+MAX_FAILURE_EXAMPLES = 10
 
 
-@dataclass(frozen=True)
-class BucketStats:
-    samples: int
-    evaluated: int
-    passed: int
-    max_residual: float | None
-    failure_indices: tuple
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CampaignReport:
+    """A campaign's per-sample columns, entry i for sample index i: `ranks`
+    (int64) the final ranks, `evaluated` (bool) whether an identity was
+    evaluated, and `lhs`, `rhs` and `residual` (float64), NaN where it was
+    not."""
+
     config: CampaignConfig
-    rows: tuple
-    buckets: dict = field(compare=False)
+    ranks: np.ndarray
+    evaluated: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    residual: np.ndarray
+
+    @property
+    def passed(self):
+        """Evaluated samples whose residual is at most config.tol."""
+        return self.evaluated & (self.residual <= self.config.tol)
+
+    def summary(self):
+        """The rank buckets of the CSV's `# summary` line, in ascending rank:
+        {str(rank): {"samples", "evaluated", "passed", "max_residual" (None
+        when nothing is evaluated), "failure_seeds" (the first
+        MAX_FAILURE_EXAMPLES failing sample indices, ascending)}}."""
+        passed = self.passed
+        buckets = {}
+        for rank in np.unique(self.ranks).tolist():
+            in_bucket = self.ranks == rank
+            done = in_bucket & self.evaluated
+            buckets[str(rank)] = {
+                "samples": int(np.count_nonzero(in_bucket)),
+                "evaluated": int(np.count_nonzero(done)),
+                "passed": int(np.count_nonzero(done & passed)),
+                "max_residual": float(self.residual[done].max()) if done.any() else None,
+                "failure_seeds": np.flatnonzero(done & ~passed)[:MAX_FAILURE_EXAMPLES].tolist(),
+            }
+        return buckets
 
     def to_csv(self):
         # the "seed" column and "failure_seeds" hold sample indices
         out = ["# " + json.dumps(self.config.to_json_dict(), sort_keys=True)]
         out.append("seed,rank,lhs,rhs,residual,pass")
-        for r in self.rows:
-            if r.residual is None:
-                out.append(f"{r.index},{r.rank},,,,")
-            else:
-                out.append(f"{r.index},{r.rank},{r.lhs!r},{r.rhs!r},{r.residual!r},{int(r.passed)}")
-        summary = {
-            str(rank): {
-                "samples": b.samples,
-                "evaluated": b.evaluated,
-                "passed": b.passed,
-                "max_residual": b.max_residual,
-                "failure_seeds": list(b.failure_indices),
-            }
-            for rank, b in sorted(self.buckets.items())
-        }
-        out.append("# summary " + json.dumps(summary, sort_keys=True))
+        columns = (self.ranks, self.evaluated, self.lhs, self.rhs, self.residual, self.passed)
+        for i, (rank, done, lhs, rhs, residual, passed) in enumerate(
+                zip(*(column.tolist() for column in columns))):
+            out.append(f"{i},{rank},{lhs!r},{rhs!r},{residual!r},{int(passed)}" if done
+                       else f"{i},{rank},,,,")
+        out.append("# summary " + json.dumps(self.summary(), sort_keys=True))
         return "\n".join(out) + "\n"
 
-
-MAX_FAILURE_EXAMPLES = 10
 
 # Samples stacked into one evaluation. It bounds a campaign's memory (a w4
 # stack holds about 5 * _STACK * 36 4x4 blocks); rows do not depend on it.
@@ -607,9 +609,12 @@ def _scenario(state, channels, cut, relabel, identity, anchor):
 
 
 def run_campaign(config):
-    """Draw channels per sample, classify the final rank, evaluate the
-    configured or rank-suggested identity on the configured cut, and bucket
-    the outcomes by rank. Deterministic for a fixed config.
+    """Draw channels per sample, classify the final rank, and evaluate the
+    configured or rank-suggested identity on the configured cut.
+    Deterministic for a fixed config. Returns a `CampaignReport` of
+    per-sample columns: `ranks`, the `evaluated` mask, and `lhs`, `rhs` and
+    `residual` (NaN where nothing was evaluated); its `summary` buckets them
+    by rank.
 
     Every sample is drawn from one generator, `default_rng(config.seed)`,
     which `draw_params` reads stack by stack: row i holds the i-th group of
@@ -619,40 +624,28 @@ def run_campaign(config):
     run with samples = i + 1. Different seeds give independent streams.
 
     The scenario is compiled once per process (`_scenario`); up to _STACK
-    samples then run as one stack (see module docstring).
+    samples then run as one stack, which fills one slice of every column
+    (see module docstring).
     """
     scenario = _scenario(config.state, config.channels, config.cut, config.relabel,
                          config.identity, config.anchor)
     rng = np.random.default_rng(config.seed)
-    rows = []
-    for start in range(0, config.samples, _STACK):
-        indices = range(start, min(config.samples, start + _STACK))
-        params = draw_params(scenario.families, rng, len(indices))[:, scenario.order]
-        finals, ranks = scenario.final_states(params)
-        which = scenario.identity_of_rank[ranks]
-        evaluated = np.flatnonzero(which >= 0)
-        results = {}
-        if len(evaluated):
-            ev = scenario.evaluate(which[evaluated], finals[evaluated], params[evaluated],
+    samples = config.samples
+    ranks = np.empty(samples, dtype=np.int64)
+    evaluated = np.zeros(samples, dtype=bool)
+    lhs, rhs, residual = (np.full(samples, np.nan) for _ in range(3))
+    for start in range(0, samples, _STACK):
+        stop = min(samples, start + _STACK)
+        params = draw_params(scenario.families, rng, stop - start)[:, scenario.order]
+        finals, ranks[start:stop] = scenario.final_states(params)
+        which = scenario.identity_of_rank[ranks[start:stop]]
+        rows = np.flatnonzero(which >= 0)
+        if len(rows):
+            ev = scenario.evaluate(which[rows], finals[rows], params[rows],
                                    normalization_exponent=config.normalization_exponent,
                                    aggregation=config.aggregation)
-            results = dict(zip(evaluated.tolist(), zip(ev.lhs.tolist(), ev.rhs.tolist(),
-                                                       ev.residual.tolist())))
-        for k, (i, rank) in enumerate(zip(indices, ranks.tolist())):
-            lhs, rhs, residual = results.get(k, (None, None, None))
-            rows.append(SampleRow(i, rank, lhs, rhs, residual,
-                                  None if residual is None else residual <= config.tol))
-
-    buckets = {}
-    for rank in sorted({r.rank for r in rows}):
-        in_bucket = [r for r in rows if r.rank == rank]
-        evaluated = [r for r in in_bucket if r.residual is not None]
-        failures = sorted(r.index for r in evaluated if not r.passed)
-        buckets[rank] = BucketStats(
-            samples=len(in_bucket),
-            evaluated=len(evaluated),
-            passed=sum(1 for r in evaluated if r.passed),
-            max_residual=max((r.residual for r in evaluated), default=None),
-            failure_indices=tuple(failures[:MAX_FAILURE_EXAMPLES]),
-        )
-    return CampaignReport(config=config, rows=tuple(rows), buckets=buckets)
+            at = start + rows
+            evaluated[at] = True
+            lhs[at], rhs[at], residual[at] = ev.lhs, ev.rhs, ev.residual
+    return CampaignReport(config=config, ranks=ranks, evaluated=evaluated, lhs=lhs, rhs=rhs,
+                          residual=residual)

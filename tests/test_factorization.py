@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from collections import namedtuple
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ def campaign_draws(config):
     rng = np.random.default_rng(config.seed)
     return [tuple(sample_channel(f, rng) for f in config.channels)
             for _ in range(config.samples)]
+
+
+Row = namedtuple("Row", "index rank lhs rhs residual passed")
+
+
+def _rows(report):
+    """The report's columns zipped into one row per sample, as the CSV
+    writes them: lhs, rhs, residual and passed are None where the sample
+    was not evaluated."""
+    columns = (report.ranks, report.evaluated, report.lhs, report.rhs, report.residual,
+               report.passed)
+    return [Row(i, rank, *((lhs, rhs, residual, passed) if done else (None,) * 4))
+            for i, (rank, done, lhs, rhs, residual, passed)
+            in enumerate(zip(*(column.tolist() for column in columns)))]
 
 
 class TestIdentityStructure:
@@ -225,7 +240,7 @@ class TestAutoIdentity:
             "two-qubit-rank-four-nothing"])
     def test_rank_suggests_identity(self, state, families, seed, rank, form):
         config = CampaignConfig(state=state, channels=families, samples=1, seed=seed)
-        (row,) = run_campaign(config).rows
+        (row,) = _rows(run_campaign(config))
         assert row.rank == rank
         if form is None:
             assert (row.lhs, row.rhs, row.residual, row.passed) == (None,) * 4
@@ -418,7 +433,7 @@ class TestFactorStates:
         factorization._scenario.cache_clear()  # compiling validates rho0
         config = CampaignConfig(state="w4", channels=("PF",) * 4, samples=25, seed=7)
         report = run_campaign(config)
-        assert all(r.residual is not None for r in report.rows)
+        assert all(r.residual is not None for r in _rows(report))
         assert shapes == [(16, 16)]
         rep = evaluate_identity(identity_for("sum", 4), w(4), sampled(config.channels, 7))
         assert shapes == [(16, 16)] * 2
@@ -470,7 +485,7 @@ class TestFactorStates:
         monkeypatch.setattr(SupportPlan, "spectra", counted)
         config = CampaignConfig(state="w4", channels=("PF",) * 4, cut="12|34", anchor="own",
                                 samples=_STACK + 3, seed=7)
-        assert all(r.residual is not None for r in run_campaign(config).rows)
+        assert all(r.residual is not None for r in _rows(run_campaign(config)))
         assert shapes == [(_STACK, 16, 16), (3, 16, 16)]
 
 
@@ -568,16 +583,16 @@ class TestCampaign:
     def test_zero_samples_vacuous(self):
         config = CampaignConfig(state="bell", channels=("BF", "BF"), samples=0)
         report = run_campaign(config)
-        assert report.rows == ()
-        assert report.buckets == {}
+        assert _rows(report) == []
+        assert report.summary() == {}
 
     def test_bell_same_family_all_pass(self):
         config = CampaignConfig(state="bell", channels=("BF", "BF"), samples=100, seed=5)
         report = run_campaign(config)
-        bucket = report.buckets[2]
-        assert bucket.samples == bucket.evaluated == bucket.passed == 100
-        assert bucket.max_residual <= 1e-8
-        assert bucket.failure_indices == ()
+        bucket = report.summary()["2"]
+        assert bucket["samples"] == bucket["evaluated"] == bucket["passed"] == 100
+        assert bucket["max_residual"] <= 1e-8
+        assert bucket["failure_seeds"] == []
 
     def test_deterministic_csv(self):
         config = CampaignConfig(state="ghz3", channels=("PF", "PF", "PF"), samples=25, seed=3)
@@ -587,24 +602,24 @@ class TestCampaign:
         config = CampaignConfig(state="ghz3", channels=("BPF", "BPF", "BPF"),
                                 samples=10, seed=1)
         report = run_campaign(config)
-        assert report.buckets[8].evaluated == 0
-        assert all(r.residual is None for r in report.rows)
+        assert report.summary()["8"]["evaluated"] == 0
+        assert all(r.residual is None for r in _rows(report))
 
     def test_forced_identity_and_failure_examples(self):
         config = CampaignConfig(state="ghz3", channels=("BF", "BF", "BF"), samples=30,
                                 seed=11, identity="sum")
         report = run_campaign(config)
-        bucket = report.buckets[4]
-        assert bucket.evaluated == bucket.samples
-        assert bucket.passed == 0  # plain sum never matches
-        assert len(bucket.failure_indices) == 10
-        assert bucket.failure_indices == tuple(sorted(bucket.failure_indices))
+        bucket = report.summary()["4"]
+        assert bucket["evaluated"] == bucket["samples"]
+        assert bucket["passed"] == 0  # plain sum never matches
+        assert len(bucket["failure_seeds"]) == 10
+        assert bucket["failure_seeds"] == sorted(bucket["failure_seeds"])
 
     def test_rms_campaign_passes(self):
         config = CampaignConfig(state="w3", channels=("PF", "PF", "PF"), samples=30,
                                 seed=13, identity="sum", aggregation="rms")
         report = run_campaign(config)
-        assert report.buckets[3].passed == 30
+        assert report.summary()["3"]["passed"] == 30
 
     def test_arity_validation(self):
         config = CampaignConfig(state="ghz3", channels=("BF", "BF"), samples=1)
@@ -641,7 +656,7 @@ class TestCampaign:
     def test_config_accepts_numpy_numbers(self):
         config = CampaignConfig(state="bell", channels=("BF", "BF"), samples=np.int64(2),
                                 seed=np.int32(4), tol=np.float64(1e-8))
-        assert len(run_campaign(config).rows) == 2
+        assert len(_rows(run_campaign(config))) == 2
 
     def test_config_json_must_be_a_complete_object(self):
         with pytest.raises(ValueError, match="JSON object"):
@@ -663,7 +678,7 @@ class TestCampaign:
     def test_config_accepts_tolerance_edges(self, field, value):
         config = CampaignConfig(state="bell", channels=("BF", "BF"), samples=1, **{field: value})
         assert getattr(config, field) == value
-        assert len(run_campaign(config).rows) == 1
+        assert len(_rows(run_campaign(config))) == 1
 
     @pytest.mark.parametrize("field", ["tol"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), -1e-300, -1])
@@ -697,9 +712,9 @@ class TestCampaign:
 
     def test_auto_identity_uses_the_configured_cut(self):
         base = CampaignConfig(state="w4", channels=("PF",) * 4, samples=3, cut="12|34")
-        auto = run_campaign(base).rows
-        forced = run_campaign(dataclasses.replace(base, identity="sum")).rows
-        default = run_campaign(dataclasses.replace(base, cut=None)).rows
+        auto = _rows(run_campaign(base))
+        forced = _rows(run_campaign(dataclasses.replace(base, identity="sum")))
+        default = _rows(run_campaign(dataclasses.replace(base, cut=None)))
         assert [r.rank for r in auto] == [4, 4, 4]
         assert auto == forced
         assert all(a.lhs != d.lhs for a, d in zip(auto, default))
@@ -718,9 +733,9 @@ class TestCampaign:
     ], ids=["auto", "sum-12|34", "relabel"])
     def test_rows_equal_evaluate_identity_bitwise(self, config):
         report = run_campaign(config)
-        assert any(r.residual is not None for r in report.rows)
+        assert any(r.residual is not None for r in _rows(report))
         psi0 = parse_state(config.state)
-        for row, chans in zip(report.rows, campaign_draws(config), strict=True):
+        for row, chans in zip(_rows(report), campaign_draws(config), strict=True):
             psi = psi0
             if config.relabel is not None:
                 psi = psi0.permuted(config.relabel)
@@ -760,7 +775,7 @@ class TestCampaign:
             chans0 = [tuple(chans[q - 1] for q in config.relabel) for chans in chans0]
         identity = identity_for(config.identity, psi.n_qubits, config.cut)
         rho0 = psi.to_density()
-        for row, chans in zip(run_campaign(config).rows, chans0):
+        for row, chans in zip(_rows(run_campaign(config)), chans0):
             lhs = cut_concurrence(apply(dict(enumerate(chans, start=1)), rho0), identity.cut)
             factors = [cut_concurrence(apply({q if config.anchor == "own" else psi.n_qubits: ch},
                                              rho0), identity.cut)
@@ -778,7 +793,7 @@ class TestCampaign:
     ])
     def test_rows_do_not_depend_on_sample_count(self, config):
         doubled = run_campaign(dataclasses.replace(config, samples=2 * config.samples))
-        assert run_campaign(config).rows == doubled.rows[:config.samples]
+        assert _rows(run_campaign(config)) == _rows(doubled)[:config.samples]
 
     @pytest.mark.parametrize("samples", [25, _STACK + 3])
     def test_one_generator_per_campaign(self, samples, monkeypatch):
@@ -792,14 +807,14 @@ class TestCampaign:
         monkeypatch.setattr(np.random, "default_rng", counted)
         config = CampaignConfig(state="ghz3", channels=("PF", "PF", "BF"), samples=samples,
                                 seed=45)
-        assert len(run_campaign(config).rows) == samples
+        assert len(_rows(run_campaign(config))) == samples
         assert built == [(45,)]
 
     def test_adjacent_seeds_share_no_sample(self):
         """Campaigns at seeds b and b + 1 draw independent streams, so no
         evaluated lhs repeats between them."""
         base = CampaignConfig(state="bell", channels=("BF", "BF"), samples=200, seed=0)
-        lhs = [{r.lhs for r in run_campaign(dataclasses.replace(base, seed=s)).rows}
+        lhs = [{r.lhs for r in _rows(run_campaign(dataclasses.replace(base, seed=s)))}
                for s in (0, 1)]
         assert len(lhs[0]) == len(lhs[1]) == 200
         assert not lhs[0] & lhs[1]
@@ -820,9 +835,9 @@ class TestCampaign:
         same rows, bit for bit."""
         monkeypatch.setattr(factorization, "RANK_TOL", rank_tol)
         report = run_campaign(config)
-        assert len({r.rank for r in report.rows}) > 1 or config.identity != "auto"
+        assert len({r.rank for r in _rows(report)}) > 1 or config.identity != "auto"
         monkeypatch.setattr(factorization, "_STACK", 1)
-        assert run_campaign(config).rows == report.rows
+        assert _rows(run_campaign(config)) == _rows(report)
 
     @pytest.mark.parametrize("config", [
         CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=_STACK + 3, seed=46),
@@ -849,9 +864,9 @@ class TestCampaign:
         report = run_campaign(config)
         rows = np.concatenate(zeroed)
         assert 0 < rows.sum() < len(rows)
-        assert any(r.residual is not None for r, z in zip(report.rows, rows) if z)
+        assert any(r.residual is not None for r, z in zip(_rows(report), rows) if z)
         monkeypatch.setattr(factorization, "_STACK", 1)
-        assert run_campaign(config).rows == report.rows
+        assert _rows(run_campaign(config)) == _rows(report)
 
     @pytest.mark.parametrize("config, rank_tol", [
         (CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=24, seed=41), 0.03),
@@ -875,7 +890,7 @@ class TestCampaign:
         monkeypatch.setattr(factorization, "RANK_TOL", rank_tol)
         run_campaign(config)  # compiles the scenario
         monkeypatch.setattr(factorization, "live_totals", counted)
-        rows = run_campaign(config).rows
+        rows = _rows(run_campaign(config))
         stacks = [rows[start:start + _STACK] for start in range(0, len(rows), _STACK)]
         # the default cut puts every anchor alone on its side: no factor state
         evaluated = [sum(r.residual is not None for r in stack) for stack in stacks]
@@ -908,6 +923,46 @@ class TestCampaign:
         assert lines[-1].startswith("# summary ")
         summary = json.loads(lines[-1].removeprefix("# summary "))
         assert summary["2"]["passed"] == 4
+
+    @pytest.mark.parametrize("config, rank_tol", [
+        (CampaignConfig(state="w3", channels=("PF", "BF", "PF"), samples=24, seed=41), 0.03),
+        (CampaignConfig(state="ghz3", channels=("PF", "PF", "BF"), samples=70), RANK_TOL),
+        (CampaignConfig(state="ghz3", channels=("BPF",) * 3, samples=2000, seed=5), RANK_TOL),
+    ], ids=["auto-three-buckets", "capped-failures", "ranks-6-7-8"])
+    def test_summary_equals_csv_recount(self, config, rank_tol, monkeypatch):
+        """`summary` equals a recount of the CSV's data lines: per rank, the
+        counts, the largest residual and the first ten failing sample
+        indices, ascending."""
+        monkeypatch.setattr(factorization, "RANK_TOL", rank_tol)
+        report = run_campaign(config)
+        recount = {}
+        for line in report.to_csv().splitlines()[2:-1]:
+            index, rank, _, _, residual, passed = line.split(",")
+            bucket = recount.setdefault(rank, {"samples": 0, "evaluated": 0, "passed": 0,
+                                               "max_residual": None, "failure_seeds": []})
+            bucket["samples"] += 1
+            if not residual:
+                continue
+            bucket["evaluated"] += 1
+            bucket["passed"] += passed == "1"
+            worst = bucket["max_residual"]
+            bucket["max_residual"] = float(residual) if worst is None \
+                else max(worst, float(residual))
+            if passed == "0" and len(bucket["failure_seeds"]) < 10:
+                bucket["failure_seeds"].append(int(index))
+        summary = report.summary()
+        assert summary == recount
+        assert list(summary) == sorted(summary, key=int)
+        if config.channels == ("BPF",) * 3:
+            assert list(summary) == ["6", "7", "8"]
+            assert not any(bucket["evaluated"] for bucket in summary.values())
+        elif config.samples == 24:
+            # product, sum and unevaluated buckets
+            assert {int(rank) <= 2 for rank, b in summary.items() if b["evaluated"]} \
+                == {True, False}
+            assert any(not b["evaluated"] for b in summary.values())
+        else:
+            assert summary["4"]["passed"] == 0 and len(summary["4"]["failure_seeds"]) == 10
 
 
 # a scenario key, and configs that change one key field of it
@@ -969,9 +1024,10 @@ class TestCompiledScenario:
         monkeypatch.setattr(channels, "_plan", counted(plans, plan))
         monkeypatch.setattr(concurrence, "_pair_spectra", counted(pair_calls, pair_spectra))
         warm = run_campaign(config)
-        assert warm.rows == cold.rows
+        rows = _rows(warm)
+        assert rows == _rows(cold)
         assert validated == [] and plans == []
-        stacks = [warm.rows[start:start + _STACK] for start in range(0, len(warm.rows), _STACK)]
+        stacks = [rows[start:start + _STACK] for start in range(0, len(rows), _STACK)]
         evaluated = sum(any(r.residual is not None for r in stack) for stack in stacks)
         assert evaluated == (0 if pieces == 0 else len(stacks))
         assert len(pair_calls) <= pieces * evaluated

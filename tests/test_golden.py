@@ -26,6 +26,10 @@ CASES = {
     "campaign-w4-pf4-12-34-own.csv": [
         "campaign", "--state", "w4", "--channels", "PF,PF,PF,PF", "--cut", "12|34",
         "--anchor", "own", "--samples", "25", "--seed", "7"],
+    # auto mode over two stacks, every row evaluated, failure_seeds capped at 10
+    "campaign-ghz3-pf2bf-auto-70.csv": [
+        "campaign", "--state", "ghz3", "--channels", "PF,PF,BF", "--samples", "70",
+        "--seed", "0"],
     "evolve-ghz3-bf-pf-bpf.csv": [
         "evolve", "--state", "ghz3", "--channels", "BF:p=0.2,PF:p=0.1,BPF:p=0.3"],
     "figure1-26.csv": ["figure1", "--points", "26"],
