@@ -39,20 +39,22 @@ layout depends on the draws it is stacked with. A state nonzero only on
 the closure is block-diagonal over the closure's connected components,
 which is where spectra and ranks are read.
 
-A `SupportPlan` holds one closure: its entries, their signs s and partner
-indices per qubit, and its block partition, cached per (pattern, moving
-qubits) by `support_plan`. It owns every state evolved in it: the plan's
-`evolve` is the one channel-application path, and its `spectra` reads
-those states' spectra from its blocks (`linalg.block_spectra`). `evolve`
-gathers a (B, d, d) stack into the support layout t[e, b] = rho_b[entry e],
-with the stack as the innermost axis. Each moving qubit applies
-t = keep * t + move * t[partner] and each other qubit t = keep * t, with
-keep = w0 + s w3 and move = w1 + s w2 read per entry, and the result is
-scattered into zeros once. Unassigned qubits are left untouched, and every
-entry outside the closure is exactly 0. GHZ states fill 2 of the d XOR
+A `SupportPlan` holds one closure: its entries, each qubit's coefficient
+columns and partner positions, and its block partition, cached per
+(pattern, moving qubits) by `support_plan`. It owns every state evolved in
+it: `evolve` is the one channel-application path, and `spectra` reads the
+spectra from the blocks (`linalg.block_spectra`). An evolved stack stays in
+the plan's support layout (`linalg.layout_positions`): (S, E + 1) rows of
+the closure's entries and one pad that holds +0.0. `evolve` gathers its
+input into these rows once and reads every qubit's keep = w0 + s w3 and
+move = w1 + s w2 per position with one gather from an (S, 4k) table. Each
+moving qubit applies t = keep * t + move * t[partner] and each other qubit
+t = keep * t; the pad has s = +1 and is its own partner, so it stays +0.0.
+Unassigned qubits are left untouched. GHZ states fill 2 of the d XOR
 classes, and W4 under PF on every qubit only its own 16 entries. Every step
-is elementwise, so a matrix's values do not depend on the stack it shares.
-`apply` is the one-matrix case.
+is elementwise, so a state's values do not depend on the stack it shares.
+`apply`, the one-matrix case, scatters its row into the dense matrix a user
+sees.
 """
 
 from dataclasses import dataclass
@@ -62,7 +64,7 @@ from numbers import Integral, Real
 import numpy as np
 
 from .errors import DimensionMismatchError, NotNormalizedError, loads_json
-from .linalg import DensityMatrix, block_partition, block_spectra, n_qubits_of
+from .linalg import DensityMatrix, block_partition, block_spectra, layout_positions, n_qubits_of
 
 PARAM_NORM_TOL = 1e-12
 
@@ -134,6 +136,19 @@ def flip_channel(family, p):
     return PauliChannel(flip_params(family, p), family)
 
 
+@lru_cache(maxsize=256)
+def _draw_layout(families):
+    """The Gaussians one row draws, and per width w of free coordinates (2
+    or 4): the (m, w) Gaussian columns of the m families of that width, and
+    the (m, w) entries of a flat (n * 4,) parameter row that they fill."""
+    coords = [_FREE_COORDS[fam] for fam in families]
+    starts = np.cumsum([0] + [len(c) for c in coords])
+    return starts[-1], tuple(
+        (np.array([range(starts[j], starts[j + 1]) for j in js]),
+         np.array([[4 * j + c for c in coords[j]] for j in js]))
+        for js in ([j for j, c in enumerate(coords) if len(c) == w] for w in (2, 4)) if js)
+
+
 def draw_params(families, rng, samples):
     """Pauli parameters (samples, n, 4), uniform on the unit sphere of each
     family's free coordinates (2 for BF/PF/BPF, 4 for GeneralPauli) via
@@ -142,18 +157,19 @@ def draw_params(families, rng, samples):
     row i takes the next draws of the generator, one family after the other
     in order. So two calls for a and b samples give the same rows as one
     call for a + b, and row i equals n `sample_channel` calls made on the
-    generator after the rows before it. `families` are canonical names."""
-    coords = [_FREE_COORDS[fam] for fam in families]
-    width = sum(len(c) for c in coords)
+    generator after the rows before it. The families of one width are
+    normalized together, each by its own dot product. `families` are
+    canonical names."""
+    width, groups = _draw_layout(tuple(families))
     g = rng.standard_normal((samples, width))
-    a = np.zeros((samples, len(coords), 4))
-    start = 0
-    for j, c in enumerate(coords):
-        x = g[:, start:start + len(c)]
-        start += len(c)
+    a = np.zeros((samples, len(families) * 4))
+    for cols, targets in groups:
+        # C-contiguous, as one family's columns are: the dot product's
+        # summation order, and so its last bit, follows the memory layout
+        x = g.take(cols, axis=1)
         # the Euclidean norm as a dot product, like np.linalg.norm
-        a[:, j, c] = x / np.sqrt(x[:, None, :] @ x[:, :, None])[:, 0]
-    return a
+        a[:, targets] = x / np.sqrt(x[..., None, :] @ x[..., :, None])[..., 0]
+    return a.reshape(samples, len(families), 4)
 
 
 def sample_channel(family, rng):
@@ -173,16 +189,16 @@ class SupportPlan:
     """Where a stack evolved from one support pattern by local Pauli channels
     can be nonzero (see module docstring): the closure `entries` (E,), flat
     indices ascending, of the pattern under the row-and-column bit flips of
-    the `moving` qubits; per qubit q, `flipped[q]` (E,), 1 where q's row and
-    column bits of an entry differ and 0 where they agree; per moving qubit,
-    `partner[q]` (E,), the position in `entries` of the entry with q's bit
-    flipped in both; and the `block_partition` of the closure, over which
-    every such state is block-diagonal."""
+    the `moving` qubits, the support layout of its rows; `select[q - 1]`
+    (2, E + 1), which of qubit q's coefficient columns (w0 + w3, w1 + w2,
+    w0 - w3, w1 - w2) each position's keep and move read; per moving qubit,
+    `partner[q]` (E + 1,), the position with q's bit flipped in both; and
+    `blocks`, the closure's `block_partition` read at positions."""
 
     dim: int
     moving: frozenset
     entries: np.ndarray
-    flipped: dict
+    select: np.ndarray
     partner: dict
     blocks: tuple
 
@@ -193,27 +209,30 @@ class SupportPlan:
         module docstring). Every assigned qubit outside `moving` must carry
         a2 = a3 = 0 (PF or the identity). B and S broadcast, so one initial
         state can go through S channel draws. Returns the unvalidated
-        (max(B, S), d, d) stack; see the trust contract in
-        `conclab.concurrence`."""
-        d = self.dim
-        t = mats.reshape(-1, d * d).T[self.entries]  # (E, B)
-        for q in sorted(params):
-            w = np.square(params[q]).T
-            # the coefficients at s = +1 and s = -1, read per entry
-            keep = np.stack((w[0] + w[3], w[0] - w[3]))[self.flipped[q]]
-            if q in self.moving:
-                move = np.stack((w[1] + w[2], w[1] - w[2]))[self.flipped[q]]
-                t = keep * t + move * t[self.partner[q]]
-            else:
-                t = keep * t
-        out = np.zeros((t.shape[-1], d * d), dtype=complex)
-        out.T[self.entries] = t
-        return out.reshape(-1, d, d)
+        (max(B, S), E + 1) rows in the plan's layout; see the trust contract
+        in `conclab.concurrence`."""
+        t = np.zeros((len(mats), len(self.entries) + 1), dtype=complex)
+        t[:, :-1] = mats.reshape(len(mats), -1)[:, self.entries]
+        qubits = sorted(params)
+        if not qubits:
+            return t
+        w = np.square(np.concatenate([params[q] for q in qubits], axis=-1))
+        w = w.reshape(len(w), len(qubits), 4)
+        near, far = w[..., :2], w[..., :1:-1]  # (w0, w1) and (w3, w2)
+        # each qubit's keep and move at s = +1, then at s = -1: (w0 + w3, w1 + w2,
+        # w0 - w3, w1 - w2); complex, as each product with t casts them to it
+        table = np.concatenate((near + far, near - far), axis=-1, dtype=complex).reshape(len(w), -1)
+        slots = 4 * np.arange(len(qubits))[:, None, None]  # each qubit's four columns
+        coefficients = table[:, self.select[[q - 1 for q in qubits]] + slots]
+        for j, q in enumerate(qubits):
+            keep, move = coefficients[:, j, 0], coefficients[:, j, 1]
+            t = keep * t + move * t[:, self.partner[q]] if q in self.moving else keep * t
+        return t
 
-    def spectra(self, states):
-        """Unsorted eigenvalues (S, d) of a (S, d, d) stack this plan evolved,
+    def spectra(self, rows):
+        """Unsorted eigenvalues (S, d) of (S, E + 1) rows this plan evolved,
         read from its blocks by `block_spectra`, unchecked."""
-        return block_spectra(states, self.blocks)
+        return block_spectra(rows, self.blocks, self.dim)
 
 
 @lru_cache(maxsize=256)
@@ -228,17 +247,20 @@ def _plan(pattern_bytes, dim, moving):
     closed = np.zeros(dim * dim, dtype=bool)
     closed[(rows[:, None] ^ flips) * dim + (cols[:, None] ^ flips)] = True
     entries = np.flatnonzero(closed)
+    at = layout_positions(entries, dim)
     r, c = entries // dim, entries % dim
-    flipped, partner = {}, {}
+    select = np.zeros((n, 2, len(entries) + 1), dtype=np.intp)
+    partner = {}
     for q in range(1, n + 1):
         m = 1 << (n - q)
-        flipped[q] = ((r ^ c) & m != 0).astype(np.intp)
+        select[q - 1, :, :-1] = 2 * ((r ^ c) & m != 0)
         if q in moving:
-            partner[q] = np.searchsorted(entries, (r ^ m) * dim + (c ^ m))
-    for a in (entries, *flipped.values(), *partner.values()):
+            partner[q] = np.append(at[(r ^ m) * dim + (c ^ m)], len(entries))
+    select[:, 1] += 1
+    blocks = tuple((size, at[index]) for size, index in block_partition(closed.reshape(dim, dim)))
+    for a in (entries, select, *partner.values(), *(index for _, index in blocks)):
         a.setflags(write=False)
-    return SupportPlan(dim, moving, entries, flipped, partner,
-                       block_partition(closed.reshape(dim, dim)))
+    return SupportPlan(dim, moving, entries, select, partner, blocks)
 
 
 def support_plan(pattern, moving):
@@ -265,8 +287,10 @@ def apply(channels, rho):
     params = {q: np.array([ch.a]) for q, ch in channels.items()}
     moving = moving_qubits((q, ch.family) for q, ch in channels.items())
     plan = support_plan(rho.mat != 0, moving)
-    final = plan.evolve(rho.mat[None], params)
-    return DensityMatrix._evolved(final[0], np.sort(plan.spectra(final)[0]))
+    rows = plan.evolve(rho.mat[None], params)
+    final = np.zeros(rho.mat.size, dtype=complex)
+    final[plan.entries] = rows[0, :-1]
+    return DensityMatrix._evolved(final.reshape(rho.mat.shape), np.sort(plan.spectra(rows)[0]))
 
 
 def _json_real(value, what):

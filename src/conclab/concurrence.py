@@ -66,9 +66,11 @@ product costs one 4x4 matmul per block, with no root rebuilt. Reading the
 l's as singular values avoids taking square roots of near-zero
 eigenvalues, which would inject noise of order sqrt(machine epsilon).
 
-The kernel therefore takes a (B, d, d) stack of states and reads the
-principal blocks of a cut through flat index sets (the cut's qubit
-reordering folded into them). It marks a (state, pair) as X-shaped when
+The kernel therefore takes a stack of states as (B, E) rows of a support
+layout (`linalg.layout_positions`; a dense stack is the identity layout)
+and reads the principal blocks of a cut at positions in them (the cut's
+qubit reordering folded in, every entry outside the layout read at the
+pad, +0.0 as a dense zero). It marks a (state, pair) as X-shaped when
 the eight entries of its block off the diagonal and anti-diagonal are
 exactly 0, and gives it the closed form. Only the other blocks, selected
 with one boolean mask, are gathered whole; of these, only the ones with
@@ -83,8 +85,9 @@ support, the entries nonzero in some state, and skip each pair whose block
 there has no coupling entry (r30, r21 or an entry off the X) or no Y pair
 with both states live. A skipped pair's C_mn is exactly +0.0 in every state
 whose entries lie in that support, so the support may be any superset of
-the stack's union support: a campaign prunes once, on the closures of its
-support plans (`cut_pairs`), and reads each stack with `live_totals`. A
+the stack's union support, such as the entries of a layout that holds it:
+evolved rows are pruned once, on their layout (`cut_pairs`, `tau3_pairs`),
+and read with `live_totals` and `live_tau3`. A
 state's block holds a subset of the support's entries, so the block has
 r30 = r21 = 0 (a nonzero r30 would make both 0 and 3 live, and likewise
 r21 for 1 and 2), and either it is X-shaped or none of its Y pairs is
@@ -100,9 +103,10 @@ shares the stack and whichever superset the pairs were pruned on.
 `bipartite_concurrence` keeps every pair: a breakdown prints each pair's
 l's, and a skipped pair's (x, x, y, y) need not be 0.
 
-Trust contract. The kernel trusts its input: a state rho0 that passed
-`density_spectra`, or any state evolved from one by local Pauli channels,
-many-sided or single-sided. Each channel's weights a_k^2 are nonnegative
+Trust contract. The kernel trusts its input, dense or as rows of a layout
+that holds every nonzero entry: a state rho0 that passed `density_spectra`,
+or any state evolved from one by local Pauli channels, many-sided or
+single-sided. Each channel's weights a_k^2 are nonnegative
 and sum to 1 within 1e-12, so an evolved state is sum_P w_P P rho0 P over
 Pauli strings P, with w_P >= 0 and sum_P w_P = 1: a convex mix of unitary
 conjugates of rho0. It keeps rho0's trace and, to roundoff, its
@@ -111,7 +115,7 @@ at or above lambda_min(rho0). A block's entries are the state's, so it is
 Hermitian to HERM_TOL; by Cauchy interlacing its eigenvalues sit at or
 above EIG_FLOOR - 4 * HERM_TOL, the 4 covering `eigh` reading a triangle
 that the gather reordered. The same argument lets every other module hand
-evolved states to this kernel, and read their spectra and ranks from the
+evolved rows to this kernel, and read their spectra and ranks from the
 blocks of the plan that evolved them (`channels.SupportPlan.spectra`),
 unchecked: only inputs are validated.
 """
@@ -123,7 +127,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import n_qubits_of, permutation_indices
+from .linalg import layout_positions, n_qubits_of, permutation_indices
 
 
 @dataclass(frozen=True)
@@ -285,10 +289,10 @@ def _x_spectra(entries):
                      np.minimum(inner_hi, inner_lo), np.minimum(lo[:, 0], lo[:, 1])), axis=-1)
 
 
-def _pair_spectra(mats, gathers):
+def _pair_spectra(rows, gathers):
     """The l's (B, P, 4), descending, and C_mn = max(0, l1 - l2 - l3 - l4)
-    (B, P) of the principal blocks rho_II of a (B, d, d) stack, whose
-    entries sit at the flat indices of `gathers`: the singular values of
+    (B, P) of the principal blocks rho_II of (B, E) rows or a (B, d, d)
+    stack, whose entries sit at the positions of `gathers`: the singular values of
     sqrt(rho_II) Y sqrt(rho_II)*. They are read in closed form for each
     X-shaped block and for each block whose support holds at most one state
     of each Y pair {0, 3}, {1, 2} (l's exactly 0, see the module docstring),
@@ -303,7 +307,7 @@ def _pair_spectra(mats, gathers):
     do not depend on the stack it shares.
     """
     flat, off_x, x_entries = gathers
-    states = mats.reshape(len(mats), -1)
+    states = rows.reshape(len(rows), -1)
     # entries are gathered as (B, k, P): reducing over a short middle axis
     # with the pairs contiguous is much cheaper than over a short last axis
     general = np.any(np.take(states, off_x, axis=1) != 0, axis=1)
@@ -324,37 +328,41 @@ def _pair_spectra(mats, gathers):
     return lam, np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
 
 
-def _live_pairs(gathers, support):
+def _live_pairs(gathers, entries, at):
     """The pairs that can carry concurrence in any state whose nonzero
-    entries lie in `support`, a flat (d * d,) boolean pattern: those whose
+    entries lie in `entries` (flat indices of a d x d state): those whose
     block there holds a nonzero coupling entry (r30, r21 or an entry off the
     X) and both states of some Y pair live. Returns the number of pairs P,
-    their indices and their `_gathers`. Every other pair's C_mn is exactly
-    +0.0 in every such state (see the module docstring), so the support may
-    be any superset of a stack's union support."""
+    their indices and their `_gathers` at positions `at` (d * d,) of each
+    flat index in the rows read. Every other pair's C_mn is exactly +0.0 in
+    every such state (see the module docstring), so the entries may be any
+    superset of a stack's union support."""
     flat, off_x, x_entries = gathers
+    support = np.zeros(len(at), dtype=bool)
+    support[entries] = True
     blocks = support[flat]
     live = blocks.any(axis=-1) | blocks.any(axis=-2)
     paired = (live[:, 0] & live[:, 3]) | (live[:, 1] & live[:, 2])
     coupled = support[off_x].any(axis=0) | support[x_entries[4:]].any(axis=0)
     pairs = np.flatnonzero(paired & coupled)
-    return len(flat), pairs, (flat[pairs], off_x[:, pairs], x_entries[:, pairs])
+    return len(flat), pairs, (at[flat[pairs]], at[off_x[:, pairs]], at[x_entries[:, pairs]])
 
 
-def _live_values(mats, live):
-    """C_mn (B, P) of a (B, d, d) stack, as `_pair_spectra` gives them, from
-    one `_pair_spectra` call on the pairs of `_live_pairs` alone; every
-    other pair is written as +0.0."""
+def _dense_pairs(gathers, mats):
+    """`_live_pairs` on a (B, d, d) stack's union support: the identity layout."""
+    flat = mats.reshape(len(mats), -1)
+    return _live_pairs(gathers, np.flatnonzero(flat.any(axis=0)), np.arange(flat.shape[1]))
+
+
+def _live_values(rows, live):
+    """C_mn (B, P) of (B, E) rows, as `_pair_spectra` gives them, from one
+    `_pair_spectra` call on the pairs of `_live_pairs` alone; every other
+    pair is written as +0.0."""
     count, pairs, pruned = live
-    values = np.zeros((len(mats), count))
+    values = np.zeros((len(rows), count))
     if len(pairs):
-        values[:, pairs] = _pair_spectra(mats, pruned)[1]
+        values[:, pairs] = _pair_spectra(rows, pruned)[1]
     return values
-
-
-def _union_support(mats):
-    """The flat (d * d,) entries nonzero in some state of a (B, d, d) stack."""
-    return mats.reshape(len(mats), -1).any(axis=0)
 
 
 def _check_qubits(cut, mats):
@@ -378,26 +386,27 @@ def _cut_total(values):
     return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
 
 
-def cut_pairs(cut, support):
-    """The `_live_pairs` of a cut's generator pairs on a flat (d * d,)
-    boolean support pattern of a d x d state: what `live_totals` reads."""
-    return _live_pairs(_pair_blocks(cut.block1, cut.block2)[1], support)
+def cut_pairs(cut, entries):
+    """The `_live_pairs` of a cut's generator pairs on the support layout
+    `entries` of a state on the cut's qubits: what `live_totals` reads."""
+    at = layout_positions(entries, 1 << cut.n_qubits)
+    return _live_pairs(_pair_blocks(cut.block1, cut.block2)[1], entries, at)
 
 
-def live_totals(mats, live):
-    """Concurrence across a cut of every state of a (B, d, d) stack whose
-    nonzero entries lie in the support `live` was pruned on (`cut_pairs`):
-    the (B,) totals over the cut's generator pairs. Each state must have
-    passed `density_spectra` or be evolved from one by local Pauli channels
-    (see the trust contract in the module docstring)."""
-    return _cut_total(_live_values(mats, live))
+def live_totals(rows, live):
+    """Concurrence across a cut of every state of (B, E) rows of the layout
+    `live` was pruned on (`cut_pairs`): the (B,) totals over the cut's
+    generator pairs. Each state must have passed `density_spectra` or be
+    evolved from one by local Pauli channels (see the trust contract in the
+    module docstring)."""
+    return _cut_total(_live_values(rows, live))
 
 
 def cut_totals(mats, cut):
     """Concurrence across a cut of every state of a (B, d, d) stack:
-    `live_totals` on the stack's own union support."""
+    `live_totals` on the identity layout."""
     _check_qubits(cut, mats)
-    return live_totals(mats, cut_pairs(cut, _union_support(mats)))
+    return live_totals(mats, _dense_pairs(_pair_blocks(cut.block1, cut.block2)[1], mats))
 
 
 def bipartite_concurrence(rho, cut):
@@ -426,16 +435,27 @@ def _tau3_blocks():
                                     for cut in _TAU3_CUTS]))
 
 
-def tau3_stack(mats):
+def tau3_pairs(entries):
+    """The `_live_pairs` of the three 2|1 cuts' 18 pairs on the support
+    layout `entries` of a 3-qubit state: what `live_tau3` reads."""
+    return _live_pairs(_tau3_blocks(), entries, layout_positions(entries, 8))
+
+
+def live_tau3(rows, live):
     """Root-mean-square of the three 2|1 bipartite concurrences of every
-    3-qubit state of a (B, 8, 8) stack that `cut_totals` accepts, from one
-    kernel call over the 18 pairs of the three cuts. Each cut's total is
-    `_cut_total` over its 6 pairs, so tau3 is the rms of the three
-    `cut_totals`, bit for bit."""
-    _check_qubits(_TAU3_CUTS[0], mats)
-    values = _live_values(mats, _live_pairs(_tau3_blocks(), _union_support(mats)))
-    t1, t2, t3 = _cut_total(values.reshape(len(mats), 3, -1)).T
+    3-qubit state of (B, E) rows of the layout `live` was pruned on
+    (`tau3_pairs`), from one kernel call over the 18 pairs of the three
+    cuts. Each cut's total is `_cut_total` over its 6 pairs, so tau3 is the
+    rms of the three `cut_totals`, bit for bit."""
+    t1, t2, t3 = _cut_total(_live_values(rows, live).reshape(len(rows), 3, -1)).T
     return np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
+
+
+def tau3_stack(mats):
+    """tau3 of every 3-qubit state of a (B, 8, 8) stack that `cut_totals`
+    accepts: `live_tau3` on the identity layout."""
+    _check_qubits(_TAU3_CUTS[0], mats)
+    return live_tau3(mats, _dense_pairs(_tau3_blocks(), mats))
 
 
 def tau3(rho):

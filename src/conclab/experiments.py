@@ -1,16 +1,18 @@
 """Named reproduction scenarios: the catalogue of (state, channel family)
 scenarios, the three-BPF lower-bound sweep and the rank table. The sweep
-evolves its grid with one `SupportPlan.evolve` per stack, and the rank
+evolves its grid with one `SupportPlan.evolve` per stack and reads tau3
+from the rows on the pairs pruned once on the plan's layout, and the rank
 table compiles each scenario as campaigns do (`factorization._Scenario`)
 and reads its final rank by the same `final_states`."""
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .channels import flip_params, support_plan
-from .concurrence import tau3_stack
+from .concurrence import live_tau3, tau3_pairs
 from .factorization import ANCHOR_LAST, _Scenario, default_cut
 from .states import parse_state
 
@@ -38,13 +40,20 @@ CATALOGUE = (
 )
 
 
+@lru_cache(maxsize=16)
+def _tau3_live(plan):
+    """The tau3 pairs pruned on a 3-qubit plan's layout (`tau3_pairs`)."""
+    return tau3_pairs(plan.entries)
+
+
 def _tau3_bpf3(ps, rho0):
     """tau3 (len(ps),) of the three-qubit initial density matrix `rho0`
     (8, 8), the GHZ state, after identical BPF(p) on every qubit, for every
     p of `ps`: one stacked `SupportPlan.evolve` and kernel call; see the
     trust contract in `conclab.concurrence`."""
     plan = support_plan(rho0 != 0, (1, 2, 3))
-    return tau3_stack(plan.evolve(rho0[None], dict.fromkeys((1, 2, 3), flip_params("BPF", ps))))
+    rows = plan.evolve(rho0[None], dict.fromkeys((1, 2, 3), flip_params("BPF", ps)))
+    return live_tau3(rows, _tau3_live(plan))
 
 
 @dataclass(frozen=True)

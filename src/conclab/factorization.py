@@ -54,33 +54,34 @@ A scenario is compiled once (`_Scenario`): its validated initial state,
 the relabel order and the qubits whose family moves entries, the
 `SupportPlan` of its final states and of each anchor qubit's factor
 states, a table from final rank to identity, the factor columns read in
-closed form and by the kernel, each identity's rhs terms, C(psi), and the
-kernel's generator pairs pruned once on the union of those plans'
-closures (`concurrence.cut_pairs`; the pruning is exact on any superset of
-a stack's union support). Campaigns keep compiled scenarios in `_scenario`,
-an `lru_cache` of at most 256, keyed by the `CampaignConfig` fields that
-no draw changes: state, channels, cut, relabel, identity and anchor. Each
-holds a few KB. Seed, samples, tol, aggregation and the exponent are read
-per request. Errors are not cached, so a malformed scenario raises on
-every request.
+closed form and by the kernel, each identity's rhs terms, C(psi), the
+support layout of factor rows (the union of the factor plans' closures),
+and the kernel's generator pairs pruned once on each layout it reads
+(`concurrence.cut_pairs`). Campaigns keep compiled scenarios in
+`_scenario`, an `lru_cache` of at most 256, keyed by the `CampaignConfig`
+fields that no draw changes: state, channels, cut, relabel, identity and
+anchor. Each holds a few KB. Seed, samples, tol, aggregation and the
+exponent are read per request. Errors are not cached, so a malformed
+scenario raises on every request.
 
 Scenarios are then evaluated as stacks fed only their (S, n, 4) channel
 parameters: one many-sided `SupportPlan.evolve` in the scenario's plan
-gives every final state, the same plan's `SupportPlan.spectra` gives its
-rank (`spectral_ranks` at RANK_TOL), and one kernel call on the final
-states (`live_totals`) gives lhs for every row, whichever identity the
-row takes. Each factor whose anchor stands alone is C(psi) * c($) from the
-parameters; each other factor (the cut 12|34, or `anchor="own"` on a
-shared block) is read from one single-sided `SupportPlan.evolve` per
-anchor qubit, whose states take one more kernel call. rhs and residual
-then follow per identity on its rows. A campaign makes one such
-evaluation per stack that holds an evaluated row, and `evaluate_identity`
-is the one-row case, compiled without the cache. It also reports every
-factor's rank, read by the `spectra` of the plan that evolved the factor
-state: the states the kernel measured are reused, and only the
-closed-form factors' states are evolved for it, one `SupportPlan.evolve`
-per anchor. Campaigns read no factor rank. Only the initial state is
-validated; see the trust contract in `conclab.concurrence`.
+gives every final state as a row of its layout, the same plan's
+`SupportPlan.spectra` gives its rank (`spectral_ranks` at RANK_TOL), and
+one kernel call on the final rows (`live_totals`) gives lhs for every row,
+whichever identity the row takes. Each factor whose anchor stands alone is
+C(psi) * c($) from the parameters; each other factor (the cut 12|34, or
+`anchor="own"` on a shared block) is read from one single-sided
+`SupportPlan.evolve` per anchor qubit, whose rows take their positions in
+the factor layout and one more kernel call. rhs and residual then follow
+per identity on its rows. A campaign makes one such evaluation per stack
+that holds an evaluated row, and `evaluate_identity` is the one-row case,
+compiled without the cache. It also reports every factor's rank, read by
+the `spectra` of the plan that evolved the factor state: the states the
+kernel measured are reused, and only the closed-form factors' states are
+evolved for it, one `SupportPlan.evolve` per anchor. Campaigns read no
+factor rank. Only the initial state is validated; see the trust contract
+in `conclab.concurrence`.
 """
 
 import json
@@ -99,9 +100,9 @@ from .channels import (
     moving_qubits,
     support_plan,
 )
-from .concurrence import Bipartition, cut_pairs, live_totals, parse_cut
+from .concurrence import Bipartition, cut_pairs, cut_totals, live_totals, parse_cut
 from .errors import DimensionMismatchError, loads_json
-from .linalg import RANK_TOL, spectral_ranks
+from .linalg import RANK_TOL, layout_positions, spectral_ranks
 from .states import parse_state
 
 PRODUCT = "product"
@@ -115,7 +116,7 @@ ANCHORS = (ANCHOR_LAST, ANCHOR_OWN)
 
 # Largest campaign: the report keeps five columns per sample (rank, evaluated
 # mask, lhs, rhs and residual, about 33 B) in memory, and `to_csv` adds the
-# CSV text it builds.
+# CSV text it builds; evolved states live one stack at a time (`_STACK`).
 MAX_SAMPLES = 1_000_000
 
 
@@ -228,8 +229,8 @@ def _suggested_identity(rank, cut):
 @dataclass(frozen=True)
 class _Evaluation:
     """Identities on a stack of S scenarios: (S,) arrays lhs, rhs and
-    residual, (S, n) factor values, and the states (S, m, d, d) of the m
-    factors the kernel measured (the scenario's `measured` columns)."""
+    residual, (S, n) factor values, and the factor rows (S, m, F + 1) of
+    the m factors the kernel measured (the scenario's `measured` columns)."""
 
     lhs: np.ndarray
     rhs: np.ndarray
@@ -249,6 +250,9 @@ class _Scenario:
     - `plan`, the `SupportPlan` of the final states (its `moving` holds the
       qubits whose family moves entries), and `factor_plans`, {anchor
       qubit: the plan of its factor states}, in qubit order;
+    - `factor_entries` (F,), the union of the factor plans' closures, the
+      layout of factor rows, and `factor_at`, {anchor qubit: the position
+      there of each column of its plan's rows};
     - `identities`, the identities some rank takes, and `identity_of_rank`
       (d + 1,), the index into them of each final rank's identity, -1 for
       none;
@@ -257,9 +261,8 @@ class _Scenario:
       kernel;
     - `initial_concurrence`, C(psi) on the cut;
     - `terms`, per identity, the 0-based factor columns of each rhs term;
-    - `live`, the cut's generator pairs pruned on the union of the closures
-      of `plan` and of the measured factors' plans (`cut_pairs`), which
-      holds every state the kernel reads.
+    - `live` and `factor_live`, the cut's generator pairs pruned on the
+      layouts of `plan` and of factor rows (`cut_pairs`).
     """
 
     rho0: np.ndarray
@@ -267,6 +270,8 @@ class _Scenario:
     order: tuple
     plan: SupportPlan
     factor_plans: dict
+    factor_entries: np.ndarray
+    factor_at: dict
     identities: tuple
     identity_of_rank: np.ndarray
     anchors: tuple
@@ -275,6 +280,7 @@ class _Scenario:
     initial_concurrence: float
     terms: tuple
     live: tuple
+    factor_live: tuple
 
     @classmethod
     def compile(cls, psi, families, cut, forced, anchor, order=None):
@@ -304,48 +310,51 @@ class _Scenario:
         identity_of_rank = np.array([-1 if i is None else identities.index(i) for i in by_rank])
         identity_of_rank.setflags(write=False)
         plan = support_plan(pattern, moving)
-        support = np.zeros(rho0.size, dtype=bool)
-        for p in (plan, *(factor_plans[anchors[q]] for q in measured)):
-            support[p.entries] = True
-        live = cut_pairs(cut, support)
+        factor_entries = np.unique(np.concatenate([p.entries for p in factor_plans.values()]))
+        at = layout_positions(factor_entries, len(rho0))
+        factor_at = {q: np.append(at[p.entries], len(factor_entries))
+                     for q, p in factor_plans.items()}
         return cls(rho0=rho0, families=tuple(families), order=order, plan=plan,
-                   factor_plans=factor_plans, identities=identities,
+                   factor_plans=factor_plans, factor_entries=factor_entries,
+                   factor_at=factor_at, identities=identities,
                    identity_of_rank=identity_of_rank, anchors=anchors, closed=closed,
                    measured=measured,
-                   initial_concurrence=float(live_totals(rho0[None], live)[0]),
+                   initial_concurrence=float(cut_totals(rho0[None], cut)[0]),
                    terms=tuple(tuple([q - 1 for q in term] for term in identity.rhs_terms)
                                for identity in identities),
-                   live=live)
+                   live=cut_pairs(cut, plan.entries),
+                   factor_live=cut_pairs(cut, factor_entries))
 
     def final_states(self, params):
-        """Many-sided final states (S, d, d) under S draws of per-qubit
-        Pauli parameters (S, n, 4), and their ranks (S,), read by the plan's
-        `spectra` at RANK_TOL (read at each call). See the trust contract in
-        `conclab.concurrence`."""
+        """Many-sided final rows (S, E + 1) of the plan under S draws of
+        per-qubit Pauli parameters (S, n, 4), and their ranks (S,), read by
+        the plan's `spectra` at RANK_TOL (read at each call). See the trust
+        contract in `conclab.concurrence`."""
         finals = self.plan.evolve(self.rho0[None],
                                   {q: params[:, q - 1] for q in range(1, params.shape[1] + 1)})
         return finals, spectral_ranks(self.plan.spectra(finals), RANK_TOL)
 
     def factor_states(self, params, columns):
-        """Single-sided factor states (S, k, d, d) of the k factor columns
+        """Single-sided factor rows (S, k, F + 1) of the k factor columns
         `columns` (0-based qubits) under Pauli parameters params (S, n, 4):
         column j sends the channels params[:, columns[j]] through its
         anchor qubit alone, one `SupportPlan.evolve` per anchor qubit, in
-        that anchor's plan. Unvalidated; see the trust contract in
-        `conclab.concurrence`."""
-        samples, d = len(params), len(self.rho0)
-        states = np.empty((samples, len(columns), d, d), dtype=complex)
+        that anchor's plan, read into `factor_at`. Unvalidated; see the
+        trust contract in `conclab.concurrence`."""
+        samples = len(params)
+        states = np.zeros((samples, len(columns), len(self.factor_entries) + 1), dtype=complex)
         for anchor_q, plan in self.factor_plans.items():
             cols = [j for j, q in enumerate(columns) if self.anchors[q] == anchor_q]
             if cols:
                 drawn = params[:, [columns[j] for j in cols]].reshape(-1, 4)
                 evolved = plan.evolve(self.rho0[None], {anchor_q: drawn})
-                states[:, cols] = evolved.reshape(samples, len(cols), d, d)
+                states[:, np.array(cols)[:, None], self.factor_at[anchor_q]] = \
+                    evolved.reshape(samples, len(cols), -1)
         return states
 
     def evaluate(self, which, finals, params, *, normalization_exponent, aggregation):
         """Evaluate identities[which[i]] on row i of S rows, given their
-        final states finals (S, d, d) and Pauli parameters params (S, n, 4).
+        final rows finals (S, E + 1) and Pauli parameters params (S, n, 4).
         One kernel call on the final states reads lhs, and one on the
         measured factor states reads those factors; a factor whose anchor
         stands alone on its side of the cut is C(psi) * max(0,
@@ -354,13 +363,13 @@ class _Scenario:
         identity's degree-matching one; `aggregation` must be a valid
         choice. See the trust contract in `conclab.concurrence`."""
         samples, n = params.shape[:2]
-        d = len(self.rho0)
         initial_c = self.initial_concurrence
         lhs = live_totals(finals, self.live)
         factors = np.empty((samples, n))
         states = self.factor_states(params, self.measured)
         if self.measured:
-            factors[:, self.measured] = live_totals(states.reshape(-1, d, d), self.live) \
+            factors[:, self.measured] = live_totals(
+                states.reshape(samples * len(self.measured), -1), self.factor_live) \
                 .reshape(samples, len(self.measured))
         weights = np.square(params[:, self.closed])
         factors[:, self.closed] = initial_c * np.maximum(0.0, 2.0 * weights.max(axis=-1) - 1.0)
@@ -416,11 +425,12 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     final_rank = int(final_ranks[0])
     # each factor's rank from the plan that evolves its state: the states
     # the kernel measured, and the others, evolved only for this
-    states = np.empty((n, *scenario.rho0.shape), dtype=complex)
+    states = np.empty((n, len(scenario.factor_entries) + 1), dtype=complex)
     states[scenario.measured] = ev.factor_states[0]
     states[scenario.closed] = scenario.factor_states(params, scenario.closed)[0]
     factor_ranks = [
-        int(spectral_ranks(scenario.factor_plans[anchor_q].spectra(state[None]), RANK_TOL)[0])
+        int(spectral_ranks(scenario.factor_plans[anchor_q].spectra(
+            state[None, scenario.factor_at[anchor_q]]), RANK_TOL)[0])
         for state, anchor_q in zip(states, scenario.anchors)]
     return IdentityReport(
         identity=identity.form,
@@ -576,8 +586,10 @@ class CampaignReport:
         return "\n".join(out) + "\n"
 
 
-# Samples stacked into one evaluation. It bounds a campaign's memory (a w4
-# stack holds about 5 * _STACK * 36 4x4 blocks); rows do not depend on it.
+# Samples stacked into one evaluation. It bounds a campaign's memory: a stack
+# holds _STACK final rows and up to n * _STACK factor rows of at most d * d + 1
+# entries each (17 for w4), and the kernel's 4x4 blocks of their live pairs;
+# rows do not depend on it.
 _STACK = 64
 
 

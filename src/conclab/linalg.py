@@ -169,25 +169,37 @@ def block_partition(pattern):
     return tuple(partition)
 
 
-def block_spectra(mats, partition):
-    """Eigenvalues (S, d) of a (S, d, d) stack of Hermitian matrices that are
-    block-diagonal over a `block_partition`, read without checks and not
-    sorted: the 1x1 blocks from the diagonal, the 2x2 blocks in closed form
-    (see module docstring), the blocks of each larger size from one
-    `eigvalsh` call, in partition order, and then 0 for each state the
-    partition leaves out. Every operation acts per matrix, so a spectrum
-    does not depend on the stack."""
-    flat = mats.reshape(len(mats), -1)
-    eigs = np.zeros((len(mats), mats.shape[-1]))
+def layout_positions(entries, dim):
+    """The position of each flat index of a d x d matrix in rows of the
+    support layout `entries`: a stack stored as (B, E + 1) rows of the
+    entries (flat indices ascending) its states can fill and one pad that
+    holds +0.0, which every other index reads. A dense (B, d, d) stack read
+    as (B, d * d) rows is the identity layout."""
+    at = np.full(dim * dim, len(entries), dtype=np.intp)
+    at[entries] = np.arange(len(entries))
+    return at
+
+
+def block_spectra(rows, partition, dim):
+    """Eigenvalues (S, dim) of Hermitian matrices, block-diagonal over a
+    `block_partition` read at positions of their (S, E) rows (flat indices
+    of a dense stack), read without checks and not sorted: the 1x1 blocks
+    from the diagonal, the 2x2 blocks in closed form (see module
+    docstring), the blocks of each larger size from one `eigvalsh` call, in
+    partition order, and then 0 for each state the partition leaves out.
+    Every operation acts per matrix, so a spectrum does not depend on the
+    stack."""
+    flat = rows.reshape(len(rows), -1)
+    eigs = np.zeros((len(rows), dim))
     start = 0
     for size, index in partition:
         if size == 1:
             parts = (flat[:, index].real,)
         elif size == 2:
-            a, b, z = np.moveaxis(flat[:, index], 1, 0)
+            a, b, z = flat[:, index].swapaxes(0, 1)
             parts = _pair_eigenvalues(a.real, b.real, z)
         else:
-            parts = (np.linalg.eigvalsh(flat[:, index]).reshape(len(mats), -1),)
+            parts = (np.linalg.eigvalsh(flat[:, index]).reshape(len(rows), -1),)
         for part in parts:
             eigs[:, start:start + part.shape[1]] = part
             start += part.shape[1]

@@ -341,6 +341,17 @@ def class_layout_evolve(mats, params):
     return out.reshape(-1, d, d)
 
 
+def dense_rows(rows, entries, dim):
+    """The dense (..., d, d) states of (..., E + 1) rows of the support
+    layout `entries` (flat indices; the last position is the pad): every
+    position scattered into zeros at its entry. The pad must hold +0.0."""
+    pad = rows[..., -1]
+    assert not np.any(pad) and not np.any(np.signbit(pad.real) | np.signbit(pad.imag))
+    out = np.zeros(rows.shape[:-1] + (dim * dim,), dtype=complex)
+    out[..., entries] = rows[..., :-1]
+    return out.reshape(rows.shape[:-1] + (dim, dim))
+
+
 def kraus_sum_apply(kraus_lists, mat):
     """sum over the Cartesian product of per-qubit Kraus choices of
     K rho K^dag, K the Kronecker product of the choices in qubit order.

@@ -31,6 +31,7 @@ from conclab.states import bell, ghz, parse_state, random_pure, w
 from oracles import (
     PAULIS,
     class_layout_evolve,
+    dense_rows,
     kraus_sum_apply,
     kraus_superop,
     pauli_kraus,
@@ -49,7 +50,8 @@ class TestConstruction:
         assert ch.a == (1.0, 0.0, 0.0, 0.0) and ch.family == "GeneralPauli"
         assert np.array_equal(pauli_superops(ch.a), np.eye(4))
         rho = random_density(2, 3, np.random.default_rng(1))
-        out = support_plan(rho != 0, {2}).evolve(rho[None], {2: np.array([ch.a])})
+        plan = support_plan(rho != 0, {2})
+        out = dense_rows(plan.evolve(rho[None], {2: np.array([ch.a])}), plan.entries, plan.dim)
         assert np.array_equal(out[0], rho)
 
     def test_bit_flip_on_ground_state(self):
@@ -216,7 +218,8 @@ class TestStackedEvolution:
         families = [FAMILIES[(q + n) % len(FAMILIES)] for q in range(n)]
         params = draw_params(families, np.random.default_rng(n * 1000), 7)
         assigned = {q: params[:, q - 1] for q in range(1, n + 1)}
-        stack = support_plan(rho.mat != 0, set(assigned)).evolve(rho.mat[None], assigned)
+        plan = support_plan(rho.mat != 0, set(assigned))
+        stack = dense_rows(plan.evolve(rho.mat[None], assigned), plan.entries, plan.dim)
         for i in range(len(params)):
             channels = {q: PauliChannel(a, f)
                         for q, (a, f) in enumerate(zip(params[i], families), start=1)}
@@ -227,7 +230,8 @@ class TestStackedEvolution:
         rng = np.random.default_rng(5)
         mats = np.array([random_density(3, 3, rng) for _ in range(4)])
         channel = sample_channel("GeneralPauli", rng)
-        out = support_plan(np.any(mats != 0, axis=0), {2}).evolve(mats, {2: np.array([channel.a])})
+        plan = support_plan(np.any(mats != 0, axis=0), {2})
+        out = dense_rows(plan.evolve(mats, {2: np.array([channel.a])}), plan.entries, plan.dim)
         for rho, got in zip(mats, out):
             expected = apply({2: channel}, DensityMatrix(rho))
             assert np.array_equal(got, expected.mat)
@@ -277,7 +281,7 @@ class TestClassLayout:
                              for _ in range(draws)])
             for stack in (mats[:1], mats):  # B = 1 and B = S
                 plan = support_plan(np.any(stack != 0, axis=0), set(assigned))
-                got = plan.evolve(stack, assigned)
+                got = dense_rows(plan.evolve(stack, assigned), plan.entries, plan.dim)
                 assert np.max(np.abs(got - superop_evolve(stack, superops))) <= 1e-15
                 for i, out in enumerate(got):
                     lists = [pauli_kraus(params[i, q - 1]) if q in qubits else None
@@ -290,8 +294,9 @@ class TestClassLayout:
         mats = np.array([ghz(3).to_density().mat,
                          apply({2: flip_channel("BF", 1.0)}, ghz(3).to_density()).mat])
         params = draw_params(("GeneralPauli",) * 3, np.random.default_rng(4), 2)
-        out = support_plan(np.any(mats != 0, axis=0), {1, 2, 3}).evolve(
-            mats, {q: params[:, q - 1] for q in (1, 2, 3)})
+        plan = support_plan(np.any(mats != 0, axis=0), {1, 2, 3})
+        out = dense_rows(plan.evolve(mats, {q: params[:, q - 1] for q in (1, 2, 3)}),
+                         plan.entries, plan.dim)
         rows = np.arange(8)
         xor = rows[:, None] ^ rows
         assert np.all(out[:, (xor != 0) & (xor != 7)] == 0)
@@ -302,7 +307,9 @@ class TestClassLayout:
         # subnormal double still goes through the channel
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         rho[0, 3] = 5e-324
-        out = support_plan(rho != 0, {2}).evolve(rho[None], {2: flip_params("BF", [1.0])})[0]
+        plan = support_plan(rho != 0, {2})
+        out = dense_rows(plan.evolve(rho[None], {2: flip_params("BF", [1.0])}), plan.entries,
+                         plan.dim)[0]
         assert out[1, 2] == 5e-324 and out[0, 3] == 0
 
     def test_row_equals_its_own_evolve_bitwise(self):
@@ -312,10 +319,12 @@ class TestClassLayout:
         params = draw_params(("BF", "GeneralPauli", "PF"), rng, 3)
         for assigned in ({q: params[:, q - 1] for q in (1, 2, 3)},
                          {q: params[:1, q - 1] for q in (1, 3)}):
-            stack = support_plan(np.any(mats != 0, axis=0), set(assigned)).evolve(mats, assigned)
+            plan = support_plan(np.any(mats != 0, axis=0), set(assigned))
+            stack = dense_rows(plan.evolve(mats, assigned), plan.entries, plan.dim)
             for i in range(len(mats)):
                 row = {q: a[i:i + 1] if len(a) > 1 else a for q, a in assigned.items()}
-                one = support_plan(mats[i] != 0, set(assigned)).evolve(mats[i:i + 1], row)
+                own = support_plan(mats[i] != 0, set(assigned))
+                one = dense_rows(own.evolve(mats[i:i + 1], row), own.entries, own.dim)
                 assert np.array_equal(stack[i], one[0])
 
 
@@ -340,7 +349,7 @@ class TestSupportLayout:
         params = draw_params(families, np.random.default_rng(2200), 32)
         assigned = _assigned(params, range(1, n + 1))
         plan = support_plan(rho0 != 0, moving_qubits(enumerate(families, start=1)))
-        got = plan.evolve(rho0[None], assigned)
+        got = dense_rows(plan.evolve(rho0[None], assigned), plan.entries, plan.dim)
         assert np.array_equal(got, class_layout_evolve(rho0[None], assigned))
         superops = {q: pauli_superops(a) for q, a in assigned.items()}
         assert np.max(np.abs(got - superop_evolve(rho0[None], superops))) <= 1e-15
@@ -392,7 +401,8 @@ class TestSupportLayout:
             params = draw_params(families, rng, 4)
             assigned = _assigned(params, qubits)
             moving = moving_qubits(enumerate(families, start=1)) & set(assigned)
-            got = support_plan(rho0 != 0, moving).evolve(rho0[None], assigned)
+            plan = support_plan(rho0 != 0, moving)
+            got = dense_rows(plan.evolve(rho0[None], assigned), plan.entries, plan.dim)
             assert np.array_equal(got, class_layout_evolve(rho0[None], assigned))
             superops = {q: pauli_superops(a) for q, a in assigned.items()}
             assert np.max(np.abs(got - superop_evolve(rho0[None], superops))) <= 1e-15
@@ -464,6 +474,7 @@ class TestSampling:
     @pytest.mark.parametrize("families", [
         ("BF",), ("PF",), ("BPF",), ("GeneralPauli",),
         ("BF", "PF", "BPF", "GeneralPauli"), ("GeneralPauli", "PF", "GeneralPauli"),
+        ("BF", "GeneralPauli", "PF"),
     ])
     def test_campaign_draws_equal_sample_channel_bitwise(self, families):
         """Row i of a stack is what drawing one channel per family from the

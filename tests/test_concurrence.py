@@ -47,6 +47,7 @@ from oracles import (
     all_cuts,
     bell_mixture_concurrence,
     dense_cut_concurrence,
+    dense_rows,
     principal_block_indices,
     pure_cut_concurrence,
     random_density,
@@ -687,7 +688,9 @@ class TestApplyAtValidationEdges:
             for assigned, before, out in outs:
                 moving = moving_qubits((q, ch.family) for q, ch in assigned.items())
                 plan = support_plan(before.mat != 0, moving)
-                spectrum = np.sort(block_spectra(out.mat[None], plan.blocks)[0])
+                rows = np.zeros((1, len(plan.entries) + 1), dtype=complex)
+                rows[0, :-1] = out.mat.reshape(-1)[plan.entries]
+                spectrum = np.sort(block_spectra(rows, plan.blocks, plan.dim)[0])
                 assert np.array_equal(out.eigenvalues, spectrum)
                 trace_gap = max(trace_gap, abs(out.mat.trace().real - 1.0))
         # some evolved state sits past the trace tolerance that its input met
@@ -768,11 +771,14 @@ def kernel_stacks(state, families, seed, samples=24):
     rho0 = parse_state(state).to_density().mat
     n = len(families)
     params = draw_params(families, np.random.default_rng(seed), samples)
-    finals = _scenario(state, families, None, None, "auto", "last").final_states(params)[0]
     d = len(rho0)
-    factors = [_scenario(state, families, None, None, "auto", anchor)
-               .factor_states(params, range(n)).reshape(-1, d, d)
-               for anchor in ("last", "own")]
+    scenario = _scenario(state, families, None, None, "auto", "last")
+    finals = dense_rows(scenario.final_states(params)[0], scenario.plan.entries, d)
+    factors = []
+    for anchor in ("last", "own"):
+        scenario = _scenario(state, families, None, None, "auto", anchor)
+        rows = scenario.factor_states(params, range(n))
+        factors.append(dense_rows(rows, scenario.factor_entries, d).reshape(-1, d, d))
     every = np.concatenate((finals, *factors, rho0[None]))
     return every, (finals, *factors, rho0[None], every[::7])
 

@@ -22,9 +22,9 @@ from conclab.concurrence import (
     Bipartition,
     cut_concurrence,
     cut_totals,
+    live_tau3,
     live_totals,
     parse_cut,
-    tau3_stack,
 )
 from conclab.errors import DimensionMismatchError, InvalidPermutationError
 from conclab.experiments import CATALOGUE, REFINE_POINTS, figure1_scan, rank_table
@@ -41,7 +41,7 @@ from conclab.factorization import (
 from conclab.linalg import RANK_TOL, density_spectra, spectral_ranks
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
-from oracles import all_cuts, dense_cut_concurrence, pure_cut_concurrence
+from oracles import all_cuts, dense_cut_concurrence, dense_rows, pure_cut_concurrence
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -326,8 +326,10 @@ class TestEvolvedStates:
     def test_final_states_pass_validation(self, state, families):
         rho0 = parse_state(state).to_density()
         params = draw_params(families, np.random.default_rng(1900), 64)
-        finals, ranks = _scenario(state, families, None, None, "auto", "last").final_states(params)
-        assert finals.shape == (64, rho0.dim, rho0.dim)
+        scenario = _scenario(state, families, None, None, "auto", "last")
+        rows, ranks = scenario.final_states(params)
+        assert rows.shape == (64, len(scenario.plan.entries) + 1)
+        finals = dense_rows(rows, scenario.plan.entries, rho0.dim)
         eigs = assert_trusted(finals, rho0)
         assert np.array_equal(ranks, spectral_ranks(eigs))
 
@@ -348,16 +350,18 @@ class TestEvolvedStates:
     def test_figure1_stacks_pass_validation(self, monkeypatch):
         stacks = []
 
-        def recording(mats):
-            stacks.append(mats)
-            return tau3_stack(mats)
+        def recording(rows, live):
+            stacks.append(rows)
+            return live_tau3(rows, live)
 
-        monkeypatch.setattr(experiments, "tau3_stack", recording)
+        monkeypatch.setattr(experiments, "live_tau3", recording)
         figure1_scan()
         # the 101-point grid and one refinement round
-        assert [len(mats) for mats in stacks] == [101, REFINE_POINTS]
-        for mats in stacks:
-            assert_trusted(mats, ghz(3).to_density())
+        assert [len(rows) for rows in stacks] == [101, REFINE_POINTS]
+        rho0 = ghz(3).to_density()
+        plan = support_plan(rho0.mat != 0, (1, 2, 3))
+        for rows in stacks:
+            assert_trusted(dense_rows(rows, plan.entries, plan.dim), rho0)
 
 
 def factor_case(state, families, anchor, relabel=False, cut=None):
@@ -376,8 +380,9 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
     identity = identity_for("product", n, cut)
     ev = scenario.evaluate(np.zeros(64, dtype=int), finals, params,
                            normalization_exponent=None, aggregation="sum")
-    states = scenario.factor_states(params, range(n))
-    assert states.shape == (64, n, 1 << n, 1 << n)
+    rows = scenario.factor_states(params, range(n))
+    assert rows.shape == (64, n, len(scenario.factor_entries) + 1)
+    states = dense_rows(rows, scenario.factor_entries, 1 << n)
     oracle = cut_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
     lone = {b[0] for b in (identity.cut.block1, identity.cut.block2) if len(b) == 1}
     measured = [q for q in range(n) if scenario.anchors[q] not in lone]
@@ -385,6 +390,39 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
 
 
 FOUR_QUBIT = [entry[:2] for entry in CATALOGUE if len(entry[1]) == 4]
+
+
+class TestClosureRows:
+    """Evolved states stay closure rows from draw to kernel: no stack of a
+    campaign is a dense (S, d, d) array."""
+
+    def test_campaign_row_shapes(self, monkeypatch):
+        """ghz4 under PF^3+BF on 12|34, over a stack boundary: the final plan
+        and anchor 4's factor plan both close ghz4's 4 entries under qubit
+        4's flips, so every `SupportPlan.evolve` returns rows of 8 entries
+        and the pad, and `factor_states` (S, 4, 9) in the same layout."""
+        shapes = {"evolve": [], "factor_states": []}
+
+        def recorded(name, func):
+            def wrapper(*args):
+                out = func(*args)
+                shapes[name].append(out.shape)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(SupportPlan, "evolve", recorded("evolve", SupportPlan.evolve))
+        monkeypatch.setattr(factorization._Scenario, "factor_states",
+                            recorded("factor_states", factorization._Scenario.factor_states))
+        config = CampaignConfig(state="ghz4", channels=("PF", "PF", "PF", "BF"), cut="12|34",
+                                samples=_STACK + 3, seed=7)
+        assert run_campaign(config).evaluated.all()
+        assert shapes == {"evolve": [(_STACK, 9), (4 * _STACK, 9), (3, 9), (12, 9)],
+                          "factor_states": [(_STACK, 4, 9), (3, 4, 9)]}
+        scenario = _scenario(*(getattr(config, f) for f in (
+            "state", "channels", "cut", "relabel", "identity", "anchor")))
+        closure = [0, 15, 17, 30, 225, 238, 240, 255]
+        assert scenario.plan.entries.tolist() == closure
+        assert scenario.factor_entries.tolist() == closure
 
 
 class TestFactorStates:
@@ -486,7 +524,8 @@ class TestFactorStates:
         config = CampaignConfig(state="w4", channels=("PF",) * 4, cut="12|34", anchor="own",
                                 samples=_STACK + 3, seed=7)
         assert all(r.residual is not None for r in _rows(run_campaign(config)))
-        assert shapes == [(_STACK, 16, 16), (3, 16, 16)]
+        # rows of the final plan's layout: the 16 W4 entries and the pad
+        assert shapes == [(_STACK, 17), (3, 17)]
 
 
 def channel_concurrence(params):
@@ -503,7 +542,8 @@ def law_case(n, qubit, family, seed, samples):
     amps = [random_pure(n, rng).amplitudes for _ in range(samples)]
     rho0s = np.array([np.outer(a, a.conj()) for a in amps])
     params = draw_params([family], rng, samples)[:, 0]
-    finals = support_plan(np.any(rho0s != 0, axis=0), {qubit}).evolve(rho0s, {qubit: params})
+    plan = support_plan(np.any(rho0s != 0, axis=0), {qubit})
+    finals = dense_rows(plan.evolve(rho0s, {qubit: params}), plan.entries, plan.dim)
     return amps, rho0s, finals, params
 
 
@@ -535,7 +575,8 @@ class TestOneSidedLaw:
             amps, _, finals, params = law_case(n, qubit, family, 4200 + n, 3)
             # c($) is the concurrence of the channel's one-sided image of phi+
             phi_plus = bell(SQ2).to_density().mat
-            bells = support_plan(phi_plus != 0, {2}).evolve(phi_plus[None], {2: params})
+            plan = support_plan(phi_plus != 0, {2})
+            bells = dense_rows(plan.evolve(phi_plus[None], {2: params}), plan.entries, plan.dim)
             for amp, final, phi, c in zip(amps, finals, bells, channel_concurrence(params)):
                 assert abs(dense_cut_concurrence(phi, (1,), (2,))[1] - c) <= 1e-13
                 initial = pure_cut_concurrence(amp, block1)

@@ -30,6 +30,10 @@ CASES = {
     "campaign-ghz3-pf2bf-auto-70.csv": [
         "campaign", "--state", "ghz3", "--channels", "PF,PF,BF", "--samples", "70",
         "--seed", "0"],
+    # the benchmark's ghz4 general^4 campaign across three stacks
+    "campaign-ghz4-general4-130.csv": [
+        "campaign", "--state", "ghz4", "--channels", "general,general,general,general",
+        "--samples", "130", "--seed", "7"],
     "evolve-ghz3-bf-pf-bpf.csv": [
         "evolve", "--state", "ghz3", "--channels", "BF:p=0.2,PF:p=0.1,BPF:p=0.3"],
     "figure1-26.csv": ["figure1", "--points", "26"],

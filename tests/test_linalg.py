@@ -31,7 +31,7 @@ from conclab.linalg import (
 from conclab.experiments import CATALOGUE, figure1_scan
 from conclab.factorization import _scenario
 from conclab.states import parse_state
-from oracles import psd_sqrt, random_psd, reorder_qubits
+from oracles import dense_rows, psd_sqrt, random_psd, reorder_qubits
 
 
 def bell_density():
@@ -465,11 +465,13 @@ class TestBlockRanks:
         rho0 = parse_state(state).to_density().mat
         moving = moving_qubits(enumerate(families, start=1))
         params = draw_params(families, np.random.default_rng(2300), 2000)
-        finals, ranks = _scenario(state, families, None, None, "auto", "last").final_states(params)
+        rows, ranks = _scenario(state, families, None, None, "auto", "last").final_states(params)
+        plan = support_plan(rho0 != 0, moving)
+        finals = dense_rows(rows, plan.entries, plan.dim)
         full = np.linalg.eigvalsh(finals)
         assert np.array_equal(ranks, spectral_ranks(full))
-        blocks = support_plan(rho0 != 0, moving).blocks
-        assert np.max(np.abs(np.sort(block_spectra(finals, blocks)) - full)) <= 1e-15
+        blocks = plan.blocks
+        assert np.max(np.abs(np.sort(block_spectra(rows, blocks, plan.dim)) - full)) <= 1e-15
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     @pytest.mark.parametrize("edge", [RANK_TOL, np.nextafter(RANK_TOL, 1.0)],
@@ -492,7 +494,7 @@ class TestBlockRanks:
             diag[isolated] = edge  # a 1x1 block
             mats.append(np.diag(diag).astype(complex))
         mats = np.array(mats)
-        eigs = block_spectra(mats, partition)
+        eigs = block_spectra(mats, partition, d)
         assert np.array_equal(np.sort(eigs), np.linalg.eigvalsh(mats))
         ranks = spectral_ranks(eigs)
         assert ranks.tolist() == spectral_ranks(np.linalg.eigvalsh(mats)).tolist()
