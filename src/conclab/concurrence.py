@@ -76,9 +76,9 @@ exactly 0, and gives it the closed form. Only the other blocks, selected
 with one boolean mask, are gathered whole; of these, only the ones with
 both states of some Y pair live go through one batched `eigh` and one
 batched SVD. Every decision is made per (state, pair), from that block
-alone, never once per stack. `cut_totals` and `tau3_stack` serve whole
-stacks; `cut_concurrence`, `bipartite_concurrence` and `tau3` are their
-one-state cases, and `wootters` is the single-block case (cut 1|2).
+alone, or for a whole layout (below). `cut_totals` and `tau3_stack` serve
+whole stacks; `cut_concurrence`, `bipartite_concurrence` and `tau3` are
+their one-state cases, and `wootters` is the single-block case (cut 1|2).
 
 Pair pruning. `cut_totals` and `tau3_stack` first read the stack's union
 support, the entries nonzero in some state, and skip each pair whose block
@@ -102,6 +102,13 @@ ordered sum are those of the unpruned kernel, bit for bit, whatever else
 shares the stack and whichever superset the pairs were pruned on.
 `bipartite_concurrence` keeps every pair: a breakdown prints each pair's
 l's, and a skipped pair's (x, x, y, y) need not be 0.
+
+X-shaped layouts. Pruning also notes whether a kept block holds an entry off
+the X in the support. If none does, each such entry of a state in the
+support reads +0.0 (a dense zero or the pad), so the per-state test would
+mark no block: the kernel skips it for the same closed form, bit for bit.
+All catalogued layouts and `figure1`'s are X-shaped so; random and user
+states keep the test, and `bipartite_concurrence` and `wootters` always do.
 
 Trust contract. The kernel trusts its input, dense or as rows of a layout
 that holds every nonzero entry: a state rho0 that passed `density_spectra`,
@@ -292,27 +299,24 @@ def _x_spectra(entries):
 def _pair_spectra(rows, gathers):
     """The l's (B, P, 4), descending, and C_mn = max(0, l1 - l2 - l3 - l4)
     (B, P) of the principal blocks rho_II of (B, E) rows or a (B, d, d)
-    stack, whose entries sit at the positions of `gathers`: the singular values of
-    sqrt(rho_II) Y sqrt(rho_II)*. They are read in closed form for each
-    X-shaped block and for each block whose support holds at most one state
-    of each Y pair {0, 3}, {1, 2} (l's exactly 0, see the module docstring),
-    and from one `eigh` and one SVD of every other block. No catalogued
-    scenario has a block of that last kind.
-
-    Which of the three a block is, is decided per (state, pair) from that
-    block's own entries, with a state live when its row or its column holds
-    a nonzero entry; the closed form is evaluated for every block and
-    overwritten where the SVD runs. Every array here has the stack axis
-    first and every operation acts per (state, pair), so a state's values
-    do not depend on the stack it shares.
+    stack, whose entries sit at the positions of `gathers`: the singular
+    values of sqrt(rho_II) Y sqrt(rho_II)*. The closed form is evaluated
+    for every block, exact for X-shaped blocks and for those with no live
+    Y pair (l's exactly 0, see the module docstring), and overwritten from
+    one `eigh` and one SVD of every other block, decided per (state, pair)
+    from its own entries (a state is live when its row or its column holds
+    a nonzero entry); no catalogued block is of that kind. Gathers with
+    None for the entries off the X (`_live_pairs`) skip that test. Every
+    array has the stack axis first and every operation acts per (state,
+    pair), so a state's values do not depend on the stack it shares.
     """
     flat, off_x, x_entries = gathers
     states = rows.reshape(len(rows), -1)
+    lam = _x_spectra(np.take(states, x_entries, axis=1))
     # entries are gathered as (B, k, P): reducing over a short middle axis
     # with the pairs contiguous is much cheaper than over a short last axis
-    general = np.any(np.take(states, off_x, axis=1) != 0, axis=1)
-    lam = _x_spectra(np.take(states, x_entries, axis=1))
-    if general.any():
+    general = None if off_x is None else np.any(np.take(states, off_x, axis=1) != 0, axis=1)
+    if general is not None and general.any():
         rows, pairs = np.nonzero(general)
         blocks = states[rows[:, None, None], flat[pairs]]
         # a state is live when its row or its column holds a nonzero entry;
@@ -334,9 +338,10 @@ def _live_pairs(gathers, entries, at):
     block there holds a nonzero coupling entry (r30, r21 or an entry off the
     X) and both states of some Y pair live. Returns the number of pairs P,
     their indices and their `_gathers` at positions `at` (d * d,) of each
-    flat index in the rows read. Every other pair's C_mn is exactly +0.0 in
-    every such state (see the module docstring), so the entries may be any
-    superset of a stack's union support."""
+    flat index in the rows read, None for the entries off the X if no kept
+    block holds one. Every other pair's C_mn is exactly +0.0 in every such
+    state (see the module docstring), so the entries may be any superset of
+    a stack's union support."""
     flat, off_x, x_entries = gathers
     support = np.zeros(len(at), dtype=bool)
     support[entries] = True
@@ -345,7 +350,8 @@ def _live_pairs(gathers, entries, at):
     paired = (live[:, 0] & live[:, 3]) | (live[:, 1] & live[:, 2])
     coupled = support[off_x].any(axis=0) | support[x_entries[4:]].any(axis=0)
     pairs = np.flatnonzero(paired & coupled)
-    return len(flat), pairs, (at[flat[pairs]], at[off_x[:, pairs]], at[x_entries[:, pairs]])
+    off_x = at[off_x[:, pairs]] if support[off_x[:, pairs]].any() else None
+    return len(flat), pairs, (at[flat[pairs]], off_x, at[x_entries[:, pairs]])
 
 
 def _dense_pairs(gathers, mats):

@@ -50,19 +50,13 @@ side's four basis states and does not commute with a channel on the anchor
 alone, and the law fails: C((1 (x) $) psi) exceeds c($) * C(psi) by up to
 about 0.7 on random pure states.
 
-A scenario is compiled once (`_Scenario`): its validated initial state,
-the relabel order and the qubits whose family moves entries, the
-`SupportPlan` of its final states and of each anchor qubit's factor
-states, a table from final rank to identity, the factor columns read in
-closed form and by the kernel, each identity's rhs terms, C(psi), the
-support layout of factor rows (the union of the factor plans' closures),
-and the kernel's generator pairs pruned once on each layout it reads
-(`concurrence.cut_pairs`). Campaigns keep compiled scenarios in
-`_scenario`, an `lru_cache` of at most 256, keyed by the `CampaignConfig`
-fields that no draw changes: state, channels, cut, relabel, identity and
-anchor. Each holds a few KB. Seed, samples, tol, aggregation and the
-exponent are read per request. Errors are not cached, so a malformed
-scenario raises on every request.
+A scenario is compiled once (`_Scenario`, whose docstring lists what it
+holds): every step that no draw changes, from validating the initial
+state to pruning the kernel's generator pairs on each layout it reads
+(`concurrence.cut_pairs`). Campaigns keep them, a few KB each, in
+`_scenario`, an `lru_cache` keyed by the `CampaignConfig` fields that no
+draw changes; seed, samples, tol, aggregation and the exponent are read
+per request.
 
 Scenarios are then evaluated as stacks fed only their (S, n, 4) channel
 parameters: one many-sided `SupportPlan.evolve` in the scenario's plan
@@ -77,11 +71,9 @@ the factor layout and one more kernel call. rhs and residual then follow
 per identity on its rows. A campaign makes one such evaluation per stack
 that holds an evaluated row, and `evaluate_identity` is the one-row case,
 compiled without the cache. It also reports every factor's rank, read by
-the `spectra` of the plan that evolved the factor state: the states the
-kernel measured are reused, and only the closed-form factors' states are
-evolved for it, one `SupportPlan.evolve` per anchor. Campaigns read no
-factor rank. Only the initial state is validated; see the trust contract
-in `conclab.concurrence`.
+the `spectra` of the plan that evolved the factor state; campaigns read
+none. Only the initial state is validated; see the trust contract in
+`conclab.concurrence`.
 """
 
 import json

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import conclab
-from conclab import cli, factorization, linalg
+from conclab import cli, experiments, factorization, linalg
 from conclab.channels import _canonical_family, apply, draw_params, parse_channel_list
 from conclab.cli import cli_main
 from conclab.experiments import CATALOGUE
@@ -767,7 +767,9 @@ def test_each_input_state_is_validated_once(tmp_path, capsys, monkeypatch, argv,
         return density_spectra(mats)
 
     monkeypatch.setattr(linalg, "density_spectra", counted)
-    factorization._scenario.cache_clear()  # a campaign validates rho0 when it compiles
+    # a campaign and figure1 validate rho0 when they compile
+    factorization._scenario.cache_clear()
+    experiments._sweep.cache_clear()
     argv = [str(path) if a == "RHO" else a for a in argv]
     code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out.csv"))
     assert (code, err) == (0, "")

@@ -1,3 +1,4 @@
+import json
 import sys
 from itertools import permutations
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab import concurrence
+from conclab import concurrence, experiments
 from conclab.channels import (
     FAMILIES,
     PauliChannel,
@@ -18,13 +19,16 @@ from conclab.channels import (
     sample_channel,
     support_plan,
 )
+from conclab.cli import cli_main
 from conclab.concurrence import (
     Bipartition,
+    _live_values,
     _pair_blocks,
     _pair_spectra,
     bipartite_concurrence,
     cut_concurrence,
     cut_totals,
+    live_tau3,
     parse_cut,
     tau3,
     tau3_stack,
@@ -32,7 +36,7 @@ from conclab.concurrence import (
 )
 from conclab.errors import DimensionMismatchError
 from conclab.experiments import CATALOGUE, _tau3_bpf3
-from conclab.factorization import _scenario
+from conclab.factorization import _scenario, default_cut
 from conclab.linalg import (
     EIG_FLOOR,
     HERM_TOL,
@@ -40,6 +44,7 @@ from conclab.linalg import (
     DensityMatrix,
     block_spectra,
     density_spectra,
+    layout_positions,
 )
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
@@ -525,7 +530,7 @@ class TestXBlocks:
         a Y pair are live."""
         mat = random_x_state(np.random.default_rng(3500))
         wootters(DensityMatrix(mat))
-        _tau3_bpf3(np.linspace(0.0, 0.5, 11), ghz(3).to_density().mat)
+        _tau3_bpf3(np.linspace(0.0, 0.5, 11))
         assert eigh_blocks == []
         for i, j in zip(*np.nonzero(~X_SHAPE)):
             off = mat.copy()
@@ -857,7 +862,7 @@ class TestPairPruning:
             return _pair_spectra(mats, gathers)
 
         monkeypatch.setattr(concurrence, "_pair_spectra", counting)
-        _tau3_bpf3(np.linspace(0.0, 0.5, 11), ghz(3).to_density().mat)
+        _tau3_bpf3(np.linspace(0.0, 0.5, 11))
         assert seen == [6]
 
     def test_breakdown_keeps_every_pair(self, monkeypatch):
@@ -869,6 +874,97 @@ class TestPairPruning:
         assert [p.value for p in breakdown.pairs] == [0.0] * 6
         monkeypatch.setattr(concurrence, "_pair_spectra", None)  # no pair is live
         assert cut_concurrence(rho, parse_cut("12|3")) == 0.0
+
+
+def with_x_test(live, off_x, at):
+    """`_live_pairs` output `live` with the per-state X test put back: the
+    off-X gather `off_x` (8, P) of every pair at the positions `at`."""
+    count, pairs, (flat, _, x_entries) = live
+    return count, pairs, (flat, at[off_x[:, pairs]], x_entries)
+
+
+# every catalogued scenario on its default cut and, with 4 qubits, on 12|34,
+# and the rank-16 one the benchmark runs
+X_LAYOUTS = [(state, families, cut) for state, families, _ in CATALOGUE
+             for cut in ((None, "12|34") if len(families) == 4 else (None,))]
+X_LAYOUTS += [("ghz4", ("GeneralPauli",) * 4, None), ("ghz4", ("GeneralPauli",) * 4, "12|34")]
+
+
+class TestXLayouts:
+    """`_live_pairs` decides once per layout whether a kept pair's block
+    holds an entry off the X. Where none does, `_pair_spectra` gets no
+    off-X gather and skips the per-state test, with values equal, bit for
+    bit, to those the test gives."""
+
+    @pytest.mark.parametrize("anchor", ["last", "own"])
+    @pytest.mark.parametrize("state, families, cut", X_LAYOUTS,
+                             ids=["-".join((s, *f, c or "default")) for s, f, c in X_LAYOUTS])
+    def test_catalogued_layouts_skip_the_test(self, state, families, cut, anchor):
+        scenario = _scenario(state, families, cut, None, "auto", anchor)
+        cut = default_cut(len(families)) if cut is None else parse_cut(cut)
+        off_x = _pair_blocks(cut.block1, cut.block2)[1][1]
+        params = draw_params(scenario.families, np.random.default_rng(4100), 64)
+        finals = scenario.final_states(params)[0]
+        n = len(families)
+        factors = scenario.factor_states(params, range(n)).reshape(64 * n, -1)
+        for live, entries, rows in ((scenario.live, scenario.plan.entries, finals),
+                                    (scenario.factor_live, scenario.factor_entries, factors)):
+            assert live[2][1] is None
+            tested = with_x_test(live, off_x, layout_positions(entries, 1 << n))
+            assert _live_values(rows, live).tobytes() == _live_values(rows, tested).tobytes()
+
+    def test_figure1_layout_skips_the_test(self):
+        _, plan, live = experiments._sweep()
+        assert live[2][1] is None
+        ps = np.linspace(0.0, 0.5, 101)
+        rows = plan.evolve(ghz(3).to_density().mat[None],
+                           dict.fromkeys((1, 2, 3), flip_params("BPF", ps)))
+        tested = with_x_test(live, concurrence._tau3_blocks()[1], layout_positions(plan.entries, 8))
+        assert live_tau3(rows, live).tobytes() == live_tau3(rows, tested).tobytes()
+        assert _tau3_bpf3(ps).tobytes() == live_tau3(rows, tested).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dense_random_states_keep_the_test(self, n):
+        """Random states have entries off the X in every block, so their
+        identity layout keeps the per-state test, and their totals match
+        the dense oracle. Forcing the skip on that layout changes every
+        cut's totals: the decision is not vacuous."""
+        rng = np.random.default_rng(4200 + n)
+        mats = np.array([random_density(n, 1 + k % 2, rng) for k in range(6)])
+        for block1, block2 in all_cuts(n):
+            cut = Bipartition(block1, block2)
+            gathers = _pair_blocks(block1, block2)[1]
+            live = concurrence._dense_pairs(gathers, mats)
+            assert live[2][1] is not None
+            totals = cut_totals(mats, cut)
+            for mat, total in zip(mats, totals):
+                assert abs(total - dense_cut_concurrence(mat, block1, block2)[1]) <= 1e-8
+            count, pairs, (flat, _, x_entries) = live
+            skipped = _live_values(mats, (count, pairs, (flat, None, x_entries)))
+            assert concurrence._cut_total(skipped).tobytes() != totals.tobytes()
+
+    def test_matrix_input_keeps_the_test(self, tmp_path, capsys, monkeypatch):
+        """`concurrence --matrix` on a random dense 3-qubit state: the kernel
+        reads its blocks with the per-state test, and the total and tau3
+        match the dense oracle."""
+        mat = random_density(3, 2, np.random.default_rng(4300))
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps([[[z.real, z.imag] for z in row] for row in mat]))
+        tested = []
+
+        def recording(rows, gathers):
+            tested.append(gathers[1] is not None)
+            return _pair_spectra(rows, gathers)
+
+        monkeypatch.setattr(concurrence, "_pair_spectra", recording)
+        assert cli_main(["concurrence", "--matrix", str(path)]) == 0
+        assert cli_main(["concurrence", "--matrix", str(path), "--tau3"]) == 0
+        total, tau = (float(line.split(",")[1]) for line in capsys.readouterr().out.split())
+        assert tested == [True, True]
+        cuts = [dense_cut_concurrence(mat, *cut)[1] for cut in (((1, 2), (3,)), ((1, 3), (2,)),
+                                                                 ((2, 3), (1,)))]
+        assert abs(total - cuts[0]) <= 1e-8
+        assert abs(tau - np.sqrt(sum(c * c for c in cuts) / 3)) <= 1e-8
 
 
 class TestBipartitionParsing:

@@ -90,16 +90,15 @@ class TestFigure1:
     @pytest.mark.parametrize("points", [2, 26, 101, 10001])
     def test_zero_crossing_brackets_the_vanishing_point(self, points):
         c = figure1_scan(points).zero_crossing
-        rho0 = ghz(3).to_density().mat
-        before, after = _tau3_bpf3([c - BISECT_TOL / 2, c + BISECT_TOL / 2], rho0)
+        before, after = _tau3_bpf3([c - BISECT_TOL / 2, c + BISECT_TOL / 2])
         assert before > VANISH_TOL >= after
 
     def test_default_grid_refines_in_one_round(self, monkeypatch):
         calls = []
 
-        def counted(ps, rho0):
+        def counted(ps):
             calls.append(len(ps))
-            return _tau3_bpf3(ps, rho0)
+            return _tau3_bpf3(ps)
 
         monkeypatch.setattr(experiments, "_tau3_bpf3", counted)
         figure1_scan(101)
@@ -121,7 +120,7 @@ class TestFigure1:
     def test_rows_equal_point_by_point_bitwise(self, result):
         rho0 = ghz(3).to_density()
         for p, direct, _, _ in result.rows:
-            assert _tau3_bpf3([p], rho0.mat)[0] == direct
+            assert _tau3_bpf3([p])[0] == direct
             channels = [flip_channel("BPF", p)] * 3
             assert tau3(apply(dict(enumerate(channels, start=1)), rho0)) == direct
 

@@ -278,6 +278,24 @@ class TestOneEvolutionPath:
         figure1_scan(points)
         assert evolve_calls == [[1, 2, 3]] * stacks
 
+    @pytest.mark.parametrize("points, stacks", [(101, 2), (26, 3)])
+    def test_warm_figure1(self, points, stacks, evolve_calls, monkeypatch):
+        """A second sweep in a process reuses the compiled one: it validates
+        nothing, makes the same evolve calls and writes the same bytes."""
+        experiments._sweep.cache_clear()
+        cold = figure1_scan(points).to_csv()
+        validated = []
+
+        def counted(mats):
+            validated.append(mats.shape)
+            return density_spectra(mats)
+
+        monkeypatch.setattr(linalg, "density_spectra", counted)
+        evolve_calls.clear()
+        assert figure1_scan(points).to_csv() == cold
+        assert validated == []
+        assert evolve_calls == [[1, 2, 3]] * stacks
+
     def test_rank_table(self, evolve_calls):
         """One call per catalogue entry that claims a rank: 9."""
         rank_table()

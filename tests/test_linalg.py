@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab import linalg
+from conclab import experiments, linalg
 from conclab.channels import draw_params, moving_qubits, support_plan
 from conclab.errors import (
     DimensionMismatchError,
@@ -450,7 +450,9 @@ class TestSpectraTraffic:
         assert eigvalsh_stacks == {"w3": [(64, 3)], "w4": [(64, 4)]}.get(state, [])
 
     def test_figure1_scan(self, eigvalsh_stacks):
-        # the only state validated is rho0; no evolved state reaches eigvalsh
+        # the only state validated is rho0, when the sweep compiles; no
+        # evolved state reaches eigvalsh
+        experiments._sweep.cache_clear()
         figure1_scan()
         assert eigvalsh_stacks == [(1, 8)]
 
