@@ -44,6 +44,7 @@ class _StdoutClosed(Exception):
 # Negative numbers as `float` reads them; argparse's own pattern takes only the
 # -1 and -.5 forms and reads -1e-300, -1E-3 or -inf as an unknown option.
 _NEGATIVE_NUMBER = re.compile(r"^-((\d+\.?\d*|\.\d+)(e[+-]?\d+)?|inf(inity)?|nan)$", re.I)
+_CONFIG_FIELDS = tuple(field.name for field in fields(CampaignConfig))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -182,10 +183,10 @@ def _cmd_campaign(args):
         if not isinstance(merged, dict):
             raise ValueError(f"campaign config must be a JSON object, got {type(merged).__name__}")
     # flags override the config file; every flag's dest is a CampaignConfig field
-    for field in fields(CampaignConfig):
-        value = getattr(args, field.name, None)
+    for name in _CONFIG_FIELDS:
+        value = getattr(args, name, None)
         if value is not None:
-            merged[field.name] = value
+            merged[name] = value
     _write(run_campaign(CampaignConfig.from_json(merged)).to_csv(), args.out)
     return 0
 
@@ -232,7 +233,8 @@ def _cmd_rank_table(args):
 
 @functools.cache
 def build_parser():
-    """The `conclab` parser, built once per process: parsing leaves it unchanged."""
+    """The `conclab` parser, built once per process: parsing leaves it
+    unchanged. `commands` maps each command name to its own parser."""
     parser = _Parser(
         prog="conclab",
         description="Concurrence evolution of 2-4 qubit states in local Pauli "
@@ -296,13 +298,17 @@ def build_parser():
     p.add_argument("--points", type=int, default=101)
 
     add("rank-table", _cmd_rank_table, "computed vs claimed final ranks for catalogued scenarios")
+    parser.commands = sub.choices
     return parser
 
 
 def cli_main(argv=None):
+    """Run one request. When argv[0] names a command, that command's own parser
+    reads the rest, once, with the nested parse's outputs and exit codes."""
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     except _UsageError as err:
         parser.print_usage(sys.stderr)
         print(f"error: {err}", file=sys.stderr)

@@ -222,7 +222,7 @@ def _suggested_identity(rank, cut):
 class _Evaluation:
     """Identities on a stack of S scenarios: (S,) arrays lhs, rhs and
     residual, (S, n) factor values, and the factor rows (S, m, F + 1) of
-    the m factors the kernel measured (the scenario's `measured` columns)."""
+    the m factors the kernel measured (`measured`), or None if m = 0."""
 
     lhs: np.ndarray
     rhs: np.ndarray
@@ -238,7 +238,7 @@ class _Scenario:
 
     - `rho0`, the validated initial density matrix (d, d);
     - `families`, the canonical channel families in draw order, and
-      `order`, the draw column each qubit takes (a relabel moves them);
+      `order`, each qubit's draw column (None: qubit k takes column k);
     - `plan`, the `SupportPlan` of the final states (its `moving` holds the
       qubits whose family moves entries), and `factor_plans`, {anchor
       qubit: the plan of its factor states}, in qubit order;
@@ -252,7 +252,7 @@ class _Scenario:
       the 0-based factor columns read from the one-sided law and by the
       kernel;
     - `initial_concurrence`, C(psi) on the cut;
-    - `terms`, per identity, the 0-based factor columns of each rhs term;
+    - `terms`, per identity, the (T, k) 0-based factor columns of its terms;
     - `live` and `factor_live`, the cut's generator pairs pruned on the
       layouts of `plan` and of factor rows (`cut_pairs`).
     """
@@ -306,14 +306,14 @@ class _Scenario:
         at = layout_positions(factor_entries, len(rho0))
         factor_at = {q: np.append(at[p.entries], len(factor_entries))
                      for q, p in factor_plans.items()}
-        return cls(rho0=rho0, families=tuple(families), order=order, plan=plan,
+        return cls(rho0=rho0, families=tuple(families),
+                   order=None if order == tuple(range(n)) else order, plan=plan,
                    factor_plans=factor_plans, factor_entries=factor_entries,
                    factor_at=factor_at, identities=identities,
                    identity_of_rank=identity_of_rank, anchors=anchors, closed=closed,
                    measured=measured,
                    initial_concurrence=float(cut_totals(rho0[None], cut)[0]),
-                   terms=tuple(tuple([q - 1 for q in term] for term in identity.rhs_terms)
-                               for identity in identities),
+                   terms=tuple(np.array(identity.rhs_terms) - 1 for identity in identities),
                    live=cut_pairs(cut, plan.entries),
                    factor_live=cut_pairs(cut, factor_entries))
 
@@ -348,17 +348,18 @@ class _Scenario:
         """Evaluate identities[which[i]] on row i of S rows, given their
         final rows finals (S, E + 1) and Pauli parameters params (S, n, 4).
         One kernel call on the final states reads lhs, and one on the
-        measured factor states reads those factors; a factor whose anchor
-        stands alone on its side of the cut is C(psi) * max(0,
+        measured factor states, if any, reads those factors; a factor whose
+        anchor stands alone on its side of the cut is C(psi) * max(0,
         2 max_k a_k^2 - 1) (see the module docstring). rhs and residual
-        follow per identity, on its rows. A None exponent takes each
-        identity's degree-matching one; `aggregation` must be a valid
-        choice. See the trust contract in `conclab.concurrence`."""
+        follow per identity, on its rows: one gather gives every term's
+        factors, and a cumsum adds the term products left to right. A None
+        exponent takes each identity's degree-matching one; `aggregation`
+        must be a valid choice. See the trust contract in `conclab.concurrence`."""
         samples, n = params.shape[:2]
         initial_c = self.initial_concurrence
         lhs = live_totals(finals, self.live)
         factors = np.empty((samples, n))
-        states = self.factor_states(params, self.measured)
+        states = self.factor_states(params, self.measured) if self.measured else None
         if self.measured:
             factors[:, self.measured] = live_totals(
                 states.reshape(samples * len(self.measured), -1), self.factor_live) \
@@ -371,10 +372,10 @@ class _Scenario:
             rows = np.flatnonzero(which == k)
             if not len(rows):
                 continue
-            # term products, added or as their quadrature mean, in term order
-            products = [np.prod(factors[rows][:, term], axis=1) for term in terms]
-            rhs[rows] = np.sqrt(sum(p * p for p in products) / len(products)) \
-                if aggregation == "rms" else sum(products)
+            # term products (R, T), added or as their quadrature mean
+            products = np.prod(factors[rows[:, None, None], terms], axis=-1)
+            rhs[rows] = np.sqrt(np.cumsum(products * products, axis=-1)[:, -1] / len(terms)) \
+                if aggregation == "rms" else np.cumsum(products, axis=-1)[:, -1]
             exponent = identity.normalization_exponent if normalization_exponent is None \
                 else int(normalization_exponent)
             try:
@@ -418,7 +419,8 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     # each factor's rank from the plan that evolves its state: the states
     # the kernel measured, and the others, evolved only for this
     states = np.empty((n, len(scenario.factor_entries) + 1), dtype=complex)
-    states[scenario.measured] = ev.factor_states[0]
+    if scenario.measured:
+        states[scenario.measured] = ev.factor_states[0]
     states[scenario.closed] = scenario.factor_states(params, scenario.closed)[0]
     factor_ranks = [
         int(spectral_ranks(scenario.factor_plans[anchor_q].spectra(
@@ -640,7 +642,8 @@ def run_campaign(config):
     lhs, rhs, residual = (np.full(samples, np.nan) for _ in range(3))
     for start in range(0, samples, _STACK):
         stop = min(samples, start + _STACK)
-        params = draw_params(scenario.families, rng, stop - start)[:, scenario.order]
+        params = draw_params(scenario.families, rng, stop - start)
+        params = params if scenario.order is None else params[:, scenario.order]
         finals, ranks[start:stop] = scenario.final_states(params)
         which = scenario.identity_of_rank[ranks[start:stop]]
         rows = np.flatnonzero(which >= 0)

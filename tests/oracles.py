@@ -352,6 +352,17 @@ def dense_rows(rows, entries, dim):
     return out.reshape(rows.shape[:-1] + (dim, dim))
 
 
+def term_rhs(factors, terms, aggregation):
+    """rhs of one identity on factor values (S, n), term by term: each
+    term's product over its 0-based factor columns, then Python's `sum` of
+    the products (arrays, so no compensated float sum applies), or the
+    square root of the sum of their squares over the number of terms."""
+    products = [np.prod(factors[:, list(term)], axis=1) for term in terms]
+    if aggregation == "rms":
+        return np.sqrt(sum(p * p for p in products) / len(products))
+    return sum(products)
+
+
 def kraus_sum_apply(kraus_lists, mat):
     """sum over the Cartesian product of per-qubit Kraus choices of
     K rho K^dag, K the Kronecker product of the choices in qubit order.

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -843,3 +844,55 @@ def test_malformed_campaign_scenario_exits_one_every_time(capsys, argv, needle):
         assert needle in err
         errors.append(err)
     assert errors[0] == errors[1]
+
+
+def _readme_cli_argvs():
+    """The argv of every `conclab` line in README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("conclab ")]
+
+
+_W4_TWO = ["campaign", "--state", "w4", "--channels", "PF,PF,PF,PF", "--samples", "2"]
+_PARSE_CASES = [
+    *_readme_cli_argvs(),
+    [], ["-h"], ["campaign", "-h"], ["bogus"], ["camp"], ["--x", "campaign"],
+    [*_W4_TWO, "--bogus"],
+    [*_W4_TWO, "stray"],
+    ["campaign", "--state", "w4", "--channels", "PF,PF,PF,PF", "--samp", "2"],
+    ["figure1", "--points=3"],
+    [*_W4_TWO, "--seed", "-1e-300"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_command_parser_equals_the_nested_parse(tmp_path, capsys, monkeypatch, argv):
+    """A request whose first argument names a command is parsed by that
+    command's own parser alone. It must give the exit code, stdout, stderr
+    and files of the nested parse, where the top-level parser reads the
+    command and hands the rest to the same subparser."""
+    results = []
+    for nested in (False, True):
+        if nested:
+            monkeypatch.setattr(cli.build_parser(), "commands", {})
+        workdir = tmp_path / f"nested-{nested}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        files = {}
+        code, out, err = run(capsys, *argv)
+        for path in sorted(workdir.rglob("*")):
+            if path.is_file():
+                files[str(path.relative_to(workdir))] = path.read_bytes()
+        results.append((code, out, err, files))
+    assert results[0] == results[1]
+
+
+def test_a_named_command_is_parsed_once(capsys, monkeypatch):
+    """The top-level parser does not read a request that names a command."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("top-level parse")
+
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    code, out, err = run(capsys, *_W4_TWO)
+    assert (code, err) == (0, "")
+    assert out.startswith("# {")

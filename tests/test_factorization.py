@@ -30,6 +30,7 @@ from conclab.errors import DimensionMismatchError, InvalidPermutationError
 from conclab.experiments import CATALOGUE, REFINE_POINTS, figure1_scan, rank_table
 from conclab.factorization import (
     _STACK,
+    AGGREGATIONS,
     MAX_SAMPLES,
     CampaignConfig,
     _scenario,
@@ -41,7 +42,7 @@ from conclab.factorization import (
 from conclab.linalg import RANK_TOL, density_spectra, spectral_ranks
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
-from oracles import all_cuts, dense_cut_concurrence, dense_rows, pure_cut_concurrence
+from oracles import all_cuts, dense_cut_concurrence, dense_rows, pure_cut_concurrence, term_rhs
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -393,7 +394,9 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
     scenario = _scenario(state, families, cut, perm, "product", anchor)
     rho0 = parse_state(state).to_density() if perm is None \
         else parse_state(state).permuted(perm).to_density()
-    params = draw_params(scenario.families, np.random.default_rng(900), 64)[:, scenario.order]
+    params = draw_params(scenario.families, np.random.default_rng(900), 64)
+    if scenario.order is not None:
+        params = params[:, scenario.order]
     finals = scenario.final_states(params)[0]
     identity = identity_for("product", n, cut)
     ev = scenario.evaluate(np.zeros(64, dtype=int), finals, params,
@@ -1113,3 +1116,74 @@ class TestCompiledScenario:
 
     def test_cache_is_bounded(self):
         assert 0 < factorization._scenario.cache_info().maxsize <= 1024
+
+
+# (state, families, cut): 3 and 4 qubits, the default cut and 12|34
+_TERM_SCENARIOS = [("w3", ("PF",) * 3, None), ("ghz3", ("PF", "PF", "BF"), None),
+                   ("w4", ("PF",) * 4, None), ("w4", ("PF",) * 4, "12|34"),
+                   ("ghz4", ("PF", "PF", "PF", "BF"), "12|34")]
+
+
+class TestCompiledTerms:
+    """`_Scenario.evaluate` forms every term product of an identity with one
+    gather over its (T, k) term array and adds them with an ordered cumsum:
+    the same bits as the per-term products added by Python's `sum`."""
+
+    @pytest.mark.parametrize("aggregation", AGGREGATIONS)
+    @pytest.mark.parametrize("identity", ["product", "sum", "auto"])
+    @pytest.mark.parametrize("state, families, cut", _TERM_SCENARIOS,
+                             ids=["-".join((s, *f, c or "default")) for s, f, c in _TERM_SCENARIOS])
+    def test_rhs_and_residual_equal_the_per_term_oracle(self, state, families, cut, identity,
+                                                        aggregation, monkeypatch):
+        """Seeded random lhs and measured factors, a quarter of them exact
+        zeros, through every identity the scenario takes: rhs and residual
+        equal the oracle's bit for bit."""
+        rng = np.random.default_rng(4400)
+
+        def random_totals(rows, live):
+            values = 2.0 * rng.random(len(rows))
+            values[rng.random(len(rows)) < 0.25] = 0.0
+            return values
+
+        monkeypatch.setattr(factorization, "live_totals", random_totals)
+        scenario = _scenario(state, families, cut, None, identity, "own")
+        assert scenario.measured
+        params = draw_params(scenario.families, rng, _STACK)
+        which = rng.integers(len(scenario.identities), size=_STACK)
+        ev = scenario.evaluate(which, scenario.final_states(params)[0], params,
+                               normalization_exponent=None, aggregation=aggregation)
+        assert np.any(ev.factors == 0.0)
+        for k, compiled in enumerate(scenario.identities):
+            rows = which == k
+            assert scenario.terms[k].shape == (len(compiled.rhs_terms),
+                                               len(compiled.rhs_terms[0]))
+            terms = [[q - 1 for q in term] for term in compiled.rhs_terms]
+            rhs = term_rhs(ev.factors[rows], terms, aggregation)
+            scale = scenario.initial_concurrence ** compiled.normalization_exponent
+            assert ev.rhs[rows].tobytes() == rhs.tobytes()
+            assert ev.residual[rows].tobytes() == np.abs(ev.lhs[rows] * scale - rhs).tobytes()
+
+    def test_default_cut_makes_no_factor_pass(self, monkeypatch):
+        """Every factor of the default cut under anchor `last` is read in
+        closed form: a campaign evolves no factor state, and `verify`
+        evolves the factor states only to read their ranks."""
+        calls = []
+        factor_states = factorization._Scenario.factor_states
+
+        def counted(scenario, params, columns):
+            calls.append(list(columns))
+            return factor_states(scenario, params, columns)
+
+        monkeypatch.setattr(factorization._Scenario, "factor_states", counted)
+        run_campaign(CampaignConfig(state="w4", channels=("PF",) * 4, samples=_STACK + 3))
+        assert calls == []
+        report = evaluate_identity(identity_for("sum", 4), w(4),
+                                   [flip_channel("PF", p) for p in (0.1, 0.2, 0.3, 0.4)])
+        assert calls == [[0, 1, 2, 3]]
+        assert [f.rank for f in report.factors] == [2, 2, 2, 2]
+
+    @pytest.mark.parametrize("relabel, order", [(None, None), ((1, 2, 3), None),
+                                                ((3, 1, 2), (2, 0, 1))])
+    def test_identity_order_is_none(self, relabel, order):
+        """The identity relabel takes no column gather."""
+        assert _scenario("ghz3", ("PF", "PF", "BF"), None, relabel, "auto", "last").order == order

@@ -34,6 +34,11 @@ CASES = {
     "campaign-ghz4-general4-130.csv": [
         "campaign", "--state", "ghz4", "--channels", "general,general,general,general",
         "--samples", "130", "--seed", "7"],
+    # a relabel, so each stack gathers its drawn columns into qubit order,
+    # over two stacks
+    "campaign-ghz4-pf3bf-relabel-4123-70.csv": [
+        "campaign", "--state", "ghz4", "--channels", "PF,PF,PF,BF", "--relabel", "4,1,2,3",
+        "--samples", "70", "--seed", "7"],
     "evolve-ghz3-bf-pf-bpf.csv": [
         "evolve", "--state", "ghz3", "--channels", "BF:p=0.2,PF:p=0.1,BPF:p=0.3"],
     "figure1-26.csv": ["figure1", "--points", "26"],
