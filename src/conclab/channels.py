@@ -208,13 +208,12 @@ class SupportPlan:
         parameters}, one support-layout step per qubit in qubit order (see
         module docstring). Every assigned qubit outside `moving` must carry
         a2 = a3 = 0 (PF or the identity). B and S broadcast, so one initial
-        state can go through S channel draws. The coefficient gather index is
-        read per (plan, qubits) from `_coefficient_index`. Returns the
-        unvalidated (max(B, S), E + 1) rows in the plan's layout; see the
-        trust contract in `conclab.concurrence`."""
+        state can go through S channel draws. Returns the unvalidated
+        (max(B, S), E + 1) rows in the plan's layout; see the trust contract
+        in `conclab.concurrence`."""
         t = np.zeros((len(mats), len(self.entries) + 1), dtype=complex)
         t[:, :-1] = mats.reshape(len(mats), -1)[:, self.entries]
-        qubits = tuple(sorted(params))
+        qubits = sorted(params)
         if not qubits:
             return t
         w = np.square(np.concatenate([params[q] for q in qubits], axis=-1))
@@ -223,7 +222,8 @@ class SupportPlan:
         # each qubit's keep and move at s = +1, then at s = -1: (w0 + w3, w1 + w2,
         # w0 - w3, w1 - w2); complex, as each product with t casts them to it
         table = np.concatenate((near + far, near - far), axis=-1, dtype=complex).reshape(len(w), -1)
-        coefficients = table[:, _coefficient_index(self, qubits)]
+        slots = 4 * np.arange(len(qubits))[:, None, None]  # each qubit's four columns
+        coefficients = table[:, self.select[[q - 1 for q in qubits]] + slots]
         for j, q in enumerate(qubits):
             keep, move = coefficients[:, j, 0], coefficients[:, j, 1]
             t = keep * t + move * t[:, self.partner[q]] if q in self.moving else keep * t
@@ -233,15 +233,6 @@ class SupportPlan:
         """Unsorted eigenvalues (S, d) of (S, E + 1) rows this plan evolved,
         read from its blocks by `block_spectra`, unchecked."""
         return block_spectra(rows, self.blocks, self.dim)
-
-
-@lru_cache(maxsize=1024)
-def _coefficient_index(plan, qubits):
-    """`plan.select` of the k sorted `qubits`, each shifted to its four columns
-    of the (S, 4k) coefficient table `evolve` builds: (k, 2, E + 1), cached."""
-    index = plan.select[[q - 1 for q in qubits]] + 4 * np.arange(len(qubits))[:, None, None]
-    index.setflags(write=False)
-    return index
 
 
 @lru_cache(maxsize=256)

@@ -222,7 +222,7 @@ def _suggested_identity(rank, cut):
 class _Evaluation:
     """Identities on a stack of S scenarios: (S,) arrays lhs, rhs and
     residual, (S, n) factor values, and the factor rows (S, m, F + 1) of
-    the m factors the kernel measured (`measured`), or None if m = 0."""
+    the m factors the kernel measured (the scenario's `measured` columns)."""
 
     lhs: np.ndarray
     rhs: np.ndarray
@@ -238,7 +238,7 @@ class _Scenario:
 
     - `rho0`, the validated initial density matrix (d, d);
     - `families`, the canonical channel families in draw order, and
-      `order`, each qubit's draw column (None: qubit k takes column k);
+      `order`, the draw column each qubit takes (a relabel moves them);
     - `plan`, the `SupportPlan` of the final states (its `moving` holds the
       qubits whose family moves entries), and `factor_plans`, {anchor
       qubit: the plan of its factor states}, in qubit order;
@@ -306,8 +306,7 @@ class _Scenario:
         at = layout_positions(factor_entries, len(rho0))
         factor_at = {q: np.append(at[p.entries], len(factor_entries))
                      for q, p in factor_plans.items()}
-        return cls(rho0=rho0, families=tuple(families),
-                   order=None if order == tuple(range(n)) else order, plan=plan,
+        return cls(rho0=rho0, families=tuple(families), order=order, plan=plan,
                    factor_plans=factor_plans, factor_entries=factor_entries,
                    factor_at=factor_at, identities=identities,
                    identity_of_rank=identity_of_rank, anchors=anchors, closed=closed,
@@ -348,8 +347,8 @@ class _Scenario:
         """Evaluate identities[which[i]] on row i of S rows, given their
         final rows finals (S, E + 1) and Pauli parameters params (S, n, 4).
         One kernel call on the final states reads lhs, and one on the
-        measured factor states, if any, reads those factors; a factor whose
-        anchor stands alone on its side of the cut is C(psi) * max(0,
+        measured factor states reads those factors; a factor whose anchor
+        stands alone on its side of the cut is C(psi) * max(0,
         2 max_k a_k^2 - 1) (see the module docstring). rhs and residual
         follow per identity, on its rows: one gather gives every term's
         factors, and a cumsum adds the term products left to right. A None
@@ -359,7 +358,7 @@ class _Scenario:
         initial_c = self.initial_concurrence
         lhs = live_totals(finals, self.live)
         factors = np.empty((samples, n))
-        states = self.factor_states(params, self.measured) if self.measured else None
+        states = self.factor_states(params, self.measured)
         if self.measured:
             factors[:, self.measured] = live_totals(
                 states.reshape(samples * len(self.measured), -1), self.factor_live) \
@@ -419,8 +418,7 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     # each factor's rank from the plan that evolves its state: the states
     # the kernel measured, and the others, evolved only for this
     states = np.empty((n, len(scenario.factor_entries) + 1), dtype=complex)
-    if scenario.measured:
-        states[scenario.measured] = ev.factor_states[0]
+    states[scenario.measured] = ev.factor_states[0]
     states[scenario.closed] = scenario.factor_states(params, scenario.closed)[0]
     factor_ranks = [
         int(spectral_ranks(scenario.factor_plans[anchor_q].spectra(
@@ -642,8 +640,7 @@ def run_campaign(config):
     lhs, rhs, residual = (np.full(samples, np.nan) for _ in range(3))
     for start in range(0, samples, _STACK):
         stop = min(samples, start + _STACK)
-        params = draw_params(scenario.families, rng, stop - start)
-        params = params if scenario.order is None else params[:, scenario.order]
+        params = draw_params(scenario.families, rng, stop - start)[:, scenario.order]
         finals, ranks[start:stop] = scenario.final_states(params)
         which = scenario.identity_of_rank[ranks[start:stop]]
         rows = np.flatnonzero(which >= 0)

@@ -862,6 +862,7 @@ _PARSE_CASES = [
     ["campaign", "--state", "w4", "--channels", "PF,PF,PF,PF", "--samp", "2"],
     ["figure1", "--points=3"],
     [*_W4_TWO, "--seed", "-1e-300"],
+    ["figure1", "--", "--points"], ["campaign", "--", "--state"],
 ]
 
 

@@ -394,9 +394,7 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
     scenario = _scenario(state, families, cut, perm, "product", anchor)
     rho0 = parse_state(state).to_density() if perm is None \
         else parse_state(state).permuted(perm).to_density()
-    params = draw_params(scenario.families, np.random.default_rng(900), 64)
-    if scenario.order is not None:
-        params = params[:, scenario.order]
+    params = draw_params(scenario.families, np.random.default_rng(900), 64)[:, scenario.order]
     finals = scenario.final_states(params)[0]
     identity = identity_for("product", n, cut)
     ev = scenario.evaluate(np.zeros(64, dtype=int), finals, params,
@@ -1162,28 +1160,3 @@ class TestCompiledTerms:
             scale = scenario.initial_concurrence ** compiled.normalization_exponent
             assert ev.rhs[rows].tobytes() == rhs.tobytes()
             assert ev.residual[rows].tobytes() == np.abs(ev.lhs[rows] * scale - rhs).tobytes()
-
-    def test_default_cut_makes_no_factor_pass(self, monkeypatch):
-        """Every factor of the default cut under anchor `last` is read in
-        closed form: a campaign evolves no factor state, and `verify`
-        evolves the factor states only to read their ranks."""
-        calls = []
-        factor_states = factorization._Scenario.factor_states
-
-        def counted(scenario, params, columns):
-            calls.append(list(columns))
-            return factor_states(scenario, params, columns)
-
-        monkeypatch.setattr(factorization._Scenario, "factor_states", counted)
-        run_campaign(CampaignConfig(state="w4", channels=("PF",) * 4, samples=_STACK + 3))
-        assert calls == []
-        report = evaluate_identity(identity_for("sum", 4), w(4),
-                                   [flip_channel("PF", p) for p in (0.1, 0.2, 0.3, 0.4)])
-        assert calls == [[0, 1, 2, 3]]
-        assert [f.rank for f in report.factors] == [2, 2, 2, 2]
-
-    @pytest.mark.parametrize("relabel, order", [(None, None), ((1, 2, 3), None),
-                                                ((3, 1, 2), (2, 0, 1))])
-    def test_identity_order_is_none(self, relabel, order):
-        """The identity relabel takes no column gather."""
-        assert _scenario("ghz3", ("PF", "PF", "BF"), None, relabel, "auto", "last").order == order
