@@ -1,8 +1,8 @@
 """Named reproduction scenarios: the catalogue of (state, channel family)
 scenarios, the three-BPF lower-bound sweep and the rank table. The sweep
 is compiled once per process (`_sweep`) and evolves each grid with one
-`SupportPlan.evolve` per stack; the rank table compiles each scenario as
-campaigns do (`factorization._Scenario`) and reads its final rank by the
+`SupportPlan.evolve` per stack; the rank table reads each scenario from
+the campaigns' cache (`factorization._scenario`) and its final rank by the
 same `final_states`."""
 
 import json
@@ -13,7 +13,7 @@ import numpy as np
 
 from .channels import flip_params, support_plan
 from .concurrence import live_tau3, tau3_pairs
-from .factorization import ANCHOR_LAST, _Scenario, default_cut
+from .factorization import ANCHOR_LAST, _scenario
 from .states import parse_state
 
 VANISH_TOL = 1e-6       # tau3 at or below this counts as vanished
@@ -133,8 +133,7 @@ def rank_table():
     for state_name, families, claimed in CATALOGUE:
         if claimed is None:
             continue
-        psi = parse_state(state_name)
-        scenario = _Scenario.compile(psi, families, default_cut(psi.n_qubits), None, ANCHOR_LAST)
+        scenario = _scenario(state_name, families, None, None, "auto", ANCHOR_LAST)
         params = np.array([[flip_params(fam, p) for fam, p in zip(families, GENERIC_PS)]])
         _, ranks = scenario.final_states(params)
         rows.append(RankRow(state_name, tuple(families), int(ranks[0]), claimed))

@@ -66,14 +66,17 @@ one kernel call on the final rows (`live_totals`) gives lhs for every row,
 whichever identity the row takes. Each factor whose anchor stands alone is
 C(psi) * c($) from the parameters; each other factor (the cut 12|34, or
 `anchor="own"` on a shared block) is read from one single-sided
-`SupportPlan.evolve` per anchor qubit, whose rows take their positions in
-the factor layout and one more kernel call. rhs and residual then follow
-per identity on its rows. A campaign makes one such evaluation per stack
-that holds an evaluated row, and `evaluate_identity` is the one-row case,
-compiled without the cache. It also reports every factor's rank, read by
-the `spectra` of the plan that evolved the factor state; campaigns read
-none. Only the initial state is validated; see the trust contract in
-`conclab.concurrence`.
+`SupportPlan.evolve` per anchor qubit and one more kernel call. Every
+factor row lies in one plan, `factor_plan`: rho0's pattern closed under
+the moves of every anchor that carries a moving channel, which holds each
+single-sided state (under "own", the final plan itself). rhs and residual
+then follow per identity on its rows, with C(psi)^e read once per request
+(`_Scenario.scales`), so a bad exponent fails before any stack. A campaign
+makes one such evaluation per stack that holds an evaluated row, and
+`evaluate_identity` is the one-row case, compiled without the cache. It
+also reports every factor's rank, read by one `factor_plan.spectra` call;
+campaigns read none. Only the initial state is validated; see the trust
+contract in `conclab.concurrence`.
 """
 
 import json
@@ -94,7 +97,7 @@ from .channels import (
 )
 from .concurrence import Bipartition, cut_pairs, cut_totals, live_totals, parse_cut
 from .errors import DimensionMismatchError, loads_json
-from .linalg import RANK_TOL, layout_positions, spectral_ranks
+from .linalg import RANK_TOL, spectral_ranks
 from .states import parse_state
 
 PRODUCT = "product"
@@ -240,11 +243,10 @@ class _Scenario:
     - `families`, the canonical channel families in draw order, and
       `order`, the draw column each qubit takes (a relabel moves them);
     - `plan`, the `SupportPlan` of the final states (its `moving` holds the
-      qubits whose family moves entries), and `factor_plans`, {anchor
-      qubit: the plan of its factor states}, in qubit order;
-    - `factor_entries` (F,), the union of the factor plans' closures, the
-      layout of factor rows, and `factor_at`, {anchor qubit: the position
-      there of each column of its plan's rows};
+      qubits whose family moves entries), and `factor_plan`, the plan of
+      every factor state: rho0's pattern closed under the moves of each
+      anchor that carries a moving channel (under "own" the final plan
+      itself);
     - `identities`, the identities some rank takes, and `identity_of_rank`
       (d + 1,), the index into them of each final rank's identity, -1 for
       none;
@@ -261,9 +263,7 @@ class _Scenario:
     families: tuple
     order: tuple
     plan: SupportPlan
-    factor_plans: dict
-    factor_entries: np.ndarray
-    factor_at: dict
+    factor_plan: SupportPlan
     identities: tuple
     identity_of_rank: np.ndarray
     anchors: tuple
@@ -289,9 +289,7 @@ class _Scenario:
         moving = moving_qubits((k, families[old]) for k, old in enumerate(order, start=1))
         anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
         # qubit q's channel goes through anchors[q - 1]
-        factor_moving = frozenset(anchors[q - 1] for q in moving)
-        factor_plans = {q: support_plan(pattern, factor_moving & {q})
-                        for q in sorted(set(anchors))}
+        factor_plan = support_plan(pattern, {anchors[q - 1] for q in moving})
         # an anchor alone on its side of the cut obeys the one-sided law
         lone = {block[0] for block in (cut.block1, cut.block2) if len(block) == 1}
         closed = [q for q in range(n) if anchors[q] in lone]
@@ -302,19 +300,14 @@ class _Scenario:
         identity_of_rank = np.array([-1 if i is None else identities.index(i) for i in by_rank])
         identity_of_rank.setflags(write=False)
         plan = support_plan(pattern, moving)
-        factor_entries = np.unique(np.concatenate([p.entries for p in factor_plans.values()]))
-        at = layout_positions(factor_entries, len(rho0))
-        factor_at = {q: np.append(at[p.entries], len(factor_entries))
-                     for q, p in factor_plans.items()}
         return cls(rho0=rho0, families=tuple(families), order=order, plan=plan,
-                   factor_plans=factor_plans, factor_entries=factor_entries,
-                   factor_at=factor_at, identities=identities,
+                   factor_plan=factor_plan, identities=identities,
                    identity_of_rank=identity_of_rank, anchors=anchors, closed=closed,
                    measured=measured,
                    initial_concurrence=float(cut_totals(rho0[None], cut)[0]),
                    terms=tuple(np.array(identity.rhs_terms) - 1 for identity in identities),
                    live=cut_pairs(cut, plan.entries),
-                   factor_live=cut_pairs(cut, factor_entries))
+                   factor_live=cut_pairs(cut, factor_plan.entries))
 
     def final_states(self, params):
         """Many-sided final rows (S, E + 1) of the plan under S draws of
@@ -326,24 +319,40 @@ class _Scenario:
         return finals, spectral_ranks(self.plan.spectra(finals), RANK_TOL)
 
     def factor_states(self, params, columns):
-        """Single-sided factor rows (S, k, F + 1) of the k factor columns
-        `columns` (0-based qubits) under Pauli parameters params (S, n, 4):
+        """Single-sided factor rows (S, k, F + 1), in the layout of the F
+        entries of `factor_plan`, of the k factor columns `columns` (0-based
+        qubits) under Pauli parameters params (S, n, 4):
         column j sends the channels params[:, columns[j]] through its
-        anchor qubit alone, one `SupportPlan.evolve` per anchor qubit, in
-        that anchor's plan, read into `factor_at`. Unvalidated; see the
-        trust contract in `conclab.concurrence`."""
+        anchor qubit alone, one `factor_plan.evolve` per anchor qubit.
+        Unvalidated; see the trust contract in `conclab.concurrence`."""
         samples = len(params)
-        states = np.zeros((samples, len(columns), len(self.factor_entries) + 1), dtype=complex)
-        for anchor_q, plan in self.factor_plans.items():
+        states = np.empty((samples, len(columns), len(self.factor_plan.entries) + 1),
+                          dtype=complex)
+        for anchor_q in sorted({self.anchors[q] for q in columns}):
             cols = [j for j, q in enumerate(columns) if self.anchors[q] == anchor_q]
-            if cols:
-                drawn = params[:, [columns[j] for j in cols]].reshape(-1, 4)
-                evolved = plan.evolve(self.rho0[None], {anchor_q: drawn})
-                states[:, np.array(cols)[:, None], self.factor_at[anchor_q]] = \
-                    evolved.reshape(samples, len(cols), -1)
+            drawn = params[:, [columns[j] for j in cols]].reshape(-1, 4)
+            states[:, cols] = self.factor_plan.evolve(self.rho0[None], {anchor_q: drawn}) \
+                .reshape(samples, len(cols), -1)
         return states
 
-    def evaluate(self, which, finals, params, *, normalization_exponent, aggregation):
+    def scales(self, normalization_exponent):
+        """C(psi)^e per identity in `identities`: e is the override
+        `normalization_exponent`, or each identity's degree-matching one for
+        None. Raises ValueError where the power overflows or divides by
+        zero, whatever rows a campaign draws."""
+        initial_c = self.initial_concurrence
+        scales = []
+        for identity in self.identities:
+            exponent = identity.normalization_exponent if normalization_exponent is None \
+                else int(normalization_exponent)
+            try:
+                scales.append(initial_c ** exponent)
+            except (OverflowError, ZeroDivisionError):
+                raise ValueError(f"initial concurrence {initial_c!r} cannot take the "
+                                 f"normalization exponent {exponent}") from None
+        return scales
+
+    def evaluate(self, which, finals, params, *, scales, aggregation):
         """Evaluate identities[which[i]] on row i of S rows, given their
         final rows finals (S, E + 1) and Pauli parameters params (S, n, 4).
         One kernel call on the final states reads lhs, and one on the
@@ -351,8 +360,8 @@ class _Scenario:
         stands alone on its side of the cut is C(psi) * max(0,
         2 max_k a_k^2 - 1) (see the module docstring). rhs and residual
         follow per identity, on its rows: one gather gives every term's
-        factors, and a cumsum adds the term products left to right. A None
-        exponent takes each identity's degree-matching one; `aggregation`
+        factors, and a cumsum adds the term products left to right. `scales`
+        holds C(psi)^e per identity, as `scales` gives it; `aggregation`
         must be a valid choice. See the trust contract in `conclab.concurrence`."""
         samples, n = params.shape[:2]
         initial_c = self.initial_concurrence
@@ -367,7 +376,7 @@ class _Scenario:
         factors[:, self.closed] = initial_c * np.maximum(0.0, 2.0 * weights.max(axis=-1) - 1.0)
 
         rhs, residual = np.empty(samples), np.empty(samples)
-        for k, (identity, terms) in enumerate(zip(self.identities, self.terms)):
+        for k, (terms, scale) in enumerate(zip(self.terms, scales)):
             rows = np.flatnonzero(which == k)
             if not len(rows):
                 continue
@@ -375,13 +384,6 @@ class _Scenario:
             products = np.prod(factors[rows[:, None, None], terms], axis=-1)
             rhs[rows] = np.sqrt(np.cumsum(products * products, axis=-1)[:, -1] / len(terms)) \
                 if aggregation == "rms" else np.cumsum(products, axis=-1)[:, -1]
-            exponent = identity.normalization_exponent if normalization_exponent is None \
-                else int(normalization_exponent)
-            try:
-                scale = initial_c ** exponent
-            except (OverflowError, ZeroDivisionError):
-                raise ValueError(f"initial concurrence {initial_c!r} cannot take the "
-                                 f"normalization exponent {exponent}") from None
             residual[rows] = np.abs(lhs[rows] * scale - rhs[rows])
         return _Evaluation(lhs=lhs, rhs=rhs, residual=residual, factors=factors,
                            factor_states=states)
@@ -410,20 +412,17 @@ def evaluate_identity(identity, psi, channels, *, anchor=ANCHOR_LAST,
     params = np.array([[ch.a for ch in channels]])
     scenario = _Scenario.compile(psi, [ch.family for ch in channels], identity.cut, identity,
                                  anchor)
+    scales = scenario.scales(normalization_exponent)
     finals, final_ranks = scenario.final_states(params)
-    ev = scenario.evaluate(np.zeros(1, dtype=np.intp), finals, params,
-                           normalization_exponent=normalization_exponent,
+    ev = scenario.evaluate(np.zeros(1, dtype=np.intp), finals, params, scales=scales,
                            aggregation=aggregation)
     final_rank = int(final_ranks[0])
-    # each factor's rank from the plan that evolves its state: the states
+    # every factor's rank from one `factor_plan.spectra` call: on the states
     # the kernel measured, and the others, evolved only for this
-    states = np.empty((n, len(scenario.factor_entries) + 1), dtype=complex)
+    states = np.empty((n, len(scenario.factor_plan.entries) + 1), dtype=complex)
     states[scenario.measured] = ev.factor_states[0]
     states[scenario.closed] = scenario.factor_states(params, scenario.closed)[0]
-    factor_ranks = [
-        int(spectral_ranks(scenario.factor_plans[anchor_q].spectra(
-            state[None, scenario.factor_at[anchor_q]]), RANK_TOL)[0])
-        for state, anchor_q in zip(states, scenario.anchors)]
+    factor_ranks = spectral_ranks(scenario.factor_plan.spectra(states), RANK_TOL).tolist()
     return IdentityReport(
         identity=identity.form,
         cut=identity.cut.label,
@@ -633,6 +632,7 @@ def run_campaign(config):
     """
     scenario = _scenario(config.state, config.channels, config.cut, config.relabel,
                          config.identity, config.anchor)
+    scales = scenario.scales(config.normalization_exponent)
     rng = np.random.default_rng(config.seed)
     samples = config.samples
     ranks = np.empty(samples, dtype=np.int64)
@@ -645,8 +645,7 @@ def run_campaign(config):
         which = scenario.identity_of_rank[ranks[start:stop]]
         rows = np.flatnonzero(which >= 0)
         if len(rows):
-            ev = scenario.evaluate(which[rows], finals[rows], params[rows],
-                                   normalization_exponent=config.normalization_exponent,
+            ev = scenario.evaluate(which[rows], finals[rows], params[rows], scales=scales,
                                    aggregation=config.aggregation)
             at = start + rows
             evaluated[at] = True

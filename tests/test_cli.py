@@ -810,6 +810,19 @@ def test_exponent_edges(tmp_path, capsys, source, exponent, needle):
         assert needle in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--channels", "PF,PF", "--samples", "1"),
+    ("--channels", "PF,PF", "--samples", "0"),
+    ("--channels", "BF,BF", "--samples", "3"),
+], ids=["one-sample", "no-samples", "no-row-evaluated"])
+def test_exponent_check_does_not_depend_on_the_draws(capsys, argv):
+    """C(psi) = 0 cannot take a negative exponent: the request fails before
+    its first sample, whether or not some row would be evaluated."""
+    code, out, err = run(capsys, "campaign", "--state", "bell:alpha=1", *argv, "--exponent", "-1")
+    assert_one_error_line(code, out, err)
+    assert err == "error: initial concurrence 0.0 cannot take the normalization exponent -1\n"
+
+
 _DEEP = "[" * 50000
 
 

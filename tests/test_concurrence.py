@@ -783,7 +783,7 @@ def kernel_stacks(state, families, seed, samples=24):
     for anchor in ("last", "own"):
         scenario = _scenario(state, families, None, None, "auto", anchor)
         rows = scenario.factor_states(params, range(n))
-        factors.append(dense_rows(rows, scenario.factor_entries, d).reshape(-1, d, d))
+        factors.append(dense_rows(rows, scenario.factor_plan.entries, d).reshape(-1, d, d))
     every = np.concatenate((finals, *factors, rho0[None]))
     return every, (finals, *factors, rho0[None], every[::7])
 
@@ -908,7 +908,7 @@ class TestXLayouts:
         n = len(families)
         factors = scenario.factor_states(params, range(n)).reshape(64 * n, -1)
         for live, entries, rows in ((scenario.live, scenario.plan.entries, finals),
-                                    (scenario.factor_live, scenario.factor_entries, factors)):
+                                    (scenario.factor_live, scenario.factor_plan.entries, factors)):
             assert live[2][1] is None
             tested = with_x_test(live, off_x, layout_positions(entries, 1 << n))
             assert _live_values(rows, live).tobytes() == _live_values(rows, tested).tobytes()

@@ -42,7 +42,15 @@ from conclab.factorization import (
 from conclab.linalg import RANK_TOL, density_spectra, spectral_ranks
 from conclab.states import bell, ghz, parse_state, random_pure, w
 
-from oracles import all_cuts, dense_cut_concurrence, dense_rows, pure_cut_concurrence, term_rhs
+from oracles import (
+    all_cuts,
+    dense_cut_concurrence,
+    dense_rows,
+    pauli_superops,
+    pure_cut_concurrence,
+    superop_evolve,
+    term_rhs,
+)
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -398,10 +406,10 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
     finals = scenario.final_states(params)[0]
     identity = identity_for("product", n, cut)
     ev = scenario.evaluate(np.zeros(64, dtype=int), finals, params,
-                           normalization_exponent=None, aggregation="sum")
+                           scales=scenario.scales(None), aggregation="sum")
     rows = scenario.factor_states(params, range(n))
-    assert rows.shape == (64, n, len(scenario.factor_entries) + 1)
-    states = dense_rows(rows, scenario.factor_entries, 1 << n)
+    assert rows.shape == (64, n, len(scenario.factor_plan.entries) + 1)
+    states = dense_rows(rows, scenario.factor_plan.entries, 1 << n)
     oracle = cut_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
     lone = {b[0] for b in (identity.cut.block1, identity.cut.block2) if len(b) == 1}
     measured = [q for q in range(n) if scenario.anchors[q] not in lone]
@@ -441,7 +449,26 @@ class TestClosureRows:
             "state", "channels", "cut", "relabel", "identity", "anchor")))
         closure = [0, 15, 17, 30, 225, 238, 240, 255]
         assert scenario.plan.entries.tolist() == closure
-        assert scenario.factor_entries.tolist() == closure
+        assert scenario.factor_plan.entries.tolist() == closure
+
+    @pytest.mark.parametrize("state, families", [
+        ("w3", ("BF", "BF", "BF")), ("ghz4", ("PF", "PF", "PF", "BF")),
+        ("ghz3", ("PF", "BF", "PF")), ("w4", ("PF",) * 4),
+    ], ids=["w3-bf3", "ghz4-pf3bf", "ghz3-pf-bf-pf", "w4-pf4"])
+    def test_factor_plan(self, state, families):
+        """Factor rows take one plan: rho0's pattern closed under the moves
+        of every anchor that carries a moving channel. Under "own" that is
+        the final plan itself; under "last", the closure under the last
+        qubit's moves when any qubit moves, and the pattern's own plan when
+        none does."""
+        n = len(families)
+        pattern = parse_state(state).to_density().mat != 0
+        own = _scenario(state, families, None, None, "auto", "own")
+        assert own.factor_plan is own.plan
+        last = _scenario(state, families, None, None, "auto", "last")
+        want = support_plan(pattern, {n} if set(families) != {"PF"} else ())
+        assert last.factor_plan.moving == want.moving
+        assert np.array_equal(last.factor_plan.entries, want.entries)
 
 
 class TestFactorStates:
@@ -466,6 +493,44 @@ class TestFactorStates:
             assert_trusted(states[:, measured], rho0)
             # the values the kernel read from these states, bit for bit
             assert np.array_equal(ev.factors[:, measured], oracle[:, measured])
+
+    def test_sparse_state_on_the_general_path_matches_the_dense_oracle(self, monkeypatch):
+        """A sparse complex state whose blocks leave the X shape with a live
+        Y pair, so lhs and the measured factors take the `eigh` and SVD
+        path, with two moving qubits under "own": the factor rows hold
+        rho0's closure under both moves, and lhs and every factor match
+        the dense evolution and concurrence oracles."""
+        state = "[0.5, [0, 0.5], 0, 0, 0, 0, 0, [0.5, 0.5]]"
+        families = ("BF", "BF", "PF")
+        scenario = _scenario(state, families, None, None, "product", "own")
+        assert scenario.measured == [0, 1]
+        assert scenario.factor_plan.moving == {1, 2}
+        params = draw_params(scenario.families, np.random.default_rng(910), 16)
+        finals = scenario.final_states(params)[0]
+        eigh_stacks = []
+        eigh = np.linalg.eigh
+
+        def counted(blocks):
+            eigh_stacks.append(len(blocks))
+            return eigh(blocks)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigh", counted)
+            ev = scenario.evaluate(np.zeros(16, dtype=int), finals, params,
+                                   scales=scenario.scales(None), aggregation="sum")
+        # one general-path stack for lhs and one for the measured factors
+        assert len(eigh_stacks) == 2 and all(eigh_stacks)
+        rho0 = parse_state(state).to_density().mat
+        superops = pauli_superops(params)
+        block1, block2 = (1, 2), (3,)
+        for s in range(16):
+            final = superop_evolve(rho0[None], {q: superops[s, q - 1][None]
+                                                for q in (1, 2, 3)})[0]
+            assert abs(ev.lhs[s] - dense_cut_concurrence(final, block1, block2)[1]) <= 1e-13
+            for q in (1, 2, 3):
+                factor = superop_evolve(rho0[None], {q: superops[s, q - 1][None]})[0]
+                dense = dense_cut_concurrence(factor, block1, block2)[1]
+                assert abs(ev.factors[s, q - 1] - dense) <= 1e-13
 
     @pytest.mark.parametrize("anchor", ["last", "own"])
     @pytest.mark.parametrize("state, families", FOUR_QUBIT,
@@ -962,10 +1027,16 @@ class TestCampaign:
             forms = {r.rank <= 2 for r in stacks[0] if r.residual is not None}
             assert forms == {True, False}
 
-    def test_zero_initial_concurrence_rejects_negative_exponent(self):
-        config = CampaignConfig(state="bell:alpha=1", channels=("BF", "BF"), samples=2,
-                                identity="product", normalization_exponent=-1)
-        with pytest.raises(ValueError, match="exponent"):
+    @pytest.mark.parametrize("samples, identity", [(2, "product"), (0, "product"), (3, "auto")],
+                             ids=["product", "no-samples", "auto-no-row-evaluated"])
+    def test_zero_initial_concurrence_rejects_negative_exponent(self, samples, identity):
+        """The exponent is checked once per request, before any stack: also
+        with no sample, and when no row is evaluated (BF,BF on a product
+        state gives rank 4, which no bell identity takes)."""
+        config = CampaignConfig(state="bell:alpha=1", channels=("BF", "BF"), samples=samples,
+                                identity=identity, normalization_exponent=-1)
+        with pytest.raises(ValueError, match="^initial concurrence 0.0 cannot take the "
+                                             "normalization exponent -1$"):
             run_campaign(config)
 
     def test_cut_on_wrong_qubit_count(self):
@@ -1149,7 +1220,7 @@ class TestCompiledTerms:
         params = draw_params(scenario.families, rng, _STACK)
         which = rng.integers(len(scenario.identities), size=_STACK)
         ev = scenario.evaluate(which, scenario.final_states(params)[0], params,
-                               normalization_exponent=None, aggregation=aggregation)
+                               scales=scenario.scales(None), aggregation=aggregation)
         assert np.any(ev.factors == 0.0)
         for k, compiled in enumerate(scenario.identities):
             rows = which == k
