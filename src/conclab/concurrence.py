@@ -75,10 +75,18 @@ the eight entries of its block off the diagonal and anti-diagonal are
 exactly 0, and gives it the closed form. Only the other blocks, selected
 with one boolean mask, are gathered whole; of these, only the ones with
 both states of some Y pair live go through one batched `eigh` and one
-batched SVD. Every decision is made per (state, pair), from that block
-alone, or for a whole layout (below). `cut_totals` and `tau3_stack` serve
-whole stacks; `cut_concurrence`, `bipartite_concurrence` and `tau3` are
-their one-state cases, and `wootters` is the single-block case (cut 1|2).
+batched SVD (`_general_spectra`). Every decision is made per (state,
+pair), from that block alone, or for a whole layout (below).
+`cut_totals` and `tau3_stack` serve whole stacks; `cut_concurrence`,
+`bipartite_concurrence` and `tau3` are their one-state cases, and
+`wootters` is the single-block case (cut 1|2).
+
+Two readers share the closed form and the general path. `_pair_spectra`
+sorts each block's four l's into a (B, P, 4) stack and reads C_mn from
+it; only `bipartite_concurrence`, whose breakdown prints the l's, and
+`wootters` call it. `_pair_values`, which the totals and tau3 call, reads
+C_mn straight from the two halves' (hi, lo), with the same bits: the
+sorted l2 + l3 adds the same two numbers as min(hi0, hi1) + max(lo0, lo1).
 
 Pair pruning. `cut_totals` and `tau3_stack` first read the stack's union
 support, the entries nonzero in some state, and skip each pair whose block
@@ -87,28 +95,31 @@ with both states live. A skipped pair's C_mn is exactly +0.0 in every state
 whose entries lie in that support, so the support may be any superset of
 the stack's union support, such as the entries of a layout that holds it:
 evolved rows are pruned once, on their layout (`cut_pairs`, `tau3_pairs`),
-and read with `live_totals` and `live_tau3`. A
-state's block holds a subset of the support's entries, so the block has
-r30 = r21 = 0 (a nonzero r30 would make both 0 and 3 live, and likewise
-r21 for 1 and 2), and either it is X-shaped or none of its Y pairs is
-live; the SVD path runs only on blocks with a live Y pair, so either way
-the block gets the closed form with z = 0 in both halves. Each half then gives hi = lo =
+and read with `live_totals` and `live_tau3`, which run `_pair_values` on
+the kept pairs alone. A state's block holds a subset of the support's
+entries, so the block has r30 = r21 = 0 (a nonzero r30 would make both 0
+and 3 live, and likewise r21 for 1 and 2), and either it is X-shaped or
+none of its Y pairs is live; the SVD path runs only on blocks with a live
+Y pair, so either way the block gets the closed form with z = 0 in both
+halves. Each half then gives hi = lo =
 sqrt(max(a, 0) max(d, 0)) >= 0 and no clamp, so the l's are (x, x, y, y)
 with x >= y >= 0, and C_mn = max(0, x - ((x + y) + y)). Rounding is
 monotone, so (x + y) + y >= x, the difference is +0.0 or negative, and
 C_mn = +0.0. The skipped pairs are written as +0.0, the live ones as
-`_pair_spectra` gives them, so the (B, P) values and `_cut_total`'s
+`_pair_values` gives them, so the (B, P) values and `_cut_total`'s
 ordered sum are those of the unpruned kernel, bit for bit, whatever else
 shares the stack and whichever superset the pairs were pruned on.
-`bipartite_concurrence` keeps every pair: a breakdown prints each pair's
-l's, and a skipped pair's (x, x, y, y) need not be 0.
+`bipartite_concurrence` keeps every pair and sorts its l's with
+`_pair_spectra`: a breakdown prints each pair's l's, and a skipped pair's
+(x, x, y, y) need not be 0.
 
 X-shaped layouts. Pruning also notes whether a kept block holds an entry off
 the X in the support. If none does, each such entry of a state in the
 support reads +0.0 (a dense zero or the pad), so the per-state test would
-mark no block: the kernel skips it for the same closed form, bit for bit.
-All catalogued layouts and `figure1`'s are X-shaped so; random and user
-states keep the test, and `bipartite_concurrence` and `wootters` always do.
+mark no block: `_general_spectra` skips it, and both readers give the
+closed form, bit for bit. All catalogued layouts and `figure1`'s are
+X-shaped so; random and user states keep the test, and
+`bipartite_concurrence` and `wootters` always do.
 
 Trust contract. The kernel trusts its input, dense or as rows of a layout
 that holds every nonzero entry: a state rho0 that passed `density_spectra`,
@@ -271,13 +282,14 @@ def _pair_blocks(block1, block2):
     return tuple(labels), _gathers(idx[:, :, None] * (d1 * d2) + idx[:, None, :])
 
 
-def _x_spectra(entries):
-    """The closed-form l's (B, P, 4), descending, of blocks read as X-shaped,
-    from their X entries (see `_gathers`) gathered as (B, 6, P):
-    sqrt(r00 r33) +- |r03| and sqrt(r11 r22) +- |r12|, the diagonal clipped
-    at 0, or (2 lambda+ |z| / g, 0) where a 2x2 half has a negative
-    eigenvalue for the PSD root to clamp (see the module docstring). They
-    are exact for X-shaped blocks and ignore every other entry."""
+def _x_halves(entries):
+    """The closed-form l's of blocks read as X-shaped, from their X entries
+    (see `_gathers`) gathered as (B, 6, P): each 2x2 half's pair hi >= lo,
+    as two (B, 2, P) arrays, sqrt(r00 r33) +- |r03| and sqrt(r11 r22) +-
+    |r12|, the diagonal clipped at 0, or (2 lambda+ |z| / g, 0) where a
+    half has a negative eigenvalue for the PSD root to clamp (see the
+    module docstring). They are exact for X-shaped blocks and ignore every
+    other entry."""
     near, far, anti = entries[:, 0:2].real, entries[:, 2:4].real, entries[:, 4:6]
     # |z| by correctly rounded operations only, so no SIMD path can make a
     # value depend on its position in the stack
@@ -290,46 +302,88 @@ def _x_spectra(entries):
         gap = np.sqrt((a - d) * (a - d) + 4.0 * z * z)
         hi[clamped] = z * np.maximum(a + d + gap, 0.0) / gap
         lo[clamped] = 0.0
-    # each half has hi >= lo, so these comparisons sort the four l's
-    inner_hi, inner_lo = np.minimum(hi[:, 0], hi[:, 1]), np.maximum(lo[:, 0], lo[:, 1])
-    return np.stack((np.maximum(hi[:, 0], hi[:, 1]), np.maximum(inner_hi, inner_lo),
-                     np.minimum(inner_hi, inner_lo), np.minimum(lo[:, 0], lo[:, 1])), axis=-1)
+    return hi, lo
+
+
+def _general_spectra(states, gathers):
+    """The general path: the blocks of (B, E) rows, at the positions of
+    `gathers`, that one of their entries off the X marks as not X-shaped
+    and that have both states of some Y pair live (a state is live when
+    its row or its column holds a nonzero entry), decided per (state,
+    pair) from its own entries. Returns their state and pair indices and
+    their l's (K, 4), descending, from one `eigh` and one SVD, or None
+    where no block is of that kind or the gathers hold None for the
+    entries off the X (`_live_pairs`). Every other block's l's are its
+    closed form (`_x_halves`), exact for X-shaped blocks and for those
+    with no live Y pair (l's exactly 0, see the module docstring); no
+    catalogued block reaches this path."""
+    flat, off_x, _ = gathers
+    if off_x is None:
+        return None
+    # entries are gathered as (B, k, P): reducing over a short middle axis
+    # with the pairs contiguous is much cheaper than over a short last axis
+    general = np.any(np.take(states, off_x, axis=1) != 0, axis=1)
+    if not general.any():
+        return None
+    rows, pairs = np.nonzero(general)
+    blocks = states[rows[:, None, None], flat[pairs]]
+    nonzero = blocks != 0
+    live = nonzero.any(axis=-1) | nonzero.any(axis=-2)
+    paired = (live[:, 0] & live[:, 3]) | (live[:, 1] & live[:, 2])
+    if not paired.any():
+        return None
+    w, g = np.linalg.eigh(blocks[paired])
+    g *= np.sqrt(np.maximum(w, 0.0))[..., None, :]
+    flipped = np.swapaxes(g, -1, -2)[..., ::-1] * _FLIP_SIGNS
+    return rows[paired], pairs[paired], np.linalg.svd(flipped @ g, compute_uv=False)
+
+
+def _values_of(lam):
+    """C_mn = max(0, l1 - l2 - l3 - l4) of l's (..., 4), descending."""
+    return np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
 
 
 def _pair_spectra(rows, gathers):
-    """The l's (B, P, 4), descending, and C_mn = max(0, l1 - l2 - l3 - l4)
-    (B, P) of the principal blocks rho_II of (B, E) rows or a (B, d, d)
-    stack, whose entries sit at the positions of `gathers`: the singular
-    values of sqrt(rho_II) Y sqrt(rho_II)*. The closed form is evaluated
-    for every block, exact for X-shaped blocks and for those with no live
-    Y pair (l's exactly 0, see the module docstring), and overwritten from
-    one `eigh` and one SVD of every other block, decided per (state, pair)
-    from its own entries (a state is live when its row or its column holds
-    a nonzero entry); no catalogued block is of that kind. Gathers with
-    None for the entries off the X (`_live_pairs`) skip that test. Every
-    array has the stack axis first and every operation acts per (state,
-    pair), so a state's values do not depend on the stack it shares.
-    """
-    flat, off_x, x_entries = gathers
+    """The l's (B, P, 4), descending, and C_mn (B, P) of the principal
+    blocks rho_II of (B, E) rows or a (B, d, d) stack, whose entries sit at
+    the positions of `gathers`: the singular values of sqrt(rho_II) Y
+    sqrt(rho_II)*, sorted from the two halves of `_x_halves` and
+    overwritten by `_general_spectra`. Every array has the stack axis
+    first and every operation acts per (state, pair), so a state's values
+    do not depend on the stack it shares."""
     states = rows.reshape(len(rows), -1)
-    lam = _x_spectra(np.take(states, x_entries, axis=1))
-    # entries are gathered as (B, k, P): reducing over a short middle axis
-    # with the pairs contiguous is much cheaper than over a short last axis
-    general = None if off_x is None else np.any(np.take(states, off_x, axis=1) != 0, axis=1)
-    if general is not None and general.any():
-        rows, pairs = np.nonzero(general)
-        blocks = states[rows[:, None, None], flat[pairs]]
-        # a state is live when its row or its column holds a nonzero entry;
-        # a block with no live Y pair {0, 3} or {1, 2} has l's exactly 0
-        nonzero = blocks != 0
-        live = nonzero.any(axis=-1) | nonzero.any(axis=-2)
-        paired = (live[:, 0] & live[:, 3]) | (live[:, 1] & live[:, 2])
-        if paired.any():
-            w, g = np.linalg.eigh(blocks[paired])
-            g *= np.sqrt(np.maximum(w, 0.0))[..., None, :]
-            flipped = np.swapaxes(g, -1, -2)[..., ::-1] * _FLIP_SIGNS
-            lam[rows[paired], pairs[paired]] = np.linalg.svd(flipped @ g, compute_uv=False)
-    return lam, np.maximum(0.0, lam[..., 0] - ((lam[..., 1] + lam[..., 2]) + lam[..., 3]))
+    hi, lo = _x_halves(np.take(states, gathers[2], axis=1))
+    # each half has hi >= lo, so these comparisons sort the four l's
+    inner_hi, inner_lo = np.minimum(hi[:, 0], hi[:, 1]), np.maximum(lo[:, 0], lo[:, 1])
+    lam = np.stack((np.maximum(hi[:, 0], hi[:, 1]), np.maximum(inner_hi, inner_lo),
+                    np.minimum(inner_hi, inner_lo), np.minimum(lo[:, 0], lo[:, 1])), axis=-1)
+    general = _general_spectra(states, gathers)
+    if general is not None:
+        at_rows, at_pairs, top = general
+        lam[at_rows, at_pairs] = top
+    return lam, _values_of(lam)
+
+
+def _pair_values(rows, gathers):
+    """C_mn (B, P) of `_pair_spectra`, bit for bit, with no l's sorted:
+    from the halves of `_x_halves`, max(0, max(hi0, hi1) - ((min(hi0, hi1)
+    + max(lo0, lo1)) + min(lo0, lo1))), and from `_general_spectra`'s l's
+    where it overwrites; `_live_values` calls it. The sorted l2 + l3 adds
+    the same two numbers as min(hi0, hi1) + max(lo0, lo1), and IEEE
+    addition commutes. Where those two are zeros of opposite signs, max and
+    min may both pick one, but then both sums and l4 are zeros, and l1,
+    never -0, minus a zero of either sign is the same number."""
+    states = rows.reshape(len(rows), -1)
+    hi, lo = _x_halves(np.take(states, gathers[2], axis=1))
+    hi0, hi1, lo0, lo1 = hi[:, 0], hi[:, 1], lo[:, 0], lo[:, 1]
+    values = np.maximum(hi0, hi1)
+    values -= (np.minimum(hi0, hi1) + np.maximum(lo0, lo1)) + np.minimum(lo0, lo1)
+    np.maximum(0.0, values, out=values)
+    general = _general_spectra(states, gathers)
+    if general is not None:
+        at_rows, at_pairs, top = general
+        values[at_rows, at_pairs] = _values_of(top)
+    return values
 
 
 def _live_pairs(gathers, entries, at):
@@ -362,12 +416,12 @@ def _dense_pairs(gathers, mats):
 
 def _live_values(rows, live):
     """C_mn (B, P) of (B, E) rows, as `_pair_spectra` gives them, from one
-    `_pair_spectra` call on the pairs of `_live_pairs` alone; every other
+    `_pair_values` call on the pairs of `_live_pairs` alone; every other
     pair is written as +0.0."""
     count, pairs, pruned = live
     values = np.zeros((len(rows), count))
     if len(pairs):
-        values[:, pairs] = _pair_spectra(rows, pruned)[1]
+        values[:, pairs] = _pair_values(rows, pruned)
     return values
 
 
@@ -389,7 +443,7 @@ def wootters(rho):
 def _cut_total(values):
     """A cut's total sqrt(sum of C_mn^2) over the last axis of its C_mn
     values, added in pair order: every reader of a total gets these bits."""
-    return np.sqrt(np.cumsum(values * values, axis=-1)[..., -1])
+    return np.sqrt((values * values).cumsum(axis=-1)[..., -1])
 
 
 def cut_pairs(cut, entries):

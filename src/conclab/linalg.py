@@ -34,6 +34,8 @@ TRACE_TOL = 1e-10     # |tr(rho) - 1| accepted for density matrices
 EIG_FLOOR = -1e-10    # most negative eigenvalue accepted for density matrices
 RANK_TOL = 1e-10      # absolute eigenvalue threshold for numerical rank
 
+_TINY = np.finfo(float).smallest_subnormal
+
 
 def _frozen(a):
     a = np.asarray(a)
@@ -85,7 +87,10 @@ def _pair_eigenvalues(a, b, z):
     # value depend on its position in the stack
     zz = z.real * z.real + z.imag * z.imag
     gap = np.sqrt(half * half + zz) + half
-    shift = np.divide(zz, gap, out=np.zeros_like(zz), where=gap > 0)
+    # gap is 0 only where zz is, and a positive gap is at least the
+    # smallest subnormal, so the floor turns 0 / 0 into 0 and moves no
+    # other quotient
+    shift = zz / np.maximum(gap, _TINY)
     return np.minimum(a, b) - shift, np.maximum(a, b) + shift
 
 
@@ -125,7 +130,7 @@ def density_spectra(mats):
 def spectral_ranks(eigs, tol=RANK_TOL):
     """Count of eigenvalues strictly above tol (absolute; trace is 1) in each
     spectrum of a (..., d) stack."""
-    return np.count_nonzero(np.asarray(eigs) > tol, axis=-1)
+    return (np.asarray(eigs) > tol).sum(axis=-1)
 
 
 def block_partition(pattern):

@@ -25,6 +25,7 @@ from conclab.concurrence import (
     _live_values,
     _pair_blocks,
     _pair_spectra,
+    _pair_values,
     bipartite_concurrence,
     cut_concurrence,
     cut_totals,
@@ -763,6 +764,11 @@ class TestStackedKernel:
             tau3_stack(np.array([bell(SQ2).to_density().mat]))
 
 
+def assert_values_are_the_spectra_values(rows, gathers):
+    """`_pair_values` gives `_pair_spectra`'s C_mn, byte for byte."""
+    assert _pair_values(rows, gathers).tobytes() == _pair_spectra(rows, gathers)[1].tobytes()
+
+
 def _unpruned_totals(mats, gathers):
     """Every pair's C_mn from `_pair_spectra`, added as `_cut_total` adds
     them: the kernel without pair pruning."""
@@ -789,29 +795,37 @@ def kernel_stacks(state, families, seed, samples=24):
 
 
 class TestPairPruning:
-    """`cut_totals` and `tau3_stack` run `_pair_spectra` only on the pairs
+    """`cut_totals` and `tau3_stack` run `_pair_values` only on the pairs
     that can carry concurrence in a stack's union support; their totals
-    equal the unpruned kernel's bit for bit."""
+    equal the unpruned kernel's bit for bit, and `_pair_values` gives the
+    C_mn of `_pair_spectra` byte for byte."""
 
     @pytest.mark.parametrize("state, families", [entry[:2] for entry in CATALOGUE],
                              ids=["-".join((e[0], *e[1])) for e in CATALOGUE])
     def test_pruned_totals_equal_every_pair_bitwise(self, state, families):
         every, parts = kernel_stacks(state, families, seed=2100)
+        # the same stack with every zero entry read as -0.0 in both parts
+        signed = np.where(every == 0, complex(-0.0, -0.0), every)
         n = len(families)
         for block1, block2 in all_cuts(n):
             for cut in (Bipartition(block1, block2), Bipartition(block2, block1)):
                 gathers = _pair_blocks(cut.block1, cut.block2)[1]
-                for mats in (every, *parts):
+                for mats in (every, *parts, signed):
                     got = cut_totals(mats, cut)
                     assert got.tobytes() == _unpruned_totals(mats, gathers).tobytes()
+                    assert_values_are_the_spectra_values(mats, gathers)
         if n == 3:
-            for mats in (every, *parts):
+            for mats in (every, *parts, signed):
                 values = _pair_spectra(mats, concurrence._tau3_blocks())[1]
                 t1, t2, t3 = concurrence._cut_total(values.reshape(len(mats), 3, -1)).T
                 want = np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
                 assert tau3_stack(mats).tobytes() == want.tobytes()
 
-    def test_random_states_keep_every_pair(self):
+    def test_random_states_keep_every_pair(self, eigh_blocks):
+        """Dense random states reach the general path, and X-shaped ones at
+        the validation edges reach the clamped halves; on both the pruned
+        totals equal the unpruned ones and `_pair_values` the C_mn of
+        `_pair_spectra`, byte for byte."""
         rng = np.random.default_rng(2101)
         for n in (2, 3, 4):
             mats = np.array([random_density(n, 1 + k % 3, rng) for k in range(5)])
@@ -819,6 +833,18 @@ class TestPairPruning:
                 cut = Bipartition(block1, block2)
                 gathers = _pair_blocks(block1, block2)[1]
                 assert cut_totals(mats, cut).tobytes() == _unpruned_totals(mats, gathers).tobytes()
+                assert_values_are_the_spectra_values(mats, gathers)
+        assert len(eigh_blocks) > 0
+        mats = np.array([edge_x_state(rng, idx) for idx in ([0, 3], [1, 2]) for _ in range(20)]
+                        + [random_x_state(rng) for _ in range(20)])
+        gathers = _pair_blocks((1,), (2,))[1]
+        # a half is clamped where sqrt(ad) < |z|: every edge state's negative half
+        halves = np.take(mats.reshape(len(mats), -1), gathers[2], axis=1)
+        near, far, anti = halves[:, 0:2].real, halves[:, 2:4].real, np.abs(halves[:, 4:6])
+        assert np.count_nonzero(np.sqrt(np.maximum(near, 0) * np.maximum(far, 0)) < anti) >= 40
+        assert cut_totals(mats, parse_cut("1|2")).tobytes() == \
+            _unpruned_totals(mats, gathers).tobytes()
+        assert_values_are_the_spectra_values(mats, gathers)
 
     def test_off_x_coupling_alone_keeps_a_pair(self):
         """Two-qubit states with r03 = r12 = 0 can still be entangled through
@@ -843,14 +869,16 @@ class TestPairPruning:
         ("ghz3", ("BPF",) * 3, "12|3", [2]),
     ])
     def test_evaluated_pairs(self, state, families, cut, pairs, monkeypatch):
-        """Only the pairs whose blocks can couple reach `_pair_spectra`."""
+        """Only the pairs whose blocks can couple reach `_pair_values`, and
+        the totals sort no l's."""
         seen = []
 
         def counting(mats, gathers):
             seen.append(len(gathers[0]))
-            return _pair_spectra(mats, gathers)
+            return _pair_values(mats, gathers)
 
-        monkeypatch.setattr(concurrence, "_pair_spectra", counting)
+        monkeypatch.setattr(concurrence, "_pair_values", counting)
+        monkeypatch.setattr(concurrence, "_pair_spectra", None)
         cut_totals(kernel_stacks(state, families, seed=2102)[0], parse_cut(cut))
         assert seen == pairs
 
@@ -859,9 +887,10 @@ class TestPairPruning:
 
         def counting(mats, gathers):
             seen.append(len(gathers[0]))
-            return _pair_spectra(mats, gathers)
+            return _pair_values(mats, gathers)
 
-        monkeypatch.setattr(concurrence, "_pair_spectra", counting)
+        monkeypatch.setattr(concurrence, "_pair_values", counting)
+        monkeypatch.setattr(concurrence, "_pair_spectra", None)
         _tau3_bpf3(np.linspace(0.0, 0.5, 11))
         assert seen == [6]
 
@@ -872,7 +901,7 @@ class TestPairPruning:
         breakdown = bipartite_concurrence(rho, parse_cut("12|3"))
         assert [p.lambdas for p in breakdown.pairs] == [(0.125,) * 4] * 6
         assert [p.value for p in breakdown.pairs] == [0.0] * 6
-        monkeypatch.setattr(concurrence, "_pair_spectra", None)  # no pair is live
+        monkeypatch.setattr(concurrence, "_pair_values", None)  # no pair is live
         assert cut_concurrence(rho, parse_cut("12|3")) == 0.0
 
 
@@ -912,6 +941,8 @@ class TestXLayouts:
             assert live[2][1] is None
             tested = with_x_test(live, off_x, layout_positions(entries, 1 << n))
             assert _live_values(rows, live).tobytes() == _live_values(rows, tested).tobytes()
+            for gathers in (live[2], tested[2]):
+                assert_values_are_the_spectra_values(rows, gathers)
 
     def test_figure1_layout_skips_the_test(self):
         _, plan, live = experiments._sweep()
@@ -954,9 +985,9 @@ class TestXLayouts:
 
         def recording(rows, gathers):
             tested.append(gathers[1] is not None)
-            return _pair_spectra(rows, gathers)
+            return _pair_values(rows, gathers)
 
-        monkeypatch.setattr(concurrence, "_pair_spectra", recording)
+        monkeypatch.setattr(concurrence, "_pair_values", recording)
         assert cli_main(["concurrence", "--matrix", str(path)]) == 0
         assert cli_main(["concurrence", "--matrix", str(path), "--tau3"]) == 0
         total, tau = (float(line.split(",")[1]) for line in capsys.readouterr().out.split())

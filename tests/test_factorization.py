@@ -1136,14 +1136,14 @@ class TestCompiledScenario:
     ], ids=["w4-rms", "ghz4-pf3bf-12|34", "w4-12|34-own", "ghz4-general"])
     def test_warm_request_work(self, config, pieces, monkeypatch):
         """A second request for a scenario validates no state and looks up
-        no `SupportPlan`, and it makes at most one `_pair_spectra` call per
+        no `SupportPlan`, and it makes at most one `_pair_values` call per
         stack piece: the final states of an evaluated stack and, off the
-        default cut, its measured factor states."""
+        default cut, its measured factor states, and sorts no l's."""
         factorization._scenario.cache_clear()
         cold = run_campaign(config)
         validated, plans, pair_calls = [], [], []
-        density_spectra, plan, pair_spectra = linalg.density_spectra, channels._plan, \
-            concurrence._pair_spectra
+        density_spectra, plan, pair_values = linalg.density_spectra, channels._plan, \
+            concurrence._pair_values
 
         def counted(calls, func):
             def wrapper(*args):
@@ -1153,7 +1153,8 @@ class TestCompiledScenario:
 
         monkeypatch.setattr(linalg, "density_spectra", counted(validated, density_spectra))
         monkeypatch.setattr(channels, "_plan", counted(plans, plan))
-        monkeypatch.setattr(concurrence, "_pair_spectra", counted(pair_calls, pair_spectra))
+        monkeypatch.setattr(concurrence, "_pair_values", counted(pair_calls, pair_values))
+        monkeypatch.setattr(concurrence, "_pair_spectra", None)
         warm = run_campaign(config)
         rows = _rows(warm)
         assert rows == _rows(cold)

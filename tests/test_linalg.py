@@ -505,6 +505,32 @@ class TestBlockRanks:
         else:
             assert ranks[0] == size and ranks[-1] == 0
 
+    def test_pair_eigenvalues_match_the_masked_division(self):
+        """The 2x2 closed form floors its gap at the smallest subnormal
+        instead of masking the division where the gap is 0, which it is
+        only where |z|^2 is: on a seeded batch of random blocks, with equal
+        diagonals, zero couplings and entries down to subnormals mixed in,
+        both give the same bits."""
+        rng = np.random.default_rng(2400)
+        k = 4096
+        a, b = rng.random(k) - 0.1, rng.random(k) - 0.1
+        z = (rng.standard_normal(k) + 1j * rng.standard_normal(k)) \
+            * 10.0 ** rng.integers(-320, 1, k)
+        scale = 10.0 ** rng.integers(-320, 1, k)
+        a[1::4] *= scale[1::4]
+        b[1::4] *= scale[1::4]
+        b[::2] = a[::2]
+        z[::8] = 0.0
+        half = 0.5 * np.abs(a - b)
+        zz = z.real * z.real + z.imag * z.imag
+        gap = np.sqrt(half * half + zz) + half
+        shift = np.divide(zz, gap, out=np.zeros_like(zz), where=gap > 0)
+        want = (np.minimum(a, b) - shift, np.maximum(a, b) + shift)
+        got = linalg._pair_eigenvalues(a, b, z)
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert np.count_nonzero(gap == 0) >= k // 8
+        assert np.count_nonzero((gap > 0) & (gap < 1e-300)) > 0
+
     def test_partition_of_w4_under_phase_flips(self):
         """One 4x4 block on the W4 support; the 12 states it leaves out hold
         eigenvalues 0."""
