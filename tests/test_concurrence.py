@@ -640,6 +640,7 @@ class TestXBlocks:
                 assert np.all(shapes.any(axis=0) & ~shapes.all(axis=0))
                 flat = _pair_blocks(cut.block1, cut.block2)[1]
                 lam, values = _pair_spectra(mats, flat)
+                assert_values_are_the_spectra_values(mats, flat)
                 totals = cut_totals(mats, cut)
                 for k, mat in enumerate(mats):
                     one_lam, one_values = _pair_spectra(mat[None], flat)
@@ -921,9 +922,9 @@ X_LAYOUTS += [("ghz4", ("GeneralPauli",) * 4, None), ("ghz4", ("GeneralPauli",) 
 
 class TestXLayouts:
     """`_live_pairs` decides once per layout whether a kept pair's block
-    holds an entry off the X. Where none does, `_pair_spectra` gets no
-    off-X gather and skips the per-state test, with values equal, bit for
-    bit, to those the test gives."""
+    holds an entry off the X. Where none does, the kernel gets no off-X
+    gather and `_general_spectra` skips the per-state test, with values
+    equal, bit for bit, to those the test gives."""
 
     @pytest.mark.parametrize("anchor", ["last", "own"])
     @pytest.mark.parametrize("state, families, cut", X_LAYOUTS,
