@@ -18,7 +18,6 @@ from .concurrence import (
     cut_concurrence,
     parse_cut,
     tau3,
-    wootters,
 )
 from .errors import (
     DimensionMismatchError,

@@ -66,46 +66,48 @@ product costs one 4x4 matmul per block, with no root rebuilt. Reading the
 l's as singular values avoids taking square roots of near-zero
 eigenvalues, which would inject noise of order sqrt(machine epsilon).
 
-The kernel therefore takes a stack of states as (B, E) rows of a support
-layout (`linalg.layout_positions`; a dense stack is the identity layout)
-and reads the principal blocks of a cut at positions in them (the cut's
-qubit reordering folded in, every entry outside the layout read at the
-pad, +0.0 as a dense zero). It marks a (state, pair) as X-shaped when
-the eight entries of its block off the diagonal and anti-diagonal are
-exactly 0, and gives it the closed form. Only the other blocks, selected
-with one boolean mask, are gathered whole; of these, only the ones with
-both states of some Y pair live go through one batched `eigh` and one
-batched SVD (`_general_spectra`). Every decision is made per (state,
-pair), from that block alone, or for a whole layout (below).
-`cut_totals` and `tau3_stack` serve whole stacks; `cut_concurrence`,
-`bipartite_concurrence` and `tau3` are their one-state cases, and
-`wootters` is the single-block case (cut 1|2).
+The kernel takes one input format: a stack of states as (B, E + 1) rows
+of a support layout (`linalg.layout_positions`), the E entries its states
+can fill and one pad that holds +0.0. It reads the principal blocks of a
+cut at positions in them (the cut's qubit reordering folded in, every
+entry outside the layout read at the pad). It marks a (state, pair) as
+X-shaped when the eight entries of its block off the diagonal and
+anti-diagonal are exactly 0, and gives it the closed form. Only the other
+blocks, selected with one boolean mask, are gathered whole; of these,
+only the ones with both states of some Y pair live go through one
+batched `eigh` and one batched SVD (`_general_spectra`). Every decision
+is made per (state, pair), from that block alone, or for a whole layout
+(below). Campaigns and `figure1` hand it evolved rows of a plan's layout
+(`live_totals`, `live_tau3`). `cut_concurrence`, `bipartite_concurrence`
+and `tau3` hand it one state as its row on the layout of its nonzero
+entries (`_support_rows`), so a zero entry reads the pad whatever its
+stored sign: `eigh` sees the sign of a zero, and equal states give equal
+bytes only if their zeros read alike.
 
 Two readers share the closed form and the general path. `_pair_spectra`
 sorts each block's four l's into a (B, P, 4) stack and reads C_mn from
-it; only `bipartite_concurrence`, whose breakdown prints the l's, and
-`wootters` call it. `_pair_values`, which the totals and tau3 call, reads
-C_mn straight from the two halves' (hi, lo), with the same bits: the
-sorted l2 + l3 adds the same two numbers as min(hi0, hi1) + max(lo0, lo1).
+it; only `bipartite_concurrence`, whose breakdown prints the l's, calls
+it. `_pair_values`, which the totals and tau3 call, reads C_mn straight
+from the two halves' (hi, lo), with the same bits: the sorted l2 + l3
+adds the same two numbers as min(hi0, hi1) + max(lo0, lo1).
 
-Pair pruning. `cut_totals` and `tau3_stack` first read the stack's union
-support, the entries nonzero in some state, and skip each pair whose block
-there has no coupling entry (r30, r21 or an entry off the X) or no Y pair
-with both states live. A skipped pair's C_mn is exactly +0.0 in every state
-whose entries lie in that support, so the support may be any superset of
-the stack's union support, such as the entries of a layout that holds it:
-evolved rows are pruned once, on their layout (`cut_pairs`, `tau3_pairs`),
-and read with `live_totals` and `live_tau3`, which run `_pair_values` on
-the kept pairs alone. A state's block holds a subset of the support's
-entries, so the block has r30 = r21 = 0 (a nonzero r30 would make both 0
-and 3 live, and likewise r21 for 1 and 2), and either it is X-shaped or
-none of its Y pairs is live; the SVD path runs only on blocks with a live
-Y pair, so either way the block gets the closed form with z = 0 in both
-halves. Each half then gives hi = lo =
-sqrt(max(a, 0) max(d, 0)) >= 0 and no clamp, so the l's are (x, x, y, y)
-with x >= y >= 0, and C_mn = max(0, x - ((x + y) + y)). Rounding is
-monotone, so (x + y) + y >= x, the difference is +0.0 or negative, and
-C_mn = +0.0. The skipped pairs are written as +0.0, the live ones as
+Pair pruning. The totals and tau3 read a layout's support, the entries
+any of its states can fill, and skip each pair whose block there has no
+coupling entry (r30, r21 or an entry off the X) or no Y pair with both
+states live (`cut_pairs`, `tau3_pairs`). A skipped pair's C_mn is exactly
++0.0 in every state whose entries lie in that support, so the support may
+be any superset of a stack's union support, such as the closure a plan
+evolves into: evolved rows are pruned once, on their layout. `live_totals`
+and `live_tau3` then run `_pair_values` on the kept pairs alone. A
+state's block holds a subset of the support's entries, so the block has
+r30 = r21 = 0 (a nonzero r30 would make both 0 and 3 live, and likewise
+r21 for 1 and 2), and either it is X-shaped or none of its Y pairs is
+live; the SVD path runs only on blocks with a live Y pair, so either way
+the block gets the closed form with z = 0 in both halves. Each half then
+gives hi = lo = sqrt(max(a, 0) max(d, 0)) >= 0 and no clamp, so the l's
+are (x, x, y, y) with x >= y >= 0, and C_mn = max(0, x - ((x + y) + y)).
+Rounding is monotone, so (x + y) + y >= x, the difference is +0.0 or
+negative, and C_mn = +0.0. The skipped pairs are written as +0.0, the live ones as
 `_pair_values` gives them, so the (B, P) values and `_cut_total`'s
 ordered sum are those of the unpruned kernel, bit for bit, whatever else
 shares the stack and whichever superset the pairs were pruned on.
@@ -115,17 +117,16 @@ shares the stack and whichever superset the pairs were pruned on.
 
 X-shaped layouts. Pruning also notes whether a kept block holds an entry off
 the X in the support. If none does, each such entry of a state in the
-support reads +0.0 (a dense zero or the pad), so the per-state test would
-mark no block: `_general_spectra` skips it, and both readers give the
-closed form, bit for bit. All catalogued layouts and `figure1`'s are
-X-shaped so; random and user states keep the test, and
-`bipartite_concurrence` and `wootters` always do.
+support reads the +0.0 pad, so the per-state test would mark no block:
+`_general_spectra` skips it, and both readers give the closed form, bit
+for bit. All catalogued layouts and `figure1`'s are X-shaped so; random
+and user states keep the test, and `bipartite_concurrence` always does.
 
-Trust contract. The kernel trusts its input, dense or as rows of a layout
-that holds every nonzero entry: a state rho0 that passed `density_spectra`,
-or any state evolved from one by local Pauli channels, many-sided or
-single-sided. Each channel's weights a_k^2 are nonnegative
-and sum to 1 within 1e-12, so an evolved state is sum_P w_P P rho0 P over
+Trust contract. The kernel trusts its input, rows of a layout that holds
+every nonzero entry: a state rho0 that passed `density_spectra`, or any
+state evolved from one by local Pauli channels, many-sided or
+single-sided. Each channel's weights a_k^2 are nonnegative and sum to 1
+within 1e-12, so an evolved state is sum_P w_P P rho0 P over
 Pauli strings P, with w_P >= 0 and sum_P w_P = 1: a convex mix of unitary
 conjugates of rho0. It keeps rho0's trace and, to roundoff, its
 Hermiticity, and by concavity of the lowest eigenvalue its eigenvalues sit
@@ -145,7 +146,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import layout_positions, n_qubits_of, permutation_indices
+from .linalg import layout_positions, permutation_indices
 
 
 @dataclass(frozen=True)
@@ -306,7 +307,7 @@ def _x_halves(entries):
 
 
 def _general_spectra(states, gathers):
-    """The general path: the blocks of (B, E) rows, at the positions of
+    """The general path: the blocks of (B, E + 1) rows, at the positions of
     `gathers`, that one of their entries off the X marks as not X-shaped
     and that have both states of some Y pair live (a state is live when
     its row or its column holds a nonzero entry), decided per (state,
@@ -345,19 +346,18 @@ def _values_of(lam):
 
 def _pair_spectra(rows, gathers):
     """The l's (B, P, 4), descending, and C_mn (B, P) of the principal
-    blocks rho_II of (B, E) rows or a (B, d, d) stack, whose entries sit at
+    blocks rho_II of (B, E + 1) support-layout rows, whose entries sit at
     the positions of `gathers`: the singular values of sqrt(rho_II) Y
     sqrt(rho_II)*, sorted from the two halves of `_x_halves` and
     overwritten by `_general_spectra`. Every array has the stack axis
     first and every operation acts per (state, pair), so a state's values
     do not depend on the stack it shares."""
-    states = rows.reshape(len(rows), -1)
-    hi, lo = _x_halves(np.take(states, gathers[2], axis=1))
+    hi, lo = _x_halves(np.take(rows, gathers[2], axis=1))
     # each half has hi >= lo, so these comparisons sort the four l's
     inner_hi, inner_lo = np.minimum(hi[:, 0], hi[:, 1]), np.maximum(lo[:, 0], lo[:, 1])
     lam = np.stack((np.maximum(hi[:, 0], hi[:, 1]), np.maximum(inner_hi, inner_lo),
                     np.minimum(inner_hi, inner_lo), np.minimum(lo[:, 0], lo[:, 1])), axis=-1)
-    general = _general_spectra(states, gathers)
+    general = _general_spectra(rows, gathers)
     if general is not None:
         at_rows, at_pairs, top = general
         lam[at_rows, at_pairs] = top
@@ -373,30 +373,30 @@ def _pair_values(rows, gathers):
     addition commutes. Where those two are zeros of opposite signs, max and
     min may both pick one, but then both sums and l4 are zeros, and l1,
     never -0, minus a zero of either sign is the same number."""
-    states = rows.reshape(len(rows), -1)
-    hi, lo = _x_halves(np.take(states, gathers[2], axis=1))
+    hi, lo = _x_halves(np.take(rows, gathers[2], axis=1))
     hi0, hi1, lo0, lo1 = hi[:, 0], hi[:, 1], lo[:, 0], lo[:, 1]
     values = np.maximum(hi0, hi1)
     values -= (np.minimum(hi0, hi1) + np.maximum(lo0, lo1)) + np.minimum(lo0, lo1)
     np.maximum(0.0, values, out=values)
-    general = _general_spectra(states, gathers)
+    general = _general_spectra(rows, gathers)
     if general is not None:
         at_rows, at_pairs, top = general
         values[at_rows, at_pairs] = _values_of(top)
     return values
 
 
-def _live_pairs(gathers, entries, at):
+def _live_pairs(gathers, entries, dim):
     """The pairs that can carry concurrence in any state whose nonzero
-    entries lie in `entries` (flat indices of a d x d state): those whose
-    block there holds a nonzero coupling entry (r30, r21 or an entry off the
-    X) and both states of some Y pair live. Returns the number of pairs P,
-    their indices and their `_gathers` at positions `at` (d * d,) of each
-    flat index in the rows read, None for the entries off the X if no kept
-    block holds one. Every other pair's C_mn is exactly +0.0 in every such
-    state (see the module docstring), so the entries may be any superset of
-    a stack's union support."""
+    entries lie in `entries` (flat indices of a dim x dim state): those
+    whose block there holds a nonzero coupling entry (r30, r21 or an entry
+    off the X) and both states of some Y pair live. Returns the number of
+    pairs P, their indices and their `_gathers` at the positions of the
+    support layout `entries` (`layout_positions`), None for the entries off
+    the X if no kept block holds one. Every other pair's C_mn is exactly
+    +0.0 in every such state (see the module docstring), so the entries may
+    be any superset of a stack's union support."""
     flat, off_x, x_entries = gathers
+    at = layout_positions(entries, dim)
     support = np.zeros(len(at), dtype=bool)
     support[entries] = True
     blocks = support[flat]
@@ -408,16 +408,10 @@ def _live_pairs(gathers, entries, at):
     return len(flat), pairs, (at[flat[pairs]], off_x, at[x_entries[:, pairs]])
 
 
-def _dense_pairs(gathers, mats):
-    """`_live_pairs` on a (B, d, d) stack's union support: the identity layout."""
-    flat = mats.reshape(len(mats), -1)
-    return _live_pairs(gathers, np.flatnonzero(flat.any(axis=0)), np.arange(flat.shape[1]))
-
-
 def _live_values(rows, live):
-    """C_mn (B, P) of (B, E) rows, as `_pair_spectra` gives them, from one
-    `_pair_values` call on the pairs of `_live_pairs` alone; every other
-    pair is written as +0.0."""
+    """C_mn (B, P) of (B, E + 1) rows, as `_pair_spectra` gives them, from
+    one `_pair_values` call on the pairs of `_live_pairs` alone; every
+    other pair is written as +0.0."""
     count, pairs, pruned = live
     values = np.zeros((len(rows), count))
     if len(pairs):
@@ -425,19 +419,22 @@ def _live_values(rows, live):
     return values
 
 
-def _check_qubits(cut, mats):
-    n = n_qubits_of(mats.shape[-1])
-    if cut.n_qubits != n:
+def _check_qubits(cut, rho):
+    if cut.n_qubits != rho.n_qubits:
         raise DimensionMismatchError(
-            f"cut {cut.label} covers {cut.n_qubits} qubits but state has {n}")
+            f"cut {cut.label} covers {cut.n_qubits} qubits but state has {rho.n_qubits}")
 
 
-def wootters(rho):
-    """Two-qubit mixed-state concurrence: the single principal block of cut 1|2."""
-    if rho.n_qubits != 2:
-        raise DimensionMismatchError(f"Wootters concurrence needs 2 qubits, got {rho.n_qubits}")
-    _, gathers = _pair_blocks((1,), (2,))
-    return min(1.0, float(_pair_spectra(rho.mat[None], gathers)[1][0, 0]))
+def _support_rows(mat):
+    """A d x d state's nonzero flat indices, ascending, and its one
+    (1, E + 1) row of the support layout they form, with the pad holding
+    +0.0: how the kernel reads a single state. A zero entry of either sign
+    reads the pad."""
+    flat = mat.reshape(-1)
+    entries = np.flatnonzero(flat)
+    rows = np.zeros((1, len(entries) + 1), dtype=flat.dtype)
+    rows[0, :-1] = flat[entries]
+    return entries, rows
 
 
 def _cut_total(values):
@@ -449,40 +446,38 @@ def _cut_total(values):
 def cut_pairs(cut, entries):
     """The `_live_pairs` of a cut's generator pairs on the support layout
     `entries` of a state on the cut's qubits: what `live_totals` reads."""
-    at = layout_positions(entries, 1 << cut.n_qubits)
-    return _live_pairs(_pair_blocks(cut.block1, cut.block2)[1], entries, at)
+    return _live_pairs(_pair_blocks(cut.block1, cut.block2)[1], entries, 1 << cut.n_qubits)
 
 
 def live_totals(rows, live):
-    """Concurrence across a cut of every state of (B, E) rows of the layout
-    `live` was pruned on (`cut_pairs`): the (B,) totals over the cut's
-    generator pairs. Each state must have passed `density_spectra` or be
-    evolved from one by local Pauli channels (see the trust contract in the
-    module docstring)."""
+    """Concurrence across a cut of every state of (B, E + 1) rows of the
+    layout `live` was pruned on (`cut_pairs`): the (B,) totals over the
+    cut's generator pairs. Each state must have passed `density_spectra` or
+    be evolved from one by local Pauli channels (see the trust contract in
+    the module docstring)."""
     return _cut_total(_live_values(rows, live))
-
-
-def cut_totals(mats, cut):
-    """Concurrence across a cut of every state of a (B, d, d) stack:
-    `live_totals` on the identity layout."""
-    _check_qubits(cut, mats)
-    return live_totals(mats, _dense_pairs(_pair_blocks(cut.block1, cut.block2)[1], mats))
 
 
 def bipartite_concurrence(rho, cut):
     """Generalized concurrence of rho across a bipartition, one PairTerm per
-    generator pair."""
-    _check_qubits(cut, rho.mat)
+    generator pair: `_pair_spectra` on its one support-layout row, with
+    every pair kept."""
+    _check_qubits(cut, rho)
     labels, gathers = _pair_blocks(cut.block1, cut.block2)
-    lam, values = _pair_spectra(rho.mat[None], gathers)
+    entries, rows = _support_rows(rho.mat)
+    at = layout_positions(entries, rho.dim)
+    lam, values = _pair_spectra(rows, tuple(at[g] for g in gathers))
     pairs = tuple(PairTerm(m, n, tuple(top), value)
                   for (m, n), top, value in zip(labels, lam[0].tolist(), values[0].tolist()))
     return ConcurrenceBreakdown(pairs, float(_cut_total(values)[0]))
 
 
 def cut_concurrence(rho, cut):
-    """Concurrence across a cut: the total over its generator pairs."""
-    return float(cut_totals(rho.mat[None], cut)[0])
+    """Concurrence across a cut: the total over its generator pairs, from
+    `live_totals` on its one support-layout row."""
+    _check_qubits(cut, rho)
+    entries, rows = _support_rows(rho.mat)
+    return float(live_totals(rows, cut_pairs(cut, entries))[0])
 
 
 _TAU3_CUTS = (Bipartition((1, 2), (3,)), Bipartition((1, 3), (2,)), Bipartition((2, 3), (1,)))
@@ -498,29 +493,23 @@ def _tau3_blocks():
 def tau3_pairs(entries):
     """The `_live_pairs` of the three 2|1 cuts' 18 pairs on the support
     layout `entries` of a 3-qubit state: what `live_tau3` reads."""
-    return _live_pairs(_tau3_blocks(), entries, layout_positions(entries, 8))
+    return _live_pairs(_tau3_blocks(), entries, 8)
 
 
 def live_tau3(rows, live):
     """Root-mean-square of the three 2|1 bipartite concurrences of every
-    3-qubit state of (B, E) rows of the layout `live` was pruned on
+    3-qubit state of (B, E + 1) rows of the layout `live` was pruned on
     (`tau3_pairs`), from one kernel call over the 18 pairs of the three
     cuts. Each cut's total is `_cut_total` over its 6 pairs, so tau3 is the
-    rms of the three `cut_totals`, bit for bit."""
+    rms of the three `live_totals`, bit for bit."""
     t1, t2, t3 = _cut_total(_live_values(rows, live).reshape(len(rows), 3, -1)).T
     return np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
 
 
-def tau3_stack(mats):
-    """tau3 of every 3-qubit state of a (B, 8, 8) stack that `cut_totals`
-    accepts: `live_tau3` on the identity layout."""
-    _check_qubits(_TAU3_CUTS[0], mats)
-    return live_tau3(mats, _dense_pairs(_tau3_blocks(), mats))
-
-
 def tau3(rho):
     """Root-mean-square of the three 2|1 bipartite concurrences of a 3-qubit
-    state: the one-state case of `tau3_stack`."""
+    state: `live_tau3` on its one support-layout row."""
     if rho.n_qubits != 3:
         raise DimensionMismatchError(f"tau3 needs 3 qubits, got {rho.n_qubits}")
-    return float(tau3_stack(rho.mat[None])[0])
+    entries, rows = _support_rows(rho.mat)
+    return float(live_tau3(rows, tau3_pairs(entries))[0])

@@ -99,7 +99,7 @@ from .channels import (
     moving_qubits,
     support_plan,
 )
-from .concurrence import Bipartition, cut_pairs, cut_totals, live_totals, parse_cut
+from .concurrence import Bipartition, cut_concurrence, cut_pairs, live_totals, parse_cut
 from .errors import DimensionMismatchError, loads_json
 from .linalg import RANK_TOL, spectral_ranks
 from .states import parse_state
@@ -288,7 +288,8 @@ class _Scenario:
         `anchor` convention (a valid choice)."""
         n = psi.n_qubits
         order = tuple(range(n)) if order is None else tuple(order)
-        rho0 = psi.to_density().mat
+        density = psi.to_density()
+        rho0 = density.mat
         pattern = rho0 != 0
         moving = moving_qubits((k, families[old]) for k, old in enumerate(order, start=1))
         anchors = tuple(n if anchor == ANCHOR_LAST else q for q in range(1, n + 1))
@@ -308,7 +309,7 @@ class _Scenario:
                    factor_plan=factor_plan, identities=identities,
                    identity_of_rank=identity_of_rank, anchors=anchors, closed=closed,
                    measured=measured,
-                   initial_concurrence=float(cut_totals(rho0[None], cut)[0]),
+                   initial_concurrence=cut_concurrence(density, cut),
                    terms=tuple(np.array(identity.rhs_terms) - 1 for identity in identities),
                    live=cut_pairs(cut, plan.entries),
                    factor_live=cut_pairs(cut, factor_plan.entries))

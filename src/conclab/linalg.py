@@ -178,8 +178,7 @@ def layout_positions(entries, dim):
     """The position of each flat index of a d x d matrix in rows of the
     support layout `entries`: a stack stored as (B, E + 1) rows of the
     entries (flat indices ascending) its states can fill and one pad that
-    holds +0.0, which every other index reads. A dense (B, d, d) stack read
-    as (B, d * d) rows is the identity layout."""
+    holds +0.0, which every other index reads."""
     at = np.full(dim * dim, len(entries), dtype=np.intp)
     at[entries] = np.arange(len(entries))
     return at

@@ -149,7 +149,7 @@ def test_criterion_06_measure_consistency():
     cut12 = Bipartition((1,), (2,))
     worst = 0.0
     for _ in range(500):
-        # `conclab.wootters` runs the kernel under test; the oracle reads the
+        # `bipartite_concurrence` runs the kernel under test; the oracle reads the
         # flip product's characteristic polynomial at 60 digits
         rho = DensityMatrix(random_density(2, 2, rng))
         worst = max(worst, abs(bipartite_concurrence(rho, cut12).total

@@ -22,7 +22,7 @@ from conclab.channels import (
     sample_channel,
     support_plan,
 )
-from conclab.concurrence import wootters
+from conclab.concurrence import cut_concurrence, parse_cut
 from conclab.errors import DimensionMismatchError, NotNormalizedError
 from conclab.linalg import DensityMatrix
 from conclab.experiments import CATALOGUE
@@ -431,7 +431,7 @@ class TestSingleSided:
     def test_bit_flip_on_bell_concurrence(self):
         for p in (0.1, 0.3, 0.45):
             out = apply({2: flip_channel("BF", p)}, bell(SQ2).to_density())
-            assert abs(wootters(out) - abs(1 - 2 * p)) <= 1e-12
+            assert abs(cut_concurrence(out, parse_cut("1|2")) - abs(1 - 2 * p)) <= 1e-12
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):

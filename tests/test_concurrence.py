@@ -28,12 +28,10 @@ from conclab.concurrence import (
     _pair_values,
     bipartite_concurrence,
     cut_concurrence,
-    cut_totals,
     live_tau3,
+    live_totals,
     parse_cut,
     tau3,
-    tau3_stack,
-    wootters,
 )
 from conclab.errors import DimensionMismatchError
 from conclab.experiments import CATALOGUE, _tau3_bpf3
@@ -62,8 +60,10 @@ from oracles import (
     svd_block_spectra,
     wootters_charpoly,
 )
+from stacks import layout_gathers, stack_tau3, stack_totals, union_rows
 
 SQ2 = 1 / np.sqrt(2)
+C12 = parse_cut("1|2")
 
 
 def bell_mixture(x):
@@ -97,17 +97,19 @@ class TestGenerators:
 
 
 class TestWootters:
+    """Two-qubit concurrence: the kernel's single block of cut 1|2."""
+
     def test_maximally_entangled(self):
-        assert abs(wootters(bell(SQ2).to_density()) - 1.0) < 1e-12
+        assert abs(cut_concurrence(bell(SQ2).to_density(), C12) - 1.0) < 1e-12
 
     def test_product_state(self):
-        assert wootters(bell(1.0).to_density()) == 0.0
+        assert cut_concurrence(bell(1.0).to_density(), C12) == 0.0
 
     def test_two_bell_mixture(self):
         rho = bell_mixture(0.7)  # weights (0.7, 0.3)
-        assert abs(wootters(rho) - 0.4) < 1e-12
-        assert abs(wootters(rho) - bell_mixture_concurrence(0.7)) < 1e-12
-        assert abs(wootters(rho) - wootters_charpoly(rho.mat)) < 1e-8
+        assert abs(cut_concurrence(rho, C12) - 0.4) < 1e-12
+        assert abs(cut_concurrence(rho, C12) - bell_mixture_concurrence(0.7)) < 1e-12
+        assert abs(cut_concurrence(rho, C12) - wootters_charpoly(rho.mat)) < 1e-8
 
     def test_characteristic_polynomial_keeps_a_small_root(self):
         """(1 (x) $) phi+ is Bell-diagonal with weights a_k^2, concurrence
@@ -118,19 +120,19 @@ class TestWootters:
         rho = apply({2: PauliChannel(np.sqrt(weights))}, bell(SQ2).to_density())
         expected = max(0.0, 2.0 * weights.max() - 1.0)
         assert abs(wootters_charpoly(rho.mat) - expected) <= 1e-8
-        assert abs(wootters(rho) - wootters_charpoly(rho.mat)) <= 1e-8
+        assert abs(cut_concurrence(rho, C12) - wootters_charpoly(rho.mat)) <= 1e-8
 
     def test_range(self):
         rng = np.random.default_rng(31)
         for _ in range(50):
-            c = wootters(DensityMatrix(random_density(2, 4, rng)))
+            c = cut_concurrence(DensityMatrix(random_density(2, 4, rng)), C12)
             assert 0.0 <= c <= 1.0
 
     def test_matches_characteristic_polynomial_on_low_rank(self):
         rng = np.random.default_rng(37)
         for _ in range(100):
             rho = DensityMatrix(random_density(2, 2, rng))
-            assert abs(wootters(rho) - wootters_charpoly(rho.mat)) <= 1e-8
+            assert abs(cut_concurrence(rho, C12) - wootters_charpoly(rho.mat)) <= 1e-8
 
     def test_local_unitary_invariance(self):
         rng = np.random.default_rng(41)
@@ -138,11 +140,11 @@ class TestWootters:
             rho = DensityMatrix(random_density(2, 3, rng))
             u = np.kron(random_unitary(2, rng), random_unitary(2, rng))
             rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
-            assert abs(wootters(rotated) - wootters(rho)) <= 1e-9
+            assert abs(cut_concurrence(rotated, C12) - cut_concurrence(rho, C12)) <= 1e-9
 
     def test_wrong_dimension(self):
         with pytest.raises(DimensionMismatchError):
-            wootters(ghz(3).to_density())
+            cut_concurrence(ghz(3).to_density(), C12)
 
 
 class TestBipartite:
@@ -153,7 +155,7 @@ class TestBipartite:
             rho = DensityMatrix(random_density(2, 2, rng))
             breakdown = bipartite_concurrence(rho, cut)
             assert len(breakdown.pairs) == 1
-            assert abs(breakdown.total - wootters(rho)) <= 1e-10
+            assert abs(breakdown.total - wootters_charpoly(rho.mat)) <= 1e-8
 
     def test_ghz3_cut(self):
         total = bipartite_concurrence(ghz(3).to_density(), parse_cut("12|3")).total
@@ -202,10 +204,6 @@ class TestBipartite:
         with pytest.raises(DimensionMismatchError):
             bipartite_concurrence(ghz(3).to_density(), parse_cut("12|34"))
 
-    def test_cut_concurrence_dispatch(self):
-        rho = bell_mixture(0.8)
-        assert cut_concurrence(rho, Bipartition((1,), (2,))) == wootters(rho)
-
 
 class TestTau3:
     def test_ghz3_is_maximal(self):
@@ -218,7 +216,7 @@ class TestTau3:
         with pytest.raises(DimensionMismatchError):
             tau3(bell(SQ2).to_density())
 
-    def test_rms_of_the_three_cut_totals(self):
+    def test_rms_of_the_three_2_1_cuts(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
             rho = DensityMatrix(random_density(3, 3, rng))
@@ -348,7 +346,7 @@ class TestValidatedBlocks:
         density_spectra(mats)
         for block1, block2 in all_cuts(n):
             for cut in (Bipartition(block1, block2), Bipartition(block2[::-1], block1)):
-                got = cut_totals(mats, cut)
+                got = stack_totals(mats, cut)
                 for k, m in enumerate(mats):
                     _, total = dense_cut_concurrence(m, cut.block1, cut.block2)
                     assert abs(got[k] - total) <= 1e-8
@@ -530,16 +528,17 @@ class TestXBlocks:
         off the X is nonzero, even by less than HERM_TOL, and both states of
         a Y pair are live."""
         mat = random_x_state(np.random.default_rng(3500))
-        wootters(DensityMatrix(mat))
+        cut_concurrence(DensityMatrix(mat), C12)
         _tau3_bpf3(np.linspace(0.0, 0.5, 11))
         assert eigh_blocks == []
         for i, j in zip(*np.nonzero(~X_SHAPE)):
             off = mat.copy()
             off[i, j] = 0.5 * HERM_TOL
-            wootters(DensityMatrix(off))
+            cut_concurrence(DensityMatrix(off), C12)
         assert eigh_blocks == [1] * 8
         for support in ZERO_SUPPORTS:
-            wootters(DensityMatrix(zero_support_state(np.random.default_rng(3501), support)))
+            state = zero_support_state(np.random.default_rng(3501), support)
+            cut_concurrence(DensityMatrix(state), C12)
         assert eigh_blocks == [1] * 8
 
     @pytest.mark.parametrize("support", ZERO_SUPPORTS + ([0], [1], [2], [3]),
@@ -559,7 +558,7 @@ class TestXBlocks:
                 assert got.pairs[0].lambdas == (0.0, 0.0, 0.0, 0.0)
                 assert got.pairs[0].value == 0.0
                 assert got.total == 0.0
-            assert wootters(DensityMatrix(mat)) == 0.0
+            assert cut_concurrence(DensityMatrix(mat), C12) == 0.0
         assert eigh_blocks == []
 
     @pytest.mark.parametrize("support", ZERO_SUPPORTS, ids=lambda s: "J" + "".join(map(str, s)))
@@ -586,12 +585,10 @@ class TestXBlocks:
                     assert eigh_blocks == [1]
                     mats += [mat, base]
         assert len(mats) == 8
-        mats = np.array(mats)
-        flat = _pair_blocks((1,), (2,))[1]
-        lam, values = _pair_spectra(mats, flat)
+        lam, values = layout_spectra(np.array(mats), _pair_blocks((1,), (2,))[1])
         assert np.all(lam[1::2] == 0.0)
         for k, mat in enumerate(mats):
-            one_lam, one_values = _pair_spectra(mat[None], flat)
+            one_lam, one_values = layout_spectra(mat[None], _pair_blocks((1,), (2,))[1])
             assert np.array_equal(lam[k], one_lam[0])
             assert np.array_equal(values[k], one_values[0])
 
@@ -639,16 +636,17 @@ class TestXBlocks:
                 shapes = is_x(np.array([principal_blocks(m, cut.block1, cut.block2) for m in mats]))
                 assert np.all(shapes.any(axis=0) & ~shapes.all(axis=0))
                 flat = _pair_blocks(cut.block1, cut.block2)[1]
-                lam, values = _pair_spectra(mats, flat)
-                assert_values_are_the_spectra_values(mats, flat)
-                totals = cut_totals(mats, cut)
+                lam, values = layout_spectra(mats, flat)
+                entries, rows = union_rows(mats)
+                assert_values_are_the_spectra_values(rows, layout_gathers(flat, entries, 1 << n))
+                totals = stack_totals(mats, cut)
                 for k, mat in enumerate(mats):
-                    one_lam, one_values = _pair_spectra(mat[None], flat)
+                    one_lam, one_values = layout_spectra(mat[None], flat)
                     assert np.array_equal(lam[k], one_lam[0])
                     assert np.array_equal(values[k], one_values[0])
                     assert totals[k] == cut_concurrence(DensityMatrix(mat), cut)
             if n == 3:
-                assert tau3_stack(mats).tolist() == [tau3(DensityMatrix(m)) for m in mats]
+                assert stack_tau3(mats).tolist() == [tau3(DensityMatrix(m)) for m in mats]
 
 
 def edge_inputs():
@@ -708,19 +706,19 @@ class TestStackedKernel:
     """One kernel call over a stack gives, bit for bit, what the one-state
     calls give, whatever else shares the stack."""
 
-    def test_cut_totals_equal_per_state_calls(self):
+    def test_stack_totals_equal_per_state_calls(self):
         rng = np.random.default_rng(2006)
         for n in (2, 3, 4):
             mats = np.array([random_density(n, 1 + k % 5, rng) for k in range(9)])
             for block1, block2 in (((1,), tuple(range(2, n + 1))),
                                    (tuple(range(n, 1, -1)), (1,))):
                 cut = Bipartition(block1, block2)
-                totals = cut_totals(mats, cut)
+                totals = stack_totals(mats, cut)
                 for m, total in zip(mats, totals):
                     rho = DensityMatrix(m)
                     assert cut_concurrence(rho, cut) == total
                     assert bipartite_concurrence(rho, cut).total == total
-                assert np.array_equal(cut_totals(mats[3:5], cut), totals[3:5])
+                assert np.array_equal(stack_totals(mats[3:5], cut), totals[3:5])
 
     def test_breakdown_total_is_the_cut_total(self):
         """A breakdown's total is the kernel's cut total, bit for bit, on
@@ -738,15 +736,15 @@ class TestStackedKernel:
                     cases += 1
         assert cases > 1000
 
-    def test_tau3_stack_equals_per_state_calls(self):
+    def test_stacked_tau3_equals_per_state_calls(self):
         rng = np.random.default_rng(2008)
         mats = np.array([random_density(3, 1 + k % 8, rng) for k in range(10)])
-        values = tau3_stack(mats)
+        values = stack_tau3(mats)
         assert values.tolist() == [tau3(DensityMatrix(m)) for m in mats]
 
-    def test_tau3_is_the_rms_of_the_three_cut_totals(self):
-        """tau3 adds each cut's C_mn^2 in pair order, as `cut_totals` does,
-        so it is the rms of the three cut totals bit for bit."""
+    def test_tau3_is_the_rms_of_the_three_2_1_totals(self):
+        """tau3 adds each cut's C_mn^2 in pair order, as `live_totals` does,
+        so it is the rms of the three cuts' totals bit for bit."""
         rng = np.random.default_rng(2011)
         mats = []
         for _ in range(300):
@@ -754,15 +752,8 @@ class TestStackedKernel:
             mats.append(apply(dict(enumerate(channels, start=1)),
                               random_pure(3, rng).to_density()).mat)
         mats = np.array(mats)
-        t1, t2, t3 = (cut_totals(mats, parse_cut(label)) for label in ("12|3", "13|2", "23|1"))
-        assert np.array_equal(tau3_stack(mats), np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3))
-
-    def test_stack_guards(self):
-        mats = np.array([ghz(3).to_density().mat] * 2)
-        with pytest.raises(DimensionMismatchError):
-            cut_totals(mats, parse_cut("12|34"))
-        with pytest.raises(DimensionMismatchError):
-            tau3_stack(np.array([bell(SQ2).to_density().mat]))
+        t1, t2, t3 = (stack_totals(mats, parse_cut(label)) for label in ("12|3", "13|2", "23|1"))
+        assert np.array_equal(stack_tau3(mats), np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3))
 
 
 def assert_values_are_the_spectra_values(rows, gathers):
@@ -770,10 +761,21 @@ def assert_values_are_the_spectra_values(rows, gathers):
     assert _pair_values(rows, gathers).tobytes() == _pair_spectra(rows, gathers)[1].tobytes()
 
 
+def layout_spectra(mats, gathers):
+    """`_pair_spectra` on every pair of a (B, d, d) stack, read from its
+    union-support rows."""
+    entries, rows = union_rows(mats)
+    return _pair_spectra(rows, layout_gathers(gathers, entries, mats.shape[-1]))
+
+
 def _unpruned_totals(mats, gathers):
-    """Every pair's C_mn from `_pair_spectra`, added as `_cut_total` adds
-    them: the kernel without pair pruning."""
-    return concurrence._cut_total(_pair_spectra(mats, gathers)[1])
+    """Every pair's C_mn from `_pair_spectra` on a stack's union-support
+    rows, added as `_cut_total` adds them: the kernel without pair
+    pruning. Also checks that `_pair_values` gives the same C_mn."""
+    entries, rows = union_rows(mats)
+    at_layout = layout_gathers(gathers, entries, mats.shape[-1])
+    assert_values_are_the_spectra_values(rows, at_layout)
+    return concurrence._cut_total(_pair_spectra(rows, at_layout)[1])
 
 
 def kernel_stacks(state, families, seed, samples=24):
@@ -796,10 +798,10 @@ def kernel_stacks(state, families, seed, samples=24):
 
 
 class TestPairPruning:
-    """`cut_totals` and `tau3_stack` run `_pair_values` only on the pairs
-    that can carry concurrence in a stack's union support; their totals
-    equal the unpruned kernel's bit for bit, and `_pair_values` gives the
-    C_mn of `_pair_spectra` byte for byte."""
+    """`live_totals` and `live_tau3` run `_pair_values` only on the pairs
+    that can carry concurrence in a layout's support, here a stack's union
+    support; their totals equal the unpruned kernel's bit for bit, and
+    `_pair_values` gives the C_mn of `_pair_spectra` byte for byte."""
 
     @pytest.mark.parametrize("state, families", [entry[:2] for entry in CATALOGUE],
                              ids=["-".join((e[0], *e[1])) for e in CATALOGUE])
@@ -812,15 +814,14 @@ class TestPairPruning:
             for cut in (Bipartition(block1, block2), Bipartition(block2, block1)):
                 gathers = _pair_blocks(cut.block1, cut.block2)[1]
                 for mats in (every, *parts, signed):
-                    got = cut_totals(mats, cut)
+                    got = stack_totals(mats, cut)
                     assert got.tobytes() == _unpruned_totals(mats, gathers).tobytes()
-                    assert_values_are_the_spectra_values(mats, gathers)
         if n == 3:
             for mats in (every, *parts, signed):
-                values = _pair_spectra(mats, concurrence._tau3_blocks())[1]
+                values = layout_spectra(mats, concurrence._tau3_blocks())[1]
                 t1, t2, t3 = concurrence._cut_total(values.reshape(len(mats), 3, -1)).T
                 want = np.sqrt((t1 * t1 + t2 * t2 + t3 * t3) / 3.0)
-                assert tau3_stack(mats).tobytes() == want.tobytes()
+                assert stack_tau3(mats).tobytes() == want.tobytes()
 
     def test_random_states_keep_every_pair(self, eigh_blocks):
         """Dense random states reach the general path, and X-shaped ones at
@@ -833,8 +834,8 @@ class TestPairPruning:
             for block1, block2 in all_cuts(n):
                 cut = Bipartition(block1, block2)
                 gathers = _pair_blocks(block1, block2)[1]
-                assert cut_totals(mats, cut).tobytes() == _unpruned_totals(mats, gathers).tobytes()
-                assert_values_are_the_spectra_values(mats, gathers)
+                assert stack_totals(mats, cut).tobytes() == \
+                    _unpruned_totals(mats, gathers).tobytes()
         assert len(eigh_blocks) > 0
         mats = np.array([edge_x_state(rng, idx) for idx in ([0, 3], [1, 2]) for _ in range(20)]
                         + [random_x_state(rng) for _ in range(20)])
@@ -843,9 +844,7 @@ class TestPairPruning:
         halves = np.take(mats.reshape(len(mats), -1), gathers[2], axis=1)
         near, far, anti = halves[:, 0:2].real, halves[:, 2:4].real, np.abs(halves[:, 4:6])
         assert np.count_nonzero(np.sqrt(np.maximum(near, 0) * np.maximum(far, 0)) < anti) >= 40
-        assert cut_totals(mats, parse_cut("1|2")).tobytes() == \
-            _unpruned_totals(mats, gathers).tobytes()
-        assert_values_are_the_spectra_values(mats, gathers)
+        assert stack_totals(mats, C12).tobytes() == _unpruned_totals(mats, gathers).tobytes()
 
     def test_off_x_coupling_alone_keeps_a_pair(self):
         """Two-qubit states with r03 = r12 = 0 can still be entangled through
@@ -859,7 +858,7 @@ class TestPairPruning:
             rho -= min(0.0, np.linalg.eigvalsh(rho)[0]) * 1.001 * np.eye(4)
             mats.append(rho / np.trace(rho).real)
         mats = np.array(mats)
-        got = cut_totals(mats, parse_cut("1|2"))
+        got = stack_totals(mats, C12)
         assert got.tobytes() == _unpruned_totals(mats, _pair_blocks((1,), (2,))[1]).tobytes()
         assert np.count_nonzero(got) > 10
 
@@ -874,21 +873,21 @@ class TestPairPruning:
         the totals sort no l's."""
         seen = []
 
-        def counting(mats, gathers):
+        def counting(rows, gathers):
             seen.append(len(gathers[0]))
-            return _pair_values(mats, gathers)
+            return _pair_values(rows, gathers)
 
         monkeypatch.setattr(concurrence, "_pair_values", counting)
         monkeypatch.setattr(concurrence, "_pair_spectra", None)
-        cut_totals(kernel_stacks(state, families, seed=2102)[0], parse_cut(cut))
+        stack_totals(kernel_stacks(state, families, seed=2102)[0], parse_cut(cut))
         assert seen == pairs
 
     def test_figure1_evaluates_six_of_eighteen_pairs(self, monkeypatch):
         seen = []
 
-        def counting(mats, gathers):
+        def counting(rows, gathers):
             seen.append(len(gathers[0]))
-            return _pair_values(mats, gathers)
+            return _pair_values(rows, gathers)
 
         monkeypatch.setattr(concurrence, "_pair_values", counting)
         monkeypatch.setattr(concurrence, "_pair_spectra", None)
@@ -957,22 +956,23 @@ class TestXLayouts:
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_dense_random_states_keep_the_test(self, n):
-        """Random states have entries off the X in every block, so their
-        identity layout keeps the per-state test, and their totals match
-        the dense oracle. Forcing the skip on that layout changes every
-        cut's totals: the decision is not vacuous."""
+        """Random states have entries off the X in every block, so the pairs
+        pruned on their union support keep the per-state test, and their
+        totals match the dense oracle. Forcing the skip on that layout
+        changes every cut's totals: the decision is not vacuous."""
         rng = np.random.default_rng(4200 + n)
         mats = np.array([random_density(n, 1 + k % 2, rng) for k in range(6)])
+        entries, rows = union_rows(mats)
         for block1, block2 in all_cuts(n):
-            cut = Bipartition(block1, block2)
             gathers = _pair_blocks(block1, block2)[1]
-            live = concurrence._dense_pairs(gathers, mats)
+            live = concurrence._live_pairs(gathers, entries, 1 << n)
             assert live[2][1] is not None
-            totals = cut_totals(mats, cut)
+            totals = live_totals(rows, live)
+            assert totals.tobytes() == stack_totals(mats, Bipartition(block1, block2)).tobytes()
             for mat, total in zip(mats, totals):
                 assert abs(total - dense_cut_concurrence(mat, block1, block2)[1]) <= 1e-8
             count, pairs, (flat, _, x_entries) = live
-            skipped = _live_values(mats, (count, pairs, (flat, None, x_entries)))
+            skipped = _live_values(rows, (count, pairs, (flat, None, x_entries)))
             assert concurrence._cut_total(skipped).tobytes() != totals.tobytes()
 
     def test_matrix_input_keeps_the_test(self, tmp_path, capsys, monkeypatch):
@@ -997,6 +997,43 @@ class TestXLayouts:
                                                                  ((2, 3), (1,)))]
         assert abs(total - cuts[0]) <= 1e-8
         assert abs(tau - np.sqrt(sum(c * c for c in cuts) / 3)) <= 1e-8
+
+
+def zero_bearing_state(n, rng):
+    """A random n-qubit state with zero rows and columns: a random PSD
+    matrix of random rank on a random proper subset of at least half of the
+    basis states, so many of its blocks hold zeros and reach `eigh`."""
+    dim = 1 << n
+    support = np.sort(rng.choice(dim, size=int(rng.integers(dim // 2, dim)), replace=False))
+    rho = np.zeros((dim, dim), dtype=complex)
+    rank = int(rng.integers(1, len(support) + 1))
+    g = rng.standard_normal((len(support), rank)) + 1j * rng.standard_normal((len(support), rank))
+    rho[np.ix_(support, support)] = g @ g.conj().T / np.linalg.norm(g) ** 2
+    return rho
+
+
+class TestSignOfZero:
+    """The one-state readers read a state's nonzero entries, so a zero entry
+    stored as -0.0 reads as the +0.0 pad: a state and its twin with every
+    zero stored as -0.0 give the same bytes, also where blocks reach `eigh`."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_twins_give_the_same_bytes(self, n, eigh_blocks):
+        rng = np.random.default_rng(4400 + n)
+        for _ in range(6):
+            mat = zero_bearing_state(n, rng)
+            twin = np.where(mat == 0, complex(-0.0, -0.0), mat)
+            assert np.signbit(twin.real).any() and np.array_equal(twin, mat)
+            rho, rho_twin = DensityMatrix(mat), DensityMatrix(twin)
+            for block1, block2 in all_cuts(n):
+                for cut in (Bipartition(block1, block2), Bipartition(block2, block1)):
+                    assert repr(cut_concurrence(rho, cut)) == repr(cut_concurrence(rho_twin, cut))
+                    got, want = (bipartite_concurrence(r, cut) for r in (rho, rho_twin))
+                    assert repr([(p.lambdas, p.value) for p in got.pairs] + [got.total]) == \
+                        repr([(p.lambdas, p.value) for p in want.pairs] + [want.total])
+            if n == 3:
+                assert repr(tau3(rho)) == repr(tau3(rho_twin))
+        assert len(eigh_blocks) > 0
 
 
 class TestBipartitionParsing:

@@ -21,7 +21,6 @@ from conclab.channels import (
 from conclab.concurrence import (
     Bipartition,
     cut_concurrence,
-    cut_totals,
     live_tau3,
     live_totals,
     parse_cut,
@@ -51,6 +50,7 @@ from oracles import (
     superop_evolve,
     term_rhs,
 )
+from stacks import stack_totals
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -410,7 +410,7 @@ def factor_case(state, families, anchor, relabel=False, cut=None):
     rows = scenario.factor_states(params, range(n))
     assert rows.shape == (64, n, len(scenario.factor_plan.entries) + 1)
     states = dense_rows(rows, scenario.factor_plan.entries, 1 << n)
-    oracle = cut_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
+    oracle = stack_totals(states.reshape(-1, 1 << n, 1 << n), identity.cut).reshape(64, n)
     lone = {b[0] for b in (identity.cut.block1, identity.cut.block2) if len(b) == 1}
     measured = [q for q in range(n) if scenario.anchors[q] not in lone]
     return rho0, ev, states, oracle, measured
@@ -649,7 +649,7 @@ class TestOneSidedLaw:
         _, rho0s, finals, params = law_case(n, qubit, family, 4100 + 10 * n + qubit, 40)
         c = channel_concurrence(params)
         for cut in (Bipartition(block1, block2), Bipartition(block2, block1)):
-            gap = cut_totals(finals, cut) - c * cut_totals(rho0s, cut)
+            gap = stack_totals(finals, cut) - c * stack_totals(rho0s, cut)
             assert np.max(np.abs(gap)) <= 1e-13
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -675,7 +675,7 @@ class TestOneSidedLaw:
         cut = parse_cut(cut)
         for qubit in (1, 2, 3, 4):
             _, rho0s, finals, params = law_case(4, qubit, family, 4300 + qubit, 60)
-            gap = cut_totals(finals, cut) - channel_concurrence(params) * cut_totals(rho0s, cut)
+            gap = stack_totals(finals, cut) - channel_concurrence(params) * stack_totals(rho0s, cut)
             assert np.min(gap) >= -1e-13
             assert np.max(gap) > 1e-3
 

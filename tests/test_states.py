@@ -6,30 +6,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conclab.concurrence import wootters
+from conclab.concurrence import cut_concurrence, parse_cut
 from conclab.errors import NotNormalizedError
 from conclab.states import PureState, bell, ghz, parse_state, random_pure, state_from_json, w
 
 from oracles import partial_trace_keep
 
 SQ2 = 1 / np.sqrt(2)
+C12 = parse_cut("1|2")
 
 
 def test_bell_product_limit():
     psi = bell(1.0)
     assert np.allclose(psi.amplitudes, [1, 0, 0, 0], atol=0)
-    assert wootters(psi.to_density()) == 0.0
+    assert cut_concurrence(psi.to_density(), C12) == 0.0
 
 
 def test_bell_maximal():
     psi = bell(SQ2)
     assert np.allclose(psi.amplitudes, [SQ2, 0, 0, SQ2], atol=1e-15)
-    assert abs(wootters(psi.to_density()) - 1.0) < 1e-12
+    assert abs(cut_concurrence(psi.to_density(), C12) - 1.0) < 1e-12
 
 
 def test_bell_intermediate_concurrence():
     # pure-state concurrence 2*alpha*sqrt(1-alpha^2)
-    assert abs(wootters(bell(0.6).to_density()) - 0.96) < 1e-12
+    assert abs(cut_concurrence(bell(0.6).to_density(), C12) - 0.96) < 1e-12
 
 
 def test_bell_range_check():
@@ -100,7 +101,7 @@ def test_random_two_qubit_mean_concurrence():
     # Monte-Carlo value frozen from this exact sampler and seed; the Haar
     # average of the two-qubit pure-state concurrence is 3*pi/16 ~ 0.589.
     rng = np.random.default_rng(7)
-    mean = np.mean([wootters(random_pure(2, rng).to_density()) for _ in range(1000)])
+    mean = np.mean([cut_concurrence(random_pure(2, rng).to_density(), C12) for _ in range(1000)])
     assert abs(mean - 0.5946001458360688) < 1e-6
     assert abs(mean - 3 * np.pi / 16) < 0.02
 
